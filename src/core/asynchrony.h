@@ -25,8 +25,8 @@
  * Implementation: scores run on the fused kernels of trace/kernels.h
  * (single pass, no temporaries) with per-trace peaks served from the
  * TraceStats cache; scoreVectors fans rows out via util::parallelFor.
- * The materializing formulas are retained in core::reference for
- * property tests and A/B benchmarks.
+ * The materializing formulas are retained in core::reference as the
+ * oracle the property tests compare the fused kernels against.
  */
 
 #include <vector>
@@ -135,8 +135,8 @@ double differentialScore(const trace::TimeSeries &itrace,
  * Materializing reference implementations of the scores above: the naive
  * "build the aggregate TimeSeries, then take its peak" formulas the fused
  * kernels replace.  Kept for property tests (fused results must match
- * these bit for bit) and A/B benchmarking (bench/perf_micro,
- * tools/bench_report).  Serial; allocate per call; do not use on hot
+ * these bit for bit) and selectable as PlacementConfig::scoring =
+ * ScoringImpl::kReference.  Serial; allocate per call; do not use on hot
  * paths.
  */
 namespace reference {

@@ -121,7 +121,6 @@ fingerprintRemapConfig(const RemapConfig &c)
     static_assert(sizeof(bits) == sizeof(c.minValidFraction));
     std::memcpy(&bits, &c.minValidFraction, sizeof(bits));
     h = graph::hashCombine(h, bits);
-    h = graph::hashCombine(h, static_cast<std::uint64_t>(c.kernels));
     h = graph::hashCombine(h, static_cast<std::uint64_t>(c.prune));
     h = graph::hashCombine(h, c.pruneClusters);
     std::memcpy(&bits, &c.pruneKeepFraction, sizeof(bits));

@@ -133,8 +133,16 @@ measureWeek(const power::PowerTree &tree, const MonitorConfig &config,
     }
     m.sumOfPeaks = tree.sumOfPeaks(node_traces, config.level);
     m.rootPeak = node_traces[tree.root()].peak();
-    SOSIM_ASSERT(m.rootPeak > 0.0,
-                 "FragmentationMonitor: zero root peak");
+    if (m.rootPeak <= 0.0) {
+        // No powered instance — e.g. every one excluded while a serving
+        // window is still mostly unfilled.  The ratio is undefined: report
+        // the zero-power sentinel of core/asynchrony.h, flagged degraded
+        // so it never enters the baseline window.  ingest() then judges
+        // it None: 0.0 sits below any (positive) baseline.
+        m.degradedData = true;
+        m.fragmentationRatio = 0.0;
+        return m;
+    }
     m.fragmentationRatio = m.sumOfPeaks / m.rootPeak;
     return m;
 }

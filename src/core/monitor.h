@@ -134,7 +134,11 @@ struct MonitorMeasurement {
     double sumOfPeaks = 0.0;
     /** Placement-invariant reference: the root (DC) peak. */
     double rootPeak = 0.0;
-    /** sumOfPeaks / rootPeak. */
+    /**
+     * sumOfPeaks / rootPeak, or the zero-power sentinel 0.0 when no
+     * instance draws power (core/asynchrony.h); such a week is flagged
+     * degradedData and judged MonitorAction::None.
+     */
     double fragmentationRatio = 0.0;
     /** True when the week's telemetry contained missing samples. */
     bool degradedData = false;

@@ -141,17 +141,6 @@ struct alignas(64) ShardSlot {
     std::uint64_t pruned = 0;
 };
 
-/** Mode-routed kernels: strict preserves the reference scan order. */
-double
-peakOfAddScaledDiffMode(trace::KernelMode mode, trace::TraceView c,
-                        trace::TraceView a, trace::TraceView b,
-                        double scale)
-{
-    return mode == trace::KernelMode::kBlocked
-               ? trace::peakOfAddScaledDiffBlocked(c, a, b, scale)
-               : trace::peakOfAddScaledDiff(c, a, b, scale);
-}
-
 } // namespace
 
 Remapper::Remapper(const power::PowerTree &tree, RemapConfig config)
@@ -232,7 +221,6 @@ Remapper::refineInPlace(power::Assignment &assignment,
     SOSIM_REQUIRE(validity == nullptr ||
                       validity->size() == itraces.size(),
                   "Remapper::refine: validity vector size mismatch");
-    const trace::KernelMode mode = config_.kernels;
     if (itraces.empty())
         return {};
 
@@ -360,11 +348,10 @@ Remapper::refineInPlace(power::Assignment &assignment,
 
     // Differential score of `candidate` joining `rack` after `out`
     // leaves, served from the hoisted others-row/peak: the numerator
-    // reuses others_peak, the denominator is one fused pass.  In strict
-    // mode the pass aborts once the prefix peak already proves
-    // `score <= threshold` — the caller's accept test takes the
-    // identical branch either way (see the early-reject kernel
-    // contract in trace/kernels.h).
+    // reuses others_peak, the denominator is one fused pass.  The pass
+    // aborts once the prefix peak already proves `score <= threshold` —
+    // the caller's accept test takes the identical branch either way
+    // (see the early-reject kernel contract in trace/kernels.h).
     const auto diffScoreHoisted =
         [&](trace::TraceView candidate, double candidate_peak,
             trace::TraceView others_diff, double others_peak,
@@ -376,12 +363,8 @@ Remapper::refineInPlace(power::Assignment &assignment,
             const double numerator =
                 candidate_peak + scale * others_peak;
             const double aggregate_peak =
-                mode == trace::KernelMode::kBlocked
-                    ? trace::peakOfScaledSumBlocked(candidate,
-                                                    others_diff, scale)
-                    : trace::peakOfScaledSumEarlyReject(
-                          candidate, others_diff, scale, numerator,
-                          threshold);
+                trace::peakOfScaledSumEarlyReject(
+                    candidate, others_diff, scale, numerator, threshold);
             if (aggregate_peak <= 0.0)
                 return 0.0; // Zero-power convention.
             return numerator / aggregate_peak;
@@ -403,14 +386,11 @@ Remapper::refineInPlace(power::Assignment &assignment,
             if (others == 0)
                 return; // scoreBefore stays at the 2.0 convention.
             const trace::TraceView member = arena.view(i);
-            const double others_peak =
-                mode == trace::KernelMode::kBlocked
-                    ? trace::peakOfDiffBlocked(agg, member)
-                    : trace::peakOfDiff(agg, member);
+            const double others_peak = trace::peakOfDiff(agg, member);
             rack.othersPeak[m] = others_peak;
             const double scale = 1.0 / static_cast<double>(others);
-            const double aggregate_peak = peakOfAddScaledDiffMode(
-                mode, member, agg, member, scale);
+            const double aggregate_peak =
+                trace::peakOfAddScaledDiff(member, agg, member, scale);
             rack.scoreBefore[m] =
                 aggregate_peak <= 0.0
                     ? 0.0
@@ -580,14 +560,9 @@ Remapper::refineInPlace(power::Assignment &assignment,
                             inst_a_peak +
                             scale_b * rack_b.othersPeak[pos_b];
                         const double aggregate_peak =
-                            mode == trace::KernelMode::kBlocked
-                                ? trace::peakOfAddScaledDiffBlocked(
-                                      inst_a_row, agg_b,
-                                      arena.view(inst_b), scale_b)
-                                : trace::peakOfAddScaledDiffEarlyReject(
-                                      inst_a_row, agg_b,
-                                      arena.view(inst_b), scale_b,
-                                      numerator, score_b_before);
+                            trace::peakOfAddScaledDiffEarlyReject(
+                                inst_a_row, agg_b, arena.view(inst_b),
+                                scale_b, numerator, score_b_before);
                         score_b_after = aggregate_peak <= 0.0
                                             ? 0.0
                                             : numerator / aggregate_peak;

@@ -9,6 +9,11 @@
  * identifies the member with the worst differential asynchrony score, and
  * swaps it with an instance of another node — accepting the swap only
  * when it raises the differential asynchrony scores at *both* nodes.
+ *
+ * The swap scan has one kernel path: the strict scan order with
+ * early-reject peak kernels (trace/kernels.h), whose accept decisions
+ * and accepted scores are exactly those of the materializing
+ * formulation, so refine() reproduces the golden pipeline digest.
  */
 
 #include <cstddef>
@@ -16,7 +21,6 @@
 #include <vector>
 
 #include "power/power_tree.h"
-#include "trace/kernels.h"
 #include "trace/time_series.h"
 
 namespace sosim::cluster {
@@ -53,16 +57,6 @@ struct RemapConfig {
      * validity vector; 0.0 disables the filter.
      */
     double minValidFraction = 0.5;
-    /**
-     * Kernel family for the swap-scan scoring passes.  kStrict (the
-     * default) preserves the reference scan order — refine() results are
-     * bit-identical to the materializing formulation and the golden
-     * pipeline digest.  kBlocked routes the hot passes through the
-     * blocked/SIMD kernels (see trace/kernels.h): peaks stay
-     * bit-identical on finite data, so accepted swaps normally match,
-     * but the contract is only ULP-bounded.
-     */
-    trace::KernelMode kernels = trace::KernelMode::kStrict;
     /**
      * Candidate-pair pruning (see PruneMode).  kOff is bit-identical to
      * the exhaustive scan; kCluster trades an epsilon of final score for

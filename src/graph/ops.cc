@@ -15,6 +15,7 @@
 #include "trace/kernels.h"
 #include "trace/stats_cache.h"
 #include "util/error.h"
+#include "util/parse.h"
 
 namespace sosim::pipeline {
 
@@ -737,19 +738,20 @@ parseWhatIf(const Pipeline &p, const std::string &text)
                           "'");
         const std::string key = item.substr(0, eq);
         const std::string value = item.substr(eq + 1);
+        const std::string tag = "--what-if: " + key;
         if (key == "max-swaps") {
-            remap.maxSwaps = std::stoi(value);
+            remap.maxSwaps = util::parseNumber<int>(value, tag);
             remap_changed = true;
         } else if (key == "placement-seed") {
-            placement.seed = std::stoull(value);
+            placement.seed = util::parseNumber<std::uint64_t>(value, tag);
             distribute_changed = true;
         } else if (key == "top-services") {
             placement.topServices =
-                static_cast<std::size_t>(std::stoul(value));
+                util::parseNumber<std::size_t>(value, tag);
             embed_changed = true;
         } else if (key == "clusters-per-child") {
             placement.clustersPerChild =
-                static_cast<std::size_t>(std::stoul(value));
+                util::parseNumber<std::size_t>(value, tag);
             distribute_changed = true;
         } else if (key == "placement-embedding") {
             if (value == "score") {
@@ -777,10 +779,10 @@ parseWhatIf(const Pipeline &p, const std::string &text)
             monitor.level = levelFromName(value);
             monitor_changed = true;
         } else if (key == "remap-threshold") {
-            monitor.remapThreshold = std::stod(value);
+            monitor.remapThreshold = util::parseNumber<double>(value, tag);
             monitor_changed = true;
         } else if (key == "replace-threshold") {
-            monitor.replaceThreshold = std::stod(value);
+            monitor.replaceThreshold = util::parseNumber<double>(value, tag);
             monitor_changed = true;
         } else {
             SOSIM_REQUIRE(false,

@@ -302,23 +302,6 @@ peakOfScaledSumGeneric(const double *a, const double *b, double s,
 }
 
 double
-peakOfDiffGeneric(const double *a, const double *b, std::size_t n)
-{
-    double m0 = kNegInf, m1 = kNegInf, m2 = kNegInf, m3 = kNegInf;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        m0 = std::max(m0, a[i] - b[i]);
-        m1 = std::max(m1, a[i + 1] - b[i + 1]);
-        m2 = std::max(m2, a[i + 2] - b[i + 2]);
-        m3 = std::max(m3, a[i + 3] - b[i + 3]);
-    }
-    double best = std::max(std::max(m0, m1), std::max(m2, m3));
-    for (; i < n; ++i)
-        best = std::max(best, a[i] - b[i]);
-    return best;
-}
-
-double
 peakOfAddScaledDiffGeneric(const double *c, const double *a,
                            const double *b, double s, std::size_t n)
 {
@@ -391,24 +374,6 @@ peakOfScaledSumAvx2(const double *a, const double *b, double s,
 }
 
 __attribute__((target("avx2"))) double
-peakOfDiffAvx2(const double *a, const double *b, std::size_t n)
-{
-    __m256d m0 = _mm256_set1_pd(kNegInf);
-    __m256d m1 = _mm256_set1_pd(kNegInf);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        m0 = _mm256_max_pd(m0, _mm256_sub_pd(_mm256_loadu_pd(a + i),
-                                             _mm256_loadu_pd(b + i)));
-        m1 = _mm256_max_pd(m1, _mm256_sub_pd(_mm256_loadu_pd(a + i + 4),
-                                             _mm256_loadu_pd(b + i + 4)));
-    }
-    double best = kNegInf;
-    for (; i < n; ++i)
-        best = std::max(best, a[i] - b[i]);
-    return horizontalMax(_mm256_max_pd(m0, m1), best);
-}
-
-__attribute__((target("avx2"))) double
 peakOfAddScaledDiffAvx2(const double *c, const double *a, const double *b,
                         double s, std::size_t n)
 {
@@ -439,7 +404,6 @@ struct KernelDispatch {
     double (*peakOfSum)(const double *, const double *, std::size_t);
     double (*peakOfScaledSum)(const double *, const double *, double,
                               std::size_t);
-    double (*peakOfDiff)(const double *, const double *, std::size_t);
     double (*peakOfAddScaledDiff)(const double *, const double *,
                                   const double *, double, std::size_t);
     const char *isa;
@@ -449,14 +413,13 @@ KernelDispatch
 pickDispatch()
 {
     KernelDispatch d{peakOfSumGeneric, peakOfScaledSumGeneric,
-                     peakOfDiffGeneric, peakOfAddScaledDiffGeneric,
-                     "generic"};
+                     peakOfAddScaledDiffGeneric, "generic"};
 #if SOSIM_AVX2_COMPILED
     const char *env = std::getenv("SOSIM_NATIVE");
     const bool disabled = env != nullptr && env[0] == '0';
     if (!disabled && __builtin_cpu_supports("avx2")) {
-        d = {peakOfSumAvx2, peakOfScaledSumAvx2, peakOfDiffAvx2,
-             peakOfAddScaledDiffAvx2, "avx2"};
+        d = {peakOfSumAvx2, peakOfScaledSumAvx2, peakOfAddScaledDiffAvx2,
+             "avx2"};
     }
 #endif
     return d;
@@ -471,12 +434,6 @@ dispatch()
 }
 
 } // namespace
-
-const char *
-kernelModeName(KernelMode mode)
-{
-    return mode == KernelMode::kBlocked ? "blocked" : "strict";
-}
 
 const char *
 kernelIsaName()
@@ -571,131 +528,6 @@ peakOfSumBlocked(TraceView a, TraceView b)
     requireAligned(a, b,
                    "peakOfSumBlocked: views must be aligned and non-empty");
     return dispatch().peakOfSum(a.data(), b.data(), a.size());
-}
-
-double
-peakOfScaledSumBlocked(TraceView a, TraceView b, double scale)
-{
-    SOSIM_COUNT("trace.kernels.peak_of_scaled_sum_blocked");
-    requireAligned(a, b, "peakOfScaledSumBlocked: views must be aligned "
-                         "and non-empty");
-    return dispatch().peakOfScaledSum(a.data(), b.data(), scale, a.size());
-}
-
-double
-peakOfDiffBlocked(TraceView a, TraceView b)
-{
-    SOSIM_COUNT("trace.kernels.peak_of_diff_blocked");
-    requireAligned(a, b,
-                   "peakOfDiffBlocked: views must be aligned and non-empty");
-    return dispatch().peakOfDiff(a.data(), b.data(), a.size());
-}
-
-double
-peakOfAddScaledDiffBlocked(TraceView c, TraceView a, TraceView b,
-                           double scale)
-{
-    SOSIM_COUNT("trace.kernels.peak_of_add_scaled_diff_blocked");
-    requireAligned(c, a, "peakOfAddScaledDiffBlocked: views must be "
-                         "aligned, non-empty");
-    requireAligned(c, b, "peakOfAddScaledDiffBlocked: views must be "
-                         "aligned, non-empty");
-    return dispatch().peakOfAddScaledDiff(c.data(), a.data(), b.data(),
-                                          scale, c.size());
-}
-
-double
-peakOfSumValidBlocked(TraceView a, TraceView b, std::size_t *valid_count)
-{
-    SOSIM_COUNT("trace.kernels.peak_of_sum_valid_blocked");
-    requireAligned(a, b, "peakOfSumValidBlocked: views must be aligned "
-                         "and non-empty");
-    // Four independent (max, count) lanes; NaN sums fail the > compare
-    // and never enter a lane max, so only the exact-integer count and the
-    // association-insensitive max survive to the merge.
-    double m[4] = {kNegInf, kNegInf, kNegInf, kNegInf};
-    std::size_t cnt[4] = {0, 0, 0, 0};
-    const double *pa = a.data();
-    const double *pb = b.data();
-    const std::size_t n = a.size();
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        for (std::size_t l = 0; l < 4; ++l) {
-            const double x = pa[i + l] + pb[i + l];
-            if (std::isfinite(x)) {
-                m[l] = std::max(m[l], x);
-                ++cnt[l];
-            }
-        }
-    }
-    for (; i < n; ++i) {
-        const double x = pa[i] + pb[i];
-        if (std::isfinite(x)) {
-            m[0] = std::max(m[0], x);
-            ++cnt[0];
-        }
-    }
-    const std::size_t valid = cnt[0] + cnt[1] + cnt[2] + cnt[3];
-    if (valid_count != nullptr)
-        *valid_count = valid;
-    if (valid == 0)
-        return 0.0; // Zero-power convention, as peakOfSumValid.
-    return std::max(std::max(m[0], m[1]), std::max(m[2], m[3]));
-}
-
-ValidStats
-computeValidStatsBlocked(TraceView v)
-{
-    // Lane-partitioned single pass.  peak/valley/count merge exactly;
-    // the sums accumulate per lane, so sum/mean are ULP-bounded against
-    // computeValidStats.  peakIndex: each lane records the first index
-    // attaining its lane max (strict > update), so the global first
-    // attainment is the smallest recorded index among the lanes whose
-    // max equals the merged peak.
-    constexpr std::size_t kLanes = 4;
-    double pk[kLanes], vl[kLanes], sm[kLanes];
-    std::size_t idx[kLanes], cnt[kLanes];
-    for (std::size_t l = 0; l < kLanes; ++l) {
-        pk[l] = kNegInf;
-        vl[l] = std::numeric_limits<double>::infinity();
-        sm[l] = 0.0;
-        idx[l] = 0;
-        cnt[l] = 0;
-    }
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        const double x = v[i];
-        if (!std::isfinite(x))
-            continue;
-        const std::size_t l = i % kLanes;
-        if (x > pk[l]) {
-            pk[l] = x;
-            idx[l] = i;
-        }
-        vl[l] = std::min(vl[l], x);
-        sm[l] += x;
-        ++cnt[l];
-    }
-    ValidStats out;
-    out.validSamples = cnt[0] + cnt[1] + cnt[2] + cnt[3];
-    if (out.validSamples == 0)
-        return out; // All-zero stats, the computeValidStats convention.
-    double peak = kNegInf, valley = std::numeric_limits<double>::infinity();
-    double sum = 0.0;
-    for (std::size_t l = 0; l < kLanes; ++l) {
-        peak = std::max(peak, pk[l]);
-        valley = std::min(valley, vl[l]);
-        sum += sm[l];
-    }
-    std::size_t peak_index = v.size();
-    for (std::size_t l = 0; l < kLanes; ++l)
-        if (pk[l] == peak)
-            peak_index = std::min(peak_index, idx[l]);
-    out.stats.peak = peak;
-    out.stats.valley = valley;
-    out.stats.sum = sum;
-    out.stats.mean = sum / static_cast<double>(out.validSamples);
-    out.stats.peakIndex = peak_index;
-    return out;
 }
 
 std::size_t

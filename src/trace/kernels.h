@@ -228,35 +228,29 @@ double diffPeakRow(double *dst, TraceView a, TraceView b);
  *
  * The strict kernels above scan with a single sequential accumulator, a
  * loop shape whose loop-carried compare keeps the compiler from using
- * wide max instructions.  The *blocked* variants below break the scan
+ * wide max instructions.  The *blocked* kernels below break the scan
  * into independent accumulator lanes so they auto-vectorize (and, when
  * compiled with SOSIM_NATIVE on x86-64, dispatch at runtime to an AVX2
- * path — see kernelIsaName()).
+ * path — see kernelIsaName()).  The early-reject kernels above run
+ * their chunks through the same dispatched bodies.
  *
- * Contract: on finite inputs every blocked peak kernel returns a value
- * bit-identical to its strict sibling — a max-reduction is insensitive
- * to association, and the element expressions apply the identical IEEE
- * operations (the AVX2 path deliberately uses separate mul/add, never
- * FMA).  Sum-style reductions (ValidStats::stats.sum / .mean) DO change
- * association and are only ULP-bounded; that is why consumers gate the
- * blocked family behind an explicit KernelMode flag instead of swapping
- * it in silently.  Non-finite samples are the other difference: strict
- * kernels reproduce the reference NaN propagation, blocked peak kernels
- * require finite data (the *Valid variants are the NaN-aware blocked
- * entry points).  tests/test_arena.cc pins both properties.
+ * Contract: on finite inputs a blocked peak is bit-identical to its
+ * strict sibling — a max-reduction is insensitive to association, and
+ * the element expressions apply the identical IEEE operations (the AVX2
+ * path deliberately uses separate mul/add, never FMA).  Unlike the
+ * strict kernels, which reproduce the reference NaN propagation, the
+ * blocked peak kernels require finite data.  tests/test_arena.cc pins
+ * the identity.
  */
 
 /**
- * Which kernel family a consumer routes hot scoring loops through.
- * kStrict (default everywhere) preserves the reference scan order and
- * bit-exact results; kBlocked enables the blocked/SIMD variants above
- * (ULP-bounded where a sum reduction is involved, bit-identical for
- * peaks on finite data).
+ * Which kernel family the population embedding runs on
+ * (PlacementConfig::kernels, core::embedPopulation).  kStrict (the
+ * default) preserves the reference scan order; kBlocked packs the
+ * populations into arenas and runs scoreVectorsBatch.  Both give
+ * bit-identical peaks on finite traces.
  */
 enum class KernelMode { kStrict, kBlocked };
-
-/** Printable mode name ("strict", "blocked"). */
-const char *kernelModeName(KernelMode mode);
 
 /**
  * ISA the blocked kernels dispatch to at runtime: "avx2" when compiled
@@ -269,33 +263,7 @@ const char *kernelIsaName();
 /** Blocked peak(a + b); finite inputs.  See the contract above. */
 double peakOfSumBlocked(TraceView a, TraceView b);
 
-/** Blocked peak(a + s*b); finite inputs. */
-double peakOfScaledSumBlocked(TraceView a, TraceView b, double scale);
-
-/** Blocked peak(a - b); finite inputs. */
-double peakOfDiffBlocked(TraceView a, TraceView b);
-
-/** Blocked peak(c + s*(a - b)); finite inputs. */
-double peakOfAddScaledDiffBlocked(TraceView c, TraceView a, TraceView b,
-                                  double scale);
-
-/**
- * Blocked gap-aware peak(a + b): identical results to peakOfSumValid on
- * every input (the max over valid positions does not depend on scan
- * association, and the valid count is integer-exact).
- */
-double peakOfSumValidBlocked(TraceView a, TraceView b,
-                             std::size_t *valid_count = nullptr);
-
-/**
- * Blocked NaN-skipping stats.  peak, valley, validSamples and peakIndex
- * (first index attaining the maximum) are identical to
- * computeValidStats; sum and mean are ULP-bounded (lane-partitioned
- * accumulation changes the addition order).
- */
-ValidStats computeValidStatsBlocked(TraceView v);
-
-/** Blocked count of finite samples (exact). */
+/** Blocked count of finite samples (exact on every input). */
 std::size_t countValid(TraceView v);
 
 /**

@@ -49,8 +49,8 @@ std::vector<DatacenterSpec> buildAllDcSpecs(
 
 /**
  * Fleet-scale mixed datacenter sized to exactly `population` instances
- * (~8 per rack), for the remap scaling scenarios (bench_report fleet
- * rows, tests/test_golden.cc's fleet digest).
+ * (~8 per rack), for the fleet scaling scenarios (perfbench's
+ * fleet-10240 workload, tests/test_golden.cc's fleet digest).
  *
  * Eight services of population/8 instances each span the catalog's
  * shape space — day-peaking LC, flat batch, night-peaking storage,

@@ -371,6 +371,7 @@ TEST(ValidKernels, SkipNaNSamples)
     TimeSeries ts({kNaN, 2.0, kNaN, 4.0, 1.0}, 1);
     const auto valid = trace::computeValidStats(ts);
     EXPECT_EQ(valid.validSamples, 3u);
+    EXPECT_EQ(trace::countValid(ts), 3u);
     EXPECT_DOUBLE_EQ(valid.stats.peak, 4.0);
     EXPECT_EQ(valid.stats.peakIndex, 3u);
     EXPECT_DOUBLE_EQ(valid.stats.valley, 1.0);

@@ -28,6 +28,7 @@
 #include "obs/obs.h"
 #include "power/power_tree.h"
 #include "trace/repair.h"
+#include "util/error.h"
 #include "util/table.h"
 #include "workload/catalog.h"
 #include "workload/generator.h"
@@ -465,6 +466,11 @@ TEST(GraphWhatIf, ParseComposesKeysAndRejectsUnknownOnes)
     EXPECT_THROW(pipeline::parseWhatIf(p, "bogus-key=1"),
                  std::exception);
     EXPECT_THROW(pipeline::parseWhatIf(p, "max-swaps"), std::exception);
+    // Numbers must be consumed whole and fit their field.
+    for (const char *junk : {"max-swaps=4x", "placement-seed=-1",
+                             "top-services=", "remap-threshold=nan"})
+        EXPECT_THROW(pipeline::parseWhatIf(p, junk), util::FatalError)
+            << junk;
 }
 
 // ---------------------------------------------------------------------

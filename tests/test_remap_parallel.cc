@@ -9,7 +9,7 @@
  * rack) order, because ShardPlan ranges concatenate in rack order.
  * These tests pin that contract end to end: the full swap plan (every
  * SwapRecord field) and the refined assignment must be bit-identical
- * across thread counts, shard counts, kernel modes and pruning modes,
+ * across thread counts, shard counts and pruning modes,
  * on clean and on faulted-then-repaired populations.  ShardPlan itself
  * is unit-tested here too (group alignment, order preservation,
  * clamping).
@@ -205,20 +205,19 @@ expectIdentical(const Outcome &a, const Outcome &b,
     }
 }
 
-class RemapParallel : public ::testing::TestWithParam<
-                          std::tuple<trace::KernelMode, core::PruneMode,
-                                     bool /* faulted */>>
+class RemapParallel
+    : public ::testing::TestWithParam<
+          std::tuple<core::PruneMode, bool /* faulted */>>
 {
 };
 
 TEST_P(RemapParallel, PlanIsInvariantAcrossThreadsAndShards)
 {
-    const auto [mode, prune, faulted] = GetParam();
+    const auto [prune, faulted] = GetParam();
     const Fixture f = makeFixture(faulted);
 
     core::RemapConfig config;
     config.maxSwaps = 12;
-    config.kernels = mode;
     config.prune = prune;
     config.pruneKeepFraction = 0.5;
 
@@ -248,8 +247,6 @@ TEST_P(RemapParallel, PlanIsInvariantAcrossThreadsAndShards)
 INSTANTIATE_TEST_SUITE_P(
     Modes, RemapParallel,
     ::testing::Combine(
-        ::testing::Values(trace::KernelMode::kStrict,
-                          trace::KernelMode::kBlocked),
         ::testing::Values(core::PruneMode::kOff,
                           core::PruneMode::kCluster),
         ::testing::Values(false, true)));

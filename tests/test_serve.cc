@@ -465,6 +465,39 @@ TEST(ServeService, ActsOnMonitorRecommendations)
     EXPECT_GT(svc.ring().rejectedCount(IngestStatus::RejectedFuture), 0u);
 }
 
+TEST(ServeService, ShortEpochsJudgeAnUnfilledWindowAsDegraded)
+{
+    // Epochs shorter than half the window: the first snapshot holds 6 of
+    // 24 ticks, so every instance falls below minValidFraction and the
+    // week has no powered instance.  That is a degraded, action-None
+    // epoch with the zero-power ratio sentinel — not an abort.
+    power::PowerTree tree(tinyTopology());
+    const auto service_of = tinyServices();
+    auto initial = baseline::obliviousPlacement(tree, service_of);
+    auto config = tinyConfig("");
+    config.window = 24;
+    config.epochTicks = 6;
+    serve::Service svc(tree, service_of, initial, 60, config);
+
+    std::vector<serve::EpochResult> results;
+    for (std::uint64_t t = 0; t <= 30; ++t) {
+        svc.advanceTo(t);
+        for (std::size_t i = 0; i < kInstances; ++i)
+            svc.ingest({t, i, feedWatts(i, t)});
+        for (auto &r : svc.processReadyEpochs())
+            results.push_back(r);
+    }
+    ASSERT_EQ(results.size(), 5u);
+    const auto &first = results.front().observation;
+    EXPECT_TRUE(first.degradedData);
+    EXPECT_EQ(first.fragmentationRatio, 0.0);
+    EXPECT_EQ(first.excludedInstances, kInstances);
+    EXPECT_EQ(first.action, core::MonitorAction::None);
+    // Once the window is full the epochs measure normally.
+    EXPECT_FALSE(results.back().observation.degradedData);
+    EXPECT_GT(results.back().observation.fragmentationRatio, 0.0);
+}
+
 /** Run the full scenario unbroken and return the final digest. */
 std::uint64_t
 unbrokenDigest(std::uint64_t ticks)

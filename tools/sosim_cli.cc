@@ -52,6 +52,7 @@
 #include "trace/io.h"
 #include "trace/repair.h"
 #include "util/error.h"
+#include "util/parse.h"
 #include "util/table.h"
 #include "workload/dc_presets.h"
 #include "workload/generator.h"
@@ -125,18 +126,16 @@ class Args
         return it->second;
     }
 
-    double
-    getDouble(const std::string &key, double fallback) const
+    /** --key parsed whole as a T (see util::parseNumber), or
+     *  `fallback` when the flag is absent. */
+    template <typename T>
+    T
+    getNumber(const std::string &key, T fallback) const
     {
         const auto it = values_.find(key);
-        return it == values_.end() ? fallback : std::stod(it->second);
-    }
-
-    int
-    getInt(const std::string &key, int fallback) const
-    {
-        const auto it = values_.find(key);
-        return it == values_.end() ? fallback : std::stoi(it->second);
+        return it == values_.end()
+                   ? fallback
+                   : util::parseNumber<T>(it->second, "--" + key);
     }
 
   private:
@@ -148,11 +147,11 @@ power::TopologySpec
 topologyFromArgs(const Args &args)
 {
     power::TopologySpec spec;
-    spec.suites = args.getInt("suites", spec.suites);
-    spec.msbsPerSuite = args.getInt("msbs", spec.msbsPerSuite);
-    spec.sbsPerMsb = args.getInt("sbs", spec.sbsPerMsb);
-    spec.rppsPerSb = args.getInt("rpps", spec.rppsPerSb);
-    spec.racksPerRpp = args.getInt("racks", spec.racksPerRpp);
+    spec.suites = args.getNumber("suites", spec.suites);
+    spec.msbsPerSuite = args.getNumber("msbs", spec.msbsPerSuite);
+    spec.sbsPerMsb = args.getNumber("sbs", spec.sbsPerMsb);
+    spec.rppsPerSb = args.getNumber("rpps", spec.rppsPerSb);
+    spec.racksPerRpp = args.getNumber("racks", spec.racksPerRpp);
     return spec;
 }
 
@@ -160,12 +159,11 @@ workload::DatacenterSpec
 presetFromArgs(const Args &args)
 {
     workload::PresetOptions options;
-    options.scale = args.getDouble("scale", 1.0);
-    options.intervalMinutes = args.getInt("interval", 5);
-    options.weeks = args.getInt("weeks", 3);
-    options.seed =
-        static_cast<std::uint64_t>(args.getInt("seed", 2018));
-    const int dc = args.getInt("dc", 3);
+    options.scale = args.getNumber("scale", 1.0);
+    options.intervalMinutes = args.getNumber("interval", 5);
+    options.weeks = args.getNumber("weeks", 3);
+    options.seed = args.getNumber<std::uint64_t>("seed", 2018);
+    const int dc = args.getNumber("dc", 3);
     switch (dc) {
       case 1:
         return workload::buildDc1Spec(options);
@@ -230,11 +228,10 @@ cmdPlace(const Args &args)
 
     power::PowerTree tree(topologyFromArgs(args));
     core::PlacementConfig config;
-    config.topServices = static_cast<std::size_t>(
-        args.getInt("top-services", 10));
-    config.clustersPerChild = static_cast<std::size_t>(
-        args.getInt("clusters-per-child", 2));
-    config.seed = static_cast<std::uint64_t>(args.getInt("seed", 42));
+    config.topServices = args.getNumber<std::size_t>("top-services", 10);
+    config.clustersPerChild =
+        args.getNumber<std::size_t>("clusters-per-child", 2);
+    config.seed = args.getNumber<std::uint64_t>("seed", 42);
     core::PlacementEngine engine(tree, config);
     const auto assignment = engine.place(bundle.traces, service_of);
     power::writeAssignmentCsvFile(out, tree, assignment);
@@ -348,9 +345,13 @@ cmdReport(const Args &args)
         spec.faultSeed = fp_spec.seed;
         spec.faultProfile = fp_spec.profile;
     }
-    spec.remap.maxSwaps = args.getInt("max-swaps", 16);
+    spec.remap.maxSwaps = args.getNumber("max-swaps", 16);
 
     auto p = pipeline::buildPipeline(spec);
+    // Parse the what-if before the base run so a malformed spec fails
+    // fast instead of after the whole pipeline.
+    const std::string what_if = args.get("what-if", "");
+    const auto overlay = pipeline::parseWhatIf(p, what_if);
     const auto base = pipeline::runPipeline(p);
 
     std::cout << "SmoothOperator report for " << spec.dc.name << " ("
@@ -358,13 +359,11 @@ cmdReport(const Args &args)
     printReportBody(base, spec.faulted);
 
     if (args.has("what-if")) {
-        const std::string text = args.require("what-if");
-        const auto overlay = pipeline::parseWhatIf(p, text);
         const auto wi = pipeline::runPipeline(p, overlay);
         const bool wi_faulted =
             spec.faulted ||
-            text.find("fault-plan") != std::string::npos;
-        std::cout << "\nwhat-if (" << text << "):\n";
+            what_if.find("fault-plan") != std::string::npos;
+        std::cout << "\nwhat-if (" << what_if << "):\n";
         printReportBody(wi, wi_faulted);
         std::cout << "what-if pipeline: " << wi.opsExecuted
                   << " ops executed, " << wi.cacheHits
@@ -398,18 +397,16 @@ cmdServe(const Args &args)
     }
 
     serve::ServeConfig config;
-    config.window =
-        static_cast<std::size_t>(args.getInt("window", 48));
-    config.epochTicks =
-        static_cast<std::size_t>(args.getInt("epoch-ticks", 24));
-    config.remap.maxSwaps = args.getInt("max-swaps", 16);
+    config.window = args.getNumber<std::size_t>("window", 48);
+    config.epochTicks = args.getNumber<std::size_t>("epoch-ticks", 24);
+    config.remap.maxSwaps = args.getNumber("max-swaps", 16);
     config.checkpointDir = args.get("checkpoint-dir", "");
     if (!config.checkpointDir.empty())
         std::filesystem::create_directories(config.checkpointDir);
 
     const auto available = traces.front().size();
     const std::uint64_t ticks = std::min<std::uint64_t>(
-        static_cast<std::uint64_t>(args.getInt("ticks", 96)), available);
+        args.getNumber<std::uint64_t>("ticks", 96), available);
     SOSIM_REQUIRE(ticks > 0, "serve: no ticks to stream");
 
     serve::Service svc(tree, service_of,
@@ -434,9 +431,8 @@ cmdServe(const Args &args)
     // must land on the digest of an unbroken run.
     std::uint64_t stop = ticks;
     if (args.has("kill-at-tick"))
-        stop = std::min<std::uint64_t>(
-            stop, static_cast<std::uint64_t>(
-                      args.getInt("kill-at-tick", 0)));
+        stop = std::min(stop,
+                        args.getNumber<std::uint64_t>("kill-at-tick", 0));
 
     for (std::uint64_t t = resume; t < stop; ++t) {
         svc.advanceTo(t);
