@@ -5,41 +5,27 @@
 
 #include "cluster/candidate_index.h"
 #include "util/error.h"
+#include "util/hash.h"
 
 namespace sosim::cluster {
 
 namespace {
 
-// FNV-1a, the same constants graph::fnv1a64 uses; local so the cluster
-// library stays independent of the graph layer it feeds.
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t
-mixWord(std::uint64_t h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xffu;
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
 std::uint64_t
 fingerprintIndex(const std::vector<Point> &points, std::size_t samples,
                  std::size_t buckets)
 {
-    std::uint64_t h = kFnvOffset;
-    h = mixWord(h, samples);
-    h = mixWord(h, buckets);
-    h = mixWord(h, points.size());
+    std::uint64_t h = util::kFnvOffset;
+    h = util::mixWord(h, samples);
+    h = util::mixWord(h, buckets);
+    h = util::mixWord(h, points.size());
     for (const auto &p : points) {
-        h = mixWord(h, p.size());
+        h = util::mixWord(h, p.size());
         for (const double v : p) {
             std::uint64_t bits;
             static_assert(sizeof(bits) == sizeof(v));
             std::memcpy(&bits, &v, sizeof(bits));
-            h = mixWord(h, bits);
+            h = util::mixWord(h, bits);
         }
     }
     return h;

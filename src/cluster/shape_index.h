@@ -15,10 +15,10 @@
  * raw traces on every call; now the index is built once per trace
  * population and passed around by const reference.
  *
- * The index carries a content fingerprint (FNV-1a over the embedding
- * parameters and every point's IEEE-754 bits, the same construction the
- * op graph uses for Values), so it can flow along graph edges as a
- * cached op output: two indexes with equal fingerprints embed identical
+ * The index carries a content fingerprint (byte-wise FNV-1a,
+ * util::mixWord, over the embedding parameters and every point's
+ * IEEE-754 bits), so it can flow along op-graph edges as a cached op
+ * output: two indexes with equal fingerprints embed identical
  * populations identically.
  *
  * Determinism: build() delegates to shapePoints, which fans rows out

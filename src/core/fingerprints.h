@@ -28,27 +28,27 @@
 #include "core/monitor.h"
 #include "core/placement.h"
 #include "core/remap.h"
-#include "graph/graph.h"
 #include "power/power_tree.h"
 #include "trace/time_series.h"
+#include "util/hash.h"
 
 namespace sosim::core {
 
 /** Fingerprint of one series (interval + every sample's bits). */
 inline std::uint64_t
 fingerprintTrace(const trace::TimeSeries &ts,
-                 std::uint64_t seed = graph::kFnvOffset)
+                 std::uint64_t seed = util::kFnvOffset)
 {
-    std::uint64_t h = graph::hashCombine(
+    std::uint64_t h = util::hashCombine(
         seed, static_cast<std::uint64_t>(ts.intervalMinutes()));
-    return graph::fingerprintDoubles(ts.samples().data(), ts.size(), h);
+    return util::fingerprintDoubles(ts.samples().data(), ts.size(), h);
 }
 
 /** Fingerprint of a whole trace population, order-sensitive. */
 inline std::uint64_t
 fingerprintTraces(const std::vector<trace::TimeSeries> &traces)
 {
-    std::uint64_t h = graph::hashCombine(graph::kFnvOffset,
+    std::uint64_t h = util::hashCombine(util::kFnvOffset,
                                          traces.size());
     for (const auto &ts : traces)
         h = fingerprintTrace(ts, h);
@@ -59,10 +59,10 @@ fingerprintTraces(const std::vector<trace::TimeSeries> &traces)
 inline std::uint64_t
 fingerprintAssignment(const power::Assignment &assignment)
 {
-    std::uint64_t h = graph::hashCombine(graph::kFnvOffset,
+    std::uint64_t h = util::hashCombine(util::kFnvOffset,
                                          assignment.size());
     for (const auto rack : assignment)
-        h = graph::hashCombine(h, static_cast<std::uint64_t>(rack));
+        h = util::hashCombine(h, static_cast<std::uint64_t>(rack));
     return h;
 }
 
@@ -70,10 +70,10 @@ fingerprintAssignment(const power::Assignment &assignment)
 inline std::uint64_t
 fingerprintServices(const std::vector<std::size_t> &service_of)
 {
-    std::uint64_t h = graph::hashCombine(graph::kFnvOffset,
+    std::uint64_t h = util::hashCombine(util::kFnvOffset,
                                          service_of.size());
     for (const auto s : service_of)
-        h = graph::hashCombine(h, static_cast<std::uint64_t>(s));
+        h = util::hashCombine(h, static_cast<std::uint64_t>(s));
     return h;
 }
 
@@ -81,11 +81,11 @@ fingerprintServices(const std::vector<std::size_t> &service_of)
 inline std::uint64_t
 fingerprintEmbedConfig(const PlacementConfig &c)
 {
-    std::uint64_t h = graph::fingerprintString("embed-config");
-    h = graph::hashCombine(h, c.topServices);
-    h = graph::hashCombine(h, static_cast<std::uint64_t>(c.scoring));
-    h = graph::hashCombine(h, static_cast<std::uint64_t>(c.kernels));
-    h = graph::hashCombine(h, static_cast<std::uint64_t>(c.embedding));
+    std::uint64_t h = util::fingerprintString("embed-config");
+    h = util::hashCombine(h, c.topServices);
+    h = util::hashCombine(h, static_cast<std::uint64_t>(c.scoring));
+    h = util::hashCombine(h, static_cast<std::uint64_t>(c.kernels));
+    h = util::hashCombine(h, static_cast<std::uint64_t>(c.embedding));
     return h;
 }
 
@@ -93,13 +93,13 @@ fingerprintEmbedConfig(const PlacementConfig &c)
 inline std::uint64_t
 fingerprintDistributeConfig(const PlacementConfig &c)
 {
-    std::uint64_t h = graph::fingerprintString("distribute-config");
-    h = graph::hashCombine(h, c.clustersPerChild);
-    h = graph::hashCombine(h, c.balanceClusters ? 1u : 0u);
-    h = graph::hashCombine(h, static_cast<std::uint64_t>(c.kmeansRestarts));
-    h = graph::hashCombine(
+    std::uint64_t h = util::fingerprintString("distribute-config");
+    h = util::hashCombine(h, c.clustersPerChild);
+    h = util::hashCombine(h, c.balanceClusters ? 1u : 0u);
+    h = util::hashCombine(h, static_cast<std::uint64_t>(c.kmeansRestarts));
+    h = util::hashCombine(
         h, static_cast<std::uint64_t>(c.kmeansMaxIterations));
-    h = graph::hashCombine(h, c.seed);
+    h = util::hashCombine(h, c.seed);
     return h;
 }
 
@@ -114,18 +114,18 @@ fingerprintDistributeConfig(const PlacementConfig &c)
 inline std::uint64_t
 fingerprintRemapConfig(const RemapConfig &c)
 {
-    std::uint64_t h = graph::fingerprintString("remap-config");
-    h = graph::hashCombine(h, static_cast<std::uint64_t>(c.maxSwaps));
-    h = graph::hashCombine(h, c.candidatesPerRound);
+    std::uint64_t h = util::fingerprintString("remap-config");
+    h = util::hashCombine(h, static_cast<std::uint64_t>(c.maxSwaps));
+    h = util::hashCombine(h, c.candidatesPerRound);
     std::uint64_t bits;
     static_assert(sizeof(bits) == sizeof(c.minValidFraction));
     std::memcpy(&bits, &c.minValidFraction, sizeof(bits));
-    h = graph::hashCombine(h, bits);
-    h = graph::hashCombine(h, static_cast<std::uint64_t>(c.prune));
-    h = graph::hashCombine(h, c.pruneClusters);
+    h = util::hashCombine(h, bits);
+    h = util::hashCombine(h, static_cast<std::uint64_t>(c.prune));
+    h = util::hashCombine(h, c.pruneClusters);
     std::memcpy(&bits, &c.pruneKeepFraction, sizeof(bits));
-    h = graph::hashCombine(h, bits);
-    h = graph::hashCombine(h, c.pruneSeed);
+    h = util::hashCombine(h, bits);
+    h = util::hashCombine(h, c.pruneSeed);
     return h;
 }
 
@@ -135,12 +135,12 @@ fingerprintRemapConfig(const RemapConfig &c)
 inline std::uint64_t
 fingerprintMonitorMeasureConfig(const MonitorConfig &c)
 {
-    std::uint64_t h = graph::fingerprintString("monitor-measure-config");
-    h = graph::hashCombine(h, static_cast<std::uint64_t>(c.level));
-    h = graph::hashCombine(h, static_cast<std::uint64_t>(c.repairPolicy));
+    std::uint64_t h = util::fingerprintString("monitor-measure-config");
+    h = util::hashCombine(h, static_cast<std::uint64_t>(c.level));
+    h = util::hashCombine(h, static_cast<std::uint64_t>(c.repairPolicy));
     std::uint64_t bits;
     std::memcpy(&bits, &c.minValidFraction, sizeof(bits));
-    h = graph::hashCombine(h, bits);
+    h = util::hashCombine(h, bits);
     return h;
 }
 
@@ -148,16 +148,16 @@ fingerprintMonitorMeasureConfig(const MonitorConfig &c)
 inline std::uint64_t
 fingerprintTree(const power::PowerTree &tree)
 {
-    std::uint64_t h = graph::hashCombine(graph::kFnvOffset,
+    std::uint64_t h = util::hashCombine(util::kFnvOffset,
                                          tree.nodeCount());
     for (power::NodeId id = 0; id < tree.nodeCount(); ++id) {
         const auto &n = tree.node(id);
-        h = graph::hashCombine(h, static_cast<std::uint64_t>(n.parent));
-        h = graph::hashCombine(h, static_cast<std::uint64_t>(n.level));
+        h = util::hashCombine(h, static_cast<std::uint64_t>(n.parent));
+        h = util::hashCombine(h, static_cast<std::uint64_t>(n.level));
         std::uint64_t bits;
         const double budget = n.budgetWatts;
         std::memcpy(&bits, &budget, sizeof(bits));
-        h = graph::hashCombine(h, bits);
+        h = util::hashCombine(h, bits);
     }
     return h;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "core/fingerprints.h"
 #include "obs/obs.h"
 #include "trace/arena.h"
 #include "util/error.h"
@@ -154,43 +153,7 @@ FragmentationMonitor::observeWeek(
 {
     SOSIM_SPAN("monitor.observe_week");
     const auto t0 = std::chrono::steady_clock::now();
-
-    // The measurement runs as a one-node member graph keyed by content
-    // fingerprints: re-observing an identical (week, assignment) pair —
-    // e.g. a what-if re-run with different thresholds, which live in
-    // ingest(), not here — is a cache hit that skips the aggregation.
-    if (!graph_) {
-        graph_ = std::make_unique<graph::OpGraph>();
-        tracesIn_ = graph_->input(
-            "itraces", graph::Value::of(&itraces,
-                                        fingerprintTraces(itraces)));
-        assignmentIn_ = graph_->input(
-            "assignment",
-            graph::Value::of(&assignment,
-                             fingerprintAssignment(assignment)));
-        measureOp_ = graph_->op(
-            "monitor.measure", {tracesIn_, assignmentIn_},
-            fingerprintMonitorMeasureConfig(config_),
-            [this](const std::vector<graph::Value> &ins) {
-                const auto &traces = *ins[0].as<
-                    const std::vector<trace::TimeSeries> *>();
-                const auto &assign =
-                    *ins[1].as<const power::Assignment *>();
-                return graph::Value::ofNonce(
-                    measureWeek(tree_, config_, traces, assign));
-            });
-    } else {
-        graph_->setInput(tracesIn_,
-                         graph::Value::of(&itraces,
-                                          fingerprintTraces(itraces)));
-        graph_->setInput(
-            assignmentIn_,
-            graph::Value::of(&assignment,
-                             fingerprintAssignment(assignment)));
-    }
-    const auto m =
-        graph_->eval(measureOp_).as<MonitorMeasurement>();
-
+    const auto m = measureWeek(tree_, config_, itraces, assignment);
     const double eval_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)

@@ -18,12 +18,10 @@
 
 #include <cstddef>
 #include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/shape_index.h"
-#include "graph/graph.h"
 #include "power/power_tree.h"
 #include "trace/repair.h"
 #include "trace/time_series.h"
@@ -160,7 +158,7 @@ struct MonitorMeasurement {
  * gap repair into an internal arena copy (the caller's traces are never
  * mutated), aggregation, and the sum-of-peaks / root-peak ratio.  Pure
  * function of its arguments — the body of the pipeline's MonitorOp and
- * of FragmentationMonitor::observeWeek's graph node.  Only the level /
+ * the first half of FragmentationMonitor::observeWeek.  Only the level /
  * repairPolicy / minValidFraction fields of the config are read (see
  * core::fingerprintMonitorMeasureConfig).
  *
@@ -204,6 +202,9 @@ class FragmentationMonitor
      * flagged degradedData, and the action thresholds are widened by
      * degradedThresholdFactor so the monitor does not recommend churn
      * based on fabricated samples.
+     *
+     * Equivalent to ingest(measureWeek(tree, config(), itraces,
+     * assignment), seconds spent measuring).
      *
      * @param itraces    This week's I-trace of every instance.
      * @param assignment The placement currently deployed.
@@ -265,17 +266,6 @@ class FragmentationMonitor
     std::deque<double> window_;
     std::vector<MonitorObservation> history_;
     std::size_t weekCounter_ = 0;
-    /**
-     * Lazily-built member graph behind observeWeek: inputs (itraces,
-     * assignment) with content fingerprints feeding one measure node, so
-     * re-observing an identical week is a cache hit.  Input values hold
-     * non-owning pointers into the caller's buffers; they are only
-     * dereferenced during eval, inside the observeWeek call.
-     */
-    std::unique_ptr<graph::OpGraph> graph_;
-    graph::Handle tracesIn_;
-    graph::Handle assignmentIn_;
-    graph::Handle measureOp_;
 };
 
 } // namespace sosim::core

@@ -4,7 +4,6 @@
 
 #include "core/asynchrony.h"
 #include "core/service_traces.h"
-#include "graph/graph.h"
 #include "obs/obs.h"
 #include "trace/shard.h"
 #include "util/error.h"
@@ -81,37 +80,12 @@ PlacementEngine::place(const std::vector<trace::TimeSeries> &itraces,
     SOSIM_REQUIRE(service_of.size() == itraces.size(),
                   "PlacementEngine::place: service_of size mismatch");
 
-    // Thin wrapper over a two-node op graph (embed -> distribute).  The
-    // graph is ephemeral and evaluated exactly once, so the inputs carry
-    // nonce fingerprints — no hashing of the trace population on this
-    // hot path — and the ops close over the caller's buffers directly.
-    graph::OpGraph g;
-    const auto traces_in = g.input(
-        "itraces", graph::Value::ofNonce(&itraces));
-    const auto services_in = g.input(
-        "service_of", graph::Value::ofNonce(&service_of));
-    const auto embed_op = g.op(
-        "placement.embed", {traces_in, services_in}, 0,
-        [this, shapes](const std::vector<graph::Value> &ins) {
-            const auto &traces =
-                *ins[0].as<const std::vector<trace::TimeSeries> *>();
-            const auto &services =
-                *ins[1].as<const std::vector<std::size_t> *>();
-            if (config_.embedding == PlacementEmbedding::kShape)
-                return graph::Value::ofNonce(shapeEmbed(traces, shapes));
-            const auto straces = extractServiceTraces(
-                traces, services, config_.topServices);
-            return graph::Value::ofNonce(
-                embedPopulation(traces, straces.straces, config_.scoring,
-                                config_.kernels));
-        });
-    const auto place_op = g.op(
-        "placement.distribute", {embed_op}, 0,
-        [this](const std::vector<graph::Value> &ins) {
-            return graph::Value::ofNonce(placeWithEmbedding(
-                ins[0].as<std::vector<cluster::Point>>()));
-        });
-    return g.eval(place_op).as<power::Assignment>();
+    if (config_.embedding == PlacementEmbedding::kShape)
+        return placeWithEmbedding(shapeEmbed(itraces, shapes));
+    const auto straces =
+        extractServiceTraces(itraces, service_of, config_.topServices);
+    return placeWithEmbedding(embedPopulation(
+        itraces, straces.straces, config_.scoring, config_.kernels));
 }
 
 power::Assignment

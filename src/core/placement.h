@@ -118,8 +118,8 @@ class PlacementEngine
      * The recursive-distribution half of place(): derive a full
      * assignment from an already-computed population embedding (one
      * score vector per instance, see core::embedPopulation).  This is
-     * the body of the pipeline's PlaceOp; place() is embed +
-     * placeWithEmbedding composed through a two-node op graph.
+     * the body of the pipeline's PlaceOp; place() is the embedding
+     * followed by this call.
      */
     power::Assignment
     placeWithEmbedding(const std::vector<cluster::Point> &vectors) const;

@@ -7,7 +7,6 @@
 #include "cluster/candidate_index.h"
 #include "cluster/shape_index.h"
 #include "core/asynchrony.h"
-#include "graph/graph.h"
 #include "obs/obs.h"
 #include "trace/arena.h"
 #include "trace/kernels.h"
@@ -183,35 +182,6 @@ Remapper::refine(power::Assignment &assignment,
                  const std::vector<trace::TimeSeries> &itraces,
                  const std::vector<double> *validity,
                  const cluster::ShapeIndex *shapes) const
-{
-    // Thin wrapper over a one-node op graph.  The op is pure — it
-    // refines a copy of the assignment and returns (assignment, swaps)
-    // as one value — and the ephemeral graph's input carries a nonce
-    // fingerprint, so no trace hashing happens on this bench-gated path.
-    graph::OpGraph g;
-    const auto in = g.input("assignment",
-                            graph::Value::ofNonce(&assignment));
-    const auto op = g.op(
-        "remap.refine", {in}, 0,
-        [&](const std::vector<graph::Value> &ins) {
-            power::Assignment refined =
-                *ins[0].as<power::Assignment *>();
-            auto swaps = refineInPlace(refined, itraces, validity, shapes);
-            return graph::Value::ofNonce(std::make_pair(
-                std::move(refined), std::move(swaps)));
-        });
-    const auto &result =
-        g.eval(op)
-            .as<std::pair<power::Assignment, std::vector<SwapRecord>>>();
-    assignment = result.first;
-    return result.second;
-}
-
-std::vector<SwapRecord>
-Remapper::refineInPlace(power::Assignment &assignment,
-                        const std::vector<trace::TimeSeries> &itraces,
-                        const std::vector<double> *validity,
-                        const cluster::ShapeIndex *shapes) const
 {
     SOSIM_SPAN("remap.refine");
     SOSIM_EVENT_SCOPE(.kind = obs::EventKind::Scope,

@@ -149,17 +149,15 @@ class Remapper
            const std::vector<double> *validity = nullptr,
            const cluster::ShapeIndex *shapes = nullptr) const;
 
-    /**
-     * The implementation behind refine(): identical contract, but called
-     * directly instead of through the one-node op graph the public entry
-     * point builds.  This is the body of the pipeline's RemapOp; callers
-     * composing their own graphs use this to avoid a nested graph.
-     */
+    /** Another name for refine(); only perfbench/ still calls it. */
     std::vector<SwapRecord>
     refineInPlace(power::Assignment &assignment,
                   const std::vector<trace::TimeSeries> &itraces,
                   const std::vector<double> *validity = nullptr,
-                  const cluster::ShapeIndex *shapes = nullptr) const;
+                  const cluster::ShapeIndex *shapes = nullptr) const
+    {
+        return refine(assignment, itraces, validity, shapes);
+    }
 
     /**
      * Asynchrony score of each rack under an assignment (1-member racks

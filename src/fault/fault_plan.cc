@@ -5,6 +5,8 @@
 #include <limits>
 
 #include "util/error.h"
+#include "util/hash.h"
+#include "util/parse.h"
 #include "util/rng.h"
 
 namespace sosim::fault {
@@ -24,30 +26,12 @@ drawLength(util::Rng &rng, double mean)
     return static_cast<std::size_t>(rng.uniformInt(1, hi));
 }
 
-/** FNV-1a 64-bit over a byte buffer. */
-std::uint64_t
-fnv1a(std::uint64_t h, const void *data, std::size_t len)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
-std::uint64_t
-hashU64(std::uint64_t h, std::uint64_t v)
-{
-    return fnv1a(h, &v, sizeof v);
-}
-
 std::uint64_t
 hashDouble(std::uint64_t h, double v)
 {
     std::uint64_t bits = 0;
     std::memcpy(&bits, &v, sizeof bits);
-    return hashU64(h, bits);
+    return util::mixWord(h, bits);
 }
 
 } // namespace
@@ -190,33 +174,33 @@ FaultPlan::scheduledGapSamples() const
 std::uint64_t
 FaultPlan::fingerprint() const
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL; // FNV offset basis.
-    h = hashU64(h, seed_);
-    h = hashU64(h, shape_.instances);
-    h = hashU64(h, shape_.samplesPerTrace);
-    h = fnv1a(h, profile_.name.data(), profile_.name.size());
+    std::uint64_t h = util::kFnvOffset;
+    h = util::mixWord(h, seed_);
+    h = util::mixWord(h, shape_.instances);
+    h = util::mixWord(h, shape_.samplesPerTrace);
+    h = util::fnv1a64(profile_.name.data(), profile_.name.size(), h);
     for (const auto &g : gaps_) {
-        h = hashU64(h, g.instance);
-        h = hashU64(h, g.firstSample);
-        h = hashU64(h, g.length);
+        h = util::mixWord(h, g.instance);
+        h = util::mixWord(h, g.firstSample);
+        h = util::mixWord(h, g.length);
     }
     for (const auto &s : stuck_) {
-        h = hashU64(h, s.instance);
-        h = hashU64(h, s.firstSample);
-        h = hashU64(h, s.length);
+        h = util::mixWord(h, s.instance);
+        h = util::mixWord(h, s.firstSample);
+        h = util::mixWord(h, s.length);
     }
     for (const auto &s : skews_) {
-        h = hashU64(h, s.instance);
-        h = hashU64(h, static_cast<std::uint64_t>(
-                           static_cast<std::int64_t>(s.offsetSamples)));
+        const auto offset = static_cast<std::int64_t>(s.offsetSamples);
+        h = util::mixWord(h, s.instance);
+        h = util::mixWord(h, static_cast<std::uint64_t>(offset));
     }
     for (const auto &l : losses_)
-        h = hashU64(h, l.instance);
+        h = util::mixWord(h, l.instance);
     for (const auto &e : events_) {
-        h = hashU64(h, static_cast<std::uint64_t>(e.kind));
-        h = hashU64(h, e.nodeOrdinal);
-        h = hashU64(h, e.atSample);
-        h = hashU64(h, e.durationSamples);
+        h = util::mixWord(h, static_cast<std::uint64_t>(e.kind));
+        h = util::mixWord(h, e.nodeOrdinal);
+        h = util::mixWord(h, e.atSample);
+        h = util::mixWord(h, e.durationSamples);
         h = hashDouble(h, e.factor);
     }
     return h;
@@ -229,18 +213,8 @@ parseFaultPlanSpec(const std::string &text)
     FaultPlanSpec spec;
     const auto colon = text.find(':');
     const std::string seed_text = text.substr(0, colon);
-    try {
-        std::size_t used = 0;
-        spec.seed = std::stoull(seed_text, &used);
-        SOSIM_REQUIRE(used == seed_text.size(),
-                      "--fault-plan: seed '" + seed_text +
-                          "' is not a number");
-    } catch (const util::FatalError &) {
-        throw;
-    } catch (const std::exception &) {
-        SOSIM_REQUIRE(false, "--fault-plan: seed '" + seed_text +
-                                 "' is not a number");
-    }
+    spec.seed =
+        util::parseNumber<std::uint64_t>(seed_text, "--fault-plan seed");
     if (colon != std::string::npos) {
         spec.profile = text.substr(colon + 1);
         faultProfile(spec.profile); // Validate the name eagerly.

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "graph/graph.h"
 #include "obs/obs.h"
 #include "util/error.h"
 
@@ -32,17 +31,19 @@ requireShape(const std::vector<trace::TimeSeries> &traces,
         SOSIM_REQUIRE(t.size() == plan.shape().samplesPerTrace, what);
 }
 
-/**
- * Storage-agnostic core of injectTraceFaults: `row(i)` yields the
- * mutable sample pointer of instance i's trace of `n` samples.  Shared
- * by the TimeSeries-vector and TraceArena entry points, which differ
- * only in how rows are stored.
- */
-template <typename RowFn>
+} // namespace
+
 InjectionReport
-injectTraceFaultRows(std::size_t n, RowFn row, const FaultPlan &plan)
+injectTraceFaults(std::vector<trace::TimeSeries> &traces,
+                  const FaultPlan &plan)
 {
+    SOSIM_SPAN("fault.inject_traces");
+    requireShape(traces, plan,
+                 "injectTraceFaults: traces do not match the plan shape");
     InjectionReport report;
+    const std::size_t n = plan.shape().samplesPerTrace;
+    // The mutable element access invalidates each touched series' stats.
+    const auto row = [&](std::size_t i) { return &traces[i][0]; };
 
     // fingerprint() walks the whole plan, so it is hashed once per pass
     // and only when the recorder is live — recomputing it per injected
@@ -163,55 +164,13 @@ injectTraceFaultRows(std::size_t n, RowFn row, const FaultPlan &plan)
     return report;
 }
 
-} // namespace
-
 InjectedTraces
 injectedCopy(std::vector<trace::TimeSeries> traces, const FaultPlan &plan)
 {
-    SOSIM_SPAN("fault.inject_traces");
-    requireShape(traces, plan,
-                 "injectedCopy: traces do not match the plan shape");
     InjectedTraces out;
+    out.report = injectTraceFaults(traces, plan);
     out.traces = std::move(traces);
-    // The mutable element access invalidates each touched series' stats.
-    out.report = injectTraceFaultRows(
-        plan.shape().samplesPerTrace,
-        [&](std::size_t i) { return &out.traces[i][0]; }, plan);
     return out;
-}
-
-InjectionReport
-injectTraceFaults(std::vector<trace::TimeSeries> &traces,
-                  const FaultPlan &plan)
-{
-    // One-node graph around the functional form: the input is a nonce-
-    // fingerprinted pointer to the caller's population (no hashing, no
-    // extra copy beyond injectedCopy's by-value parameter), and the op
-    // body is the same injectedCopy the pipeline's InjectFaultsOp runs.
-    graph::OpGraph g;
-    const auto in = g.input("traces", graph::Value::ofNonce(&traces));
-    const auto op = g.op(
-        "fault.inject", {in}, plan.fingerprint(),
-        [&plan](const std::vector<graph::Value> &ins) {
-            auto *src = ins[0].as<std::vector<trace::TimeSeries> *>();
-            return graph::Value::ofNonce(injectedCopy(*src, plan));
-        });
-    const auto &result = g.eval(op).as<InjectedTraces>();
-    traces = result.traces;
-    return result.report;
-}
-
-InjectionReport
-injectTraceFaults(trace::TraceArena &arena, const FaultPlan &plan)
-{
-    SOSIM_SPAN("fault.inject_traces");
-    SOSIM_REQUIRE(arena.size() == plan.shape().instances &&
-                      arena.samplesPerTrace() ==
-                          plan.shape().samplesPerTrace,
-                  "injectTraceFaults: arena does not match the plan shape");
-    return injectTraceFaultRows(
-        arena.samplesPerTrace(),
-        [&](std::size_t i) { return arena.mutableRow(i); }, plan);
 }
 
 InjectionReport
@@ -237,7 +196,7 @@ injectBreakerTrips(std::vector<trace::TimeSeries> &traces,
             occupied.push_back(rack);
     if (occupied.empty())
         return report;
-    // Hashed once, not per trip — see injectTraceFaultRows.
+    // Hashed once, not per trip — see injectTraceFaults.
     const std::uint64_t plan_fp =
         obs::EventRecorder::instance().enabled() ? plan.fingerprint() : 0;
     (void)plan_fp;
@@ -280,7 +239,7 @@ applyDerating(power::PowerTree &tree, const FaultPlan &plan,
     const auto &nodes = tree.nodesAtLevel(level);
     if (nodes.empty())
         return derated;
-    // Hashed once, not per derate — see injectTraceFaultRows.
+    // Hashed once, not per derate — see injectTraceFaults.
     const std::uint64_t plan_fp =
         obs::EventRecorder::instance().enabled() ? plan.fingerprint() : 0;
     (void)plan_fp;

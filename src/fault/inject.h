@@ -25,7 +25,6 @@
 
 #include "fault/fault_plan.h"
 #include "power/power_tree.h"
-#include "trace/arena.h"
 #include "trace/time_series.h"
 
 namespace sosim::fault {
@@ -55,36 +54,23 @@ struct InjectedTraces {
 };
 
 /**
- * Functional form of injectTraceFaults: take the population by value,
- * degrade it, and return (degraded traces, report) as one immutable
- * result.  This is the body of the pipeline's InjectFaultsOp — a pure
- * function of (traces, plan) that an op graph can cache by content.
- */
-InjectedTraces
-injectedCopy(std::vector<trace::TimeSeries> traces, const FaultPlan &plan);
-
-/**
  * Apply the plan's trace-level faults (skew, stuck-at, gaps, loss) to a
  * trace population in place.  The population must match the plan's
- * shape.  Samples already NaN are not double-counted.
- *
- * Thin wrapper: builds a one-node op graph around injectedCopy and
- * copies the result back, so the legacy in-place signature and the
- * pipeline path execute the same op body.
+ * shape.  Samples already NaN are not double-counted; every touched
+ * series' cached stats are invalidated.
  */
 InjectionReport
 injectTraceFaults(std::vector<trace::TimeSeries> &traces,
                   const FaultPlan &plan);
 
 /**
- * Arena overload: apply the same trace-level faults to the rows of a
- * trace::TraceArena in place (row id == plan instance index).  Fault
- * semantics, ordering and counters are identical to the TimeSeries
- * overload; the monitor uses this to degrade an arena copy of the live
- * week without unpacking it into individual series.
+ * Functional form of injectTraceFaults: degrade the population taken by
+ * value and return (degraded traces, report) as one result.  This is
+ * the body of the pipeline's InjectFaultsOp — a pure function of
+ * (traces, plan) that the op graph caches by content.
  */
-InjectionReport
-injectTraceFaults(trace::TraceArena &arena, const FaultPlan &plan);
+InjectedTraces
+injectedCopy(std::vector<trace::TimeSeries> traces, const FaultPlan &plan);
 
 /**
  * Apply the plan's breaker-trip events: for each trip, the target rack

@@ -1,67 +1,11 @@
 #include "graph.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstring>
 
 #include "obs/obs.h"
 
 namespace sosim::graph {
-
-std::uint64_t
-fnv1a64(const void *data, std::size_t bytes, std::uint64_t seed)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    std::uint64_t h = seed;
-    for (std::size_t i = 0; i < bytes; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
-std::uint64_t
-hashCombine(std::uint64_t a, std::uint64_t b)
-{
-    // Word-wise FNV-1a step: mix b into a one byte at a time would be
-    // slow and no stronger; xor-multiply per 64-bit word is enough for
-    // cache keys that only ever compare for equality.
-    a ^= b;
-    a *= kFnvPrime;
-    a ^= a >> 32;
-    a *= kFnvPrime;
-    return a;
-}
-
-std::uint64_t
-fingerprintDoubles(const double *data, std::size_t n, std::uint64_t seed)
-{
-    std::uint64_t h = hashCombine(seed, n);
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t bits;
-        std::memcpy(&bits, &data[i], sizeof(bits));
-        h = hashCombine(h, bits);
-    }
-    return h;
-}
-
-std::uint64_t
-fingerprintString(std::string_view s, std::uint64_t seed)
-{
-    return fnv1a64(s.data(), s.size(), seed);
-}
-
-std::uint64_t
-nonceFingerprint()
-{
-    // Start away from 0 so a nonce can never collide with an
-    // uninitialized fingerprint field; odd stride keeps the sequence
-    // trivially unique for the life of the process.
-    static std::atomic<std::uint64_t> next{0x9e3779b97f4a7c15ull};
-    return next.fetch_add(0x2545f4914f6cdd1dull,
-                          std::memory_order_relaxed);
-}
 
 Handle
 OpGraph::input(std::string name, Value v)
@@ -284,10 +228,10 @@ OpGraph::evalBase(std::size_t id)
     std::vector<Value> ins;
     ins.reserve(n.inputs.size());
     std::uint64_t sig =
-        hashCombine(fingerprintString(n.name), n.configFp);
+        util::hashCombine(util::fingerprintString(n.name), n.configFp);
     for (const std::size_t in : n.inputs) {
         const Value &v = evalBase(in);
-        sig = hashCombine(sig, v.fingerprint());
+        sig = util::hashCombine(sig, v.fingerprint());
         ins.push_back(v);
     }
     if (const Value *cached = cacheLookup(n, sig)) {
@@ -325,10 +269,10 @@ OpGraph::evalShadowed(std::size_t id, const Overlay &overlay,
     std::vector<Value> ins;
     ins.reserve(n.inputs.size());
     std::uint64_t sig =
-        hashCombine(fingerprintString(n.name), n.configFp);
+        util::hashCombine(util::fingerprintString(n.name), n.configFp);
     for (const std::size_t in : n.inputs) {
         Value v = evalShadowed(in, overlay, affected);
-        sig = hashCombine(sig, v.fingerprint());
+        sig = util::hashCombine(sig, v.fingerprint());
         ins.push_back(std::move(v));
     }
     if (const Value *cached = cacheLookup(n, sig)) {

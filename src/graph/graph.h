@@ -48,50 +48,24 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <typeinfo>
 #include <utility>
 #include <vector>
 
 #include "util/error.h"
+#include "util/hash.h"
 
 namespace sosim::graph {
 
-/** FNV-1a offset basis; the seed of every fingerprint in this module. */
-inline constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-/** FNV-1a prime. */
-inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-/** FNV-1a over a byte range, continuing from `seed`. */
-std::uint64_t fnv1a64(const void *data, std::size_t bytes,
-                      std::uint64_t seed = kFnvOffset);
-
-/** Mix a second hash into a first (order-sensitive). */
-std::uint64_t hashCombine(std::uint64_t a, std::uint64_t b);
-
-/** Fingerprint of a double array (bitwise, word at a time). */
-std::uint64_t fingerprintDoubles(const double *data, std::size_t n,
-                                 std::uint64_t seed = kFnvOffset);
-
-/** Fingerprint of a string (op names, config enums rendered as text). */
-std::uint64_t fingerprintString(std::string_view s,
-                                std::uint64_t seed = kFnvOffset);
-
-/**
- * A fingerprint guaranteed to differ from every other fingerprint in the
- * process (a global counter in disguise).  Ephemeral one-shot graphs —
- * the thin wrappers that keep legacy entry points' signatures — use nonce
- * fingerprints so they never pay for hashing a whole trace population
- * they will evaluate exactly once.
- */
-std::uint64_t nonceFingerprint();
+// perfbench/main.cc still spells util::hashCombine as graph::hashCombine.
+using util::hashCombine;
 
 /**
  * An immutable, type-erased, cheaply-copyable value flowing along graph
  * edges.  Holds a shared_ptr to the payload plus the payload's content
  * fingerprint; two Values with equal fingerprints are treated as equal by
  * the caching machinery, so fingerprints must be collision-free in
- * practice (content hashes, or nonces for evaluate-once graphs).
+ * practice (content hashes).
  */
 class Value
 {
@@ -107,13 +81,6 @@ class Value
         v.type_ = &typeid(T);
         v.fp_ = fingerprint;
         return v;
-    }
-
-    /** Box `payload` under a process-unique nonce fingerprint. */
-    template <typename T>
-    static Value ofNonce(T payload)
-    {
-        return of(std::move(payload), nonceFingerprint());
     }
 
     /** Typed view of the payload; the type must match exactly. */

@@ -15,6 +15,7 @@
 #include "trace/kernels.h"
 #include "trace/stats_cache.h"
 #include "util/error.h"
+#include "util/hash.h"
 #include "util/parse.h"
 
 namespace sosim::pipeline {
@@ -26,19 +27,19 @@ fpDouble(std::uint64_t h, double d)
 {
     std::uint64_t bits;
     std::memcpy(&bits, &d, sizeof(bits));
-    return graph::hashCombine(h, bits);
+    return util::hashCombine(h, bits);
 }
 
 std::uint64_t
 fpInjectionReport(std::uint64_t h, const fault::InjectionReport &r)
 {
-    h = graph::hashCombine(h, r.samplesDropped);
-    h = graph::hashCombine(h, r.samplesStuck);
-    h = graph::hashCombine(h, r.tracesLost);
-    h = graph::hashCombine(h, r.tracesSkewed);
-    h = graph::hashCombine(h, r.blackoutSamples);
-    h = graph::hashCombine(h, r.instancesBlackedOut);
-    return graph::hashCombine(h, r.nodesDerated);
+    h = util::hashCombine(h, r.samplesDropped);
+    h = util::hashCombine(h, r.samplesStuck);
+    h = util::hashCombine(h, r.tracesLost);
+    h = util::hashCombine(h, r.tracesSkewed);
+    h = util::hashCombine(h, r.blackoutSamples);
+    h = util::hashCombine(h, r.instancesBlackedOut);
+    return util::hashCombine(h, r.nodesDerated);
 }
 
 std::uint64_t
@@ -51,19 +52,19 @@ std::uint64_t
 fpRepairedTraces(const trace::RepairedTraces &v)
 {
     std::uint64_t h = core::fingerprintTraces(v.traces);
-    h = graph::hashCombine(h, v.summary.tracesDegraded);
-    h = graph::hashCombine(h, v.summary.samplesRepaired);
-    h = graph::hashCombine(h, v.summary.tracesUnrepairable);
-    return graph::fingerprintDoubles(v.summary.validBefore.data(),
+    h = util::hashCombine(h, v.summary.tracesDegraded);
+    h = util::hashCombine(h, v.summary.samplesRepaired);
+    h = util::hashCombine(h, v.summary.tracesUnrepairable);
+    return util::fingerprintDoubles(v.summary.validBefore.data(),
                                      v.summary.validBefore.size(), h);
 }
 
 std::uint64_t
 fpPoints(const std::vector<cluster::Point> &points)
 {
-    std::uint64_t h = graph::hashCombine(graph::kFnvOffset, points.size());
+    std::uint64_t h = util::hashCombine(util::kFnvOffset, points.size());
     for (const auto &p : points)
-        h = graph::fingerprintDoubles(p.data(), p.size(), h);
+        h = util::fingerprintDoubles(p.data(), p.size(), h);
     return h;
 }
 
@@ -71,12 +72,12 @@ std::uint64_t
 fpRemapResult(const RemapResult &v)
 {
     std::uint64_t h = core::fingerprintAssignment(v.assignment);
-    h = graph::hashCombine(h, v.swaps.size());
+    h = util::hashCombine(h, v.swaps.size());
     for (const auto &s : v.swaps) {
-        h = graph::hashCombine(h, s.instanceA);
-        h = graph::hashCombine(h, s.instanceB);
-        h = graph::hashCombine(h, static_cast<std::uint64_t>(s.rackA));
-        h = graph::hashCombine(h, static_cast<std::uint64_t>(s.rackB));
+        h = util::hashCombine(h, s.instanceA);
+        h = util::hashCombine(h, s.instanceB);
+        h = util::hashCombine(h, static_cast<std::uint64_t>(s.rackA));
+        h = util::hashCombine(h, static_cast<std::uint64_t>(s.rackB));
     }
     return h;
 }
@@ -84,23 +85,23 @@ fpRemapResult(const RemapResult &v)
 std::uint64_t
 fpMeasurement(const core::MonitorMeasurement &m)
 {
-    std::uint64_t h = fpDouble(graph::kFnvOffset, m.sumOfPeaks);
+    std::uint64_t h = fpDouble(util::kFnvOffset, m.sumOfPeaks);
     h = fpDouble(h, m.rootPeak);
     h = fpDouble(h, m.fragmentationRatio);
-    h = graph::hashCombine(h, m.degradedData ? 1u : 0u);
+    h = util::hashCombine(h, m.degradedData ? 1u : 0u);
     h = fpDouble(h, m.validFraction);
-    h = graph::hashCombine(h, m.repairedSamples);
-    h = graph::hashCombine(h, m.excludedInstances);
+    h = util::hashCombine(h, m.repairedSamples);
+    h = util::hashCombine(h, m.excludedInstances);
     return fpDouble(h, m.shapeDrift);
 }
 
 std::uint64_t
 fpHeadroomReport(const core::HeadroomReport &r)
 {
-    std::uint64_t h = graph::hashCombine(graph::kFnvOffset,
+    std::uint64_t h = util::hashCombine(util::kFnvOffset,
                                          r.levels.size());
     for (const auto &lc : r.levels) {
-        h = graph::hashCombine(h, static_cast<std::uint64_t>(lc.level));
+        h = util::hashCombine(h, static_cast<std::uint64_t>(lc.level));
         h = fpDouble(h, lc.baselineSumPeaks);
         h = fpDouble(h, lc.optimizedSumPeaks);
         h = fpDouble(h, lc.peakReductionFraction);
@@ -111,14 +112,14 @@ fpHeadroomReport(const core::HeadroomReport &r)
 std::uint64_t
 fpPopulationStats(const PopulationStats &s)
 {
-    std::uint64_t h = graph::hashCombine(graph::kFnvOffset,
+    std::uint64_t h = util::hashCombine(util::kFnvOffset,
                                          s.perTrace.size());
     for (const auto &t : s.perTrace) {
         h = fpDouble(h, t.peak);
         h = fpDouble(h, t.valley);
         h = fpDouble(h, t.sum);
         h = fpDouble(h, t.mean);
-        h = graph::hashCombine(h, t.peakIndex);
+        h = util::hashCombine(h, t.peakIndex);
     }
     h = fpDouble(h, s.totalMeanPower);
     return fpDouble(h, s.peakOfPeaks);
@@ -128,7 +129,7 @@ graph::Value
 policyValue(trace::RepairPolicy policy)
 {
     return graph::Value::of(
-        policy, graph::fingerprintString("repair-policy:" +
+        policy, util::fingerprintString("repair-policy:" +
                                          trace::repairPolicyName(policy)));
 }
 
@@ -240,7 +241,7 @@ ScoreOp::add(graph::OpGraph &g, std::string name, graph::Handle traces)
                     const double score =
                         core::asynchronyScore(tracesOf(ins[0]));
                     return graph::Value::of(
-                        score, fpDouble(graph::kFnvOffset, score));
+                        score, fpDouble(util::kFnvOffset, score));
                 });
 }
 
@@ -354,8 +355,8 @@ RemapOp::add(graph::OpGraph &g, std::string name, graph::Handle assignment,
                                 .summary.validBefore;
             out.swaps =
                 core::Remapper(*tree, cfg)
-                    .refineInPlace(out.assignment, population, validity,
-                                   &ins[3].as<cluster::ShapeIndex>());
+                    .refine(out.assignment, population, validity,
+                            &ins[3].as<cluster::ShapeIndex>());
             const auto fp = fpRemapResult(out);
             return graph::Value::of(std::move(out), fp);
         });

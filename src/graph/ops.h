@@ -158,8 +158,8 @@ struct ObliviousPlaceOp {
 };
 
 /**
- * Swap-based refinement (Remapper::refineInPlace) -> RemapResult.  When
- * the traces input carries a trace::RepairedTraces, its per-instance
+ * Swap-based refinement (Remapper::refine) -> RemapResult.  When the
+ * traces input carries a trace::RepairedTraces, its per-instance
  * validity gates swap candidacy exactly as the CLI's faulted path does;
  * an all-valid population makes the gate a no-op, so the clean path is
  * bit-identical to refining without a validity vector.  The shared

@@ -15,11 +15,6 @@
 
 namespace sosim::obs {
 
-namespace {
-
-/** JSON string escaping for metric/span names: quotes, backslashes,
- *  and control characters (a raw newline or tab in a name would break
- *  the emitted document). */
 std::string
 jsonEscape(const std::string &s)
 {
@@ -56,6 +51,8 @@ jsonEscape(const std::string &s)
     }
     return out;
 }
+
+namespace {
 
 /** Prometheus label-value escaping per the text exposition format:
  *  backslash, double quote, and newline must be escaped inside the

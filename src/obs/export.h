@@ -49,6 +49,12 @@ void setFakeTime(const std::string &stamp);
 /** True while a fake timestamp is pinned (one relaxed load). */
 bool fakeTimeActive();
 
+/**
+ * JSON string escaping: quotes, backslashes and control characters (a
+ * raw newline or tab in a name would break the emitted document).
+ */
+std::string jsonEscape(const std::string &s);
+
 /** JSON dump of a snapshot plus a span tree. */
 void writeMetricsJson(std::ostream &os, const MetricsSnapshot &snapshot,
                       const SpanNode &span_root, const std::string &label,

@@ -1,59 +1,24 @@
 #include "trace_export.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iomanip>
 #include <istream>
 #include <ostream>
 #include <set>
 #include <sstream>
+#include <type_traits>
 
 #include "obs/export.h"
 #include "obs/span.h"
+#include "util/parse.h"
 
 namespace sosim::obs {
 
 namespace {
-
-/** JSON string escaping (quotes, backslashes, control characters). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    return out;
-}
 
 /** Finite doubles in shortest-ish form; NaN/Inf as null. */
 void
@@ -470,16 +435,29 @@ writeChromeTrace(std::ostream &os, const std::string &label)
 
 namespace {
 
-/** Recursive-descent JSON syntax checker (validateJson's engine). */
+/**
+ * Recursive-descent JSON parser: the syntax check behind validateJson
+ * and the journal reader.  Given a member map it also requires the
+ * document to be an object and collects its top-level members: key ->
+ * the value unescaped when it is a string, its JSON text otherwise.
+ */
 class JsonChecker
 {
   public:
-    explicit JsonChecker(std::string_view text) : s_(text) {}
+    using Members = std::map<std::string, std::string>;
+
+    explicit JsonChecker(std::string_view text, Members *members = nullptr)
+        : s_(text), members_(members)
+    {}
 
     bool
     run(std::string *error)
     {
         ws();
+        if (members_ != nullptr && !(i_ < s_.size() && s_[i_] == '{')) {
+            fail("expected object");
+            return report(error);
+        }
         if (!value(0))
             return report(error);
         ws();
@@ -541,13 +519,33 @@ class JsonChecker
         return true;
     }
 
-    bool
-    string()
+    static void
+    appendUtf8(std::string &out, unsigned cp)
     {
+        if (cp < 0x80) {
+            out.push_back(static_cast<char>(cp));
+        } else if (cp < 0x800) {
+            out.push_back(static_cast<char>(0xC0U | (cp >> 6U)));
+            out.push_back(static_cast<char>(0x80U | (cp & 0x3FU)));
+        } else {
+            out.push_back(static_cast<char>(0xE0U | (cp >> 12U)));
+            out.push_back(static_cast<char>(0x80U | ((cp >> 6U) & 0x3FU)));
+            out.push_back(static_cast<char>(0x80U | (cp & 0x3FU)));
+        }
+    }
+
+    /** A string token, unescaped into `out` when it is non-null. */
+    bool
+    string(std::string *out = nullptr)
+    {
+        constexpr std::string_view kEscapes = "\"\\/bfnrt";
+        constexpr std::string_view kDecoded = "\"\\/\b\f\n\r\t";
         if (!eat('"')) {
             fail("expected string");
             return false;
         }
+        if (out != nullptr)
+            out->clear();
         while (i_ < s_.size()) {
             const char c = s_[i_++];
             if (c == '"')
@@ -556,29 +554,37 @@ class JsonChecker
                 fail("raw control character in string");
                 return false;
             }
-            if (c == '\\') {
-                if (i_ >= s_.size()) {
-                    fail("truncated escape");
-                    return false;
-                }
-                const char esc = s_[i_++];
-                if (esc == 'u') {
-                    for (int k = 0; k < 4; ++k) {
-                        if (i_ >= s_.size() ||
-                            std::isxdigit(static_cast<unsigned char>(
-                                s_[i_])) == 0) {
-                            fail("bad \\u escape");
-                            return false;
-                        }
-                        ++i_;
-                    }
-                } else if (esc != '"' && esc != '\\' && esc != '/' &&
-                           esc != 'b' && esc != 'f' && esc != 'n' &&
-                           esc != 'r' && esc != 't') {
-                    fail("bad escape character");
-                    return false;
-                }
+            if (c != '\\') {
+                if (out != nullptr)
+                    out->push_back(c);
+                continue;
             }
+            if (i_ >= s_.size()) {
+                fail("truncated escape");
+                return false;
+            }
+            const char esc = s_[i_++];
+            if (esc == 'u') {
+                const char *hex = s_.data() + i_;
+                const char *last = s_.data() + std::min(i_ + 4, s_.size());
+                unsigned cp = 0;
+                const auto [end, ec] = std::from_chars(hex, last, cp, 16);
+                if (ec != std::errc() || end != hex + 4) {
+                    fail("bad \\u escape");
+                    return false;
+                }
+                i_ += 4;
+                if (out != nullptr)
+                    appendUtf8(*out, cp);
+                continue;
+            }
+            const std::size_t k = kEscapes.find(esc);
+            if (k == std::string_view::npos) {
+                fail("bad escape character");
+                return false;
+            }
+            if (out != nullptr)
+                out->push_back(kDecoded[k]);
         }
         fail("unterminated string");
         return false;
@@ -657,13 +663,16 @@ class JsonChecker
     bool
     object(int depth)
     {
+        Members *const members = depth == 0 ? members_ : nullptr;
+        std::string key;
+        std::string text;
         eat('{');
         ws();
         if (eat('}'))
             return true;
         while (true) {
             ws();
-            if (!string())
+            if (!string(members != nullptr ? &key : nullptr))
                 return false;
             ws();
             if (!eat(':')) {
@@ -671,8 +680,17 @@ class JsonChecker
                 return false;
             }
             ws();
-            if (!value(depth + 1))
+            const std::size_t begin = i_;
+            if (members != nullptr && i_ < s_.size() && s_[i_] == '"') {
+                if (!string(&text))
+                    return false;
+            } else if (!value(depth + 1)) {
                 return false;
+            } else if (members != nullptr) {
+                text.assign(s_.substr(begin, i_ - begin));
+            }
+            if (members != nullptr)
+                (*members)[key] = text;
             ws();
             if (eat(','))
                 continue;
@@ -705,9 +723,41 @@ class JsonChecker
     }
 
     std::string_view s_;
+    Members *members_ = nullptr;
     std::size_t i_ = 0;
     const char *message_ = nullptr;
 };
+
+/**
+ * One journal line (`has_kind` is false for the header object).  Throws
+ * util::FatalError when a u64 field is not a whole unsigned number.
+ */
+bool
+parseJournalLine(std::string_view line, JournalEvent &ev, bool &has_kind)
+{
+    JsonChecker::Members members;
+    if (!JsonChecker(line, &members).run(nullptr))
+        return false;
+    const auto args = members.find("args");
+    if (args != members.end() &&
+        !JsonChecker(args->second, &ev.args).run(nullptr))
+        return false;
+    const auto field = [&members](const char *key, auto &out) {
+        const auto it = members.find(key);
+        if (it != members.end())
+            out = util::parseNumber<std::remove_reference_t<decltype(out)>>(
+                it->second, key);
+    };
+    field("seq", ev.seq);
+    field("parent", ev.parent);
+    field("thread", ev.thread);
+    field("t_ns", ev.tNanos);
+    const auto kind = members.find("kind");
+    has_kind = kind != members.end();
+    if (has_kind)
+        ev.kind = kind->second;
+    return true;
+}
 
 } // namespace
 
@@ -716,216 +766,6 @@ validateJson(std::string_view text, std::string *error)
 {
     return JsonChecker(text).run(error);
 }
-
-namespace {
-
-/** Cursor over one journal line for the restricted JSONL reader. */
-struct Cursor {
-    std::string_view s;
-    std::size_t i = 0;
-
-    void
-    ws()
-    {
-        while (i < s.size() && (s[i] == ' ' || s[i] == '\t'))
-            ++i;
-    }
-
-    bool
-    eat(char c)
-    {
-        if (i < s.size() && s[i] == c) {
-            ++i;
-            return true;
-        }
-        return false;
-    }
-};
-
-bool
-parseJsonString(Cursor &c, std::string &out)
-{
-    out.clear();
-    if (!c.eat('"'))
-        return false;
-    while (c.i < c.s.size()) {
-        const char ch = c.s[c.i++];
-        if (ch == '"')
-            return true;
-        if (ch != '\\') {
-            out.push_back(ch);
-            continue;
-        }
-        if (c.i >= c.s.size())
-            return false;
-        const char esc = c.s[c.i++];
-        switch (esc) {
-          case '"':
-          case '\\':
-          case '/':
-            out.push_back(esc);
-            break;
-          case 'n':
-            out.push_back('\n');
-            break;
-          case 'r':
-            out.push_back('\r');
-            break;
-          case 't':
-            out.push_back('\t');
-            break;
-          case 'b':
-            out.push_back('\b');
-            break;
-          case 'f':
-            out.push_back('\f');
-            break;
-          case 'u': {
-            if (c.i + 4 > c.s.size())
-                return false;
-            unsigned cp = 0;
-            for (int k = 0; k < 4; ++k) {
-                const char h = c.s[c.i++];
-                cp <<= 4U;
-                if (h >= '0' && h <= '9')
-                    cp |= static_cast<unsigned>(h - '0');
-                else if (h >= 'a' && h <= 'f')
-                    cp |= static_cast<unsigned>(h - 'a' + 10);
-                else if (h >= 'A' && h <= 'F')
-                    cp |= static_cast<unsigned>(h - 'A' + 10);
-                else
-                    return false;
-            }
-            if (cp < 0x80) {
-                out.push_back(static_cast<char>(cp));
-            } else if (cp < 0x800) {
-                out.push_back(static_cast<char>(0xC0U | (cp >> 6U)));
-                out.push_back(static_cast<char>(0x80U | (cp & 0x3FU)));
-            } else {
-                out.push_back(static_cast<char>(0xE0U | (cp >> 12U)));
-                out.push_back(
-                    static_cast<char>(0x80U | ((cp >> 6U) & 0x3FU)));
-                out.push_back(static_cast<char>(0x80U | (cp & 0x3FU)));
-            }
-            break;
-          }
-          default:
-            return false;
-        }
-    }
-    return false;
-}
-
-/** Numbers / true / false / null, captured as raw token text. */
-bool
-parseScalarToken(Cursor &c, std::string &out)
-{
-    const std::size_t begin = c.i;
-    while (c.i < c.s.size()) {
-        const char ch = c.s[c.i];
-        if (ch == ',' || ch == '}' || ch == ']' || ch == ' ' ||
-            ch == '\t')
-            break;
-        ++c.i;
-    }
-    out = std::string(c.s.substr(begin, c.i - begin));
-    return !out.empty();
-}
-
-/** A flat object of string/scalar values (the "args" member). */
-bool
-parseFlatObject(Cursor &c, std::map<std::string, std::string> &out)
-{
-    if (!c.eat('{'))
-        return false;
-    c.ws();
-    if (c.eat('}'))
-        return true;
-    while (true) {
-        c.ws();
-        std::string k;
-        std::string v;
-        if (!parseJsonString(c, k))
-            return false;
-        c.ws();
-        if (!c.eat(':'))
-            return false;
-        c.ws();
-        if (c.i < c.s.size() && c.s[c.i] == '"') {
-            if (!parseJsonString(c, v))
-                return false;
-        } else if (!parseScalarToken(c, v)) {
-            return false;
-        }
-        out.emplace(std::move(k), std::move(v));
-        c.ws();
-        if (c.eat(','))
-            continue;
-        if (c.eat('}'))
-            return true;
-        return false;
-    }
-}
-
-std::uint64_t
-toU64(const std::string &s)
-{
-    return std::strtoull(s.c_str(), nullptr, 0);
-}
-
-/** One journal line; `has_kind` is false for the header object. */
-bool
-parseJournalLine(std::string_view line, JournalEvent &ev, bool &has_kind)
-{
-    Cursor c{line, 0};
-    has_kind = false;
-    c.ws();
-    if (!c.eat('{'))
-        return false;
-    c.ws();
-    if (c.eat('}'))
-        return true;
-    while (true) {
-        c.ws();
-        std::string k;
-        if (!parseJsonString(c, k))
-            return false;
-        c.ws();
-        if (!c.eat(':'))
-            return false;
-        c.ws();
-        std::string v;
-        if (k == "args") {
-            if (!parseFlatObject(c, ev.args))
-                return false;
-        } else if (c.i < c.s.size() && c.s[c.i] == '"') {
-            if (!parseJsonString(c, v))
-                return false;
-        } else if (!parseScalarToken(c, v)) {
-            return false;
-        }
-        if (k == "seq")
-            ev.seq = toU64(v);
-        else if (k == "parent")
-            ev.parent = toU64(v);
-        else if (k == "thread")
-            ev.thread = static_cast<unsigned>(toU64(v));
-        else if (k == "t_ns")
-            ev.tNanos = toU64(v);
-        else if (k == "kind") {
-            ev.kind = v;
-            has_kind = true;
-        }
-        c.ws();
-        if (c.eat(','))
-            continue;
-        if (c.eat('}'))
-            return true;
-        return false;
-    }
-}
-
-} // namespace
 
 bool
 readEventJournal(std::istream &is, std::vector<JournalEvent> &out,
@@ -939,7 +779,13 @@ readEventJournal(std::istream &is, std::vector<JournalEvent> &out,
             continue;
         JournalEvent ev;
         bool has_kind = false;
-        if (!parseJournalLine(line, ev, has_kind)) {
+        bool ok = false;
+        try {
+            ok = parseJournalLine(line, ev, has_kind);
+        } catch (const util::FatalError &) {
+            // A u64 field that is not a whole unsigned number.
+        }
+        if (!ok) {
             if (error != nullptr) {
                 std::ostringstream os;
                 os << "malformed journal line " << lineno;
@@ -966,7 +812,7 @@ bool
 argEquals(const JournalEvent &e, const char *k, std::uint64_t v)
 {
     const auto it = e.args.find(k);
-    return it != e.args.end() && toU64(it->second) == v;
+    return it != e.args.end() && it->second == std::to_string(v);
 }
 
 bool

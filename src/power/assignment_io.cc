@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "util/error.h"
+#include "util/parse.h"
 
 namespace sosim::power {
 
@@ -46,13 +47,8 @@ readAssignmentCsv(std::istream &is, const PowerTree &tree)
         const auto comma = line.find(',');
         SOSIM_REQUIRE(comma != std::string::npos,
                       "readAssignmentCsv: malformed row '" + line + "'");
-        std::size_t instance = 0;
-        try {
-            instance = std::stoul(line.substr(0, comma));
-        } catch (const std::exception &) {
-            SOSIM_REQUIRE(false, "readAssignmentCsv: bad instance id in '" +
-                                     line + "'");
-        }
+        const auto instance = util::parseNumber<std::size_t>(
+            line.substr(0, comma), "readAssignmentCsv: instance id");
         const std::string rack_name = line.substr(comma + 1);
         const auto it = by_name.find(rack_name);
         SOSIM_REQUIRE(it != by_name.end(),

@@ -4,8 +4,8 @@
 #include <cstring>
 #include <fstream>
 
-#include "graph/graph.h"
 #include "obs/obs.h"
+#include "util/hash.h"
 
 namespace sosim::serve {
 
@@ -14,18 +14,6 @@ namespace {
 /** "SOSIMCKP" as a little-endian u64. */
 constexpr std::uint64_t kMagic = 0x504b434d49534f53ull;
 constexpr std::uint64_t kVersion = 1;
-
-/** FNV-1a over raw bytes (the payload fingerprint). */
-std::uint64_t
-fingerprintBytes(const std::string &bytes)
-{
-    std::uint64_t h = graph::kFnvOffset;
-    for (const char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 void
 appendU64(std::string &out, std::uint64_t v)
@@ -146,7 +134,7 @@ writeCheckpointFile(const std::string &dir, std::uint64_t shape_fp,
     appendU64(blob, shape_fp);
     appendU64(blob, epoch);
     appendU64(blob, payload.size());
-    appendU64(blob, fingerprintBytes(payload));
+    appendU64(blob, util::fnv1a64(payload.data(), payload.size()));
     blob += payload;
 
     const int slot = static_cast<int>(epoch % 2);
@@ -204,7 +192,8 @@ readCheckpointFile(const std::string &path,
     ckpt.shapeFingerprint = header[2];
     ckpt.epoch = header[3];
     ckpt.payload = blob.substr(6 * sizeof(std::uint64_t));
-    if (fingerprintBytes(ckpt.payload) != header[5])
+    if (util::fnv1a64(ckpt.payload.data(), ckpt.payload.size()) !=
+        header[5])
         return broken("payload fingerprint mismatch");
     return ckpt;
 }

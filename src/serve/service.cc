@@ -5,11 +5,11 @@
 #include <utility>
 
 #include "core/fingerprints.h"
-#include "graph/graph.h"
 #include "obs/obs.h"
 #include "serve/checkpoint.h"
 #include "trace/repair.h"
 #include "util/error.h"
+#include "util/hash.h"
 
 namespace sosim::serve {
 
@@ -34,7 +34,7 @@ Service::Service(const power::PowerTree &tree,
       config_(std::move(config)),
       ring_(serviceOf_.size(), config_.window, interval_minutes),
       monitor_(tree, config_.monitor),
-      assignment_(std::move(initial)), digest_(graph::kFnvOffset)
+      assignment_(std::move(initial)), digest_(util::kFnvOffset)
 {
     SOSIM_REQUIRE(config_.epochTicks >= 1,
                   "serve::Service: epochTicks must be >= 1");
@@ -115,8 +115,8 @@ Service::processEpoch(const EpochSnapshot &snapshot)
             snapshot.traces, config_.monitor.repairPolicy);
         const auto swaps =
             core::Remapper(tree_, config_.remap)
-                .refineInPlace(assignment_, repaired.traces,
-                               &repaired.summary.validBefore);
+                .refine(assignment_, repaired.traces,
+                        &repaired.summary.validBefore);
         r.swaps = swaps.size();
         if (!swaps.empty())
             monitor_.placementUpdated();
@@ -132,19 +132,19 @@ Service::processEpoch(const EpochSnapshot &snapshot)
     // The replay-equality digest: every observable outcome of the epoch
     // except wall-clock time (evalSeconds is deliberately excluded so
     // restored runs match unbroken ones bit for bit).
-    digest_ = graph::hashCombine(digest_, r.epoch);
-    digest_ = graph::hashCombine(
+    digest_ = util::hashCombine(digest_, r.epoch);
+    digest_ = util::hashCombine(
         digest_, doubleBits(r.observation.fragmentationRatio));
-    digest_ = graph::hashCombine(
+    digest_ = util::hashCombine(
         digest_, static_cast<std::uint64_t>(r.observation.action));
-    digest_ = graph::hashCombine(digest_,
+    digest_ = util::hashCombine(digest_,
                                  r.observation.degradedData ? 1u : 0u);
-    digest_ = graph::hashCombine(digest_,
+    digest_ = util::hashCombine(digest_,
                                  r.observation.excludedInstances);
-    digest_ = graph::hashCombine(digest_, r.observation.repairedSamples);
-    digest_ = graph::hashCombine(digest_, r.swaps);
+    digest_ = util::hashCombine(digest_, r.observation.repairedSamples);
+    digest_ = util::hashCombine(digest_, r.swaps);
     digest_ =
-        graph::hashCombine(digest_, core::fingerprintAssignment(
+        util::hashCombine(digest_, core::fingerprintAssignment(
                                         assignment_));
 
     committedEpoch_ = r.epoch;
@@ -275,28 +275,28 @@ Service::restoreLatest()
 std::uint64_t
 Service::computeShapeFingerprint() const
 {
-    std::uint64_t h = graph::fingerprintString("serve-shape");
-    h = graph::hashCombine(h, ring_.instances());
-    h = graph::hashCombine(h, config_.window);
-    h = graph::hashCombine(h, config_.epochTicks);
-    h = graph::hashCombine(h, config_.maxEpochQueue);
-    h = graph::hashCombine(
+    std::uint64_t h = util::fingerprintString("serve-shape");
+    h = util::hashCombine(h, ring_.instances());
+    h = util::hashCombine(h, config_.window);
+    h = util::hashCombine(h, config_.epochTicks);
+    h = util::hashCombine(h, config_.maxEpochQueue);
+    h = util::hashCombine(
         h, static_cast<std::uint64_t>(ring_.intervalMinutes()));
-    h = graph::hashCombine(
+    h = util::hashCombine(
         h, core::fingerprintMonitorMeasureConfig(config_.monitor));
-    h = graph::hashCombine(h, config_.monitor.baselineWindowWeeks);
-    h = graph::hashCombine(h, doubleBits(config_.monitor.remapThreshold));
-    h = graph::hashCombine(h,
+    h = util::hashCombine(h, config_.monitor.baselineWindowWeeks);
+    h = util::hashCombine(h, doubleBits(config_.monitor.remapThreshold));
+    h = util::hashCombine(h,
                            doubleBits(config_.monitor.replaceThreshold));
-    h = graph::hashCombine(
+    h = util::hashCombine(
         h, doubleBits(config_.monitor.degradedThresholdFactor));
-    h = graph::hashCombine(h, core::fingerprintRemapConfig(config_.remap));
-    h = graph::hashCombine(h,
+    h = util::hashCombine(h, core::fingerprintRemapConfig(config_.remap));
+    h = util::hashCombine(h,
                            core::fingerprintEmbedConfig(config_.placement));
-    h = graph::hashCombine(
+    h = util::hashCombine(
         h, core::fingerprintDistributeConfig(config_.placement));
-    h = graph::hashCombine(h, core::fingerprintTree(tree_));
-    h = graph::hashCombine(h, core::fingerprintServices(serviceOf_));
+    h = util::hashCombine(h, core::fingerprintTree(tree_));
+    h = util::hashCombine(h, core::fingerprintServices(serviceOf_));
     return h;
 }
 

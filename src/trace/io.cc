@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "util/error.h"
+#include "util/parse.h"
 
 namespace sosim::trace {
 
@@ -80,12 +81,8 @@ readCsv(std::istream &is)
     const std::string prefix = "# interval_minutes=";
     SOSIM_REQUIRE(line.rfind(prefix, 0) == 0,
                   "readCsv: missing '# interval_minutes=' header");
-    int interval = 0;
-    try {
-        interval = std::stoi(line.substr(prefix.size()));
-    } catch (const std::exception &) {
-        SOSIM_REQUIRE(false, "readCsv: malformed interval header");
-    }
+    const int interval = util::parseNumber<int>(
+        line.substr(prefix.size()), "readCsv: interval header");
     SOSIM_REQUIRE(interval >= 1, "readCsv: interval must be >= 1");
 
     // Column names.

@@ -2,9 +2,7 @@
 
 #include <cmath>
 
-#include "graph/graph.h"
 #include "obs/obs.h"
-#include "trace/arena.h"
 #include "util/error.h"
 
 namespace sosim::trace {
@@ -126,65 +124,14 @@ RepairSummary::meanValidFraction() const
     return sum / static_cast<double>(validBefore.size());
 }
 
-RepairedTraces
-repairedCopy(std::vector<TimeSeries> traces, RepairPolicy policy)
-{
-    SOSIM_SPAN("trace.repair_all");
-    RepairedTraces out;
-    out.traces = std::move(traces);
-    out.summary.validBefore.reserve(out.traces.size());
-    for (std::size_t i = 0; i < out.traces.size(); ++i) {
-        const auto r = repairSeries(out.traces[i], policy);
-        out.summary.validBefore.push_back(r.validBefore);
-        if (r.validBefore < 1.0)
-            ++out.summary.tracesDegraded;
-        out.summary.samplesRepaired += r.samplesRepaired;
-        if (r.unrepairable)
-            ++out.summary.tracesUnrepairable;
-        SOSIM_OBSERVE("trace.repair.valid_fraction", r.validBefore);
-        if (r.samplesRepaired > 0)
-            SOSIM_EVENT(.kind = obs::EventKind::FaultRepair, .a = i,
-                        .b = r.samplesRepaired);
-    }
-    SOSIM_COUNT_ADD("trace.repair.samples_repaired",
-                    out.summary.samplesRepaired);
-    SOSIM_COUNT_ADD("trace.repair.traces_degraded",
-                    out.summary.tracesDegraded);
-    SOSIM_COUNT_ADD("trace.repair.traces_unrepairable",
-                    out.summary.tracesUnrepairable);
-    return out;
-}
-
 RepairSummary
 repairAll(std::vector<TimeSeries> &traces, RepairPolicy policy)
 {
-    // One-node graph around the functional form: nonce-fingerprinted
-    // pointer input (no population hashing), op body shared with the
-    // pipeline's RepairOp, result copied back into the caller's vector.
-    graph::OpGraph g;
-    const auto in = g.input("traces", graph::Value::ofNonce(&traces));
-    const auto op = g.op(
-        "trace.repair", {in},
-        graph::fingerprintString(repairPolicyName(policy)),
-        [policy](const std::vector<graph::Value> &ins) {
-            auto *src = ins[0].as<std::vector<TimeSeries> *>();
-            return graph::Value::ofNonce(repairedCopy(*src, policy));
-        });
-    const auto &result = g.eval(op).as<RepairedTraces>();
-    traces = result.traces;
-    return result.summary;
-}
-
-RepairSummary
-repairAll(TraceArena &arena, RepairPolicy policy)
-{
     SOSIM_SPAN("trace.repair_all");
     RepairSummary summary;
-    summary.validBefore.reserve(arena.size());
-    for (TraceId id = 0; id < arena.size(); ++id) {
-        const auto r =
-            repairSpan(arena.mutableRow(id), arena.samplesPerTrace(),
-                       policy);
+    summary.validBefore.reserve(traces.size());
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+        const auto r = repairSeries(traces[i], policy);
         summary.validBefore.push_back(r.validBefore);
         if (r.validBefore < 1.0)
             ++summary.tracesDegraded;
@@ -193,7 +140,7 @@ repairAll(TraceArena &arena, RepairPolicy policy)
             ++summary.tracesUnrepairable;
         SOSIM_OBSERVE("trace.repair.valid_fraction", r.validBefore);
         if (r.samplesRepaired > 0)
-            SOSIM_EVENT(.kind = obs::EventKind::FaultRepair, .a = id,
+            SOSIM_EVENT(.kind = obs::EventKind::FaultRepair, .a = i,
                         .b = r.samplesRepaired);
     }
     SOSIM_COUNT_ADD("trace.repair.samples_repaired",
@@ -203,6 +150,15 @@ repairAll(TraceArena &arena, RepairPolicy policy)
     SOSIM_COUNT_ADD("trace.repair.traces_unrepairable",
                     summary.tracesUnrepairable);
     return summary;
+}
+
+RepairedTraces
+repairedCopy(std::vector<TimeSeries> traces, RepairPolicy policy)
+{
+    RepairedTraces out;
+    out.summary = repairAll(traces, policy);
+    out.traces = std::move(traces);
+    return out;
 }
 
 } // namespace sosim::trace

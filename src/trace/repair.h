@@ -70,8 +70,7 @@ struct RepairResult {
 
 /**
  * Fill the NaN gaps of a raw sample span in place under a policy — the
- * storage-agnostic core of repairSeries, shared by the TimeSeries and
- * TraceArena entry points.
+ * core of repairSeries, also used on arena rows (core::measureWeek).
  */
 RepairResult repairSpan(double *samples, std::size_t n,
                         RepairPolicy policy);
@@ -107,34 +106,23 @@ struct RepairedTraces {
 };
 
 /**
- * Functional form of repairAll: take the population by value, repair
- * every series, and return (repaired traces, summary) as one immutable
- * result.  This is the body of the pipeline's RepairOp — a pure
- * function of (traces, policy) that an op graph can cache by content.
- */
-RepairedTraces repairedCopy(std::vector<TimeSeries> traces,
-                            RepairPolicy policy);
-
-/**
  * Repair every series of a bundle in place; emits
  * "trace.repair.samples_repaired" / "trace.repair.traces_degraded" /
  * "trace.repair.traces_unrepairable" counters and the
- * "trace.repair.valid_fraction" histogram.
- *
- * Thin wrapper: builds a one-node op graph around repairedCopy and
- * copies the result back, so the legacy in-place signature and the
- * pipeline path execute the same op body.
+ * "trace.repair.valid_fraction" histogram.  Each repaired series'
+ * cached stats are invalidated.
  */
 RepairSummary repairAll(std::vector<TimeSeries> &traces,
                         RepairPolicy policy);
 
 /**
- * Arena overload: repair every row of a TraceArena in place.  Same
- * policies, same counters, same per-row results as the TimeSeries
- * overload — the rows are just contiguous instead of individually owned.
- * Each repaired row's cached stats are invalidated.
+ * Functional form of repairAll: repair the population taken by value
+ * and return (repaired traces, summary) as one result.  This is the
+ * body of the pipeline's RepairOp — a pure function of (traces, policy)
+ * that the op graph caches by content.
  */
-RepairSummary repairAll(TraceArena &arena, RepairPolicy policy);
+RepairedTraces repairedCopy(std::vector<TimeSeries> traces,
+                            RepairPolicy policy);
 
 } // namespace sosim::trace
 

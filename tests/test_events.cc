@@ -342,11 +342,37 @@ TEST(Journal, WriteReadRoundTrip)
 
 TEST(Journal, RejectsMalformedLines)
 {
-    std::istringstream in("{\"seq\": 1, \"kind\": \"span\"\n");
+    for (const char *bad : {
+             "{\"seq\": 1, \"kind\": \"span\"",
+             // A non-number seq, and text after the closing brace.
+             "{\"seq\": zz, \"kind\": \"span\"}",
+             "{\"seq\": 1, \"kind\": \"span\"} trailing",
+             // Valid JSON: a negative seq, an args array.
+             "{\"seq\": -1, \"kind\": \"span\"}",
+             "{\"seq\": 1, \"args\": [], \"kind\": \"span\"}",
+         }) {
+        std::istringstream in(std::string("{\"label\": \"x\"}\n") + bad +
+                              "\n");
+        std::vector<obs::JournalEvent> parsed;
+        std::string error;
+        EXPECT_FALSE(obs::readEventJournal(in, parsed, &error)) << bad;
+        EXPECT_NE(error.find("line 2"), std::string::npos) << bad;
+    }
+}
+
+TEST(Journal, UnescapesStrings)
+{
+    std::istringstream in(R"({"seq": 3, "kind": "k\u00e9", )"
+                          R"("args": {"s": "a\"b\\c\n\u0041", "n": 7}})"
+                          "\n");
     std::vector<obs::JournalEvent> parsed;
     std::string error;
-    EXPECT_FALSE(obs::readEventJournal(in, parsed, &error));
-    EXPECT_NE(error.find("line 1"), std::string::npos);
+    ASSERT_TRUE(obs::readEventJournal(in, parsed, &error)) << error;
+    ASSERT_EQ(parsed.size(), 1u);
+    EXPECT_EQ(parsed[0].seq, 3u);
+    EXPECT_EQ(parsed[0].kind, "k\xc3\xa9");
+    EXPECT_EQ(parsed[0].args.at("s"), "a\"b\\c\nA");
+    EXPECT_EQ(parsed[0].args.at("n"), "7");
 }
 
 TEST(ValidateJson, AcceptsStrictDocuments)

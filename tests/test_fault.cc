@@ -109,6 +109,8 @@ TEST(FaultPlan, SpecParsing)
     EXPECT_EQ(full.profile, "mild");
     EXPECT_THROW(fault::parseFaultPlanSpec(""), FatalError);
     EXPECT_THROW(fault::parseFaultPlanSpec("abc"), FatalError);
+    EXPECT_THROW(fault::parseFaultPlanSpec("-1:mild"), FatalError);
+    EXPECT_THROW(fault::parseFaultPlanSpec("7x:mild"), FatalError);
     EXPECT_THROW(fault::parseFaultPlanSpec("7:bogus"), FatalError);
     EXPECT_THROW(fault::faultProfile("bogus"), FatalError);
 }
@@ -337,6 +339,80 @@ TEST(Repair, RepairAllSummarizesTheBundle)
     EXPECT_NEAR(summary.meanValidFraction(), (1.0 + 2.0 / 3.0) / 3.0,
                 1e-12);
     EXPECT_DOUBLE_EQ(traces[1][1], 2.0);
+}
+
+void
+expectFreshStats(const TimeSeries &ts)
+{
+    const auto want = trace::computeStats(ts);
+    const auto &got = ts.stats();
+    EXPECT_EQ(got.peak, want.peak);
+    EXPECT_EQ(got.valley, want.valley);
+    EXPECT_EQ(got.sum, want.sum);
+    EXPECT_EQ(got.mean, want.mean);
+    EXPECT_EQ(got.peakIndex, want.peakIndex);
+}
+
+TEST(Repair, InPlaceWritesKeepCachedStatsCoherent)
+{
+    // Stats cached before an in-place injection or repair must not
+    // survive it, and the by-value forms must give the same result.
+    fault::FaultProfile profile;
+    profile.sampleLossRate = 0.05;
+    profile.stuckSensorRate = 0.5;
+    profile.clockSkewRate = 0.5;
+    profile.maxSkewSamples = 40;
+    profile.traceLossRate = 0.05;
+    const fault::TraceShape shape{40, 336};
+    const auto plan = fault::FaultPlan::build(5, profile, shape);
+    std::vector<TimeSeries> traces;
+    for (std::size_t k = 0; k < shape.instances; ++k) {
+        std::vector<double> samples(shape.samplesPerTrace);
+        for (std::size_t i = 0; i < samples.size(); ++i)
+            samples[i] = 2.0 + std::sin(0.01 * double(i * (k + 1)));
+        traces.emplace_back(std::move(samples), 30);
+    }
+    const auto original = traces;
+    for (const auto &t : traces)
+        t.stats();
+
+    const auto report = fault::injectTraceFaults(traces, plan);
+    EXPECT_GT(report.tracesSkewed, 0u);
+    EXPECT_GT(report.samplesStuck, 0u);
+    std::size_t gap_free = 0;
+    for (const auto &t : traces)
+        if (trace::validFraction(t) == 1.0) {
+            expectFreshStats(t);
+            ++gap_free;
+        }
+    EXPECT_GT(gap_free, 0u);
+
+    for (const auto &t : traces)
+        t.stats();
+    const auto summary =
+        trace::repairAll(traces, trace::RepairPolicy::Interpolate);
+    EXPECT_GT(summary.samplesRepaired, 0u);
+    for (const auto &t : traces)
+        expectFreshStats(t);
+
+    const auto injected = fault::injectedCopy(original, plan);
+    EXPECT_EQ(injected.report.samplesDropped, report.samplesDropped);
+    EXPECT_EQ(injected.report.samplesStuck, report.samplesStuck);
+    EXPECT_EQ(injected.report.tracesLost, report.tracesLost);
+    EXPECT_EQ(injected.report.tracesSkewed, report.tracesSkewed);
+    const auto repaired = trace::repairedCopy(
+        injected.traces, trace::RepairPolicy::Interpolate);
+    EXPECT_EQ(repaired.summary.tracesDegraded, summary.tracesDegraded);
+    EXPECT_EQ(repaired.summary.samplesRepaired, summary.samplesRepaired);
+    EXPECT_EQ(repaired.summary.tracesUnrepairable,
+              summary.tracesUnrepairable);
+    EXPECT_EQ(repaired.summary.validBefore, summary.validBefore);
+    ASSERT_EQ(repaired.traces.size(), traces.size());
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+        EXPECT_EQ(repaired.traces[i].intervalMinutes(),
+                  traces[i].intervalMinutes());
+        EXPECT_EQ(repaired.traces[i].samples(), traces[i].samples());
+    }
 }
 
 TEST(Repair, PolicyNamesRoundTrip)

@@ -187,7 +187,7 @@ fleetDigest()
     config.prune = core::PruneMode::kCluster;
     config.pruneKeepFraction = 0.25;
     core::Remapper remapper(tree, config);
-    const auto swaps = remapper.refineInPlace(assignment, training);
+    const auto swaps = remapper.refine(assignment, training);
 
     Digest d;
     for (const auto rack : assignment)

@@ -47,7 +47,7 @@ intValue(int v)
 {
     // Content fingerprint: equal ints are interchangeable to the cache.
     return graph::Value::of(
-        v, graph::hashCombine(0x5eedull, static_cast<std::uint64_t>(v)));
+        v, util::hashCombine(0x5eedull, static_cast<std::uint64_t>(v)));
 }
 
 graph::OpFn

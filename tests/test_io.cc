@@ -73,6 +73,9 @@ TEST(TraceIo, ReadRejectsMalformedInput)
     EXPECT_THROW(parse("no-header\na\n1\n"), FatalError);
     EXPECT_THROW(parse("# interval_minutes=abc\na\n1\n"), FatalError);
     EXPECT_THROW(parse("# interval_minutes=0\na\n1\n"), FatalError);
+    // The interval must be the whole rest of the header line.
+    EXPECT_THROW(parse("# interval_minutes=60abc\na\n1\n"), FatalError);
+    EXPECT_THROW(parse("# interval_minutes=60.5\na\n1\n"), FatalError);
     EXPECT_THROW(parse("# interval_minutes=5\na,b\n1\n"), FatalError);
     EXPECT_THROW(parse("# interval_minutes=5\na\nnot-a-number\n"),
                  FatalError);
@@ -258,6 +261,11 @@ TEST(AssignmentIo, ReadRejectsMalformedInput)
     EXPECT_THROW(parse("wrong,header\n"), FatalError);
     EXPECT_THROW(parse("instance,rack\n"), FatalError); // No rows.
     EXPECT_THROW(parse("instance,rack\nabc,suite0/msb0/sb0/rpp0/rack0\n"),
+                 FatalError);
+    // The instance id must be the whole first cell.
+    EXPECT_THROW(parse("instance,rack\n0junk,suite0/msb0/sb0/rpp0/rack0\n"),
+                 FatalError);
+    EXPECT_THROW(parse("instance,rack\n+0,suite0/msb0/sb0/rpp0/rack0\n"),
                  FatalError);
     EXPECT_THROW(parse("instance,rack\n0,not/a/rack\n"), FatalError);
     // Duplicate instance.

@@ -3,6 +3,8 @@
  * Tests for the continuous fragmentation monitor (section 3.6).
  */
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "core/monitor.h"
@@ -157,6 +159,30 @@ TEST(Monitor, SlidingWindowForgetsOldBest)
     monitor.observeWeek(weekTraces(0.0), assignment);
     const auto w4 = monitor.observeWeek(weekTraces(0.0), assignment);
     EXPECT_EQ(w4.action, MonitorAction::None);
+}
+
+TEST(Monitor, MovedMonitorKeepsObserving)
+{
+    // Moving a monitor after an observation and destroying the source
+    // must leave the new monitor judging exactly like one never moved.
+    power::PowerTree tree(tinyTopology());
+    power::Assignment assignment{tree.racks()[0], tree.racks()[1]};
+    FragmentationMonitor still(tree);
+    still.observeWeek(weekTraces(0.0), assignment);
+    const auto expected = still.observeWeek(weekTraces(0.5), assignment);
+
+    auto source = std::make_unique<FragmentationMonitor>(tree);
+    source->observeWeek(weekTraces(0.0), assignment);
+    FragmentationMonitor moved(std::move(*source));
+    source.reset();
+    const auto got = moved.observeWeek(weekTraces(0.5), assignment);
+
+    EXPECT_EQ(got.week, expected.week);
+    EXPECT_EQ(got.action, expected.action);
+    EXPECT_EQ(got.sumOfPeaks, expected.sumOfPeaks);
+    EXPECT_EQ(got.rootPeak, expected.rootPeak);
+    EXPECT_EQ(got.fragmentationRatio, expected.fragmentationRatio);
+    EXPECT_EQ(moved.history().size(), 2u);
 }
 
 } // namespace

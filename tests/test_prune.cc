@@ -188,7 +188,7 @@ refineWith(const PruneFixture &f, power::Assignment &assignment,
            const core::RemapConfig &config)
 {
     core::Remapper remapper(f.tree, config);
-    return remapper.refineInPlace(assignment, f.traces);
+    return remapper.refine(assignment, f.traces);
 }
 
 TEST(PruneSoundness, KeepFractionOneMatchesExhaustiveExactly)

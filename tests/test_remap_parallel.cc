@@ -173,9 +173,8 @@ runRefine(const Fixture &f, const core::RemapConfig &config,
     core::Remapper remapper(f.tree, config);
     Outcome out;
     out.assignment = f.start;
-    out.swaps = remapper.refineInPlace(
-        out.assignment, f.traces,
-        f.validity.empty() ? nullptr : &f.validity);
+    out.swaps = remapper.refine(out.assignment, f.traces,
+                                f.validity.empty() ? nullptr : &f.validity);
     return out;
 }
 

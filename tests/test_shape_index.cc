@@ -216,14 +216,13 @@ TEST(ShapeIndex, RemapPruneParityWithAndWithoutSharedIndex)
     core::Remapper remapper(tree, config);
 
     auto without = start;
-    const auto swaps_without = remapper.refineInPlace(without, traces);
+    const auto swaps_without = remapper.refine(without, traces);
 
     const auto rows = rowsOf(traces);
     const auto index =
         cluster::ShapeIndex::build(rows, traces.front().size());
     auto with = start;
-    const auto swaps_with =
-        remapper.refineInPlace(with, traces, nullptr, &index);
+    const auto swaps_with = remapper.refine(with, traces, nullptr, &index);
 
     EXPECT_EQ(without, with);
     ASSERT_EQ(swaps_without.size(), swaps_with.size());
@@ -237,7 +236,7 @@ TEST(ShapeIndex, RemapPruneParityWithAndWithoutSharedIndex)
         std::vector<const double *>(rows.begin(), rows.begin() + 3),
         traces.front().size());
     auto mismatched = start;
-    remapper.refineInPlace(mismatched, traces, nullptr, &wrong);
+    remapper.refine(mismatched, traces, nullptr, &wrong);
     EXPECT_EQ(mismatched, with);
 }
 

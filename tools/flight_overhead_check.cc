@@ -42,6 +42,7 @@
 #include "obs/events.h"
 #include "obs/obs.h"
 #include "trace/repair.h"
+#include "util/parse.h"
 #include "workload/catalog.h"
 #include "workload/generator.h"
 
@@ -118,17 +119,22 @@ main(int argc, char **argv)
 {
     int repeats = 25;
     double max_ratio = 1.05;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--repeats" && i + 1 < argc)
-            repeats = std::atoi(argv[++i]);
-        else if (arg == "--max-ratio" && i + 1 < argc)
-            max_ratio = std::atof(argv[++i]);
-        else {
-            std::cerr << "usage: flight_overhead_check [--repeats N] "
-                         "[--max-ratio R]\n";
-            return 2;
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            if (arg == "--repeats" && i + 1 < argc)
+                repeats = util::parseNumber<int>(argv[++i], arg);
+            else if (arg == "--max-ratio" && i + 1 < argc)
+                max_ratio = util::parseNumber<double>(argv[++i], arg);
+            else {
+                std::cerr << "usage: flight_overhead_check [--repeats N] "
+                             "[--max-ratio R]\n";
+                return 2;
+            }
         }
+    } catch (const util::FatalError &e) {
+        std::cerr << "flight_overhead_check: " << e.what() << "\n";
+        return 2;
     }
     if (repeats < 1) {
         std::cerr << "flight_overhead_check: --repeats must be >= 1\n";

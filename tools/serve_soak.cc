@@ -40,6 +40,7 @@
 #include "serve/service.h"
 #include "trace/time_series.h"
 #include "util/parallel.h"
+#include "util/parse.h"
 #include "util/rng.h"
 
 namespace {
@@ -285,12 +286,6 @@ checkRejectCoverage(const serve::StreamRing &ring)
     CHECK(!ring.quarantined().empty(), "quarantine is empty");
 }
 
-std::uint64_t
-parseU64(const std::string &text)
-{
-    return std::strtoull(text.c_str(), nullptr, 0);
-}
-
 } // namespace
 
 int
@@ -306,16 +301,25 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto number = [&]() -> std::uint64_t {
+            const std::string text = next();
+            try {
+                return util::parseNumber<std::uint64_t>(text, arg);
+            } catch (const util::FatalError &e) {
+                std::cerr << "serve_soak: " << e.what() << "\n";
+                std::exit(2);
+            }
+        };
         if (arg == "--seed")
-            opt.seed = parseU64(next());
+            opt.seed = number();
         else if (arg == "--instances")
-            opt.instances = std::size_t(parseU64(next()));
+            opt.instances = std::size_t(number());
         else if (arg == "--ticks")
-            opt.ticks = parseU64(next());
+            opt.ticks = number();
         else if (arg == "--window")
-            opt.window = std::size_t(parseU64(next()));
+            opt.window = std::size_t(number());
         else if (arg == "--epoch-ticks")
-            opt.epochTicks = std::size_t(parseU64(next()));
+            opt.epochTicks = std::size_t(number());
         else if (arg == "--profile")
             opt.profile = next();
         else if (arg == "--checkpoint-dir")

@@ -27,7 +27,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -483,11 +482,9 @@ cmdExplain(const Args &args)
                   "--node SIG");
     obs::ExplainQuery query;
     if (args.has("instance"))
-        query.instance = std::strtoull(args.require("instance").c_str(),
-                                       nullptr, 0);
+        query.instance = args.getNumber<std::uint64_t>("instance", 0);
     else
-        query.node =
-            std::strtoull(args.require("node").c_str(), nullptr, 0);
+        query.node = args.getNumber<std::uint64_t>("node", 0);
     return obs::explainRecord(std::cout, events, query) ? 0 : 1;
 }
 
