@@ -118,8 +118,8 @@ main()
         const auto plan = fault::FaultPlan::build(7, profile, shape);
         const auto r = pipeline::runPipeline(
             p, degradedTraining(p, clean_training, plan)
-                   .merged(pipeline::whatIfRepairPolicy(
-                       p, trace::RepairPolicy::HoldLast)));
+                   .merged(pipeline::parseWhatIf(
+                       p, "repair-policy=hold_last")));
         sweep_ops += r.opsExecuted;
         ++variants;
         table.addRow({
@@ -148,8 +148,9 @@ main()
         // the max-swaps what-if reuses the cached embed/distribute
         // results from the row above.
         const auto rr = pipeline::runPipeline(
-            p, overlay.merged(pipeline::whatIfMaxSwaps(
-                   p, core::RemapConfig{}.maxSwaps)));
+            p, overlay.merged(pipeline::parseWhatIf(
+                   p, "max-swaps=" + std::to_string(
+                                         core::RemapConfig{}.maxSwaps))));
         sweep_ops += rr.opsExecuted;
         ++variants;
         table.addRow({

@@ -17,7 +17,7 @@
  * The sweep drives the report pipeline as an op graph: config variants
  * are what-if overlays (the trace embedding stays cached across the
  * clustering sweep), and the training-window/resolution variants are
- * setInput edits whose dirty set re-runs only the training cone.  The
+ * setInput edits that re-run only the training cone.  The
  * cache summary printed at the end shows the op executions the graph
  * saved versus re-running the pipeline cold per variant.
  */
@@ -111,7 +111,8 @@ main()
     // 3: S-trace basis size |B| — embed-config overlays.
     for (const std::size_t top : {2u, 5u, 10u}) {
         const auto r = pipeline::runPipeline(
-            p, pipeline::whatIfTopServices(p, top));
+            p, pipeline::parseWhatIf(p, "top-services=" +
+                                            std::to_string(top)));
         sweep_ops += r.opsExecuted;
         ++variants;
         table.addRow({
@@ -121,7 +122,7 @@ main()
     }
 
     // 4: training window — single week vs averaged weeks (Eq. 4).  An
-    // input edit: the dirty set re-runs the training cone only.
+    // input edit: only the training cone re-runs.
     {
         const auto dc = workload::generate(pspec.dc);
         std::vector<trace::TimeSeries> one_week;
@@ -158,7 +159,7 @@ main()
     }
 
     // Back to the averaged training traces: the original fingerprint
-    // makes the memoized cone clean again, so this re-run is free.
+    // restores the base signatures, so cached results still apply.
     p.graph.setInput(p.trainingIn,
                      graph::Value::of(training,
                                       core::fingerprintTraces(training)));
@@ -189,8 +190,8 @@ main()
             util::fmtPercent(rppReduction(*p.tree, test, base.oblivious,
                                           random_remapped)),
         });
-        const auto r = pipeline::runPipeline(
-            p, pipeline::whatIfMaxSwaps(p, 32));
+        const auto r =
+            pipeline::runPipeline(p, pipeline::parseWhatIf(p, "max-swaps=32"));
         sweep_ops += r.opsExecuted;
         ++variants;
         table.addRow({

@@ -103,8 +103,8 @@ scoreVectorsBlocked(const std::vector<trace::TimeSeries> &itraces,
  * Route a population embedding through the configured implementation:
  * reference::scoreVectors for ScoringImpl::kReference, otherwise the
  * fused path (scoreVectorsBlocked when kernels == kBlocked, scoreVectors
- * for kStrict).  This is the body of the pipeline's EmbedOp and of
- * PlacementEngine::place's embedding stage; all routes yield
+ * for kStrict).  This is the body of the pipeline's place.embed node
+ * and of PlacementEngine::place's embedding stage; all routes yield
  * bit-identical placements for a fixed seed.
  */
 std::vector<cluster::Point>

@@ -125,7 +125,7 @@ struct MonitorConfig {
  * measureWeek can compute from (tree, config, traces, assignment) alone,
  * before the stateful baseline/threshold judgment of
  * FragmentationMonitor::ingest.  This is the output of the pipeline's
- * MonitorOp.
+ * monitor.measure.week.* nodes.
  */
 struct MonitorMeasurement {
     /** Sum of per-node peaks at the watched level. */
@@ -157,8 +157,9 @@ struct MonitorMeasurement {
  * Evaluate one week of I-traces against a placement: validity sweep,
  * gap repair into an internal arena copy (the caller's traces are never
  * mutated), aggregation, and the sum-of-peaks / root-peak ratio.  Pure
- * function of its arguments — the body of the pipeline's MonitorOp and
- * the first half of FragmentationMonitor::observeWeek.  Only the level /
+ * function of its arguments — the body of the pipeline's
+ * monitor.measure.week.* nodes and the first half of
+ * FragmentationMonitor::observeWeek.  Only the level /
  * repairPolicy / minValidFraction fields of the config are read (see
  * core::fingerprintMonitorMeasureConfig).
  *
@@ -218,8 +219,8 @@ class FragmentationMonitor
      * threshold widening for degraded data, action selection, window
      * update, counters, history.  This is the stateful half of
      * observeWeek; pipeline drivers that computed their measurements
-     * through a graph (core::measureWeek via MonitorOp) feed them in
-     * here, in week order.
+     * through a graph (core::measureWeek in monitor.measure.week.*)
+     * feed them in here, in week order.
      *
      * @param m            The week's measurement.
      * @param eval_seconds Wall-clock seconds spent producing `m`

@@ -66,7 +66,7 @@ injectTraceFaults(std::vector<trace::TimeSeries> &traces,
 /**
  * Functional form of injectTraceFaults: degrade the population taken by
  * value and return (degraded traces, report) as one result.  This is
- * the body of the pipeline's InjectFaultsOp — a pure function of
+ * the body of the pipeline's fault.inject.* nodes — a pure function of
  * (traces, plan) that the op graph caches by content.
  */
 InjectedTraces

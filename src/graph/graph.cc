@@ -16,7 +16,6 @@ OpGraph::input(std::string name, Value v)
     Node n;
     n.name = name;
     n.inputValue = std::move(v);
-    n.dirty = false;
     byName_.emplace(std::move(name), nodes_.size());
     nodes_.push_back(std::move(n));
     return Handle{nodes_.size() - 1};
@@ -31,12 +30,7 @@ OpGraph::setInput(Handle h, Value v)
     SOSIM_REQUIRE(n.fn == nullptr,
                   "OpGraph::setInput: handle is not an input node");
     SOSIM_REQUIRE(!v.empty(), "OpGraph::setInput: empty value");
-    if (v.fingerprint() == n.inputValue.fingerprint()) {
-        n.inputValue = std::move(v);
-        return; // content unchanged: the cone stays clean
-    }
     n.inputValue = std::move(v);
-    markDownstreamDirty(h.id);
 }
 
 Handle
@@ -56,12 +50,9 @@ OpGraph::op(std::string name, std::vector<Handle> inputs,
                       "OpGraph::op: invalid input handle");
         n.inputs.push_back(in.id);
     }
-    const std::size_t id = nodes_.size();
-    byName_.emplace(std::move(name), id);
+    byName_.emplace(std::move(name), nodes_.size());
     nodes_.push_back(std::move(n));
-    for (const std::size_t in : nodes_[id].inputs)
-        nodes_[in].outputs.push_back(id);
-    return Handle{id};
+    return Handle{nodes_.size() - 1};
 }
 
 const Value &
@@ -69,7 +60,7 @@ OpGraph::eval(Handle h)
 {
     SOSIM_REQUIRE(h.valid() && h.id < nodes_.size(),
                   "OpGraph::eval: invalid handle");
-    return evalBase(h.id);
+    return evalNode(h.id, nullptr);
 }
 
 Value
@@ -77,31 +68,13 @@ OpGraph::eval(Handle h, const Overlay &overlay)
 {
     SOSIM_REQUIRE(h.valid() && h.id < nodes_.size(),
                   "OpGraph::eval: invalid handle");
-    // The overlay affects exactly the downstream cone of the shadowed
-    // inputs; everything else evaluates on the base path and shares the
-    // base memo.
-    std::vector<unsigned char> affected(nodes_.size(), 0);
-    std::vector<std::size_t> frontier;
     for (const auto &[id, v] : overlay.values_) {
         SOSIM_REQUIRE(id < nodes_.size(),
                       "OpGraph::eval: overlay handle out of range");
         SOSIM_REQUIRE(nodes_[id].fn == nullptr,
                       "OpGraph::eval: overlay must shadow input nodes");
-        if (!affected[id]) {
-            affected[id] = 1;
-            frontier.push_back(id);
-        }
     }
-    while (!frontier.empty()) {
-        const std::size_t id = frontier.back();
-        frontier.pop_back();
-        for (const std::size_t out : nodes_[id].outputs)
-            if (!affected[out]) {
-                affected[out] = 1;
-                frontier.push_back(out);
-            }
-    }
-    return evalShadowed(h.id, overlay, affected);
+    return evalNode(h.id, overlay.empty() ? nullptr : &overlay);
 }
 
 Handle
@@ -142,24 +115,6 @@ OpGraph::node(Handle h) const
     return nodes_[h.id];
 }
 
-void
-OpGraph::markDownstreamDirty(std::size_t id)
-{
-    std::vector<std::size_t> frontier(1, id);
-    while (!frontier.empty()) {
-        const std::size_t cur = frontier.back();
-        frontier.pop_back();
-        for (const std::size_t out : nodes_[cur].outputs) {
-            if (nodes_[out].dirty)
-                continue; // its cone is already marked
-            nodes_[out].dirty = true;
-            SOSIM_EVENT(.kind = obs::EventKind::GraphDirty,
-                        .label = nodes_[out].name, .a = out);
-            frontier.push_back(out);
-        }
-    }
-}
-
 const Value *
 OpGraph::cacheLookup(Node &n, std::uint64_t sig)
 {
@@ -176,9 +131,8 @@ OpGraph::cacheLookup(Node &n, std::uint64_t sig)
     return nullptr;
 }
 
-Value
-OpGraph::executeSig(Node &n, std::uint64_t sig,
-                    const std::vector<Value> &ins)
+const Value &
+OpGraph::execute(Node &n, std::uint64_t sig, const std::vector<Value> &ins)
 {
     ++misses_;
     SOSIM_COUNT("graph.op.cache_miss");
@@ -203,89 +157,52 @@ OpGraph::executeSig(Node &n, std::uint64_t sig,
 #endif
     SOSIM_REQUIRE(!out.empty(), "OpGraph: op returned an empty value");
     ++n.evalCount;
-    n.cache.insert(n.cache.begin(), CacheEntry{sig, out});
+    n.cache.insert(n.cache.begin(), CacheEntry{sig, std::move(out)});
     if (n.cache.size() > kCacheEntries)
         n.cache.pop_back();
-    return out;
+    return n.cache.front().value;
 }
 
 const Value &
-OpGraph::evalBase(std::size_t id)
+OpGraph::evalNode(std::size_t id, const Overlay *overlay)
 {
     Node &n = nodes_[id];
     if (n.fn == nullptr) {
+        if (overlay != nullptr) {
+            const auto it = overlay->values_.find(id);
+            if (it != overlay->values_.end())
+                return it->second;
+        }
         SOSIM_REQUIRE(!n.inputValue.empty(),
                       "OpGraph: input node has no value");
         return n.inputValue;
-    }
-    if (!n.dirty && !n.lastValue.empty()) {
-        ++hits_;
-        SOSIM_COUNT("graph.op.cache_hit");
-        SOSIM_EVENT(.kind = obs::EventKind::GraphCacheHit,
-                    .label = n.name, .a = n.lastSig);
-        return n.lastValue;
     }
     std::vector<Value> ins;
     ins.reserve(n.inputs.size());
     std::uint64_t sig =
         util::hashCombine(util::fingerprintString(n.name), n.configFp);
     for (const std::size_t in : n.inputs) {
-        const Value &v = evalBase(in);
-        sig = util::hashCombine(sig, v.fingerprint());
-        ins.push_back(v);
+        ins.push_back(evalNode(in, overlay));
+        sig = util::hashCombine(sig, ins.back().fingerprint());
     }
-    if (const Value *cached = cacheLookup(n, sig)) {
+    const Value *out = !n.lastValue.empty() && n.lastSig == sig
+                           ? &n.lastValue
+                           : cacheLookup(n, sig);
+    if (out != nullptr) {
         ++hits_;
         SOSIM_COUNT("graph.op.cache_hit");
         SOSIM_EVENT(.kind = obs::EventKind::GraphCacheHit,
                     .label = n.name, .a = sig);
+    } else {
+        out = &execute(n, sig, ins);
+    }
+    if (overlay != nullptr)
+        return *out;
+    if (out != &n.lastValue) {
         n.lastSig = sig;
-        n.lastValue = *cached;
-        n.dirty = false;
-        return n.lastValue;
+        n.lastValue = *out;
     }
-    Value out = executeSig(n, sig, ins);
-    n.lastSig = sig;
-    n.lastValue = std::move(out);
-    n.dirty = false;
     return n.lastValue;
-}
-
-Value
-OpGraph::evalShadowed(std::size_t id, const Overlay &overlay,
-                      const std::vector<unsigned char> &affected)
-{
-    Node &n = nodes_[id];
-    if (n.fn == nullptr) {
-        const auto it = overlay.values_.find(id);
-        if (it != overlay.values_.end())
-            return it->second;
-        SOSIM_REQUIRE(!n.inputValue.empty(),
-                      "OpGraph: input node has no value");
-        return n.inputValue;
-    }
-    if (!affected[id])
-        return evalBase(id); // share the base memo outside the cone
-    std::vector<Value> ins;
-    ins.reserve(n.inputs.size());
-    std::uint64_t sig =
-        util::hashCombine(util::fingerprintString(n.name), n.configFp);
-    for (const std::size_t in : n.inputs) {
-        Value v = evalShadowed(in, overlay, affected);
-        sig = util::hashCombine(sig, v.fingerprint());
-        ins.push_back(std::move(v));
-    }
-    if (const Value *cached = cacheLookup(n, sig)) {
-        ++hits_;
-        SOSIM_COUNT("graph.op.cache_hit");
-        SOSIM_EVENT(.kind = obs::EventKind::GraphCacheHit,
-                    .label = n.name, .a = sig);
-        return *cached;
-    }
-    // Deliberately leaves lastValue/dirty untouched: overlay results
-    // live only in the MRU cache, so the base memo survives any number
-    // of what-ifs.
-    return executeSig(n, sig, ins);
 }
 
 } // namespace sosim::graph

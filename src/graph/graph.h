@@ -3,8 +3,8 @@
 
 /**
  * @file
- * OpGraph: a small DAG of typed ops with content-hash caching, dirty-set
- * invalidation and what-if overlays.
+ * OpGraph: a small DAG of typed ops with content-hash caching and
+ * what-if overlays.
  *
  * The pipeline (inject -> repair -> stats -> embed -> place -> remap ->
  * monitor) used to be hard-wired call chains: editing one trace or one
@@ -12,11 +12,13 @@
  * node whose output is an immutable Value; a node's *signature* is the
  * hash of its op name, its config fingerprint and its inputs'
  * fingerprints, so a node re-executes only when something it can actually
- * observe changed.  Two layers make re-runs cheap:
+ * observe changed.  Every evaluation walks the node's ancestor cone,
+ * re-hashes each op's signature, and answers from two layers before
+ * executing:
  *
- *   - dirty set: OpGraph::setInput() marks exactly the downstream cone of
- *     the edited input dirty.  Clean nodes short-circuit to their memoized
- *     value without even re-hashing their inputs.
+ *   - base pin: the last (signature, value) produced by an evaluation
+ *     without an overlay.  Only such evaluations write it, so no number
+ *     of what-ifs can evict the base result.
  *   - signature cache: every node keeps a small MRU cache of
  *     (signature, value) pairs, so flip-flopping between configurations
  *     (base vs overlay, A/B sweep points) revisits old results instead of
@@ -25,9 +27,9 @@
  * Overlays are the what-if surface: an Overlay shadows a subset of input
  * nodes with alternative Values, and OpGraph::eval(handle, overlay)
  * evaluates under that shadow *without copying the base inputs or
- * disturbing the base memo*.  Only the cone downstream of the shadowed
- * inputs is re-evaluated; everything else is served from the base memo,
- * which is how ablation sweeps share upstream work across sweep points.
+ * disturbing the base pin*.  Nodes outside the shadowed inputs' cone keep
+ * their base signatures and are served from the pin, which is how
+ * ablation sweeps share upstream work across sweep points.
  *
  * Determinism: evaluation order is the depth-first order of each node's
  * input list; ops must be pure functions of their inputs (enforced by
@@ -170,8 +172,8 @@ using OpFn = std::function<Value(const std::vector<Value> &)>;
 
 /**
  * A DAG of input nodes and op nodes.  Build with input()/op(), evaluate
- * with eval(); edit inputs with setInput() (dirty-set propagation) or
- * evaluate what-ifs with eval(handle, overlay).  Move-only.
+ * with eval(); edit inputs with setInput() or evaluate what-ifs with
+ * eval(handle, overlay).  Move-only.
  */
 class OpGraph
 {
@@ -189,8 +191,8 @@ class OpGraph
     Handle input(std::string name, Value v);
 
     /**
-     * Replace input `h`'s value.  If the fingerprint actually changed,
-     * the downstream cone is marked dirty; otherwise this is a no-op.
+     * Replace input `h`'s value.  Downstream ops re-execute on their next
+     * evaluation only if the fingerprint actually changed.
      */
     void setInput(Handle h, Value v);
 
@@ -206,7 +208,7 @@ class OpGraph
     /** Evaluate a node (and lazily its ancestors); memoized. */
     const Value &eval(Handle h);
 
-    /** Evaluate a node under an overlay; the base memo is untouched. */
+    /** Evaluate a node under an overlay; the base pin is untouched. */
     Value eval(Handle h, const Overlay &overlay);
 
     /** Node handle by unique name (invalid handle when absent). */
@@ -221,7 +223,7 @@ class OpGraph
     /** Total op executions across the graph (sum of evalCount). */
     std::size_t totalEvals() const;
 
-    /** Graph-local cache hits (clean-node short-circuits + MRU hits). */
+    /** Graph-local cache hits (ops answered by the pin or the MRU). */
     std::uint64_t cacheHits() const { return hits_; }
 
     /** Graph-local cache misses (op executions). */
@@ -239,11 +241,10 @@ class OpGraph
     struct Node {
         std::string name;
         std::vector<std::size_t> inputs;
-        std::vector<std::size_t> outputs;
         std::uint64_t configFp = 0;
         OpFn fn; // null for input nodes
         Value inputValue;
-        bool dirty = true;
+        // Base pin: written only by evaluations without an overlay.
         std::uint64_t lastSig = 0;
         Value lastValue;
         std::vector<CacheEntry> cache;
@@ -251,12 +252,9 @@ class OpGraph
     };
 
     const Node &node(Handle h) const;
-    void markDownstreamDirty(std::size_t id);
-    const Value &evalBase(std::size_t id);
-    Value evalShadowed(std::size_t id, const Overlay &overlay,
-                       const std::vector<unsigned char> &affected);
-    Value executeSig(Node &n, std::uint64_t sig,
-                     const std::vector<Value> &ins);
+    const Value &evalNode(std::size_t id, const Overlay *overlay);
+    const Value &execute(Node &n, std::uint64_t sig,
+                         const std::vector<Value> &ins);
     const Value *cacheLookup(Node &n, std::uint64_t sig);
 
     std::vector<Node> nodes_;

@@ -13,7 +13,6 @@
 #include "core/service_traces.h"
 #include "obs/obs.h"
 #include "trace/kernels.h"
-#include "trace/stats_cache.h"
 #include "util/error.h"
 #include "util/hash.h"
 #include "util/parse.h"
@@ -145,27 +144,16 @@ levelFromName(const std::string &name)
     std::string upper = name;
     std::transform(upper.begin(), upper.end(), upper.begin(),
                    [](unsigned char c) { return std::toupper(c); });
+    // The DC level is placement-invariant, so the monitor cannot watch it.
     for (const auto level : power::kAllLevels)
-        if (power::levelName(level) == upper)
+        if (level != power::Level::Datacenter &&
+            power::levelName(level) == upper)
             return level;
     SOSIM_REQUIRE(false, "unknown power level '" + name +
                              "' (SUITE|MSB|SB|RPP|RACK)");
 }
 
 } // namespace
-
-const std::vector<trace::TimeSeries> &
-tracesOf(const graph::Value &v)
-{
-    if (v.is<std::vector<trace::TimeSeries>>())
-        return v.as<std::vector<trace::TimeSeries>>();
-    if (v.is<fault::InjectedTraces>())
-        return v.as<fault::InjectedTraces>().traces;
-    if (v.is<trace::RepairedTraces>())
-        return v.as<trace::RepairedTraces>().traces;
-    SOSIM_REQUIRE(false,
-                  "pipeline: value does not carry a trace population");
-}
 
 const power::Assignment &
 assignmentOf(const graph::Value &v)
@@ -175,246 +163,6 @@ assignmentOf(const graph::Value &v)
     if (v.is<RemapResult>())
         return v.as<RemapResult>().assignment;
     SOSIM_REQUIRE(false, "pipeline: value does not carry an assignment");
-}
-
-graph::Handle
-InjectFaultsOp::add(graph::OpGraph &g, std::string name,
-                    graph::Handle traces, graph::Handle plan)
-{
-    return g.op(std::move(name), {traces, plan}, 0,
-                [](const std::vector<graph::Value> &ins) {
-                    auto out = fault::injectedCopy(
-                        tracesOf(ins[0]),
-                        ins[1].as<fault::FaultPlan>());
-                    const auto fp = fpInjectedTraces(out);
-                    return graph::Value::of(std::move(out), fp);
-                });
-}
-
-graph::Handle
-RepairOp::add(graph::OpGraph &g, std::string name, graph::Handle traces,
-              graph::Handle policy)
-{
-    return g.op(std::move(name), {traces, policy}, 0,
-                [](const std::vector<graph::Value> &ins) {
-                    auto out = trace::repairedCopy(
-                        tracesOf(ins[0]),
-                        ins[1].as<trace::RepairPolicy>());
-                    const auto fp = fpRepairedTraces(out);
-                    return graph::Value::of(std::move(out), fp);
-                });
-}
-
-graph::Handle
-StatsOp::add(graph::OpGraph &g, std::string name, graph::Handle traces)
-{
-    return g.op(
-        std::move(name), {traces}, 0,
-        [](const std::vector<graph::Value> &ins) {
-            const auto &population = tracesOf(ins[0]);
-            PopulationStats out;
-            // The shared lazy-stats helper (also behind
-            // TimeSeries::stats and TraceArena::stats) computes each
-            // row's stats exactly once per invalidation epoch.
-            trace::LazyStatsTable table;
-            table.reset(population.size());
-            out.perTrace.reserve(population.size());
-            for (std::size_t i = 0; i < population.size(); ++i) {
-                const auto &s = table.get(i, [&] {
-                    return trace::computeStats(
-                        trace::TraceView(population[i]));
-                });
-                out.perTrace.push_back(s);
-                out.totalMeanPower += s.mean;
-                out.peakOfPeaks = std::max(out.peakOfPeaks, s.peak);
-            }
-            const auto fp = fpPopulationStats(out);
-            return graph::Value::of(std::move(out), fp);
-        });
-}
-
-graph::Handle
-ScoreOp::add(graph::OpGraph &g, std::string name, graph::Handle traces)
-{
-    return g.op(std::move(name), {traces}, 0,
-                [](const std::vector<graph::Value> &ins) {
-                    const double score =
-                        core::asynchronyScore(tracesOf(ins[0]));
-                    return graph::Value::of(
-                        score, fpDouble(util::kFnvOffset, score));
-                });
-}
-
-graph::Handle
-ShapeIndexOp::add(graph::OpGraph &g, std::string name, graph::Handle traces)
-{
-    return g.op(std::move(name), {traces}, 0,
-                [](const std::vector<graph::Value> &ins) {
-                    const auto &population = tracesOf(ins[0]);
-                    std::vector<const double *> rows;
-                    rows.reserve(population.size());
-                    for (const auto &ts : population)
-                        rows.push_back(ts.samples().data());
-                    const std::size_t samples =
-                        population.empty() ? 0
-                                           : population.front().size();
-                    auto index =
-                        cluster::ShapeIndex::build(rows, samples);
-                    const auto fp = index.fingerprint();
-                    return graph::Value::of(std::move(index), fp);
-                });
-}
-
-graph::Handle
-EmbedOp::add(graph::OpGraph &g, std::string name, graph::Handle traces,
-             graph::Handle services, graph::Handle config,
-             graph::Handle shapes)
-{
-    return g.op(
-        std::move(name), {traces, services, config, shapes}, 0,
-        [](const std::vector<graph::Value> &ins) {
-            const auto &population = tracesOf(ins[0]);
-            const auto &service_of =
-                ins[1].as<std::vector<std::size_t>>();
-            const auto &cfg = ins[2].as<core::PlacementConfig>();
-            if (cfg.embedding == core::PlacementEmbedding::kShape) {
-                // The shared index already embedded this population;
-                // forward its points (fpPoints, not the index
-                // fingerprint, so the distribute node sees the same
-                // identity either way the points were produced).
-                auto points =
-                    ins[3].as<cluster::ShapeIndex>().points();
-                const auto fp = fpPoints(points);
-                return graph::Value::of(std::move(points), fp);
-            }
-            const auto straces = core::extractServiceTraces(
-                population, service_of, cfg.topServices);
-            auto points = core::embedPopulation(
-                population, straces.straces, cfg.scoring, cfg.kernels);
-            const auto fp = fpPoints(points);
-            return graph::Value::of(std::move(points), fp);
-        });
-}
-
-graph::Handle
-PlaceOp::add(graph::OpGraph &g, std::string name, graph::Handle embedding,
-             graph::Handle config,
-             std::shared_ptr<const power::PowerTree> tree)
-{
-    const auto tree_fp = core::fingerprintTree(*tree);
-    return g.op(
-        std::move(name), {embedding, config}, tree_fp,
-        [tree = std::move(tree)](const std::vector<graph::Value> &ins) {
-            const auto &points =
-                ins[0].as<std::vector<cluster::Point>>();
-            const auto &cfg = ins[1].as<core::PlacementConfig>();
-            auto assignment = core::PlacementEngine(*tree, cfg)
-                                  .placeWithEmbedding(points);
-            const auto fp = core::fingerprintAssignment(assignment);
-            return graph::Value::of(std::move(assignment), fp);
-        });
-}
-
-graph::Handle
-ObliviousPlaceOp::add(graph::OpGraph &g, std::string name,
-                      graph::Handle services,
-                      std::shared_ptr<const power::PowerTree> tree)
-{
-    const auto tree_fp = core::fingerprintTree(*tree);
-    return g.op(
-        std::move(name), {services}, tree_fp,
-        [tree = std::move(tree)](const std::vector<graph::Value> &ins) {
-            auto assignment = baseline::obliviousPlacement(
-                *tree, ins[0].as<std::vector<std::size_t>>());
-            const auto fp = core::fingerprintAssignment(assignment);
-            return graph::Value::of(std::move(assignment), fp);
-        });
-}
-
-graph::Handle
-RemapOp::add(graph::OpGraph &g, std::string name, graph::Handle assignment,
-             graph::Handle traces, graph::Handle config,
-             graph::Handle shapes,
-             std::shared_ptr<const power::PowerTree> tree)
-{
-    const auto tree_fp = core::fingerprintTree(*tree);
-    return g.op(
-        std::move(name), {assignment, traces, config, shapes}, tree_fp,
-        [tree = std::move(tree)](const std::vector<graph::Value> &ins) {
-            RemapResult out;
-            out.assignment = assignmentOf(ins[0]);
-            const auto &population = tracesOf(ins[1]);
-            const auto &cfg = ins[2].as<core::RemapConfig>();
-            // A repaired population carries pre-repair validity; an
-            // all-valid vector gates nothing, so the clean path stays
-            // bit-identical to refining without one.
-            const std::vector<double> *validity = nullptr;
-            if (ins[1].is<trace::RepairedTraces>())
-                validity = &ins[1]
-                                .as<trace::RepairedTraces>()
-                                .summary.validBefore;
-            out.swaps =
-                core::Remapper(*tree, cfg)
-                    .refine(out.assignment, population, validity,
-                            &ins[3].as<cluster::ShapeIndex>());
-            const auto fp = fpRemapResult(out);
-            return graph::Value::of(std::move(out), fp);
-        });
-}
-
-graph::Handle
-BreakerTripsOp::add(graph::OpGraph &g, std::string name,
-                    graph::Handle traces, graph::Handle assignment,
-                    graph::Handle plan,
-                    std::shared_ptr<const power::PowerTree> tree)
-{
-    const auto tree_fp = core::fingerprintTree(*tree);
-    return g.op(
-        std::move(name), {traces, assignment, plan}, tree_fp,
-        [tree = std::move(tree)](const std::vector<graph::Value> &ins) {
-            fault::InjectedTraces out;
-            out.traces = tracesOf(ins[0]);
-            out.report = fault::injectBreakerTrips(
-                out.traces, *tree, assignmentOf(ins[1]),
-                ins[2].as<fault::FaultPlan>());
-            const auto fp = fpInjectedTraces(out);
-            return graph::Value::of(std::move(out), fp);
-        });
-}
-
-graph::Handle
-CompareOp::add(graph::OpGraph &g, std::string name, graph::Handle traces,
-               graph::Handle baseline, graph::Handle optimized,
-               std::shared_ptr<const power::PowerTree> tree)
-{
-    const auto tree_fp = core::fingerprintTree(*tree);
-    return g.op(
-        std::move(name), {traces, baseline, optimized}, tree_fp,
-        [tree = std::move(tree)](const std::vector<graph::Value> &ins) {
-            auto report = core::comparePlacements(
-                *tree, tracesOf(ins[0]), assignmentOf(ins[1]),
-                assignmentOf(ins[2]));
-            const auto fp = fpHeadroomReport(report);
-            return graph::Value::of(std::move(report), fp);
-        });
-}
-
-graph::Handle
-MonitorOp::add(graph::OpGraph &g, std::string name, graph::Handle traces,
-               graph::Handle assignment, graph::Handle config,
-               graph::Handle shapes,
-               std::shared_ptr<const power::PowerTree> tree)
-{
-    const auto tree_fp = core::fingerprintTree(*tree);
-    return g.op(
-        std::move(name), {traces, assignment, config, shapes}, tree_fp,
-        [tree = std::move(tree)](const std::vector<graph::Value> &ins) {
-            const auto m = core::measureWeek(
-                *tree, ins[2].as<core::MonitorConfig>(),
-                tracesOf(ins[0]), assignmentOf(ins[1]),
-                &ins[3].as<cluster::ShapeIndex>());
-            return graph::Value::of(m, fpMeasurement(m));
-        });
 }
 
 Pipeline
@@ -497,45 +245,183 @@ buildPipeline(const PipelineSpec &spec)
                     graph::Value::of(std::move(week), week_fp)));
     }
 
-    p.injectTrainingOp = InjectFaultsOp::add(
-        g, "fault.inject.training", p.trainingIn, p.planIn);
-    p.repairTrainingOp = RepairOp::add(
-        g, "trace.repair.training", p.injectTrainingOp, p.repairPolicyIn);
+    using Ins = std::vector<graph::Value>;
+    // Stage bodies that read the power tree share it with the Pipeline
+    // and bake its fingerprint into their config fingerprint.
+    const auto tree = p.tree;
+    const auto tree_fp = core::fingerprintTree(*tree);
+
+    const auto inject_body = [](const Ins &ins) {
+        auto out = fault::injectedCopy(
+            ins[0].as<std::vector<trace::TimeSeries>>(),
+            ins[1].as<fault::FaultPlan>());
+        const auto fp = fpInjectedTraces(out);
+        return graph::Value::of(std::move(out), fp);
+    };
+    const auto repair_body = [](const Ins &ins) {
+        auto out = trace::repairedCopy(
+            ins[0].as<fault::InjectedTraces>().traces,
+            ins[1].as<trace::RepairPolicy>());
+        const auto fp = fpRepairedTraces(out);
+        return graph::Value::of(std::move(out), fp);
+    };
+
+    p.injectTrainingOp = g.op("fault.inject.training",
+                              {p.trainingIn, p.planIn}, 0, inject_body);
+    p.repairTrainingOp =
+        g.op("trace.repair.training",
+             {p.injectTrainingOp, p.repairPolicyIn}, 0, repair_body);
     p.injectTestOp =
-        InjectFaultsOp::add(g, "fault.inject.test", p.testIn, p.planIn);
-    p.repairTestOp = RepairOp::add(g, "trace.repair.test", p.injectTestOp,
-                                   p.repairPolicyIn);
-    p.statsOp = StatsOp::add(g, "trace.stats.training",
-                             p.repairTrainingOp);
-    p.scoreOp = ScoreOp::add(g, "score.asynchrony.training",
-                             p.repairTrainingOp);
-    p.obliviousOp =
-        ObliviousPlaceOp::add(g, "place.oblivious", p.serviceOfIn, p.tree);
+        g.op("fault.inject.test", {p.testIn, p.planIn}, 0, inject_body);
+    p.repairTestOp = g.op("trace.repair.test",
+                          {p.injectTestOp, p.repairPolicyIn}, 0,
+                          repair_body);
+    p.statsOp = g.op(
+        "trace.stats.training", {p.repairTrainingOp}, 0,
+        [](const Ins &ins) {
+            PopulationStats out;
+            for (const auto &ts : ins[0].as<trace::RepairedTraces>().traces) {
+                const auto s = trace::computeStats(trace::TraceView(ts));
+                out.perTrace.push_back(s);
+                out.totalMeanPower += s.mean;
+                out.peakOfPeaks = std::max(out.peakOfPeaks, s.peak);
+            }
+            const auto fp = fpPopulationStats(out);
+            return graph::Value::of(std::move(out), fp);
+        });
+    p.scoreOp = g.op(
+        "score.asynchrony.training", {p.repairTrainingOp}, 0,
+        [](const Ins &ins) {
+            const double score = core::asynchronyScore(
+                ins[0].as<trace::RepairedTraces>().traces);
+            return graph::Value::of(score,
+                                    fpDouble(util::kFnvOffset, score));
+        });
+    p.obliviousOp = g.op(
+        "place.oblivious", {p.serviceOfIn}, tree_fp, [tree](const Ins &ins) {
+            auto assignment = baseline::obliviousPlacement(
+                *tree, ins[0].as<std::vector<std::size_t>>());
+            const auto fp = core::fingerprintAssignment(assignment);
+            return graph::Value::of(std::move(assignment), fp);
+        });
     // One shape-embedding build for the whole pipeline: the kShape
     // embedding path, remap pruning, and every week's drift diagnostic
-    // all read this node's cached output.
-    p.shapeIndexOp =
-        ShapeIndexOp::add(g, "cluster.shape_index", p.repairTrainingOp);
-    p.embedOp = EmbedOp::add(g, "place.embed", p.repairTrainingOp,
-                             p.serviceOfIn, p.embedConfigIn,
-                             p.shapeIndexOp);
-    p.placeOp = PlaceOp::add(g, "place.distribute", p.embedOp,
-                             p.distributeConfigIn, p.tree);
-    p.remapOp = RemapOp::add(g, "remap.refine", p.placeOp,
-                             p.repairTrainingOp, p.remapConfigIn,
-                             p.shapeIndexOp, p.tree);
-    p.tripsOp = BreakerTripsOp::add(g, "fault.trips.test", p.repairTestOp,
-                                    p.remapOp, p.planIn, p.tree);
-    p.compareOp = CompareOp::add(g, "compare.headroom", p.tripsOp,
-                                 p.obliviousOp, p.remapOp, p.tree);
+    // all read this node's cached output, so the population is
+    // shape-embedded once however many what-ifs re-enter the graph.
+    p.shapeIndexOp = g.op(
+        "cluster.shape_index", {p.repairTrainingOp}, 0,
+        [](const Ins &ins) {
+            const auto &population =
+                ins[0].as<trace::RepairedTraces>().traces;
+            std::vector<const double *> rows;
+            rows.reserve(population.size());
+            for (const auto &ts : population)
+                rows.push_back(ts.samples().data());
+            const std::size_t samples =
+                population.empty() ? 0 : population.front().size();
+            auto index = cluster::ShapeIndex::build(rows, samples);
+            const auto fp = index.fingerprint();
+            return graph::Value::of(std::move(index), fp);
+        });
+    // With kShape the embed body forwards the shared index's points;
+    // kScoreVector never reads them.
+    p.embedOp = g.op(
+        "place.embed",
+        {p.repairTrainingOp, p.serviceOfIn, p.embedConfigIn,
+         p.shapeIndexOp},
+        0, [](const Ins &ins) {
+            const auto &cfg = ins[2].as<core::PlacementConfig>();
+            if (cfg.embedding == core::PlacementEmbedding::kShape) {
+                // fpPoints, not the index fingerprint, so the distribute
+                // node sees the same identity either way the points were
+                // produced.
+                auto points = ins[3].as<cluster::ShapeIndex>().points();
+                const auto fp = fpPoints(points);
+                return graph::Value::of(std::move(points), fp);
+            }
+            const auto &population =
+                ins[0].as<trace::RepairedTraces>().traces;
+            const auto straces = core::extractServiceTraces(
+                population, ins[1].as<std::vector<std::size_t>>(),
+                cfg.topServices);
+            auto points = core::embedPopulation(
+                population, straces.straces, cfg.scoring, cfg.kernels);
+            const auto fp = fpPoints(points);
+            return graph::Value::of(std::move(points), fp);
+        });
+    p.placeOp = g.op(
+        "place.distribute", {p.embedOp, p.distributeConfigIn}, tree_fp,
+        [tree](const Ins &ins) {
+            const auto &cfg = ins[1].as<core::PlacementConfig>();
+            auto assignment =
+                core::PlacementEngine(*tree, cfg).placeWithEmbedding(
+                    ins[0].as<std::vector<cluster::Point>>());
+            const auto fp = core::fingerprintAssignment(assignment);
+            return graph::Value::of(std::move(assignment), fp);
+        });
+    // Pre-repair validity gates swap candidacy exactly as the CLI's
+    // faulted path does; an all-valid population gates nothing, so the
+    // clean path is bit-identical to refining without a validity vector.
+    // The shared index feeds the kCluster pruner so it skips its own
+    // re-embed.
+    p.remapOp = g.op(
+        "remap.refine",
+        {p.placeOp, p.repairTrainingOp, p.remapConfigIn, p.shapeIndexOp},
+        tree_fp, [tree](const Ins &ins) {
+            const auto &training = ins[1].as<trace::RepairedTraces>();
+            const auto &cfg = ins[2].as<core::RemapConfig>();
+            RemapResult out;
+            out.assignment = ins[0].as<power::Assignment>();
+            out.swaps = core::Remapper(*tree, cfg).refine(
+                out.assignment, training.traces,
+                &training.summary.validBefore,
+                &ins[3].as<cluster::ShapeIndex>());
+            const auto fp = fpRemapResult(out);
+            return graph::Value::of(std::move(out), fp);
+        });
+    p.tripsOp = g.op(
+        "fault.trips.test", {p.repairTestOp, p.remapOp, p.planIn}, tree_fp,
+        [tree](const Ins &ins) {
+            fault::InjectedTraces out;
+            out.traces = ins[0].as<trace::RepairedTraces>().traces;
+            out.report = fault::injectBreakerTrips(
+                out.traces, *tree, ins[1].as<RemapResult>().assignment,
+                ins[2].as<fault::FaultPlan>());
+            const auto fp = fpInjectedTraces(out);
+            return graph::Value::of(std::move(out), fp);
+        });
+    p.compareOp = g.op(
+        "compare.headroom", {p.tripsOp, p.obliviousOp, p.remapOp}, tree_fp,
+        [tree](const Ins &ins) {
+            auto report = core::comparePlacements(
+                *tree, ins[0].as<fault::InjectedTraces>().traces,
+                ins[1].as<power::Assignment>(),
+                ins[2].as<RemapResult>().assignment);
+            const auto fp = fpHeadroomReport(report);
+            return graph::Value::of(std::move(report), fp);
+        });
+    // measureWeek is the pure half of one week's observation; runPipeline
+    // makes the stateful threshold judgment.  The training index enables
+    // the shape-drift diagnostic, which annotates but never steers the
+    // recommended action.
+    const auto measure_body = [tree](const Ins &ins) {
+        const auto m = core::measureWeek(
+            *tree, ins[2].as<core::MonitorConfig>(),
+            ins[0].as<fault::InjectedTraces>().traces,
+            ins[1].as<RemapResult>().assignment,
+            &ins[3].as<cluster::ShapeIndex>());
+        return graph::Value::of(m, fpMeasurement(m));
+    };
     for (std::size_t w = 0; w < p.weekIns.size(); ++w) {
-        p.weekInjectOps.push_back(InjectFaultsOp::add(
-            g, "fault.inject.week." + std::to_string(w), p.weekIns[w],
-            p.planIn));
-        p.weekMeasureOps.push_back(MonitorOp::add(
-            g, "monitor.measure.week." + std::to_string(w),
-            p.weekInjectOps[w], p.remapOp, p.monitorConfigIn,
-            p.shapeIndexOp, p.tree));
+        const auto week = std::to_string(w);
+        p.weekInjectOps.push_back(g.op("fault.inject.week." + week,
+                                       {p.weekIns[w], p.planIn}, 0,
+                                       inject_body));
+        p.weekMeasureOps.push_back(
+            g.op("monitor.measure.week." + week,
+                 {p.weekInjectOps[w], p.remapOp, p.monitorConfigIn,
+                  p.shapeIndexOp},
+                 tree_fp, measure_body));
     }
     return p;
 }
@@ -546,47 +432,26 @@ runPipeline(Pipeline &p, const graph::Overlay &overlay)
     SOSIM_SPAN("pipeline.run");
     const auto hits0 = p.graph.cacheHits();
     const auto misses0 = p.graph.cacheMisses();
-    // Empty overlay -> base path (persistent memo + dirty set); overlay
-    // -> only the shadowed inputs' downstream cone re-evaluates.
-    const auto ev = [&](graph::Handle h) -> graph::Value {
-        if (overlay.empty())
-            return p.graph.eval(h);
-        return p.graph.eval(h, overlay);
-    };
+    // An empty overlay evaluates the base path and refreshes the base
+    // pins; a non-empty one leaves them alone.
+    const auto ev = [&](graph::Handle h) { return p.graph.eval(h, overlay); };
 
     PipelineResult r;
     r.plan = ev(p.planIn).as<fault::FaultPlan>();
-    {
-        const auto injected = ev(p.injectTrainingOp);
-        r.trainingFaults = injected.as<fault::InjectedTraces>().report;
-    }
-    {
-        const auto repaired = ev(p.repairTrainingOp);
-        r.trainingRepair =
-            repaired.as<trace::RepairedTraces>().summary;
-    }
-    {
-        const auto oblivious = ev(p.obliviousOp);
-        r.oblivious = assignmentOf(oblivious);
-    }
+    r.trainingFaults =
+        ev(p.injectTrainingOp).as<fault::InjectedTraces>().report;
+    r.trainingRepair =
+        ev(p.repairTrainingOp).as<trace::RepairedTraces>().summary;
+    r.oblivious = ev(p.obliviousOp).as<power::Assignment>();
     {
         const auto remapped = ev(p.remapOp);
         const auto &result = remapped.as<RemapResult>();
         r.optimized = result.assignment;
         r.swaps = result.swaps;
     }
-    {
-        const auto tripped = ev(p.tripsOp);
-        r.tripFaults = tripped.as<fault::InjectedTraces>().report;
-    }
-    {
-        const auto compared = ev(p.compareOp);
-        r.comparison = compared.as<core::HeadroomReport>();
-    }
-    {
-        const auto stats = ev(p.statsOp);
-        r.trainingStats = stats.as<PopulationStats>();
-    }
+    r.tripFaults = ev(p.tripsOp).as<fault::InjectedTraces>().report;
+    r.comparison = ev(p.compareOp).as<core::HeadroomReport>();
+    r.trainingStats = ev(p.statsOp).as<PopulationStats>();
     r.trainingScore = ev(p.scoreOp).as<double>();
 
     // The stateful half of monitoring: thresholds and the baseline
@@ -609,103 +474,6 @@ runPipeline(Pipeline &p, const graph::Overlay &overlay)
     r.cacheHits = p.graph.cacheHits() - hits0;
     r.opsExecuted = p.graph.cacheMisses() - misses0;
     return r;
-}
-
-graph::Overlay
-whatIfMaxSwaps(const Pipeline &p, int max_swaps)
-{
-    auto cfg = p.spec.remap;
-    cfg.maxSwaps = max_swaps;
-    return graph::Overlay().set(
-        p.remapConfigIn,
-        graph::Value::of(cfg, core::fingerprintRemapConfig(cfg)));
-}
-
-graph::Overlay
-whatIfPlacementSeed(const Pipeline &p, std::uint64_t seed)
-{
-    auto cfg = p.spec.placement;
-    cfg.seed = seed;
-    // Shadows only the distribute config: the embedding does not
-    // observe the seed, so its cached output survives the what-if.
-    return graph::Overlay().set(
-        p.distributeConfigIn,
-        graph::Value::of(cfg, core::fingerprintDistributeConfig(cfg)));
-}
-
-graph::Overlay
-whatIfTopServices(const Pipeline &p, std::size_t top_services)
-{
-    auto cfg = p.spec.placement;
-    cfg.topServices = top_services;
-    return graph::Overlay().set(
-        p.embedConfigIn,
-        graph::Value::of(cfg, core::fingerprintEmbedConfig(cfg)));
-}
-
-graph::Overlay
-whatIfClustersPerChild(const Pipeline &p, std::size_t n)
-{
-    auto cfg = p.spec.placement;
-    cfg.clustersPerChild = n;
-    return graph::Overlay().set(
-        p.distributeConfigIn,
-        graph::Value::of(cfg, core::fingerprintDistributeConfig(cfg)));
-}
-
-graph::Overlay
-whatIfPlacementEmbedding(const Pipeline &p,
-                         core::PlacementEmbedding embedding)
-{
-    auto cfg = p.spec.placement;
-    cfg.embedding = embedding;
-    // Only the embed config changes; the shape-index node's output is
-    // already cached, so flipping to kShape re-runs just the embed and
-    // distribute cone.
-    return graph::Overlay().set(
-        p.embedConfigIn,
-        graph::Value::of(cfg, core::fingerprintEmbedConfig(cfg)));
-}
-
-graph::Overlay
-whatIfRepairPolicy(const Pipeline &p, trace::RepairPolicy policy)
-{
-    return graph::Overlay().set(p.repairPolicyIn, policyValue(policy));
-}
-
-graph::Overlay
-whatIfFaultPlan(const Pipeline &p, std::uint64_t seed,
-                const std::string &profile)
-{
-    return graph::Overlay().set(
-        p.planIn, planValue(fault::FaultPlan::build(
-                      seed, fault::faultProfile(profile), p.shape)));
-}
-
-graph::Overlay
-whatIfMonitorLevel(const Pipeline &p, power::Level level)
-{
-    auto cfg = p.spec.monitor;
-    cfg.level = level;
-    return graph::Overlay().set(
-        p.monitorConfigIn,
-        graph::Value::of(cfg,
-                         core::fingerprintMonitorMeasureConfig(cfg)));
-}
-
-graph::Overlay
-whatIfMonitorThresholds(const Pipeline &p, double remap_threshold,
-                        double replace_threshold)
-{
-    auto cfg = p.spec.monitor;
-    cfg.remapThreshold = remap_threshold;
-    cfg.replaceThreshold = replace_threshold;
-    // The measure fingerprint excludes thresholds, so this overlay's
-    // cone evaluates entirely from cache (zero op executions).
-    return graph::Overlay().set(
-        p.monitorConfigIn,
-        graph::Value::of(cfg,
-                         core::fingerprintMonitorMeasureConfig(cfg)));
 }
 
 graph::Overlay
@@ -812,6 +580,20 @@ parseWhatIf(const Pipeline &p, const std::string &text)
                 monitor,
                 core::fingerprintMonitorMeasureConfig(monitor)));
     return overlay;
+}
+
+graph::Overlay
+whatIfMaxSwaps(const Pipeline &p, int max_swaps)
+{
+    return parseWhatIf(p, "max-swaps=" + std::to_string(max_swaps));
+}
+
+graph::Overlay
+whatIfFaultPlan(const Pipeline &p, std::uint64_t seed,
+                const std::string &profile)
+{
+    return parseWhatIf(p, "fault-plan=" + std::to_string(seed) + ":" +
+                              profile);
 }
 
 } // namespace sosim::pipeline

@@ -82,8 +82,6 @@ enum class EventKind : std::uint8_t {
     GraphEval,
     /** A graph op served from cache (a = node signature). */
     GraphCacheHit,
-    /** A graph node marked dirty by an input change. */
-    GraphDirty,
     /** Serve ingest rejected a sample (code = serve::IngestStatus). */
     IngestReject,
     /** One serve epoch processed (a = epoch, c = action). */

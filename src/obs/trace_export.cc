@@ -259,10 +259,6 @@ argsInner(const Event &e)
         str("op", rec.labelOf(e.name));
         u64("sig", e.a);
         break;
-      case EventKind::GraphDirty:
-        str("op", rec.labelOf(e.name));
-        u64("node", e.a);
-        break;
       case EventKind::IngestReject:
         str("reason", ingestRejectName(e.code));
         u64("instance", e.a);
@@ -322,8 +318,6 @@ eventKindName(EventKind kind)
         return "graph_eval";
       case EventKind::GraphCacheHit:
         return "graph_cache_hit";
-      case EventKind::GraphDirty:
-        return "graph_dirty";
       case EventKind::IngestReject:
         return "ingest_reject";
       case EventKind::EpochCommit:
@@ -832,11 +826,8 @@ matchesInstance(const JournalEvent &e, std::uint64_t id)
 bool
 matchesNode(const JournalEvent &e, std::uint64_t sig)
 {
-    if (e.kind == "graph_eval" || e.kind == "graph_cache_hit")
-        return argEquals(e, "sig", sig);
-    if (e.kind == "graph_dirty")
-        return argEquals(e, "node", sig);
-    return false;
+    return (e.kind == "graph_eval" || e.kind == "graph_cache_hit") &&
+           argEquals(e, "sig", sig);
 }
 
 /** One human-readable sentence for an event (k=v fallback). */
@@ -905,8 +896,6 @@ describe(const JournalEvent &e)
     } else if (e.kind == "graph_cache_hit") {
         os << "op '" << arg(e, "op") << "' served from cache (sig "
            << arg(e, "sig") << ")";
-    } else if (e.kind == "graph_dirty") {
-        os << "op '" << arg(e, "op") << "' marked dirty";
     } else if (e.kind == "span") {
         os << "span " << arg(e, "span") << " closed ("
            << arg(e, "dur_ns") << " ns)";

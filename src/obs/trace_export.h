@@ -93,10 +93,10 @@ struct ExplainQuery {
 /**
  * Write a human-readable causal decision history for the queried
  * instance (swap accepts/rejects, exclusions, faults, repairs, plus
- * every global monitor-week event) or graph-node signature (evals,
- * cache hits, dirty marks).  Each line shows the event and its scope
- * chain, reconstructed through parent ids.  Returns false (after
- * writing a note) when the journal holds no matching events.
+ * every global monitor-week event) or graph-node signature (evals and
+ * cache hits).  Each line shows the event and its scope chain,
+ * reconstructed through parent ids.  Returns false (after writing a
+ * note) when the journal holds no matching events.
  */
 bool explainRecord(std::ostream &os,
                    const std::vector<JournalEvent> &events,

@@ -156,7 +156,7 @@ class TraceArena
     std::size_t rows_ = 0;
     int intervalMinutes_ = 1;
     /** Lazily-filled per-row stats; shared invalidation discipline with
-     *  TimeSeries and the op graph's StatsOp (trace/stats_cache.h). */
+     *  TimeSeries (trace/stats_cache.h). */
     LazyStatsTable statsCache_;
 };
 

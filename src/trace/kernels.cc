@@ -58,73 +58,6 @@ computeStats(TraceView v)
     return st;
 }
 
-ValidStats
-computeValidStats(TraceView v)
-{
-    ValidStats out;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        const double x = v[i];
-        if (!std::isfinite(x))
-            continue;
-        if (out.validSamples == 0) {
-            out.stats.peak = x;
-            out.stats.valley = x;
-            out.stats.sum = x;
-            out.stats.peakIndex = i;
-        } else {
-            if (x > out.stats.peak) {
-                out.stats.peak = x;
-                out.stats.peakIndex = i;
-            }
-            if (x < out.stats.valley)
-                out.stats.valley = x;
-            out.stats.sum += x;
-        }
-        ++out.validSamples;
-    }
-    if (out.validSamples > 0)
-        out.stats.mean =
-            out.stats.sum / static_cast<double>(out.validSamples);
-    return out;
-}
-
-double
-peakOfSumValid(TraceView a, TraceView b, std::size_t *valid_count)
-{
-    SOSIM_COUNT("trace.kernels.peak_of_sum_valid");
-    requireAligned(a, b,
-                   "peakOfSumValid: views must be aligned and non-empty");
-    double best = 0.0;
-    std::size_t valid = 0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const double x = a[i] + b[i];
-        if (!std::isfinite(x))
-            continue;
-        if (valid == 0 || x > best)
-            best = x;
-        ++valid;
-    }
-    if (valid_count != nullptr)
-        *valid_count = valid;
-    return best;
-}
-
-double
-sumValid(TraceView v, std::size_t *valid_count)
-{
-    double sum = 0.0;
-    std::size_t valid = 0;
-    for (const double x : v) {
-        if (!std::isfinite(x))
-            continue;
-        sum += x;
-        ++valid;
-    }
-    if (valid_count != nullptr)
-        *valid_count = valid;
-    return sum;
-}
-
 double
 peakOfSum(TraceView a, TraceView b)
 {

@@ -91,51 +91,6 @@ class TraceView
  */
 TraceStats computeStats(TraceView v);
 
-/**
- * Summary statistics over the *valid* (finite) samples of a possibly
- * degraded trace.  validSamples counts the finite entries; the stats
- * fields cover only those.  When validSamples == 0 every stat is 0.0
- * and peakIndex is 0 — the zero-power convention for data that is not
- * there (see DESIGN.md section 9).
- */
-struct ValidStats {
-    TraceStats stats;
-    std::size_t validSamples = 0;
-
-    /** Fraction of finite samples, in [0, 1]; 1.0 for an empty view. */
-    double validFraction(std::size_t total) const
-    {
-        return total == 0 ? 1.0
-                          : static_cast<double>(validSamples) /
-                                static_cast<double>(total);
-    }
-};
-
-/**
- * NaN-skipping variant of computeStats for degraded traces.  On a fully
- * finite view the stats field is bit-identical to computeStats(v) (same
- * operations in the same order).  Unlike computeStats, an empty view is
- * legal and yields {zeros, 0}.
- */
-ValidStats computeValidStats(TraceView v);
-
-/**
- * Gap-aware peak(a + b): positions where either operand is non-finite
- * are skipped.  `valid_count` (optional) receives the number of
- * positions that contributed.  When no position is valid the result is
- * 0.0 (zero-power convention).  On fully finite inputs the result is
- * bit-identical to peakOfSum.  Views must be aligned and non-empty.
- */
-double peakOfSumValid(TraceView a, TraceView b,
-                      std::size_t *valid_count = nullptr);
-
-/**
- * Gap-aware sum over the valid samples of one view; `valid_count`
- * (optional) receives how many samples contributed.  0.0 when nothing
- * is valid.
- */
-double sumValid(TraceView v, std::size_t *valid_count = nullptr);
-
 /** Fused peak(a + b); no temporary.  Views must be aligned, non-empty. */
 double peakOfSum(TraceView a, TraceView b);
 

@@ -118,8 +118,8 @@ RepairSummary repairAll(std::vector<TimeSeries> &traces,
 /**
  * Functional form of repairAll: repair the population taken by value
  * and return (repaired traces, summary) as one result.  This is the
- * body of the pipeline's RepairOp — a pure function of (traces, policy)
- * that the op graph caches by content.
+ * body of the pipeline's trace.repair.* nodes — a pure function of
+ * (traces, policy) that the op graph caches by content.
  */
 RepairedTraces repairedCopy(std::vector<TimeSeries> traces,
                             RepairPolicy policy);

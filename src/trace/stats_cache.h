@@ -5,14 +5,14 @@
  * @file
  * Shared lazy-stats invalidation helpers.
  *
- * Three consumers cache TraceStats behind a validity flag and must agree
- * on the fill/invalidate discipline: TimeSeries (one slot per series),
- * TraceArena (one slot per row) and the op graph's StatsOp (one slot per
- * population member).  Before this header each re-implemented the
- * "if (!valid) { fill; valid = true; }" dance privately, which is
- * exactly the kind of duplication that lets one copy drift (e.g. an
- * invalidation forgotten on a new mutating path).  LazyStatsSlot is that
- * dance written once; LazyStatsTable is the per-row form.
+ * Two consumers cache TraceStats behind a validity flag and must agree
+ * on the fill/invalidate discipline: TimeSeries (one slot per series)
+ * and TraceArena (one slot per row).  Before this header each
+ * re-implemented the "if (!valid) { fill; valid = true; }" dance
+ * privately, which is exactly the kind of duplication that lets one copy
+ * drift (e.g. an invalidation forgotten on a new mutating path).
+ * LazyStatsSlot is that dance written once; LazyStatsTable is the
+ * per-row form.
  *
  * Thread-safety contract (inherited by every consumer): the lazy fill is
  * not synchronized.  Warm a slot serially (call get()) before sharing it
@@ -85,7 +85,7 @@ class LazyStatsSlot
 
 /**
  * A table of LazyStatsSlot, one per row of a trace population (the
- * TraceArena / StatsOp form).  Value semantics: copying the owner copies
+ * TraceArena form).  Value semantics: copying the owner copies
  * the cached stats and their validity wholesale.
  */
 class LazyStatsTable

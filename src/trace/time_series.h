@@ -159,7 +159,7 @@ class TimeSeries
     std::vector<double> samples_;
     int intervalMinutes_ = 1;
     /** Lazily-filled stats cache; shared invalidation discipline with
-     *  TraceArena and the op graph's StatsOp (trace/stats_cache.h). */
+     *  TraceArena (trace/stats_cache.h). */
     LazyStatsSlot statsCache_;
 };
 

@@ -117,7 +117,7 @@ TEST(Recorder, CollectWithClearEmptiesRingsButKeepsTotals)
     RecorderGuard guard;
     auto &rec = obs::EventRecorder::instance();
     rec.setEnabled(true);
-    rec.record({.kind = obs::EventKind::GraphDirty, .a = 1});
+    rec.record({.kind = obs::EventKind::GraphCacheHit, .a = 1});
     rec.setEnabled(false);
     EXPECT_EQ(rec.collect(true).size(), 1u);
     EXPECT_TRUE(rec.collect().empty());
@@ -157,10 +157,10 @@ TEST(Recorder, ResetRewindsTheSequenceCounter)
     RecorderGuard guard;
     auto &rec = obs::EventRecorder::instance();
     rec.setEnabled(true);
-    rec.record({.kind = obs::EventKind::GraphDirty});
-    rec.record({.kind = obs::EventKind::GraphDirty});
+    rec.record({.kind = obs::EventKind::GraphCacheHit});
+    rec.record({.kind = obs::EventKind::GraphCacheHit});
     rec.reset();
-    rec.record({.kind = obs::EventKind::GraphDirty});
+    rec.record({.kind = obs::EventKind::GraphCacheHit});
     rec.setEnabled(false);
     const auto events = rec.collect();
     ASSERT_EQ(events.size(), 1u);

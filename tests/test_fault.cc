@@ -429,63 +429,19 @@ TEST(Repair, PolicyNamesRoundTrip)
 // ---------------------------------------------------------------------
 // Gap-aware kernels.
 
-TEST(ValidKernels, MatchPlainStatsOnCleanData)
-{
-    TimeSeries ts({0.25, 0.75, 0.5, 1.0, 0.125}, 5);
-    const auto plain = trace::computeStats(ts);
-    const auto valid = trace::computeValidStats(ts);
-    EXPECT_EQ(valid.validSamples, 5u);
-    EXPECT_EQ(valid.stats.peak, plain.peak);
-    EXPECT_EQ(valid.stats.valley, plain.valley);
-    EXPECT_EQ(valid.stats.sum, plain.sum);
-    EXPECT_EQ(valid.stats.mean, plain.mean);
-    EXPECT_EQ(valid.stats.peakIndex, plain.peakIndex);
-}
-
 TEST(ValidKernels, SkipNaNSamples)
 {
     TimeSeries ts({kNaN, 2.0, kNaN, 4.0, 1.0}, 1);
-    const auto valid = trace::computeValidStats(ts);
-    EXPECT_EQ(valid.validSamples, 3u);
     EXPECT_EQ(trace::countValid(ts), 3u);
-    EXPECT_DOUBLE_EQ(valid.stats.peak, 4.0);
-    EXPECT_EQ(valid.stats.peakIndex, 3u);
-    EXPECT_DOUBLE_EQ(valid.stats.valley, 1.0);
-    EXPECT_DOUBLE_EQ(valid.stats.mean, 7.0 / 3.0);
-    EXPECT_DOUBLE_EQ(valid.validFraction(ts.size()), 0.6);
+    EXPECT_DOUBLE_EQ(trace::validFraction(ts), 0.6);
 
-    const auto empty = trace::computeValidStats(
-        TimeSeries({kNaN, kNaN}, 1));
-    EXPECT_EQ(empty.validSamples, 0u);
-    EXPECT_EQ(empty.stats.peak, 0.0);
-}
-
-TEST(ValidKernels, PeakOfSumValidSkipsDegradedPositions)
-{
-    TimeSeries a({1.0, kNaN, 10.0, 2.0}, 1);
-    TimeSeries b({1.0, 5.0, kNaN, 2.0}, 1);
-    std::size_t valid = 0;
-    const double peak = trace::peakOfSumValid(a, b, &valid);
-    EXPECT_EQ(valid, 2u); // Positions 0 and 3 only.
-    EXPECT_DOUBLE_EQ(peak, 4.0);
-
-    // Clean inputs match the strict kernel bit for bit.
-    TimeSeries c({0.1, 0.9, 0.4}, 1);
-    TimeSeries d({0.3, 0.2, 0.8}, 1);
-    EXPECT_EQ(trace::peakOfSumValid(c, d), trace::peakOfSum(c, d));
-
-    // Nothing valid: zero-power convention.
-    TimeSeries e({kNaN, kNaN}, 1);
-    EXPECT_EQ(trace::peakOfSumValid(e, e, &valid), 0.0);
-    EXPECT_EQ(valid, 0u);
+    EXPECT_EQ(trace::countValid(TimeSeries({kNaN, kNaN}, 1)), 0u);
 }
 
 TEST(ValidKernels, SumValidCountsContributors)
 {
     TimeSeries ts({1.0, kNaN, 2.0}, 1);
-    std::size_t valid = 0;
-    EXPECT_DOUBLE_EQ(trace::sumValid(ts, &valid), 3.0);
-    EXPECT_EQ(valid, 2u);
+    EXPECT_EQ(trace::countValid(ts), 2u);
     EXPECT_DOUBLE_EQ(trace::validFraction(ts), 2.0 / 3.0);
 }
 

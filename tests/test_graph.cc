@@ -151,6 +151,28 @@ TEST(OpGraph, OverlayLeavesTheBaseMemoUntouched)
     EXPECT_EQ(g.totalEvals(), evals);
 }
 
+TEST(OpGraph, BaseMemoSurvivesMoreOverlaysThanTheCacheHolds)
+{
+    graph::OpGraph g;
+    const auto a = g.input("a", intValue(1));
+    const auto b = g.input("b", intValue(10));
+    const auto join = g.op("join", {a, b}, 0, addOp(0));
+    EXPECT_EQ(g.eval(join).as<int>(), 11);
+
+    // Enough distinct overlays to evict every MRU entry, the base
+    // signature's included.
+    for (int i = 0; i <= static_cast<int>(graph::OpGraph::kCacheEntries);
+         ++i)
+        EXPECT_EQ(g.eval(join, graph::Overlay().set(a, intValue(100 + i)))
+                      .as<int>(),
+                  110 + i);
+
+    // Only base evaluations write the pin, so the base answer survives.
+    const auto evals = g.totalEvals();
+    EXPECT_EQ(g.eval(join).as<int>(), 11);
+    EXPECT_EQ(g.totalEvals(), evals);
+}
+
 TEST(OpGraph, OverlaysCompose)
 {
     graph::OpGraph g;
@@ -370,8 +392,8 @@ TEST(GraphWhatIf, WarmMonitorLevelRerunIsFivefoldCheaper)
     spec.dc = goldenSpec();
     auto p = pipeline::buildPipeline(spec);
     const auto cold = pipeline::runPipeline(p);
-    // 13 fixed ops (including the shared cluster.shape_index) plus a
-    // measure + ingest pair per evaluated week.
+    // 13 fixed ops (including the shared cluster.shape_index) plus an
+    // inject + measure pair per evaluated week.
     EXPECT_EQ(cold.opsExecuted, 13u + 2u * p.weekIns.size());
 
 #if SOSIM_OBS_ENABLED
@@ -385,8 +407,7 @@ TEST(GraphWhatIf, WarmMonitorLevelRerunIsFivefoldCheaper)
 
     // Watching a different level re-executes only the per-week
     // measurements: everything upstream of the monitor config is warm.
-    const auto overlay =
-        pipeline::whatIfMonitorLevel(p, power::Level::Sb);
+    const auto overlay = pipeline::parseWhatIf(p, "monitor-level=SB");
     const auto warm = pipeline::runPipeline(p, overlay);
     EXPECT_EQ(warm.opsExecuted, p.weekIns.size());
     EXPECT_GE(cold.opsExecuted, 5 * warm.opsExecuted)
@@ -418,7 +439,8 @@ TEST(GraphWhatIf, ThresholdOnlyWhatIfExecutesZeroOps)
     // Thresholds act in FragmentationMonitor::ingest, outside the
     // graph, and the monitor config fingerprint excludes them — so this
     // what-if re-executes nothing at all.
-    const auto overlay = pipeline::whatIfMonitorThresholds(p, 1e-6, 2e-6);
+    const auto overlay = pipeline::parseWhatIf(
+        p, "remap-threshold=1e-6,replace-threshold=2e-6");
     const auto warm = pipeline::runPipeline(p, overlay);
     EXPECT_EQ(warm.opsExecuted, 0u);
     EXPECT_EQ(warm.weekly.size(), cold.weekly.size());
@@ -435,7 +457,7 @@ TEST(GraphWhatIf, SeedWhatIfKeepsTheEmbeddingCached)
     // The clustering seed only feeds the distribute stage; the (much
     // heavier) embedding fingerprint does not cover it.
     const auto warm = pipeline::runPipeline(
-        p, pipeline::whatIfPlacementSeed(p, 999));
+        p, pipeline::parseWhatIf(p, "placement-seed=999"));
     EXPECT_EQ(p.graph.evalCount(p.embedOp), embed_evals)
         << "embedding must stay cached across a seed-only what-if";
     EXPECT_GT(warm.opsExecuted, 0u);
@@ -468,7 +490,8 @@ TEST(GraphWhatIf, ParseComposesKeysAndRejectsUnknownOnes)
     EXPECT_THROW(pipeline::parseWhatIf(p, "max-swaps"), std::exception);
     // Numbers must be consumed whole and fit their field.
     for (const char *junk : {"max-swaps=4x", "placement-seed=-1",
-                             "top-services=", "remap-threshold=nan"})
+                             "top-services=", "remap-threshold=nan",
+                             "monitor-level=DC"})
         EXPECT_THROW(pipeline::parseWhatIf(p, junk), util::FatalError)
             << junk;
 }
@@ -549,24 +572,22 @@ TEST(GraphFuzz, EditsAndOverlayStacksMatchColdRebuild)
         graph::Overlay stack;
         const int n = 1 + static_cast<int>(rng() % 3);
         for (int k = 0; k < n; ++k) {
+            std::string what_if;
             switch (rng() % 4) {
               case 0:
-                stack = stack.merged(pipeline::whatIfMaxSwaps(
-                    warm_p, static_cast<int>(rng() % 8)));
+                what_if = "max-swaps=" + std::to_string(rng() % 8);
                 break;
               case 1:
-                stack = stack.merged(pipeline::whatIfPlacementSeed(
-                    warm_p, rng() % 1000));
+                what_if = "placement-seed=" + std::to_string(rng() % 1000);
                 break;
               case 2:
-                stack = stack.merged(pipeline::whatIfTopServices(
-                    warm_p, 1 + rng() % 4));
+                what_if = "top-services=" + std::to_string(1 + rng() % 4);
                 break;
               default:
-                stack = stack.merged(pipeline::whatIfMonitorLevel(
-                    warm_p, power::Level::Sb));
+                what_if = "monitor-level=SB";
                 break;
             }
+            stack = stack.merged(pipeline::parseWhatIf(warm_p, what_if));
         }
         const auto inject_evals =
             warm_p.graph.evalCount(warm_p.injectTestOp);

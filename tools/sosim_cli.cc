@@ -526,8 +526,9 @@ usage()
         "what-if: report builds the pipeline as an op graph; --what-if\n"
         "re-evaluates it under an overlay, recomputing only the cone\n"
         "the change can observe.  Keys: max-swaps, placement-seed,\n"
-        "top-services, clusters-per-child, repair-policy, fault-plan,\n"
-        "monitor-level, remap-threshold, replace-threshold.\n"
+        "top-services, clusters-per-child, placement-embedding,\n"
+        "repair-policy, fault-plan, monitor-level, remap-threshold,\n"
+        "replace-threshold.\n"
         "\n"
         "fault injection: --fault-plan 7:harsh degrades the generated\n"
         "traces with a deterministic fault schedule (profiles: none,\n"
