@@ -8,12 +8,7 @@ namespace sosim::obs {
 
 namespace {
 
-/** The calling thread's current causal scope id (0 = none). */
-thread_local std::uint64_t t_currentScope = 0;
-
-/** No explicit timestamp: store() stamps the event itself. */
-constexpr std::uint64_t kStampNow =
-    static_cast<std::uint64_t>(-1);
+thread_local ThreadContext t_context;
 
 #if defined(__x86_64__)
 /**
@@ -47,18 +42,10 @@ fromData(const EventData &d)
 
 } // namespace
 
-std::uint64_t
-currentEventScope()
+ThreadContext &
+threadContext()
 {
-    return t_currentScope;
-}
-
-std::uint64_t
-setCurrentEventScope(std::uint64_t scope)
-{
-    const std::uint64_t prev = t_currentScope;
-    t_currentScope = scope;
-    return prev;
+    return t_context;
 }
 
 EventRecorder &
@@ -148,7 +135,7 @@ std::uint64_t
 EventRecorder::store(Event e, std::uint64_t steady_nanos) noexcept
 {
     e.seq = nextSeqLocal();
-    e.parent = t_currentScope;
+    e.parent = t_context.scope;
     e.thread = static_cast<std::uint16_t>(threadShard());
     if (fakeTimeActive()) {
         // Synthetic, sequence-derived time keeps journal goldens
@@ -185,40 +172,16 @@ EventRecorder::store(Event e, std::uint64_t steady_nanos) noexcept
     return e.seq;
 }
 
-void
-EventRecorder::record(const EventData &d) noexcept
-{
-    if (!enabled())
-        return;
-    Event e = fromData(d);
-    if (!d.label.empty())
-        e.name = internLabel(d.label);
-    store(e, kStampNow);
-}
-
-void
-EventRecorder::recordAt(const EventData &d,
-                        std::uint64_t steady_nanos) noexcept
-{
-    if (!enabled())
-        return;
-    Event e = fromData(d);
-    if (!d.label.empty())
-        e.name = internLabel(d.label);
-    store(e, steady_nanos);
-}
-
 std::uint64_t
-EventRecorder::recordScope(const EventData &d) noexcept
+EventRecorder::record(const EventData &d,
+                      std::uint64_t steady_nanos) noexcept
 {
     if (!enabled())
         return 0;
     Event e = fromData(d);
-    if (e.kind == EventKind::None)
-        e.kind = EventKind::Scope;
     if (!d.label.empty())
         e.name = internLabel(d.label);
-    return store(e, kStampNow);
+    return store(e, steady_nanos);
 }
 
 std::uint64_t
@@ -324,7 +287,7 @@ EventRecorder::wallEpoch() const
 }
 
 void
-recordSpanEvent(const SpanNode *node,
+recordSpanEvent(std::string_view path,
                 std::chrono::steady_clock::time_point start,
                 std::uint64_t duration_nanos) noexcept
 {
@@ -333,7 +296,7 @@ recordSpanEvent(const SpanNode *node,
         return;
     EventData d;
     d.kind = EventKind::Span;
-    d.a = reinterpret_cast<std::uint64_t>(node);
+    d.label = path;
     // Real durations are nondeterministic, so under fake time they are
     // journaled as 0 — goldens stay byte-stable and the synthetic
     // timeline (seq-derived timestamps) already orders the slices.
@@ -349,7 +312,7 @@ recordSpanEvent(const SpanNode *node,
                   std::chrono::duration_cast<std::chrono::nanoseconds>(
                       since)
                       .count());
-    rec.recordAt(d, at);
+    rec.record(d, at);
 }
 
 } // namespace sosim::obs

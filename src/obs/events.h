@@ -30,10 +30,11 @@
  *
  * Causality: every event carries the id (sequence number) of the scope
  * event that was current on its thread when it was recorded.  Scopes
- * are opened with SOSIM_EVENT_SCOPE and util::parallelFor propagates
- * the submitting thread's current scope into its worker chunks exactly
- * the way ScopedSpanAdopt propagates spans, so decisions made on pool
- * workers chain to the stage that submitted the fan-out.
+ * are opened with SOSIM_EVENT_SCOPE.  The current scope and the current
+ * span (obs/span.h) are the two fields of one per-thread ThreadContext,
+ * and util::parallelFor adopts the submitting thread's context in its
+ * worker chunks (ScopedContextAdopt), so decisions made on pool workers
+ * chain to the stage that submitted the fan-out.
  *
  * Timestamps: events carry steady-clock nanoseconds since the epoch
  * captured when recording was enabled; the matching wall-clock epoch is
@@ -51,6 +52,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -62,7 +64,7 @@ struct SpanNode; // span.h; events.h must not depend on it.
 /** What kind of decision an Event records. */
 enum class EventKind : std::uint8_t {
     None = 0,
-    /** A closed span (a = SpanNode pointer, b = duration ns). */
+    /** A closed span (label = "a/b/c" span path, b = duration ns). */
     Span,
     /** A generic causal scope opened by SOSIM_EVENT_SCOPE. */
     Scope,
@@ -188,20 +190,18 @@ class EventRecorder
     std::size_t capacity() const;
     void setCapacity(std::size_t per_shard);
 
-    /** Append one event (no-op while disabled). */
-    void record(const EventData &d) noexcept;
-
-    /** Append one event with an explicit steady-ns timestamp (used by
-     *  span journaling, whose slice starts before it is recorded). */
-    void recordAt(const EventData &d,
-                  std::uint64_t steady_nanos) noexcept;
+    /** record()'s default timestamp: stamp the event when it is stored. */
+    static constexpr std::uint64_t kStampNow = ~std::uint64_t{0};
 
     /**
-     * Record `d` as a scope event and return its sequence number (0
-     * while disabled).  The caller is responsible for making it the
-     * thread's current scope — use ScopedEventScope.
+     * Append one event, chained to the thread's current scope, and
+     * return its sequence number (0 while disabled: nothing is stored).
+     * `steady_nanos` overrides the timestamp — span journaling passes
+     * the slice's start, which precedes the record.  Fake time
+     * overrides both.
      */
-    std::uint64_t recordScope(const EventData &d) noexcept;
+    std::uint64_t record(const EventData &d,
+                         std::uint64_t steady_nanos = kStampNow) noexcept;
 
     /** Events evicted by ring wrap since the last reset(). */
     std::uint64_t dropped() const;
@@ -273,11 +273,16 @@ class EventRecorder
     std::map<std::string, std::uint32_t, std::less<>> labelIds_;
 };
 
-/** The calling thread's current causal scope id (0 = none). */
-std::uint64_t currentEventScope();
+/** Where the calling thread stands: what new spans and events nest in. */
+struct ThreadContext {
+    /** The span the next ScopedSpan nests under (nullptr = the root). */
+    SpanNode *span = nullptr;
+    /** seq of the current causal scope event (0 = none). */
+    std::uint64_t scope = 0;
+};
 
-/** Replace the thread's current scope id; returns the previous one. */
-std::uint64_t setCurrentEventScope(std::uint64_t scope);
+/** The calling thread's context. */
+ThreadContext &threadContext();
 
 /**
  * RAII causal scope: records `d` as a scope event and makes its id the
@@ -289,60 +294,55 @@ class ScopedEventScope
 {
   public:
     explicit ScopedEventScope(const EventData &d)
+        : id_(EventRecorder::instance().record(d))
     {
-        EventRecorder &rec = EventRecorder::instance();
-        if (!rec.enabled())
-            return;
-        const std::uint64_t id = rec.recordScope(d);
-        if (id == 0)
-            return;
-        adopted_ = true;
-        prev_ = setCurrentEventScope(id);
+        if (id_ != 0)
+            prev_ = std::exchange(threadContext().scope, id_);
     }
 
     ~ScopedEventScope()
     {
-        if (adopted_)
-            setCurrentEventScope(prev_);
+        if (id_ != 0)
+            threadContext().scope = prev_;
     }
 
     ScopedEventScope(const ScopedEventScope &) = delete;
     ScopedEventScope &operator=(const ScopedEventScope &) = delete;
 
   private:
+    std::uint64_t id_;
     std::uint64_t prev_ = 0;
-    bool adopted_ = false;
 };
 
 /**
- * Adopt another thread's causal scope for a scope — util::parallelFor
- * wraps every worker chunk in one of these (next to ScopedSpanAdopt),
- * passing the submitting thread's current scope id, which is what
- * chains worker-side decisions under the submitting stage.
+ * Adopt another thread's context for a scope.  util::parallelFor wraps
+ * every worker chunk in one of these, passing the submitting thread's
+ * context, which is what attaches worker-side spans and decisions
+ * under the submitting stage.
  */
-class ScopedEventParentAdopt
+class ScopedContextAdopt
 {
   public:
-    explicit ScopedEventParentAdopt(std::uint64_t submitter)
-        : prev_(setCurrentEventScope(submitter))
+    explicit ScopedContextAdopt(const ThreadContext &submitter)
+        : prev_(std::exchange(threadContext(), submitter))
     {}
 
-    ~ScopedEventParentAdopt() { setCurrentEventScope(prev_); }
+    ~ScopedContextAdopt() { threadContext() = prev_; }
 
-    ScopedEventParentAdopt(const ScopedEventParentAdopt &) = delete;
-    ScopedEventParentAdopt &
-    operator=(const ScopedEventParentAdopt &) = delete;
+    ScopedContextAdopt(const ScopedContextAdopt &) = delete;
+    ScopedContextAdopt &operator=(const ScopedContextAdopt &) = delete;
 
   private:
-    std::uint64_t prev_ = 0;
+    ThreadContext prev_;
 };
 
 /**
- * Journal one closed span (called from ~ScopedSpan when the recorder
- * is enabled): kind Span, a = the SpanNode pointer (resolved to a path
- * by the exporters), b = duration ns, timestamped at `start`.
+ * Journal one closed span (called from ~ScopedSpan; a no-op while the
+ * recorder is idle): kind Span, label = the span's "a/b/c" path,
+ * interned like every scope label, b = duration ns, timestamped at
+ * `start`.
  */
-void recordSpanEvent(const SpanNode *node,
+void recordSpanEvent(std::string_view path,
                      std::chrono::steady_clock::time_point start,
                      std::uint64_t duration_nanos) noexcept;
 

@@ -10,10 +10,17 @@
 #include <mutex>
 #include <ostream>
 #include <sstream>
-#include <utility>
 #include <vector>
 
 namespace sosim::obs {
+
+std::string
+formatDouble(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.12g", v);
+    return buf;
+}
 
 std::string
 jsonEscape(const std::string &s)
@@ -80,16 +87,6 @@ promLabelEscape(const std::string &s)
     return out;
 }
 
-/** Finite doubles as-is; NaN/Inf as null (JSON has no literals for them). */
-void
-jsonNumber(std::ostream &os, double v)
-{
-    if (std::isfinite(v))
-        os << v;
-    else
-        os << "null";
-}
-
 void
 jsonSpanNode(std::ostream &os, const SpanNode &node, int indent)
 {
@@ -124,16 +121,13 @@ promName(const std::string &name)
     return out;
 }
 
-/** Flatten the span tree into (path, node) rows, depth-first in order. */
+/** Flatten the span tree into rows, depth-first in order. */
 void
-collectSpans(const SpanNode &node, const std::string &path,
-             std::vector<std::pair<std::string, const SpanNode *>> &out)
+collectSpans(const SpanNode &node, std::vector<const SpanNode *> &out)
 {
     for (const auto &[name, child] : node.children) {
-        const std::string child_path =
-            path.empty() ? name : path + "/" + name;
-        out.emplace_back(child_path, child.get());
-        collectSpans(*child, child_path, out);
+        out.push_back(child.get());
+        collectSpans(*child, out);
     }
 }
 
@@ -237,8 +231,9 @@ writeMetricsJson(std::ostream &os, const MetricsSnapshot &snapshot,
     i = 0;
     for (const auto &g : snapshot.gauges) {
         os << (i++ ? ",\n    " : "\n    ");
-        os << "\"" << jsonEscape(g.name) << "\": ";
-        jsonNumber(os, g.value);
+        // JSON has no literals for NaN/Inf.
+        os << "\"" << jsonEscape(g.name) << "\": "
+           << (std::isfinite(g.value) ? formatDouble(g.value) : "null");
     }
     os << (i ? "\n  },\n" : "},\n");
 
@@ -248,14 +243,16 @@ writeMetricsJson(std::ostream &os, const MetricsSnapshot &snapshot,
     for (const auto &h : snapshot.histograms) {
         os << (i++ ? ",\n    " : "\n    ");
         os << "\"" << jsonEscape(h.name) << "\": {\"count\": "
-           << h.data.count << ", \"sum\": ";
-        jsonNumber(os, h.data.sum);
-        os << ", \"buckets\": [";
+           << h.data.count << ", \"sum\": "
+           << (std::isfinite(h.data.sum) ? formatDouble(h.data.sum)
+                                         : "null")
+           << ", \"buckets\": [";
         std::size_t emitted = 0;
         for (std::size_t b = 0; b < bounds.size(); ++b) {
             if (h.data.bucketCounts[b] == 0)
                 continue;
-            os << (emitted++ ? ", " : "") << "{\"le\": " << bounds[b]
+            os << (emitted++ ? ", " : "") << "{\"le\": "
+               << formatDouble(bounds[b])
                << ", \"count\": " << h.data.bucketCounts[b] << "}";
         }
         os << "], \"overflow\": " << h.data.bucketCounts[bounds.size()]
@@ -287,7 +284,7 @@ writeMetricsPrometheus(std::ostream &os, const MetricsSnapshot &snapshot,
     for (const auto &g : snapshot.gauges) {
         const std::string name = promName(g.name);
         os << "# TYPE " << name << " gauge\n";
-        os << name << " " << g.value << "\n";
+        os << name << " " << formatDouble(g.value) << "\n";
     }
     const auto &bounds = histogramBounds();
     for (const auto &h : snapshot.histograms) {
@@ -298,29 +295,29 @@ writeMetricsPrometheus(std::ostream &os, const MetricsSnapshot &snapshot,
             if (h.data.bucketCounts[b] == 0)
                 continue;
             cumulative += h.data.bucketCounts[b];
-            os << name << "_bucket{le=\"" << bounds[b] << "\"} "
-               << cumulative << "\n";
+            os << name << "_bucket{le=\"" << formatDouble(bounds[b])
+               << "\"} " << cumulative << "\n";
         }
         os << name << "_bucket{le=\"+Inf\"} " << h.data.count << "\n";
-        os << name << "_sum " << h.data.sum << "\n";
+        os << name << "_sum " << formatDouble(h.data.sum) << "\n";
         os << name << "_count " << h.data.count << "\n";
     }
     if (!span_root.children.empty()) {
-        std::vector<std::pair<std::string, const SpanNode *>> spans;
-        collectSpans(span_root, "", spans);
+        std::vector<const SpanNode *> spans;
+        collectSpans(span_root, spans);
         os << "# TYPE sosim_span_invocations_total counter\n";
-        for (const auto &[path, node] : spans)
+        for (const SpanNode *node : spans)
             os << "sosim_span_invocations_total{span=\""
-               << promLabelEscape(path) << "\"} "
+               << promLabelEscape(node->path) << "\"} "
                << node->invocations.load(std::memory_order_relaxed)
                << "\n";
         os << "# TYPE sosim_span_busy_seconds_total counter\n";
-        for (const auto &[path, node] : spans)
+        for (const SpanNode *node : spans)
             os << "sosim_span_busy_seconds_total{span=\""
-               << promLabelEscape(path) << "\"} "
-               << static_cast<double>(
-                      node->totalNanos.load(std::memory_order_relaxed)) /
-                      1e9
+               << promLabelEscape(node->path) << "\"} "
+               << formatDouble(static_cast<double>(node->totalNanos.load(
+                                   std::memory_order_relaxed)) /
+                               1e9)
                << "\n";
     }
 }

@@ -55,6 +55,13 @@ bool fakeTimeActive();
  */
 std::string jsonEscape(const std::string &s);
 
+/**
+ * `v` in printf's "%.12g" form: the one number format of the metrics
+ * JSON, the Prometheus exposition and the flight journal.  Non-finite
+ * values print as printf's nan/inf; the JSON writers emit null instead.
+ */
+std::string formatDouble(double v);
+
 /** JSON dump of a snapshot plus a span tree. */
 void writeMetricsJson(std::ostream &os, const MetricsSnapshot &snapshot,
                       const SpanNode &span_root, const std::string &label,

@@ -100,7 +100,7 @@ class Counter
 
 /**
  * Last-write-wins instantaneous value (a level, a ratio, a temperature).
- * set() is a relaxed store; add() is a CAS loop (rare path).
+ * set() is a relaxed store.
  */
 class Gauge
 {
@@ -112,14 +112,6 @@ class Gauge
     void set(double v) noexcept
     {
         value_.store(v, std::memory_order_relaxed);
-    }
-
-    void add(double delta) noexcept
-    {
-        double cur = value_.load(std::memory_order_relaxed);
-        while (!value_.compare_exchange_weak(cur, cur + delta,
-                                             std::memory_order_relaxed)) {
-        }
     }
 
     double value() const noexcept

@@ -2,13 +2,6 @@
 
 namespace sosim::obs {
 
-namespace {
-
-/** Per-thread cursor: the span the next ScopedSpan nests under. */
-thread_local SpanNode *t_current = nullptr;
-
-} // namespace
-
 SpanTracer &
 SpanTracer::instance()
 {
@@ -28,20 +21,6 @@ SpanTracer::childOf(SpanNode *parent, const std::string &name)
     if (!slot)
         slot = std::make_unique<SpanNode>(name, p);
     return slot.get();
-}
-
-SpanNode *
-SpanTracer::current() const
-{
-    return t_current;
-}
-
-SpanNode *
-SpanTracer::setCurrent(SpanNode *node)
-{
-    SpanNode *prev = t_current;
-    t_current = node;
-    return prev;
 }
 
 void

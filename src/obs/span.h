@@ -11,13 +11,15 @@
  * follows the dynamic call structure, so the tree reads like a sampled
  * call graph of the pipeline (placement -> kmeans -> ...).
  *
- * Thread-pool propagation: util::parallelFor captures the submitting
- * thread's current span and adopts it inside every worker chunk (see
- * ScopedSpanAdopt), so spans opened on worker threads attach under the
- * span that submitted the work rather than under detached per-thread
- * roots.  Because several workers can be inside the same node at once,
- * a node's busy time is *aggregate thread time*, which can exceed wall
- * time — that is the signal (parallel speedup shows up as busy/wall).
+ * Thread-pool propagation: the current span is the `span` field of the
+ * per-thread obs::ThreadContext (obs/events.h).  util::parallelFor
+ * captures the submitting thread's context and adopts it inside every
+ * worker chunk (ScopedContextAdopt), so spans opened on worker threads
+ * attach under the span that submitted the work rather than under
+ * detached per-thread roots.  Because several workers can be inside the
+ * same node at once, a node's busy time is *aggregate thread time*,
+ * which can exceed wall time — that is the signal (parallel speedup
+ * shows up as busy/wall).
  *
  * Concurrency: node lookup/creation takes one tracer mutex (spans are
  * stage-grained, entered at most a few thousand times per run); the
@@ -32,17 +34,27 @@
 #include <mutex>
 #include <string>
 
-#include "obs/events.h" // recordSpanEvent (events.h never includes span.h)
+#include "obs/events.h" // ThreadContext; events.h never includes span.h
 
 namespace sosim::obs {
 
-/** One node of the span tree.  Never destroyed while the process runs. */
+/**
+ * One node of the span tree.  Nodes live until SpanTracer::reset(),
+ * which destroys every node below the root; journaled span events carry
+ * the node's path, never the node, so they outlive it.
+ */
 struct SpanNode {
-    SpanNode(std::string n, const SpanNode *p) : name(std::move(n)), parent(p)
+    SpanNode(std::string n, const SpanNode *p)
+        : name(std::move(n)), parent(p),
+          path(p == nullptr      ? std::string()
+               : p->path.empty() ? name
+                                 : p->path + "/" + name)
     {}
 
     std::string name;
     const SpanNode *parent = nullptr;
+    /** "a/b/c" from the top-level stage down ("" for the root). */
+    std::string path;
     /** Times this span was entered. */
     std::atomic<std::uint64_t> invocations{0};
     /** Accumulated busy nanoseconds (sums across concurrent threads). */
@@ -51,36 +63,18 @@ struct SpanNode {
     std::map<std::string, std::unique_ptr<SpanNode>> children;
 };
 
-/**
- * The process-wide span tree plus the per-thread "current span" cursor.
- */
+/** The process-wide span tree. */
 class SpanTracer
 {
   public:
     /** The process-wide tracer. */
     static SpanTracer &instance();
 
-    /** Runtime kill switch (one relaxed load on the span fast path). */
-    bool enabled() const
-    {
-        return enabled_.load(std::memory_order_relaxed);
-    }
-    void setEnabled(bool on)
-    {
-        enabled_.store(on, std::memory_order_relaxed);
-    }
-
     /**
      * Find or create `name` under `parent` (nullptr = tree root).
-     * Mutex-protected; the returned node lives for the process.
+     * Mutex-protected; the returned node lives until reset().
      */
     SpanNode *childOf(SpanNode *parent, const std::string &name);
-
-    /** The calling thread's current span (nullptr = at the root). */
-    SpanNode *current() const;
-
-    /** Replace the calling thread's current span; returns the old one. */
-    SpanNode *setCurrent(SpanNode *node);
 
     /** The synthetic root; its children are the top-level stages. */
     const SpanNode &root() const { return root_; }
@@ -96,15 +90,7 @@ class SpanTracer
 
     mutable std::mutex mutex_;
     SpanNode root_{"root", nullptr};
-    std::atomic<bool> enabled_{true};
 };
-
-/** The calling thread's current span (macro-friendly free function). */
-inline SpanNode *
-currentSpan()
-{
-    return SpanTracer::instance().current();
-}
 
 /**
  * RAII span: on construction becomes the thread's current span (as a
@@ -115,19 +101,15 @@ class ScopedSpan
 {
   public:
     explicit ScopedSpan(const std::string &name)
+        : prev_(threadContext().span),
+          node_(SpanTracer::instance().childOf(prev_, name)),
+          start_(std::chrono::steady_clock::now())
     {
-        SpanTracer &tracer = SpanTracer::instance();
-        if (!tracer.enabled())
-            return;
-        node_ = tracer.childOf(tracer.current(), name);
-        prev_ = tracer.setCurrent(node_);
-        start_ = std::chrono::steady_clock::now();
+        threadContext().span = node_;
     }
 
     ~ScopedSpan()
     {
-        if (!node_)
-            return;
         const auto elapsed = std::chrono::steady_clock::now() - start_;
         const auto nanos = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
@@ -137,39 +119,17 @@ class ScopedSpan
         // Journal the closed slice so the Chrome-trace export has a
         // timeline, not just aggregates (no-op while the recorder is
         // idle; spans are stage-grained, so this stays off hot paths).
-        recordSpanEvent(node_, start_, nanos);
-        SpanTracer::instance().setCurrent(prev_);
+        recordSpanEvent(node_->path, start_, nanos);
+        threadContext().span = prev_;
     }
 
     ScopedSpan(const ScopedSpan &) = delete;
     ScopedSpan &operator=(const ScopedSpan &) = delete;
 
   private:
-    SpanNode *node_ = nullptr;
-    SpanNode *prev_ = nullptr;
-    std::chrono::steady_clock::time_point start_{};
-};
-
-/**
- * Adopt another thread's span as this thread's current span for a
- * scope.  util::parallelFor wraps every worker chunk in one of these,
- * passing the submitting thread's current span, which is what attaches
- * worker-side spans under the submitting stage.
- */
-class ScopedSpanAdopt
-{
-  public:
-    explicit ScopedSpanAdopt(SpanNode *submitter)
-        : prev_(SpanTracer::instance().setCurrent(submitter))
-    {}
-
-    ~ScopedSpanAdopt() { SpanTracer::instance().setCurrent(prev_); }
-
-    ScopedSpanAdopt(const ScopedSpanAdopt &) = delete;
-    ScopedSpanAdopt &operator=(const ScopedSpanAdopt &) = delete;
-
-  private:
-    SpanNode *prev_ = nullptr;
+    SpanNode *prev_;
+    SpanNode *node_;
+    std::chrono::steady_clock::time_point start_;
 };
 
 } // namespace sosim::obs

@@ -13,25 +13,11 @@
 #include <type_traits>
 
 #include "obs/export.h"
-#include "obs/span.h"
 #include "util/parse.h"
 
 namespace sosim::obs {
 
 namespace {
-
-/** Finite doubles in shortest-ish form; NaN/Inf as null. */
-void
-writeDouble(std::ostream &os, double v)
-{
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.12g", v);
-    os << buf;
-}
 
 /** Nanoseconds as microseconds with exactly three decimals (exact —
  *  Chrome trace "ts"/"dur" are microseconds, and integer-splitting
@@ -43,23 +29,6 @@ writeMicros(std::ostream &os, std::uint64_t ns)
     std::snprintf(buf, sizeof buf, "%03u",
                   static_cast<unsigned>(ns % 1000));
     os << ns / 1000 << '.' << buf;
-}
-
-/** "a/b/c" path of a span node (walks parents; excludes the root). */
-std::string
-spanPath(const SpanNode *node)
-{
-    std::vector<const SpanNode *> chain;
-    for (const SpanNode *n = node; n != nullptr && n->parent != nullptr;
-         n = n->parent)
-        chain.push_back(n);
-    std::string path;
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-        if (!path.empty())
-            path += "/";
-        path += (*it)->name;
-    }
-    return path;
 }
 
 const char *
@@ -146,7 +115,8 @@ argsInner(const Event &e)
     };
     auto dbl = [&](const char *k, double v) {
         key(k);
-        writeDouble(os, v);
+        // JSON has no literals for NaN/Inf.
+        os << (std::isfinite(v) ? formatDouble(v) : "null");
     };
     auto str = [&](const char *k, const std::string &v) {
         key(k);
@@ -157,7 +127,7 @@ argsInner(const Event &e)
       case EventKind::None:
         break;
       case EventKind::Span:
-        str("span", spanPath(reinterpret_cast<const SpanNode *>(e.a)));
+        str("span", rec.labelOf(e.name));
         u64("dur_ns", e.b);
         break;
       case EventKind::Scope:
@@ -357,12 +327,6 @@ writeEventJournal(std::ostream &os, const std::vector<Event> &events,
 }
 
 void
-writeEventJournal(std::ostream &os, const std::string &label)
-{
-    writeEventJournal(os, EventRecorder::instance().collect(), label);
-}
-
-void
 writeChromeTrace(std::ostream &os, const std::vector<Event> &events,
                  const std::string &label)
 {
@@ -393,14 +357,16 @@ writeChromeTrace(std::ostream &os, const std::vector<Event> &events,
         sep();
         const std::string inner = argsInner(e);
         if (e.kind == EventKind::Span) {
-            const auto *node = reinterpret_cast<const SpanNode *>(e.a);
+            // The slice is named by the span's last path component (span
+            // names never contain '/').
+            const std::string path = rec.labelOf(e.name);
             os << "{\"ph\": \"X\", \"pid\": 0, \"tid\": " << e.thread
                << ", \"ts\": ";
             writeMicros(os, e.steadyNanos);
             os << ", \"dur\": ";
             writeMicros(os, e.b);
             os << ", \"name\": \""
-               << jsonEscape(node != nullptr ? node->name : "?")
+               << jsonEscape(path.substr(path.rfind('/') + 1))
                << "\", \"cat\": \"span\"";
         } else {
             os << "{\"ph\": \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": "
@@ -419,12 +385,6 @@ writeChromeTrace(std::ostream &os, const std::vector<Event> &events,
           "{\"label\": \""
        << jsonEscape(label) << "\", \"timestamp_utc\": \""
        << jsonEscape(stamp) << "\"}\n}\n";
-}
-
-void
-writeChromeTrace(std::ostream &os, const std::string &label)
-{
-    writeChromeTrace(os, EventRecorder::instance().collect(), label);
 }
 
 namespace {
@@ -927,8 +887,6 @@ scopeChain(const JournalEvent &e,
         std::string name;
         if (p.kind == "scope")
             name = arg(p, "label");
-        else if (p.kind == "span")
-            name = arg(p, "span");
         else if (p.kind == "graph_eval")
             name = "op '" + arg(p, "op") + "'";
         if (name.empty() || name == "op ''")

@@ -24,9 +24,9 @@
  *   - validateJson: a strict syntax check used by tests and the CLI to
  *     assert emitted documents actually parse.
  *
- * Span events store a live SpanNode pointer, so the two writers resolve
- * span paths in-process at write time; the journal/trace files are
- * self-contained afterwards.
+ * Span events carry their "a/b/c" span path as an interned label, like
+ * scope labels, so the writers never touch the span tree: a journal
+ * written after SpanTracer::reset() still names every span.
  */
 
 #include <cstdint>
@@ -48,15 +48,9 @@ const char *eventKindName(EventKind kind);
 void writeEventJournal(std::ostream &os, const std::vector<Event> &events,
                        const std::string &label);
 
-/** Convenience overload draining (without clearing) the recorder. */
-void writeEventJournal(std::ostream &os, const std::string &label);
-
 /** Write a Chrome-trace JSON document for an explicit snapshot. */
 void writeChromeTrace(std::ostream &os, const std::vector<Event> &events,
                       const std::string &label);
-
-/** Convenience overload draining (without clearing) the recorder. */
-void writeChromeTrace(std::ostream &os, const std::string &label);
 
 /**
  * Strict JSON syntax validation (objects, arrays, strings, numbers,

@@ -393,8 +393,7 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &body,
     // submitted the fan-out, not under detached per-thread roots — and
     // flight-recorder events emitted there chain to the submitting
     // thread's current causal scope the same way.
-    obs::SpanNode *submitting_span = obs::currentSpan();
-    const std::uint64_t submitting_scope = obs::currentEventScope();
+    const obs::ThreadContext submitting = obs::threadContext();
 #endif
     auto job = std::make_shared<Job>();
     job->totalChunks = lanes;
@@ -406,12 +405,11 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &body,
     job->chunkFn = [body_copy = body, errors, n, lanes
 #if SOSIM_OBS_ENABLED
                     ,
-                    submitting_span, submitting_scope
+                    submitting
 #endif
     ](std::size_t chunk) {
 #if SOSIM_OBS_ENABLED
-        obs::ScopedSpanAdopt adopt(submitting_span);
-        obs::ScopedEventParentAdopt adopt_scope(submitting_scope);
+        obs::ScopedContextAdopt adopt(submitting);
 #endif
         const std::size_t lo = chunk * n / lanes;
         const std::size_t hi = (chunk + 1) * n / lanes;

@@ -103,8 +103,10 @@ void setPoolWatchdogMillis(std::size_t ms);
  *
  * Observability: pool fan-outs record job/chunk counters and per-lane
  * busy time under the "pool.*" metrics, and the submitting thread's
- * current span is adopted inside every worker chunk so SOSIM_SPANs
- * opened by the body attach under the submitting stage (obs/span.h).
+ * obs::ThreadContext (current span and causal scope) is adopted inside
+ * every worker chunk through obs::ScopedContextAdopt, so SOSIM_SPANs
+ * and flight-recorder events emitted by the body attach under the
+ * submitting stage (obs/events.h).
  *
  * @param n         Iteration count.
  * @param body      Callback; must be safe to invoke concurrently for

@@ -60,8 +60,7 @@ TEST(Recorder, DisabledStoresNothing)
 {
     RecorderGuard guard;
     auto &rec = obs::EventRecorder::instance();
-    rec.record({.kind = obs::EventKind::FaultRepair, .a = 1});
-    EXPECT_EQ(rec.recordScope({.kind = obs::EventKind::Scope}), 0u);
+    EXPECT_EQ(rec.record({.kind = obs::EventKind::FaultRepair, .a = 1}), 0u);
     EXPECT_EQ(rec.recorded(), 0u);
     EXPECT_TRUE(rec.collect().empty());
 }
@@ -190,21 +189,21 @@ TEST(Scopes, EventsChainToEnclosingScopeAndRestore)
     RecorderGuard guard;
     auto &rec = obs::EventRecorder::instance();
     rec.setEnabled(true);
-    EXPECT_EQ(obs::currentEventScope(), 0u);
+    EXPECT_EQ(obs::threadContext().scope, 0u);
     {
         SOSIM_EVENT_SCOPE(.kind = obs::EventKind::Scope,
                           .label = "outer");
-        const std::uint64_t outer = obs::currentEventScope();
+        const std::uint64_t outer = obs::threadContext().scope;
         EXPECT_NE(outer, 0u);
         {
             SOSIM_EVENT_SCOPE(.kind = obs::EventKind::Scope,
                               .label = "inner");
-            EXPECT_NE(obs::currentEventScope(), outer);
+            EXPECT_NE(obs::threadContext().scope, outer);
             SOSIM_EVENT(.kind = obs::EventKind::SwapReject, .a = 5);
         }
-        EXPECT_EQ(obs::currentEventScope(), outer);
+        EXPECT_EQ(obs::threadContext().scope, outer);
     }
-    EXPECT_EQ(obs::currentEventScope(), 0u);
+    EXPECT_EQ(obs::threadContext().scope, 0u);
     rec.setEnabled(false);
 
     const auto events = rec.collect();
@@ -227,7 +226,7 @@ TEST(Scopes, ParallelForPropagatesTheSubmittingScope)
         ScopedThreads threads(4);
         SOSIM_EVENT_SCOPE(.kind = obs::EventKind::Scope,
                           .label = "fanout");
-        scope_seq = obs::currentEventScope();
+        scope_seq = obs::threadContext().scope;
         util::parallelFor(64, [](std::size_t i) {
             SOSIM_EVENT(.kind = obs::EventKind::FaultRepair, .a = i);
         });
@@ -338,6 +337,32 @@ TEST(Journal, WriteReadRoundTrip)
     EXPECT_EQ(parsed[1].args.at("week"), "2");
     EXPECT_EQ(parsed[1].args.at("degraded"), "1");
     EXPECT_EQ(parsed[1].args.at("action_name"), "remeasure");
+}
+
+TEST(Journal, SpanEventsSurviveSpanTreeReset)
+{
+    RecorderGuard guard;
+    auto &tracer = obs::SpanTracer::instance();
+    tracer.reset();
+    auto &rec = obs::EventRecorder::instance();
+    rec.setEnabled(true);
+    {
+        obs::ScopedSpan span("stage.a");
+    }
+    rec.setEnabled(false);
+    const auto events = rec.collect();
+    // Destroys the span node: the writers must not need it.
+    tracer.reset();
+
+    std::ostringstream journal;
+    obs::writeEventJournal(journal, events, "unit");
+    EXPECT_NE(journal.str().find(R"("span": "stage.a")"), std::string::npos)
+        << journal.str();
+    std::ostringstream trace;
+    obs::writeChromeTrace(trace, events, "unit");
+    EXPECT_NE(trace.str().find(R"("name": "stage.a", "cat": "span")"),
+              std::string::npos)
+        << trace.str();
 }
 
 TEST(Journal, RejectsMalformedLines)
