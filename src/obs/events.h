@@ -84,7 +84,8 @@ enum class EventKind : std::uint8_t {
     GraphEval,
     /** A graph op served from cache (a = node signature). */
     GraphCacheHit,
-    /** Serve ingest rejected a sample (code = serve::IngestStatus). */
+    /** Serve ingest rejected a sample (code = serve::IngestStatus,
+     *  label = serve::ingestStatusName). */
     IngestReject,
     /** One serve epoch processed (a = epoch, c = action). */
     EpochCommit,

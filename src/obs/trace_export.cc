@@ -67,28 +67,6 @@ faultCodeName(std::uint32_t code)
     return "unknown";
 }
 
-/** Reason name of an IngestReject event's code — mirrors the values of
- *  serve::IngestStatus (obs must not depend on the serve layer). */
-const char *
-ingestRejectName(std::uint32_t code)
-{
-    switch (code) {
-      case 2:
-        return "stale";
-      case 3:
-        return "future";
-      case 4:
-        return "duplicate";
-      case 5:
-        return "nonfinite";
-      case 6:
-        return "negative";
-      case 7:
-        return "unknown_instance";
-    }
-    return "unknown";
-}
-
 /**
  * The kind-specific payload of one event as `"key": value` JSON object
  * members (no surrounding braces) — shared by the journal writer and
@@ -230,7 +208,7 @@ argsInner(const Event &e)
         u64("sig", e.a);
         break;
       case EventKind::IngestReject:
-        str("reason", ingestRejectName(e.code));
+        str("reason", rec.labelOf(e.name));
         u64("instance", e.a);
         u64("tick", e.b);
         dbl("watts", e.x);

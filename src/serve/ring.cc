@@ -1,5 +1,6 @@
 #include "ring.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -11,6 +12,26 @@ namespace sosim::serve {
 namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/** slotFillTicks() value of an empty slot. */
+constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+/**
+ * The one tick in (frontier - window, frontier] that slot `s` can hold,
+ * or kEmpty when that tick would precede the stream's tick 0.
+ */
+std::uint64_t
+slotTick(std::uint64_t frontier, std::size_t window, std::size_t s)
+{
+    const std::uint64_t back = (frontier % window + window - s) % window;
+    return back <= frontier ? frontier - back : kEmpty;
+}
+
+constexpr std::size_t
+countIndex(IngestStatus s)
+{
+    return static_cast<std::size_t>(s);
+}
 
 } // namespace
 
@@ -41,56 +62,20 @@ ingestStatusName(IngestStatus s)
 StreamRing::StreamRing(std::size_t instances, std::size_t window,
                        int interval_minutes)
     : instances_(instances), window_(window),
-      intervalMinutes_(interval_minutes),
-      arena_(instances, window, interval_minutes),
-      filledTick_(instances * window, kEmpty), state_(instances)
+      intervalMinutes_(interval_minutes), slots_(instances * window, kNaN)
 {
     SOSIM_REQUIRE(instances > 0, "StreamRing: need at least one instance");
     SOSIM_REQUIRE(window > 0, "StreamRing: window must be >= 1 tick");
-    for (std::size_t i = 0; i < instances_; ++i) {
-        const trace::TraceId id = arena_.addZeros();
-        double *row = arena_.mutableRow(id);
-        for (std::size_t s = 0; s < window_; ++s)
-            row[s] = kNaN;
-    }
-}
-
-double
-StreamRing::slot(std::size_t instance, std::size_t s) const
-{
-    return arena_.row(instance)[s];
 }
 
 IngestStatus
 StreamRing::reject(const Sample &s, IngestStatus reason)
 {
-    counts_[static_cast<std::size_t>(reason)].fetch_add(
-        1, std::memory_order_relaxed);
-    switch (reason) {
-      case IngestStatus::RejectedStale:
-        SOSIM_COUNT("serve.ingest.rejected_stale");
-        break;
-      case IngestStatus::RejectedFuture:
-        SOSIM_COUNT("serve.ingest.rejected_future");
-        break;
-      case IngestStatus::RejectedDuplicate:
-        SOSIM_COUNT("serve.ingest.rejected_duplicate");
-        break;
-      case IngestStatus::RejectedNonFinite:
-        SOSIM_COUNT("serve.ingest.rejected_nonfinite");
-        break;
-      case IngestStatus::RejectedNegative:
-        SOSIM_COUNT("serve.ingest.rejected_negative");
-        break;
-      case IngestStatus::RejectedUnknownInstance:
-        SOSIM_COUNT("serve.ingest.rejected_unknown_instance");
-        break;
-      default:
-        break;
-    }
+    counts_[countIndex(reason)].fetch_add(1, std::memory_order_relaxed);
     SOSIM_EVENT(.kind = obs::EventKind::IngestReject,
                 .code = static_cast<std::uint32_t>(reason),
-                .a = s.instance, .b = s.tick,
+                .label = ingestStatusName(reason), .a = s.instance,
+                .b = s.tick,
                 .x = std::isfinite(s.watts) ? s.watts : 0.0);
     {
         std::lock_guard<std::mutex> lock(quarantineMutex_);
@@ -115,129 +100,51 @@ StreamRing::ingest(const Sample &s)
     if (s.tick + window_ <= frontier_)
         return reject(s, IngestStatus::RejectedStale);
 
-    const std::size_t slot_index = s.tick % window_;
-    std::uint64_t &fill =
-        filledTick_[s.instance * window_ + slot_index];
     // An occupied slot inside the window can only hold this same tick
-    // (the eviction in advanceTo clears departing ticks), so occupied
-    // means duplicate.
-    if (fill != kEmpty)
+    // (advanceTo clears departing ticks), so occupied means duplicate.
+    double &slot = slots_[s.instance * window_ + s.tick % window_];
+    if (!std::isnan(slot))
         return reject(s, IngestStatus::RejectedDuplicate);
-
-    fill = s.tick;
-    arena_.mutableRow(s.instance)[slot_index] = s.watts;
-
-    InstanceState &st = state_[s.instance];
-    st.stats.sum += s.watts;
-    st.stats.validCount += 1;
-    const bool late = s.tick < frontier_;
-    if (late) {
-        // A behind-the-frontier fill cannot enter the monotonic deque
-        // without breaking its tick ordering; mark the row for a one-off
-        // rescan instead.
-        st.dirty = true;
-        counts_[static_cast<std::size_t>(IngestStatus::AcceptedLate)]
-            .fetch_add(1, std::memory_order_relaxed);
-        SOSIM_COUNT("serve.ingest.accepted");
-        SOSIM_COUNT("serve.ingest.late");
-        return IngestStatus::AcceptedLate;
-    }
-    while (!st.peaks.empty() && st.peaks.back().value <= s.watts)
-        st.peaks.pop_back();
-    st.peaks.push_back(PeakEntry{s.tick, s.watts});
-    if (!st.dirty)
-        st.stats.peak = st.peaks.front().value;
-    counts_[static_cast<std::size_t>(IngestStatus::Accepted)].fetch_add(
-        1, std::memory_order_relaxed);
-    SOSIM_COUNT("serve.ingest.accepted");
-    return IngestStatus::Accepted;
+    slot = s.watts;
+    const IngestStatus status = s.tick < frontier_
+                                    ? IngestStatus::AcceptedLate
+                                    : IngestStatus::Accepted;
+    counts_[countIndex(status)].fetch_add(1, std::memory_order_relaxed);
+    return status;
 }
 
 void
 StreamRing::advanceTo(std::uint64_t tick)
 {
     while (frontier_ < tick) {
-        const std::uint64_t next = frontier_ + 1;
+        // The tick entering the window evicts the one whose slot it
+        // reuses.
+        ++frontier_;
         const std::size_t slot_index =
-            static_cast<std::size_t>(next % window_);
-        for (std::size_t i = 0; i < instances_; ++i) {
-            std::uint64_t &fill = filledTick_[i * window_ + slot_index];
-            InstanceState &st = state_[i];
-            if (fill != kEmpty) {
-                const double old = slot(i, slot_index);
-                st.stats.sum -= old;
-                st.stats.validCount -= 1;
-                fill = kEmpty;
-                arena_.mutableRow(i)[slot_index] = kNaN;
-            }
-            // Entries whose tick just left the window sit at the deque
-            // front (ticks enter in increasing order).
-            while (!st.peaks.empty() &&
-                   st.peaks.front().tick + window_ <= next)
-                st.peaks.pop_front();
-            if (!st.dirty)
-                st.stats.peak =
-                    st.peaks.empty() ? 0.0 : st.peaks.front().value;
-        }
-        frontier_ = next;
+            static_cast<std::size_t>(frontier_ % window_);
+        for (std::size_t i = 0; i < instances_; ++i)
+            slots_[i * window_ + slot_index] = kNaN;
     }
     SOSIM_GAUGE_SET("serve.ring.frontier", double(frontier_));
-}
-
-void
-StreamRing::rescanRow(std::size_t instance) const
-{
-    InstanceState &st = state_[instance];
-    st.stats = RunningWindowStats{};
-    st.peaks.clear();
-    const std::uint64_t first =
-        frontier_ + 1 >= window_ ? frontier_ + 1 - window_ : 0;
-    for (std::uint64_t t = first; t <= frontier_; ++t) {
-        const std::size_t slot_index =
-            static_cast<std::size_t>(t % window_);
-        if (filledTick_[instance * window_ + slot_index] == kEmpty)
-            continue;
-        const double v = slot(instance, slot_index);
-        st.stats.sum += v;
-        st.stats.validCount += 1;
-        while (!st.peaks.empty() && st.peaks.back().value <= v)
-            st.peaks.pop_back();
-        st.peaks.push_back(PeakEntry{t, v});
-    }
-    st.stats.peak = st.peaks.empty() ? 0.0 : st.peaks.front().value;
-    st.dirty = false;
-    SOSIM_COUNT("serve.ring.rescans");
-}
-
-const RunningWindowStats &
-StreamRing::stats(std::size_t instance) const
-{
-    SOSIM_REQUIRE(instance < instances_,
-                  "StreamRing::stats: instance out of range");
-    InstanceState &st = state_[instance];
-    if (st.dirty)
-        rescanRow(instance);
-    return st.stats;
 }
 
 std::vector<trace::TimeSeries>
 StreamRing::snapshotWindow() const
 {
+    // Oldest-first: sample j covers tick frontier + 1 - window + j,
+    // whose slot is (frontier + 1 + j) % window.  Ticks before the
+    // stream began map to slots past the frontier, which no sample can
+    // have filled, so they stay NaN.
+    const auto start =
+        static_cast<std::ptrdiff_t>((frontier_ + 1) % window_);
+    const auto width = static_cast<std::ptrdiff_t>(window_);
     std::vector<trace::TimeSeries> out;
     out.reserve(instances_);
     for (std::size_t i = 0; i < instances_; ++i) {
-        std::vector<double> samples(window_, kNaN);
-        for (std::size_t j = 0; j < window_; ++j) {
-            // Oldest-first: sample j covers tick frontier + 1 - window
-            // + j; ticks before the stream began stay NaN.
-            if (frontier_ + 1 + j < window_)
-                continue;
-            const std::uint64_t t = frontier_ + 1 + j - window_;
-            const std::size_t slot_index =
-                static_cast<std::size_t>(t % window_);
-            if (filledTick_[i * window_ + slot_index] != kEmpty)
-                samples[j] = slot(i, slot_index);
-        }
+        const auto row =
+            slots_.begin() + static_cast<std::ptrdiff_t>(i * window_);
+        std::vector<double> samples(window_);
+        std::rotate_copy(row, row + start, row + width, samples.begin());
         out.emplace_back(std::move(samples), intervalMinutes_);
     }
     return out;
@@ -254,17 +161,16 @@ StreamRing::quarantined() const
 std::uint64_t
 StreamRing::acceptedCount() const
 {
-    return counts_[static_cast<std::size_t>(IngestStatus::Accepted)]
-               .load(std::memory_order_relaxed) +
-           counts_[static_cast<std::size_t>(IngestStatus::AcceptedLate)]
-               .load(std::memory_order_relaxed);
+    return counts_[countIndex(IngestStatus::Accepted)].load(
+               std::memory_order_relaxed) +
+           lateCount();
 }
 
 std::uint64_t
 StreamRing::lateCount() const
 {
-    return counts_[static_cast<std::size_t>(IngestStatus::AcceptedLate)]
-        .load(std::memory_order_relaxed);
+    return counts_[countIndex(IngestStatus::AcceptedLate)].load(
+        std::memory_order_relaxed);
 }
 
 std::uint64_t
@@ -272,8 +178,7 @@ StreamRing::rejectedCount(IngestStatus reason) const
 {
     SOSIM_REQUIRE(!ingestAccepted(reason),
                   "StreamRing::rejectedCount: not a rejection reason");
-    return counts_[static_cast<std::size_t>(reason)].load(
-        std::memory_order_relaxed);
+    return counts_[countIndex(reason)].load(std::memory_order_relaxed);
 }
 
 std::uint64_t
@@ -285,20 +190,42 @@ StreamRing::rejectedTotal() const
     return total;
 }
 
-std::vector<double>
-StreamRing::slotValues() const
+void
+StreamRing::publishCounters()
 {
-    std::vector<double> out(instances_ * window_);
-    for (std::size_t i = 0; i < instances_; ++i)
-        for (std::size_t s = 0; s < window_; ++s)
-            out[i * window_ + s] = slot(i, s);
-    return out;
+    std::array<std::uint64_t, 8> now{};
+    for (std::size_t c = 0; c < counts_.size(); ++c)
+        now[c] = counts_[c].load(std::memory_order_relaxed);
+#if SOSIM_OBS_ENABLED
+    // Dynamic names — the SOSIM_COUNT static-reference cache would pin
+    // the first name seen, so go through the registry directly.
+    const auto publish = [](const std::string &name, std::uint64_t grew) {
+        if (grew != 0)
+            obs::registry().counter("serve.ingest." + name).add(grew);
+    };
+    const auto grew = [&](IngestStatus s) {
+        return now[countIndex(s)] - published_[countIndex(s)];
+    };
+    publish("accepted", grew(IngestStatus::Accepted) +
+                            grew(IngestStatus::AcceptedLate));
+    publish("late", grew(IngestStatus::AcceptedLate));
+    for (std::size_t r = countIndex(IngestStatus::RejectedStale);
+         r < counts_.size(); ++r) {
+        const auto reason = static_cast<IngestStatus>(r);
+        publish(ingestStatusName(reason), grew(reason));
+    }
+#endif
+    published_ = now;
 }
 
 std::vector<std::uint64_t>
 StreamRing::slotFillTicks() const
 {
-    return filledTick_;
+    std::vector<std::uint64_t> out(slots_.size(), kEmpty);
+    for (std::size_t k = 0; k < slots_.size(); ++k)
+        if (!std::isnan(slots_[k]))
+            out[k] = slotTick(frontier_, window_, k % window_);
+    return out;
 }
 
 std::vector<std::uint64_t>
@@ -310,34 +237,38 @@ StreamRing::counterValues() const
     return out;
 }
 
-void
+bool
 StreamRing::restoreState(std::uint64_t frontier,
                          const std::vector<double> &slot_values,
                          const std::vector<std::uint64_t> &slot_fill_ticks,
                          const std::vector<std::uint64_t> &counters)
 {
-    SOSIM_REQUIRE(slot_values.size() == instances_ * window_ &&
-                      slot_fill_ticks.size() == instances_ * window_ &&
-                      counters.size() == counts_.size(),
-                  "StreamRing::restoreState: payload shape mismatch");
-    frontier_ = frontier;
-    filledTick_ = slot_fill_ticks;
-    for (std::size_t i = 0; i < instances_; ++i) {
-        double *row = arena_.mutableRow(i);
-        for (std::size_t s = 0; s < window_; ++s)
-            row[s] = slot_values[i * window_ + s];
+    if (slot_values.size() != slots_.size() ||
+        slot_fill_ticks.size() != slots_.size() ||
+        counters.size() != counts_.size())
+        return false;
+    for (std::size_t k = 0; k < slots_.size(); ++k) {
+        const double v = slot_values[k];
+        const std::uint64_t tick = slotTick(frontier, window_, k % window_);
+        const bool consistent =
+            std::isnan(v) ? slot_fill_ticks[k] == kEmpty
+                          : std::isfinite(v) && v >= 0.0 &&
+                                tick != kEmpty && slot_fill_ticks[k] == tick;
+        if (!consistent)
+            return false;
     }
-    for (std::size_t c = 0; c < counts_.size(); ++c)
+
+    frontier_ = frontier;
+    slots_ = slot_values;
+    for (std::size_t c = 0; c < counts_.size(); ++c) {
         counts_[c].store(counters[c], std::memory_order_relaxed);
-    // Rebuild the incremental state from the restored slots so a
-    // restored ring is indistinguishable from one that streamed the
-    // same samples.
-    for (std::size_t i = 0; i < instances_; ++i)
-        rescanRow(i);
+        published_[c] = counters[c];
+    }
     {
         std::lock_guard<std::mutex> lock(quarantineMutex_);
         quarantine_.clear();
     }
+    return true;
 }
 
 } // namespace sosim::serve

@@ -7,35 +7,35 @@
  *
  * Batch mode loads a whole week of traces at once; a serving system sees
  * one sample per instance per interval, arriving late, duplicated, or
- * not at all.  StreamRing turns the PR5 TraceArena into a ring buffer
- * over the most recent `window` ticks: slot = tick % window, so the
- * arena never reallocates and a snapshot of the trailing window is one
- * pass over the rows.
+ * not at all.  StreamRing keeps the most recent `window` ticks of every
+ * instance in one flat slot array, laid out [instance][tick % window],
+ * so it never reallocates and a snapshot of the trailing window is one
+ * rotated copy per row.
+ *
+ * One record per fact: a slot holds NaN when no sample filled it.
+ * ingest() rejects non-finite watts, so a stored sample is never NaN
+ * and a non-NaN slot inside the window means a duplicate.  advanceTo()
+ * writes NaN into each slot that leaves the window.
  *
  * Robustness contract (DESIGN.md section 14): ingest() never aborts.
  * Every sample is classified — accepted (on the frontier or late but
  * inside the window) or rejected with a reason (stale, future,
  * duplicate, non-finite, negative, unknown instance) — and rejects are
- * counted under "serve.ingest.rejected_*" plus kept in a small
- * quarantine ring for inspection.  A silent sensor simply leaves NaN
- * slots behind, which the epoch snapshot hands to the monitor's
- * degraded-data path (trace/repair.h) exactly like the batch pipeline.
- *
- * Incremental stats: per-instance running window sum / valid count are
- * maintained O(1) on every fill and eviction, and the window peak rides
- * a monotonic deque fed by frontier-order fills.  A late (in-window,
- * behind-the-frontier) fill cannot enter the deque without breaking its
- * order invariant, so it sets a dirty flag instead and the next stats()
- * call rescans just that one row — the common streaming path never
- * rescans anything.
+ * kept in a small quarantine ring for inspection.  The classification
+ * counts are the only ingest counters; publishCounters() adds their
+ * growth to the "serve.ingest.*" registry counters.  A silent sensor
+ * simply leaves NaN slots behind, which the epoch snapshot hands to the
+ * monitor's degraded-data path (trace/repair.h) exactly like the batch
+ * pipeline.
  *
  * Threading: concurrent ingest() calls are safe for *distinct*
- * instances (each sample touches only its instance's row, slots and
- * stats; classification counters are atomic and the quarantine ring is
+ * instances (each sample touches only its instance's slots;
+ * classification counters are atomic and the quarantine ring is
  * mutex-guarded) — the chaos soak fans one tick's fleet out over
  * parallelFor workers.  Concurrent samples for the *same* instance,
- * advanceTo(), stats() and snapshotWindow() must be serialized by the
- * caller, which the epoch-driven serve loop does naturally.
+ * advanceTo(), snapshotWindow(), publishCounters() and restoreState()
+ * must be serialized by the caller, which the epoch-driven serve loop
+ * does naturally.
  */
 
 #include <array>
@@ -47,7 +47,6 @@
 #include <string>
 #include <vector>
 
-#include "trace/arena.h"
 #include "trace/time_series.h"
 
 namespace sosim::serve {
@@ -98,26 +97,9 @@ struct QuarantinedSample {
     IngestStatus reason = IngestStatus::RejectedStale;
 };
 
-/** Incrementally-maintained summary of one instance's current window. */
-struct RunningWindowStats {
-    /** Sum of the finite samples in the window. */
-    double sum = 0.0;
-    /** Largest finite sample in the window (0.0 when none). */
-    double peak = 0.0;
-    /** Finite samples currently in the window. */
-    std::size_t validCount = 0;
-
-    /** Mean of the finite samples (0.0 when none). */
-    double mean() const
-    {
-        return validCount == 0 ? 0.0 : sum / double(validCount);
-    }
-};
-
 /**
  * A fixed-fleet ring buffer over the trailing `window` ticks of every
- * instance's telemetry, with per-sample validation and incremental
- * per-instance window stats.
+ * instance's telemetry, with per-sample validation.
  */
 class StreamRing
 {
@@ -153,18 +135,10 @@ class StreamRing
 
     /**
      * Advance the frontier to `tick` (no-op when not ahead).  Each tick
-     * stepped over evicts the slot that leaves the window — its old
-     * contribution is removed from the running stats and the slot
+     * stepped over evicts the slot that leaves the window: the slot
      * becomes an empty NaN awaiting that future tick's sample.
      */
     void advanceTo(std::uint64_t tick);
-
-    /**
-     * Incremental stats of one instance's current window; equal to a
-     * full rescan of the row, resolved O(1) unless a late fill dirtied
-     * the row since the last call (then one O(window) rescan).
-     */
-    const RunningWindowStats &stats(std::size_t instance) const;
 
     /**
      * Materialize the completed window [frontier - window, frontier) of
@@ -191,58 +165,49 @@ class StreamRing
     std::uint64_t rejectedTotal() const;
 
     /**
+     * Add each classification count's growth since the last call (or
+     * restore) to the registry counters "serve.ingest.accepted"
+     * (frontier + late), "serve.ingest.late" and
+     * "serve.ingest.<ingestStatusName>" for each rejection.  Only
+     * counters that grew are touched.
+     */
+    void publishCounters();
+
+    /**
      * Serialization surface for serve checkpoints: raw slot values and
      * the per-slot fill ticks, row-major [instance][slot], plus the
-     * counters.  restoreState() is the exact inverse; the running stats
-     * are rebuilt from the restored slots, so a restored ring is
-     * indistinguishable from one that streamed the same samples.
+     * counters.  A fill tick is derived: the one tick in
+     * (frontier - window, frontier] congruent to the slot for a filled
+     * slot, ~0 for an empty one.  restoreState() is the exact inverse.
+     * It returns false and leaves the ring untouched when the payload
+     * is mis-sized or a fill tick disagrees with its slot (filled <=>
+     * finite, >= 0 and at the derived tick).  Restoring sets the
+     * published baseline to the restored counts, so registry totals
+     * stay per-process.
      */
-    std::vector<double> slotValues() const;
+    const std::vector<double> &slotValues() const { return slots_; }
     std::vector<std::uint64_t> slotFillTicks() const;
     std::vector<std::uint64_t> counterValues() const;
-    void restoreState(std::uint64_t frontier,
+    bool restoreState(std::uint64_t frontier,
                       const std::vector<double> &slot_values,
                       const std::vector<std::uint64_t> &slot_fill_ticks,
                       const std::vector<std::uint64_t> &counters);
 
   private:
-    /** filledTick_ sentinel: the slot holds no sample. */
-    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-
-    /** One (tick, value) entry of a peak deque. */
-    struct PeakEntry {
-        std::uint64_t tick;
-        double value;
-    };
-
-    /** Mutable per-instance incremental state. */
-    struct InstanceState {
-        RunningWindowStats stats;
-        /** Monotonic (value-decreasing, tick-increasing) max deque fed
-         *  by frontier-order fills; invalid while dirty. */
-        std::deque<PeakEntry> peaks;
-        /** A late fill bypassed the deque; rescan before reading. */
-        bool dirty = false;
-    };
-
-    double slot(std::size_t instance, std::size_t s) const;
-    void rescanRow(std::size_t instance) const;
     IngestStatus reject(const Sample &s, IngestStatus reason);
 
     std::size_t instances_ = 0;
     std::size_t window_ = 0;
     int intervalMinutes_ = 1;
     std::uint64_t frontier_ = 0;
-    /** Row i = instance i's window; slot = tick % window. */
-    trace::TraceArena arena_;
-    /** Tick each slot currently holds (kEmpty = no sample). */
-    std::vector<std::uint64_t> filledTick_;
-    /** Lazily-corrected incremental stats (mutable: stats() is const). */
-    mutable std::vector<InstanceState> state_;
+    /** [instance][tick % window]; NaN = no sample. */
+    std::vector<double> slots_;
     mutable std::mutex quarantineMutex_;
     std::deque<QuarantinedSample> quarantine_;
     /** Classification counts indexed by IngestStatus value. */
     std::array<std::atomic<std::uint64_t>, 8> counts_{};
+    /** counts_ as of the last publishCounters() or restoreState(). */
+    std::array<std::uint64_t, 8> published_{};
 };
 
 } // namespace sosim::serve

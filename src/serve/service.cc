@@ -77,6 +77,7 @@ Service::advanceTo(std::uint64_t tick)
 std::vector<EpochResult>
 Service::processReadyEpochs()
 {
+    ring_.publishCounters();
     std::vector<EpochResult> results;
     while (!queue_.empty()) {
         EpochSnapshot snap = std::move(queue_.front());
@@ -227,10 +228,13 @@ Service::restoreLatest()
         !r.u64(queue_count))
         return false;
     const std::size_t cells = ring_.instances() * ring_.window();
-    if (slots.size() != cells || fills.size() != cells ||
-        assign.size() != serviceOf_.size() ||
+    if (assign.size() != serviceOf_.size() ||
         queue_count > config_.maxEpochQueue)
         return false;
+    for (const std::uint64_t node : assign)
+        if (node >= tree_.nodeCount() ||
+            tree_.node(node).level != power::Level::Rack)
+            return false;
     std::deque<EpochSnapshot> queue;
     for (std::uint64_t i = 0; i < queue_count; ++i) {
         EpochSnapshot snap;
@@ -251,10 +255,12 @@ Service::restoreLatest()
         }
         queue.push_back(std::move(snap));
     }
-    if (!r.exhausted())
+    // The ring validates its own fields; it is the first thing
+    // restored, so a refusal still leaves the service untouched.
+    if (!r.exhausted() ||
+        !ring_.restoreState(frontier, slots, fills, counters))
         return false;
 
-    ring_.restoreState(frontier, slots, fills, counters);
     for (std::size_t i = 0; i < assign.size(); ++i)
         assignment_[i] = static_cast<power::NodeId>(assign[i]);
     core::FragmentationMonitor::BaselineState baseline;

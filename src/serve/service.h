@@ -20,7 +20,9 @@
  * pending snapshot is shed (freshest data wins) and counted under
  * "serve.epoch.shed" — ingest never blocks and never aborts.
  *
- * processReadyEpochs drains the queue: each snapshot is measured with
+ * processReadyEpochs first publishes the ring's ingest counts to the
+ * "serve.ingest.*" registry counters (StreamRing::publishCounters), then
+ * drains the queue: each snapshot is measured with
  * core::measureWeek (whose degraded-data path handles the NaNs exactly
  * like the batch pipeline), judged by the FragmentationMonitor, and the
  * recommended action is executed — Remap refines the live assignment on
@@ -36,7 +38,10 @@
  * digest, counters) after every processed epoch (serve/checkpoint.h);
  * restoreLatest() rewinds a fresh service to the last committed epoch,
  * after which the driver replays the deterministic feed from
- * ring().frontier() + 1.
+ * ring().frontier() + 1.  A payload whose fields disagree with each
+ * other or with the tree (mis-sized vectors, fill ticks that do not
+ * match their slots, assignment entries that are not racks) is refused
+ * before anything is mutated.
  */
 
 #include <cstddef>
@@ -123,8 +128,8 @@ class Service
      */
     void advanceTo(std::uint64_t tick);
 
-    /** Drain the pending epoch queue; returns the processed results in
-     *  epoch order. */
+    /** Publish the ring's ingest counts, then drain the pending epoch
+     *  queue; returns the processed results in epoch order. */
     std::vector<EpochResult> processReadyEpochs();
 
     const StreamRing &ring() const { return ring_; }
@@ -148,8 +153,8 @@ class Service
     /**
      * Rewind to the newest valid checkpoint in config().checkpointDir.
      * Returns false (leaving the service untouched) when no usable
-     * checkpoint exists; on success the driver must replay the feed
-     * from ring().frontier() + 1.
+     * checkpoint exists or its payload is malformed; on success the
+     * driver must replay the feed from ring().frontier() + 1.
      */
     bool restoreLatest();
 

@@ -23,6 +23,7 @@
 #include "obs/export.h"
 #include "obs/obs.h"
 #include "obs/trace_export.h"
+#include "serve/ring.h"
 #include "util/parallel.h"
 #include "workload/dc_presets.h"
 
@@ -364,6 +365,27 @@ TEST(Journal, SpanEventsSurviveSpanTreeReset)
               std::string::npos)
         << trace.str();
 }
+
+#if SOSIM_OBS_ENABLED
+
+TEST(Journal, IngestRejectReasonIsTheStatusName)
+{
+    RecorderGuard guard;
+    serve::StreamRing ring(1, 2, 60);
+    ring.advanceTo(5);
+    auto &rec = obs::EventRecorder::instance();
+    rec.setEnabled(true);
+    EXPECT_EQ(ring.ingest({1, 0, 1.0}), serve::IngestStatus::RejectedStale);
+    rec.setEnabled(false);
+
+    std::ostringstream journal;
+    obs::writeEventJournal(journal, rec.collect(), "unit");
+    EXPECT_NE(journal.str().find(R"("reason": "rejected_stale")"),
+              std::string::npos)
+        << journal.str();
+}
+
+#endif // SOSIM_OBS_ENABLED
 
 TEST(Journal, RejectsMalformedLines)
 {

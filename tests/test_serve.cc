@@ -1,17 +1,23 @@
 /**
  * @file
  * Tests for the serve layer (DESIGN.md section 14): StreamRing ingest
- * classification and incremental window stats, epoch snapshots and
- * backpressure, checkpoint files, and the kill/restore replay-equality
- * contract of serve::Service.
+ * classification and window snapshots, epoch snapshots and
+ * backpressure, checkpoint files and payload validation, registry
+ * counter publication, and the kill/restore replay-equality contract of
+ * serve::Service.
  */
 
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,7 +26,9 @@
 #include "serve/checkpoint.h"
 #include "serve/ring.h"
 #include "serve/service.h"
+#include "obs/obs.h"
 #include "power/power_tree.h"
+#include "util/hash.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -51,23 +59,32 @@ freshDir(const std::string &name)
     return path;
 }
 
-/** Naive recompute of one instance's window stats from a snapshot row. */
-serve::RunningWindowStats
-naiveStats(const trace::TimeSeries &row)
+/** Bitwise equality, so NaN == NaN and 0.0 != -0.0. */
+bool
+sameBits(double a, double b)
 {
-    serve::RunningWindowStats s;
-    for (std::size_t i = 0; i < row.size(); ++i) {
-        const double v = row[i];
-        if (!std::isfinite(v))
-            continue;
-        s.sum += v;
-        s.validCount += 1;
-        if (s.validCount == 1 || v > s.peak)
-            s.peak = v;
-    }
-    if (s.validCount == 0)
-        s.peak = 0.0;
-    return s;
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** Expect one snapshot row to equal `want` bit for bit. */
+void
+expectRow(const trace::TimeSeries &row, const std::vector<double> &want)
+{
+    ASSERT_EQ(row.size(), want.size());
+    for (std::size_t j = 0; j < want.size(); ++j)
+        EXPECT_TRUE(sameBits(row[j], want[j]))
+            << "slot " << j << ": " << row[j] << " vs " << want[j];
+}
+
+/** Expect two rings to hold the same window, bit for bit. */
+void
+expectSameWindow(const StreamRing &a, const StreamRing &b)
+{
+    const auto want = b.snapshotWindow();
+    const auto got = a.snapshotWindow();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        expectRow(got[i], want[i].samples());
 }
 
 TEST(ServeRing, AcceptsFrontierAndLateSamples)
@@ -82,14 +99,12 @@ TEST(ServeRing, AcceptsFrontierAndLateSamples)
     EXPECT_EQ(ring.acceptedCount(), 3u);
     EXPECT_EQ(ring.lateCount(), 1u);
 
-    const auto &st = ring.stats(0);
-    EXPECT_DOUBLE_EQ(st.sum, 6.5);
-    EXPECT_DOUBLE_EQ(st.peak, 3.0);
-    EXPECT_EQ(st.validCount, 3u);
-    EXPECT_DOUBLE_EQ(st.mean(), 6.5 / 3.0);
-
+    // Window ticks (-2, 2] oldest-first: tick -1 precedes the stream.
+    const auto snap = ring.snapshotWindow();
+    ASSERT_EQ(snap.size(), 2u);
+    expectRow(snap[0], {kNaN, 1.5, 2.0, 3.0});
     // The untouched instance is empty, not polluted.
-    EXPECT_EQ(ring.stats(1).validCount, 0u);
+    expectRow(snap[1], {kNaN, kNaN, kNaN, kNaN});
 }
 
 TEST(ServeRing, RejectionTaxonomyNeverThrows)
@@ -126,9 +141,10 @@ TEST(ServeRing, RejectionTaxonomyNeverThrows)
     EXPECT_EQ(q.back().reason, IngestStatus::RejectedDuplicate);
     EXPECT_EQ(q.back().sample.watts, 2.0);
 
-    // The rejects left no trace in the stored window.
-    EXPECT_EQ(ring.stats(0).validCount, 1u);
-    EXPECT_DOUBLE_EQ(ring.stats(0).sum, 1.0);
+    // The rejects left no trace in the stored window (ticks 7..10).
+    const auto snap = ring.snapshotWindow();
+    expectRow(snap[0], {kNaN, kNaN, kNaN, 1.0});
+    expectRow(snap[1], {kNaN, kNaN, kNaN, kNaN});
 }
 
 TEST(ServeRing, QuarantineIsBounded)
@@ -142,11 +158,33 @@ TEST(ServeRing, QuarantineIsBounded)
               StreamRing::kQuarantineCapacity + 10);
 }
 
-TEST(ServeRing, IncrementalStatsMatchFullRescanUnderFuzz)
+TEST(ServeRing, SnapshotMatchesModelUnderFuzz)
 {
+    constexpr std::size_t kFleet = 3;
+    constexpr std::uint64_t kWindow = 8;
     util::Rng rng(99);
-    StreamRing ring(3, 8, 30);
+    StreamRing ring(kFleet, kWindow, 30);
+    // The documented classification rules over an (instance, tick) map.
+    std::map<std::pair<std::uint64_t, std::uint64_t>, double> model;
+    std::array<std::uint64_t, 8> counts{};
     std::uint64_t frontier = 0;
+    const auto classify = [&](const Sample &s) {
+        if (s.instance >= kFleet)
+            return IngestStatus::RejectedUnknownInstance;
+        if (!std::isfinite(s.watts))
+            return IngestStatus::RejectedNonFinite;
+        if (s.watts < 0.0)
+            return IngestStatus::RejectedNegative;
+        if (s.tick > frontier)
+            return IngestStatus::RejectedFuture;
+        if (s.tick + kWindow <= frontier)
+            return IngestStatus::RejectedStale;
+        if (!model.emplace(std::make_pair(s.instance, s.tick), s.watts)
+                 .second)
+            return IngestStatus::RejectedDuplicate;
+        return s.tick < frontier ? IngestStatus::AcceptedLate
+                                 : IngestStatus::Accepted;
+    };
     for (int step = 0; step < 2000; ++step) {
         const int what = int(rng.uniformInt(0, 9));
         if (what == 0) {
@@ -161,19 +199,31 @@ TEST(ServeRing, IncrementalStatsMatchFullRescanUnderFuzz)
                          ? frontier - std::uint64_t(back)
                          : 0;
             s.watts = rng.chance(0.05) ? kNaN : rng.uniform(0.0, 10.0);
-            ring.ingest(s);
+            const IngestStatus want = classify(s);
+            ++counts[static_cast<std::size_t>(want)];
+            EXPECT_EQ(ring.ingest(s), want) << "step " << step;
         }
         if (step % 50 == 0) {
             const auto snap = ring.snapshotWindow();
-            for (std::size_t i = 0; i < 3; ++i) {
-                const auto naive = naiveStats(snap[i]);
-                const auto &inc = ring.stats(i);
-                EXPECT_EQ(inc.validCount, naive.validCount);
-                EXPECT_NEAR(inc.sum, naive.sum, 1e-9);
-                EXPECT_DOUBLE_EQ(inc.peak, naive.peak);
+            for (std::uint64_t i = 0; i < kFleet; ++i) {
+                std::vector<double> want(kWindow, kNaN);
+                for (std::uint64_t j = 0; j < kWindow; ++j) {
+                    if (frontier + 1 + j < kWindow)
+                        continue; // before the stream began
+                    const auto it =
+                        model.find({i, frontier + 1 + j - kWindow});
+                    if (it != model.end())
+                        want[j] = it->second;
+                }
+                expectRow(snap[i], want);
             }
         }
     }
+    EXPECT_EQ(ring.acceptedCount(), counts[0] + counts[1]);
+    EXPECT_EQ(ring.lateCount(), counts[1]);
+    for (std::size_t r = 2; r < counts.size(); ++r)
+        EXPECT_EQ(ring.rejectedCount(static_cast<IngestStatus>(r)),
+                  counts[r]);
 }
 
 TEST(ServeRing, SnapshotIsImmutableAndOldestFirst)
@@ -209,22 +259,21 @@ TEST(ServeRing, RestoreStateRoundTrip)
     ring.ingest({6, 1, 1.0});  // rejected: duplicate
 
     StreamRing copy(2, 4, 60);
-    copy.restoreState(ring.frontier(), ring.slotValues(),
-                      ring.slotFillTicks(), ring.counterValues());
+    ASSERT_TRUE(copy.restoreState(ring.frontier(), ring.slotValues(),
+                                  ring.slotFillTicks(),
+                                  ring.counterValues()));
     EXPECT_EQ(copy.frontier(), ring.frontier());
     EXPECT_EQ(copy.acceptedCount(), ring.acceptedCount());
     EXPECT_EQ(copy.lateCount(), ring.lateCount());
     EXPECT_EQ(copy.rejectedTotal(), ring.rejectedTotal());
-    for (std::size_t i = 0; i < 2; ++i) {
-        EXPECT_DOUBLE_EQ(copy.stats(i).sum, ring.stats(i).sum);
-        EXPECT_DOUBLE_EQ(copy.stats(i).peak, ring.stats(i).peak);
-        EXPECT_EQ(copy.stats(i).validCount, ring.stats(i).validCount);
-    }
+    EXPECT_EQ(copy.slotFillTicks(), ring.slotFillTicks());
+    expectSameWindow(copy, ring);
     // The restored ring keeps streaming identically.
     copy.advanceTo(7);
     ring.advanceTo(7);
     EXPECT_EQ(copy.ingest({7, 0, 3.0}), ring.ingest({7, 0, 3.0}));
-    EXPECT_DOUBLE_EQ(copy.stats(0).sum, ring.stats(0).sum);
+    EXPECT_EQ(copy.ingest({5, 0, 3.0}), ring.ingest({5, 0, 3.0}));
+    expectSameWindow(copy, ring);
 }
 
 TEST(ServeCheckpoint, PayloadRoundTripIsBitExact)
@@ -586,6 +635,220 @@ TEST(ServeService, ShapeMismatchRefusesRestore)
     config.window = 10;
     serve::Service other(tree, service_of, initial, 60, config);
     EXPECT_FALSE(other.restoreLatest());
+}
+
+/** A serve checkpoint payload, field by field, in the order
+ *  Service::writeCheckpoint writes it. */
+struct ServePayload {
+    std::uint64_t frontier = 0, committed = 0, digest = 0, shed = 0;
+    std::vector<double> slots;
+    std::vector<std::uint64_t> fills, counters, assign;
+    std::vector<double> baselineWindow;
+    std::uint64_t weekCounter = 0;
+    struct Snapshot {
+        std::uint64_t epoch = 0, lastTick = 0;
+        std::vector<double> flat;
+    };
+    std::vector<Snapshot> queue;
+};
+
+bool
+parsePayload(const std::string &bytes, ServePayload &p)
+{
+    serve::PayloadReader r(bytes);
+    std::uint64_t queued = 0;
+    if (!r.u64(p.frontier) || !r.u64(p.committed) || !r.u64(p.digest) ||
+        !r.u64(p.shed) || !r.f64Vector(p.slots) || !r.u64Vector(p.fills) ||
+        !r.u64Vector(p.counters) || !r.u64Vector(p.assign) ||
+        !r.f64Vector(p.baselineWindow) || !r.u64(p.weekCounter) ||
+        !r.u64(queued))
+        return false;
+    p.queue.resize(queued);
+    for (auto &snap : p.queue)
+        if (!r.u64(snap.epoch) || !r.u64(snap.lastTick) ||
+            !r.f64Vector(snap.flat))
+            return false;
+    return r.exhausted();
+}
+
+std::string
+writePayload(const ServePayload &p)
+{
+    serve::PayloadWriter w;
+    w.u64(p.frontier);
+    w.u64(p.committed);
+    w.u64(p.digest);
+    w.u64(p.shed);
+    w.f64Vector(p.slots);
+    w.u64Vector(p.fills);
+    w.u64Vector(p.counters);
+    w.u64Vector(p.assign);
+    w.f64Vector(p.baselineWindow);
+    w.u64(p.weekCounter);
+    w.u64(p.queue.size());
+    for (const auto &snap : p.queue) {
+        w.u64(snap.epoch);
+        w.u64(snap.lastTick);
+        w.f64Vector(snap.flat);
+    }
+    return w.bytes();
+}
+
+TEST(ServeService, RestoreRefusesMalformedPayload)
+{
+    const std::string dir = freshDir("malformed");
+    power::PowerTree tree(tinyTopology());
+    const auto service_of = tinyServices();
+    auto initial = baseline::obliviousPlacement(tree, service_of);
+    serve::Service svc(tree, service_of, initial, 60, tinyConfig(dir));
+    drive(svc, 0, 20);
+    const auto latest =
+        serve::latestCheckpoint(dir, svc.shapeFingerprint());
+    ASSERT_TRUE(latest.has_value());
+    ServePayload good;
+    ASSERT_TRUE(parsePayload(latest->payload, good));
+    ASSERT_EQ(writePayload(good), latest->payload);
+    // The live service is ahead of its last checkpoint, so an accepted
+    // restore would visibly rewind it.
+    ASSERT_NE(good.frontier, svc.ring().frontier());
+
+    const std::uint64_t frontier = svc.ring().frontier();
+    const std::uint64_t committed = svc.committedEpoch();
+    const std::uint64_t digest = svc.digest();
+    const power::Assignment assignment = svc.assignment();
+    std::uint64_t epoch = 100; // newer than anything drive() committed
+    const auto commit = [&](const ServePayload &p) {
+        ASSERT_TRUE(serve::writeCheckpointFile(
+            dir, svc.shapeFingerprint(), ++epoch, writePayload(p),
+            nullptr));
+    };
+    const auto expectRefused = [&](const ServePayload &bad,
+                                   const char *what) {
+        commit(bad);
+        EXPECT_FALSE(svc.restoreLatest()) << what;
+        EXPECT_EQ(svc.ring().frontier(), frontier) << what;
+        EXPECT_EQ(svc.committedEpoch(), committed) << what;
+        EXPECT_EQ(svc.digest(), digest) << what;
+        EXPECT_EQ(svc.assignment(), assignment) << what;
+    };
+
+    ServePayload bad = good;
+    bad.counters.resize(7);
+    expectRefused(bad, "short counter vector");
+
+    bad = good;
+    bad.assign[0] = tree.nodeCount();
+    expectRefused(bad, "assignment entry outside the tree");
+
+    bad = good;
+    const std::size_t window = svc.config().window;
+    const std::size_t slot = good.frontier % window; // instance 0
+    ASSERT_EQ(bad.fills[slot], good.frontier);
+    bad.fills[slot] -= window;
+    expectRefused(bad, "fill tick off by one window");
+
+    // The unmodified payload still restores.
+    commit(good);
+    ASSERT_TRUE(svc.restoreLatest());
+    EXPECT_EQ(svc.ring().frontier(), good.frontier);
+    EXPECT_EQ(svc.digest(), good.digest);
+}
+
+#if SOSIM_OBS_ENABLED
+
+TEST(ServeService, IngestCountersPublishedOnce)
+{
+    const std::vector<IngestStatus> rejections = {
+        IngestStatus::RejectedStale,     IngestStatus::RejectedFuture,
+        IngestStatus::RejectedDuplicate, IngestStatus::RejectedNonFinite,
+        IngestStatus::RejectedNegative,
+        IngestStatus::RejectedUnknownInstance};
+    using Counts = std::map<std::string, std::uint64_t>;
+    const auto registryCounts = [&] {
+        Counts c;
+        for (const char *name : {"accepted", "late"})
+            c[name] = obs::registry()
+                          .counter(std::string("serve.ingest.") + name)
+                          .value();
+        for (const IngestStatus r : rejections)
+            c[serve::ingestStatusName(r)] =
+                obs::registry()
+                    .counter("serve.ingest." + serve::ingestStatusName(r))
+                    .value();
+        return c;
+    };
+    const auto ringCounts = [&](const StreamRing &ring) {
+        Counts c{{"accepted", ring.acceptedCount()},
+                 {"late", ring.lateCount()}};
+        for (const IngestStatus r : rejections)
+            c[serve::ingestStatusName(r)] = ring.rejectedCount(r);
+        return c;
+    };
+    const auto delta = [](const Counts &after, const Counts &before) {
+        Counts d;
+        for (const auto &[name, value] : after)
+            d[name] = value - before.at(name);
+        return d;
+    };
+
+    const std::string dir = freshDir("published");
+    power::PowerTree tree(tinyTopology());
+    const auto service_of = tinyServices();
+    auto initial = baseline::obliviousPlacement(tree, service_of);
+    {
+        const Counts before = registryCounts();
+        serve::Service svc(tree, service_of, initial, 60,
+                           tinyConfig(dir));
+        drive(svc, 0, 20);
+        svc.processReadyEpochs();
+        EXPECT_GT(svc.ring().acceptedCount(), 0u);
+        EXPECT_EQ(delta(registryCounts(), before), ringCounts(svc.ring()));
+    }
+
+    // A restored ring resumes with the checkpoint's counts; the
+    // registry only sees what this process ingests after the restore.
+    serve::Service svc(tree, service_of, initial, 60, tinyConfig(dir));
+    ASSERT_TRUE(svc.restoreLatest());
+    const Counts restored = ringCounts(svc.ring());
+    EXPECT_GT(restored.at("accepted"), 0u);
+    const Counts before = registryCounts();
+    drive(svc, svc.ring().frontier() + 1, 40);
+    svc.processReadyEpochs();
+    EXPECT_EQ(delta(registryCounts(), before),
+              delta(ringCounts(svc.ring()), restored));
+}
+
+#endif // SOSIM_OBS_ENABLED
+
+/** FNV-1a of a whole file's bytes. */
+std::uint64_t
+fileFingerprint(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    EXPECT_FALSE(bytes.empty()) << path;
+    return util::fnv1a64(bytes.data(), bytes.size());
+}
+
+/**
+ * Pin of both checkpoint slot files for the fixed scenario at 20
+ * ticks.  The fill ticks in the payload are derived from the slots, so
+ * this guards that they match the recorded ticks byte for byte; a
+ * change here is a checkpoint format change.
+ */
+TEST(ServeCheckpoint, BytesPinned)
+{
+    const std::string dir = freshDir("pinned");
+    power::PowerTree tree(tinyTopology());
+    const auto service_of = tinyServices();
+    auto initial = baseline::obliviousPlacement(tree, service_of);
+    serve::Service svc(tree, service_of, initial, 60, tinyConfig(dir));
+    drive(svc, 0, 20);
+    EXPECT_EQ(fileFingerprint(serve::checkpointSlotPath(dir, 0)),
+              0x606e86f47266c9f1ull);
+    EXPECT_EQ(fileFingerprint(serve::checkpointSlotPath(dir, 1)),
+              0x88520d4263cf4e1full);
 }
 
 /**
