@@ -84,9 +84,7 @@ lloyd(const std::vector<Point> &points, std::vector<Point> centroids,
     result.assignment.assign(n, 0);
     std::vector<double> best_dist(n);
     double prev_inertia = std::numeric_limits<double>::max();
-#if SOSIM_OBS_ENABLED
     std::vector<std::size_t> prev_assignment(n, k); // k = "unassigned".
-#endif
 
     for (int iter = 0; iter < config.maxIterations; ++iter) {
         SOSIM_COUNT("cluster.kmeans.iterations");
@@ -114,15 +112,11 @@ lloyd(const std::vector<Point> &points, std::vector<Point> centroids,
         double inertia = 0.0;
         for (std::size_t i = 0; i < n; ++i)
             inertia += best_dist[i];
-#if SOSIM_OBS_ENABLED
-        {
-            std::size_t moved = 0;
-            for (std::size_t i = 0; i < n; ++i)
-                moved += prev_assignment[i] != result.assignment[i];
-            SOSIM_COUNT_ADD("cluster.kmeans.reassignments", moved);
-            prev_assignment = result.assignment;
-        }
-#endif
+        std::size_t moved = 0;
+        for (std::size_t i = 0; i < n; ++i)
+            moved += prev_assignment[i] != result.assignment[i];
+        SOSIM_COUNT_ADD("cluster.kmeans.reassignments", moved);
+        prev_assignment = result.assignment;
 
         // Update step.
         std::vector<Point> sums(k, Point(dim, 0.0));

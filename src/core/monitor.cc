@@ -207,13 +207,11 @@ FragmentationMonitor::ingest(const MonitorMeasurement &m,
 
     obs.evalSeconds = eval_seconds;
     SOSIM_COUNT("monitor.observations");
-#if SOSIM_OBS_ENABLED
     // Dynamic name — the macro's static-reference cache would pin the
     // first action seen, so go through the registry directly.
     sosim::obs::registry()
         .counter("monitor.action." + monitorActionName(obs.action))
         .inc();
-#endif
     if (obs.degradedData) {
         SOSIM_COUNT("monitor.degraded_observations");
         SOSIM_COUNT_ADD("monitor.repaired_samples", obs.repairedSamples);

@@ -236,7 +236,6 @@ PlacementEngine::distribute(const std::vector<cluster::Point> &vectors,
     frontier.push_back(DistributeTask{node, std::move(ids), seed, 0});
 
     while (!frontier.empty()) {
-#if SOSIM_OBS_ENABLED
         // One span per tree level, so the expansion reads as
         // placement.DC > placement.SUITE > ... in the trace tree (the
         // tree below any starting node is level-uniform, so the first
@@ -244,7 +243,6 @@ PlacementEngine::distribute(const std::vector<cluster::Point> &vectors,
         obs::ScopedSpan level_span(
             "placement." +
             power::levelName(tree_.node(frontier.front().node).level));
-#endif
         // Shard the frontier into contiguous blocks that never split a
         // parent's children apart, so each block covers a few whole
         // power subtrees.  The shard count tracks the pool width, but
@@ -271,26 +269,20 @@ PlacementEngine::distribute(const std::vector<cluster::Point> &vectors,
         // the slots' children rebuilds the next frontier in depth-first
         // child order regardless of thread or shard count.
         std::vector<DistributeTask> next;
-#if SOSIM_OBS_ENABLED
         std::uint64_t nodes_visited = 0;
         std::uint64_t instances_assigned = 0;
-#endif
         for (auto &slot : slots) {
-#if SOSIM_OBS_ENABLED
             nodes_visited += slot.nodesVisited;
             instances_assigned += slot.instancesAssigned;
             for (const auto fanout : slot.fanouts)
                 SOSIM_OBSERVE("placement.fanout", fanout);
-#endif
             for (auto &child : slot.children)
                 next.push_back(std::move(child));
         }
-#if SOSIM_OBS_ENABLED
         SOSIM_COUNT_ADD("placement.nodes_visited", nodes_visited);
         if (instances_assigned > 0)
             SOSIM_COUNT_ADD("placement.instances_assigned",
                             instances_assigned);
-#endif
         frontier = std::move(next);
     }
 }

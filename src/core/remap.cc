@@ -377,7 +377,6 @@ Remapper::refine(power::Assignment &assignment,
         SOSIM_SPAN("remap.round");
         SOSIM_COUNT("remap.rounds");
         ++round;
-        (void)round; // Only read by the scope event when obs is on.
         // 1. Most fragmented rack not yet exhausted this pass.
         power::NodeId worst_rack = power::kNoNode;
         double worst_score = std::numeric_limits<double>::max();
@@ -450,9 +449,7 @@ Remapper::refine(power::Assignment &assignment,
         // Reject journaling is tallied per task and reduced to one
         // event per candidate per reason after the scan (see
         // RejectTally) — never emitted from inside the hot loop.
-        const bool recording =
-            SOSIM_OBS_ENABLED != 0 &&
-            obs::EventRecorder::instance().enabled();
+        const bool recording = obs::EventRecorder::instance().enabled();
         std::vector<RejectTally> tally(recording ? tasks : 0);
         const auto scanTask = [&](std::size_t task) {
             const std::size_t c = task / shard_count;
@@ -578,7 +575,6 @@ Remapper::refine(power::Assignment &assignment,
                 for (std::size_t s = 0; s < shard_count; ++s)
                     sum.merge(tally[c * shard_count + s]);
                 const std::size_t inst_a = scored[c].second;
-                (void)inst_a; // Only read by the event when obs is on.
                 for (std::uint32_t code = 1; code <= RejectTally::kReasons;
                      ++code) {
                     const std::size_t idx = code - 1;
@@ -610,8 +606,6 @@ Remapper::refine(power::Assignment &assignment,
         }
         SOSIM_COUNT_ADD("remap.pairs_evaluated", evaluated_pairs);
         SOSIM_COUNT_ADD("remap.pairs_pruned", pruned_pairs);
-        (void)evaluated_pairs; // Only read by the counters when obs on.
-        (void)pruned_pairs;
 
         if (best_gain > 0.0) {
             // Apply the swap and update both racks' state incrementally.

@@ -49,10 +49,8 @@ injectTraceFaults(std::vector<trace::TimeSeries> &traces,
     // and only when the recorder is live — recomputing it per injected
     // fault would make event emission O(plan) each and the instrumented
     // run quadratic in the fault count.
-    const bool recording =
-        SOSIM_OBS_ENABLED != 0 && obs::EventRecorder::instance().enabled();
+    const bool recording = obs::EventRecorder::instance().enabled();
     const std::uint64_t plan_fp = recording ? plan.fingerprint() : 0;
-    (void)plan_fp; // Only read by the events when obs is compiled on.
 
     // 1. Clock skew: rotate the week (the lost tail wraps around, which
     // is the right model for periodic weekly traces).
@@ -199,7 +197,6 @@ injectBreakerTrips(std::vector<trace::TimeSeries> &traces,
     // Hashed once, not per trip — see injectTraceFaults.
     const std::uint64_t plan_fp =
         obs::EventRecorder::instance().enabled() ? plan.fingerprint() : 0;
-    (void)plan_fp;
     std::vector<bool> hit(traces.size(), false);
     for (const auto &event : plan.powerEvents()) {
         if (event.kind != PowerEventKind::BreakerTrip)
@@ -242,7 +239,6 @@ applyDerating(power::PowerTree &tree, const FaultPlan &plan,
     // Hashed once, not per derate — see injectTraceFaults.
     const std::uint64_t plan_fp =
         obs::EventRecorder::instance().enabled() ? plan.fingerprint() : 0;
-    (void)plan_fp;
     for (const auto &event : plan.powerEvents()) {
         if (event.kind != PowerEventKind::Derate)
             continue;

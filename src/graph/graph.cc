@@ -137,7 +137,6 @@ OpGraph::execute(Node &n, std::uint64_t sig, const std::vector<Value> &ins)
     ++misses_;
     SOSIM_COUNT("graph.op.cache_miss");
     Value out;
-#if SOSIM_OBS_ENABLED
     {
         obs::ScopedSpan span("graph.op." + n.name);
         SOSIM_EVENT_SCOPE(.kind = obs::EventKind::GraphEval,
@@ -152,9 +151,6 @@ OpGraph::execute(Node &n, std::uint64_t sig, const std::vector<Value> &ins)
             std::chrono::duration<double, std::milli>(t1 - t0).count();
         SOSIM_OBSERVE("graph.op.eval_ms", eval_ms);
     }
-#else
-    out = n.fn(ins);
-#endif
     SOSIM_REQUIRE(!out.empty(), "OpGraph: op returned an empty value");
     ++n.evalCount;
     n.cache.insert(n.cache.begin(), CacheEntry{sig, std::move(out)});

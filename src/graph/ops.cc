@@ -558,6 +558,11 @@ parseWhatIf(const Pipeline &p, const std::string &text)
                           "--what-if: unknown key '" + key + "'");
         }
     }
+    // The engines' constructors check their configs: run them here so
+    // an out-of-range value fails before any op executes.
+    core::PlacementEngine(*p.tree, placement);
+    core::Remapper(*p.tree, remap);
+    core::FragmentationMonitor(*p.tree, monitor);
 
     if (embed_changed)
         overlay.set(p.embedConfigIn,

@@ -178,8 +178,9 @@ PipelineResult runPipeline(Pipeline &p,
  * placement-seed, top-services, clusters-per-child, placement-embedding
  * (score|shape), repair-policy (none|hold_last|interpolate), fault-plan
  * (SEED[:PROFILE]), monitor-level (SUITE|MSB|SB|RPP|RACK),
- * remap-threshold, replace-threshold.  Fatal on an unknown key or
- * malformed pair.
+ * remap-threshold, replace-threshold.  Fatal on an unknown key, a
+ * malformed pair, or a value the placement, remap or monitor engine
+ * rejects — before any op executes.
  */
 graph::Overlay parseWhatIf(const Pipeline &p, const std::string &text);
 

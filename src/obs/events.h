@@ -24,9 +24,8 @@
  *     counter increments.  Nothing ever blocks on a full buffer.
  *   - Idle by default: recording starts only when a sink is requested
  *     (--flight-record / --chrome-trace).  The compiled-but-idle cost
- *     of an instrumented site is one relaxed load and a branch.
- *   - SOSIM_OBS=OFF compiles the macros to no-ops that do not evaluate
- *     their arguments; the classes stay available so sinks still link.
+ *     of an instrumented site is one relaxed load and a branch, and the
+ *     macros do not evaluate their payload until recording starts.
  *
  * Causality: every event carries the id (sequence number) of the scope
  * event that was current on its thread when it was recorded.  Scopes

@@ -336,11 +336,7 @@ printSpanTree(std::ostream &os, const SpanNode &root)
     const std::streamsize precision = os.precision();
     os << "span tree (busy time; sums across pool workers; % of parent)\n";
     if (root.children.empty()) {
-        os << "  (no spans recorded"
-#if defined(SOSIM_OBS_DISABLED)
-              " — built with SOSIM_OBS=OFF"
-#endif
-              ")\n";
+        os << "  (no spans recorded)\n";
         return;
     }
     for (const auto &[name, child] : root.children)

@@ -5,10 +5,9 @@
  * @file
  * Exporters for the metrics registry and the span tree:
  *
- *   - writeMetricsJson: one JSON document (same schema family as the
- *     committed BENCH_*.json reports: a label, a UTC timestamp, then
- *     payload sections) with counters, gauges, histograms and the span
- *     tree.  Pass an explicit timestamp for reproducible output (golden
+ *   - writeMetricsJson: one JSON document (a label, a UTC timestamp,
+ *     then payload sections) with counters, gauges, histograms and the
+ *     span tree.  Pass an explicit timestamp for reproducible output (golden
  *     tests pass a fixed string; callers pass utcTimestamp()).
  *
  *   - writeMetricsPrometheus: Prometheus text exposition format.

@@ -20,10 +20,8 @@
  *   - Registry::resetValues() zeroes every metric but never destroys
  *     one, so cached references stay valid across test cases.
  *
- * The whole subsystem compiles away when the build sets
- * SOSIM_OBS_DISABLED (CMake option SOSIM_OBS=OFF): the instrumentation
- * macros in obs/obs.h expand to no-ops.  The classes here remain
- * available in both modes so exporters and tests always link.
+ * Library code reaches these classes through the instrumentation macros
+ * in obs/obs.h, which every build compiles in.
  */
 
 #include <array>

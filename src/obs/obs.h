@@ -6,12 +6,11 @@
  * Instrumentation macros — the only way library code should emit
  * telemetry.
  *
- * With the default build (CMake option SOSIM_OBS=ON) each macro caches a
- * `static` reference to its metric on first execution and thereafter
- * costs one relaxed atomic RMW (counters/histograms/gauges) or one
- * clock read + node push (spans).  With SOSIM_OBS=OFF the build defines
- * SOSIM_OBS_DISABLED and every macro expands to a no-op that does not
- * even evaluate its arguments — the disabled-mode overhead guarantee.
+ * Instrumentation is always compiled in.  Each macro caches a `static`
+ * reference to its metric on first execution and thereafter costs one
+ * relaxed atomic RMW (counters/histograms/gauges) or one clock read +
+ * node push (spans).  Flight-recorder events cost one relaxed load and a
+ * branch while the recorder is idle, and do not evaluate their payload.
  *
  * Naming convention: dot-separated lowercase paths,
  * "<subsystem>.<object>.<event>" — e.g. "trace.stats_cache.hit",
@@ -19,20 +18,12 @@
  * Prometheus names from these (dots become underscores).
  */
 
-#if defined(SOSIM_OBS_DISABLED)
-#define SOSIM_OBS_ENABLED 0
-#else
-#define SOSIM_OBS_ENABLED 1
-#endif
-
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
 #define SOSIM_OBS_CONCAT_IMPL(a, b) a##b
 #define SOSIM_OBS_CONCAT(a, b) SOSIM_OBS_CONCAT_IMPL(a, b)
-
-#if SOSIM_OBS_ENABLED
 
 /** Open a RAII span for the rest of the enclosing scope. */
 #define SOSIM_SPAN(name)                                                    \
@@ -91,31 +82,5 @@
         __LINE__)(::sosim::obs::EventRecorder::instance().enabled()        \
                       ? ::sosim::obs::EventData{__VA_ARGS__}               \
                       : ::sosim::obs::EventData{})
-
-#else // !SOSIM_OBS_ENABLED
-
-#define SOSIM_SPAN(name)                                                    \
-    do {                                                                    \
-    } while (0)
-#define SOSIM_COUNT_ADD(name, delta)                                        \
-    do {                                                                    \
-    } while (0)
-#define SOSIM_COUNT(name)                                                   \
-    do {                                                                    \
-    } while (0)
-#define SOSIM_GAUGE_SET(name, value)                                        \
-    do {                                                                    \
-    } while (0)
-#define SOSIM_OBSERVE(name, value)                                          \
-    do {                                                                    \
-    } while (0)
-#define SOSIM_EVENT(...)                                                    \
-    do {                                                                    \
-    } while (0)
-#define SOSIM_EVENT_SCOPE(...)                                              \
-    do {                                                                    \
-    } while (0)
-
-#endif // SOSIM_OBS_ENABLED
 
 #endif // SOSIM_OBS_OBS_H

@@ -196,7 +196,6 @@ StreamRing::publishCounters()
     std::array<std::uint64_t, 8> now{};
     for (std::size_t c = 0; c < counts_.size(); ++c)
         now[c] = counts_[c].load(std::memory_order_relaxed);
-#if SOSIM_OBS_ENABLED
     // Dynamic names — the SOSIM_COUNT static-reference cache would pin
     // the first name seen, so go through the registry directly.
     const auto publish = [](const std::string &name, std::uint64_t grew) {
@@ -214,7 +213,6 @@ StreamRing::publishCounters()
         const auto reason = static_cast<IngestStatus>(r);
         publish(ingestStatusName(reason), grew(reason));
     }
-#endif
     published_ = now;
 }
 

@@ -33,7 +33,8 @@ Service::Service(const power::PowerTree &tree,
     : tree_(tree), serviceOf_(std::move(service_of)),
       config_(std::move(config)),
       ring_(serviceOf_.size(), config_.window, interval_minutes),
-      monitor_(tree, config_.monitor),
+      monitor_(tree, config_.monitor), remapper_(tree, config_.remap),
+      placer_(tree, config_.placement),
       assignment_(std::move(initial)), digest_(util::kFnvOffset)
 {
     SOSIM_REQUIRE(config_.epochTicks >= 1,
@@ -114,18 +115,15 @@ Service::processEpoch(const EpochSnapshot &snapshot)
     if (r.observation.action == core::MonitorAction::Remap) {
         const trace::RepairedTraces repaired = trace::repairedCopy(
             snapshot.traces, config_.monitor.repairPolicy);
-        const auto swaps =
-            core::Remapper(tree_, config_.remap)
-                .refine(assignment_, repaired.traces,
-                        &repaired.summary.validBefore);
+        const auto swaps = remapper_.refine(
+            assignment_, repaired.traces, &repaired.summary.validBefore);
         r.swaps = swaps.size();
         if (!swaps.empty())
             monitor_.placementUpdated();
     } else if (r.observation.action == core::MonitorAction::Replace) {
         const trace::RepairedTraces repaired = trace::repairedCopy(
             snapshot.traces, config_.monitor.repairPolicy);
-        assignment_ = core::PlacementEngine(tree_, config_.placement)
-                          .place(repaired.traces, serviceOf_);
+        assignment_ = placer_.place(repaired.traces, serviceOf_);
         monitor_.placementUpdated();
         r.replaced = true;
     }

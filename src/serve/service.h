@@ -110,7 +110,9 @@ class Service
      *                         inputs for Replace actions).
      * @param initial          Starting placement.
      * @param interval_minutes Tick length.
-     * @param config           Loop configuration.
+     * @param config           Loop configuration.  Its monitor, remap
+     *                         and placement configs are checked here,
+     *                         not when an epoch first acts on them.
      */
     Service(const power::PowerTree &tree,
             std::vector<std::size_t> service_of,
@@ -168,6 +170,8 @@ class Service
     ServeConfig config_;
     StreamRing ring_;
     core::FragmentationMonitor monitor_;
+    core::Remapper remapper_;
+    core::PlacementEngine placer_;
     power::Assignment assignment_;
     std::deque<EpochSnapshot> queue_;
     std::uint64_t shed_ = 0;

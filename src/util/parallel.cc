@@ -58,14 +58,12 @@ resolveWatchdogMillis()
     return 120000;
 }
 
-#if SOSIM_OBS_ENABLED
 /** Per-lane busy-time counter ("pool.worker.N.busy_nanos" / caller). */
 obs::Counter &
 laneBusyCounter(const std::string &lane)
 {
     return obs::registry().counter("pool.worker." + lane + ".busy_nanos");
 }
-#endif
 
 /** chunkState values of a Job. */
 enum : unsigned char { kUnclaimed = 0, kRunning = 1, kDone = 2 };
@@ -199,9 +197,7 @@ class ThreadPool
     void
     helpOut(const std::shared_ptr<Job> &job)
     {
-#if SOSIM_OBS_ENABLED
         static obs::Counter &busy = laneBusyCounter("caller");
-#endif
         const bool was = t_inWorker;
         t_inWorker = true;
         for (;;) {
@@ -213,16 +209,12 @@ class ThreadPool
                 chunk = job->nextChunk++;
                 job->chunkState[chunk] = kRunning;
             }
-#if SOSIM_OBS_ENABLED
             const auto t0 = std::chrono::steady_clock::now();
             runChunk(*job, chunk);
             busy.add(static_cast<std::uint64_t>(
                 std::chrono::duration_cast<std::chrono::nanoseconds>(
                     std::chrono::steady_clock::now() - t0)
                     .count()));
-#else
-            runChunk(*job, chunk);
-#endif
         }
         t_inWorker = was;
     }
@@ -230,11 +222,7 @@ class ThreadPool
     void
     workerLoop(std::size_t worker)
     {
-#if SOSIM_OBS_ENABLED
         obs::Counter &busy = laneBusyCounter(std::to_string(worker));
-#else
-        (void)worker;
-#endif
         t_inWorker = true;
         for (;;) {
             std::shared_ptr<Job> job;
@@ -252,16 +240,12 @@ class ThreadPool
                 chunk = job->nextChunk++;
                 job->chunkState[chunk] = kRunning;
             }
-#if SOSIM_OBS_ENABLED
             const auto t0 = std::chrono::steady_clock::now();
             runChunk(*job, chunk);
             busy.add(static_cast<std::uint64_t>(
                 std::chrono::duration_cast<std::chrono::nanoseconds>(
                     std::chrono::steady_clock::now() - t0)
                     .count()));
-#else
-            runChunk(*job, chunk);
-#endif
         }
     }
 
@@ -388,13 +372,11 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &body,
         std::min(options.chunks > 0 ? options.chunks : workers, n);
     auto errors =
         std::make_shared<std::vector<std::exception_ptr>>(lanes);
-#if SOSIM_OBS_ENABLED
     // Spans opened inside worker chunks nest under the stage that
     // submitted the fan-out, not under detached per-thread roots — and
     // flight-recorder events emitted there chain to the submitting
     // thread's current causal scope the same way.
     const obs::ThreadContext submitting = obs::threadContext();
-#endif
     auto job = std::make_shared<Job>();
     job->totalChunks = lanes;
     job->pendingChunks = lanes;
@@ -402,15 +384,9 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &body,
     // The body is captured by value: a chunk still running after a
     // watchdog abandonment must not reach through a reference into the
     // submitter's unwound stack frame.
-    job->chunkFn = [body_copy = body, errors, n, lanes
-#if SOSIM_OBS_ENABLED
-                    ,
-                    submitting
-#endif
-    ](std::size_t chunk) {
-#if SOSIM_OBS_ENABLED
+    job->chunkFn = [body_copy = body, errors, n, lanes,
+                    submitting](std::size_t chunk) {
         obs::ScopedContextAdopt adopt(submitting);
-#endif
         const std::size_t lo = chunk * n / lanes;
         const std::size_t hi = (chunk + 1) * n / lanes;
         try {

@@ -4,11 +4,8 @@
  * ring-buffer wrap and drop accounting, causal-scope propagation across
  * the thread pool, fake-time determinism, the JSONL journal round trip,
  * the Chrome-trace export, the strict JSON validator, and the `sosim
- * explain` golden decision history on a pinned faulted pipeline.
- *
- * The EventRecorder class itself is compiled in both obs modes; only
- * the SOSIM_EVENT* macros and the library's instrumentation sites need
- * the SOSIM_OBS=ON guard.
+ * explain` golden decision history on a pinned faulted pipeline, and
+ * that recording never changes a pipeline's results.
  */
 
 #include <cstdint>
@@ -18,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/fingerprints.h"
 #include "graph/ops.h"
 #include "obs/events.h"
 #include "obs/export.h"
@@ -129,8 +127,7 @@ TEST(Recorder, MacroDoesNotEvaluateArgumentsWhileIdle)
     RecorderGuard guard;
     int calls = 0;
     const auto touch = [&calls]() -> std::uint64_t { return ++calls; };
-    (void)touch; // Unreferenced entirely when obs is compiled out.
-    // Disabled (or compiled out): the payload expression must not run.
+    // Idle recorder: the payload expression must not run.
     SOSIM_EVENT(.kind = obs::EventKind::FaultRepair, .a = touch());
     SOSIM_EVENT_SCOPE(.kind = obs::EventKind::Scope, .a = touch());
     EXPECT_EQ(calls, 0);
@@ -166,8 +163,6 @@ TEST(Recorder, ResetRewindsTheSequenceCounter)
     ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(events[0].seq, 1u);
 }
-
-#if SOSIM_OBS_ENABLED
 
 TEST(Recorder, MacroRecordsWhenEnabled)
 {
@@ -288,8 +283,6 @@ TEST(ChromeTrace, SpanSlicesAgreeWithTheSpanTree)
     tracer.reset();
 }
 
-#endif // SOSIM_OBS_ENABLED
-
 TEST(Journal, WriteReadRoundTrip)
 {
     RecorderGuard guard;
@@ -366,8 +359,6 @@ TEST(Journal, SpanEventsSurviveSpanTreeReset)
         << trace.str();
 }
 
-#if SOSIM_OBS_ENABLED
-
 TEST(Journal, IngestRejectReasonIsTheStatusName)
 {
     RecorderGuard guard;
@@ -384,8 +375,6 @@ TEST(Journal, IngestRejectReasonIsTheStatusName)
               std::string::npos)
         << journal.str();
 }
-
-#endif // SOSIM_OBS_ENABLED
 
 TEST(Journal, RejectsMalformedLines)
 {
@@ -474,7 +463,24 @@ TEST(Explain, ReportsWhenNothingMatches)
     EXPECT_NE(os.str().find("0 matching event(s)"), std::string::npos);
 }
 
-#if SOSIM_OBS_ENABLED
+/** A faulted dc1 report pipeline whose remap run accepts swaps. */
+pipeline::PipelineSpec
+faultedDc1Spec()
+{
+    // Scale 0.25 is the smallest dc1 preset where the pinned remap run
+    // still accepts swaps (0.1 converges with none to make).
+    workload::PresetOptions options;
+    options.scale = 0.25;
+    options.intervalMinutes = 30;
+    options.weeks = 3;
+    options.seed = 2018;
+    pipeline::PipelineSpec spec;
+    spec.dc = workload::buildDc1Spec(options);
+    spec.faulted = true;
+    spec.faultSeed = 7;
+    spec.faultProfile = "harsh";
+    return spec;
+}
 
 /**
  * The acceptance golden: a pinned faulted dc1 pipeline, single-threaded
@@ -495,19 +501,7 @@ TEST(Explain, GoldenDecisionHistoryIsReproducible)
         rec.setCapacity(1U << 16U);
         rec.setEnabled(true);
 
-        // Scale 0.25 is the smallest dc1 preset where the pinned remap
-        // run still accepts swaps (0.1 converges with none to make).
-        workload::PresetOptions options;
-        options.scale = 0.25;
-        options.intervalMinutes = 30;
-        options.weeks = 3;
-        options.seed = 2018;
-        pipeline::PipelineSpec spec;
-        spec.dc = workload::buildDc1Spec(options);
-        spec.faulted = true;
-        spec.faultSeed = 7;
-        spec.faultProfile = "harsh";
-        auto p = pipeline::buildPipeline(spec);
+        auto p = pipeline::buildPipeline(faultedDc1Spec());
         pipeline::runPipeline(p);
 
         rec.setEnabled(false);
@@ -558,6 +552,64 @@ TEST(Explain, GoldenDecisionHistoryIsReproducible)
     EXPECT_NE(text.find("within "), std::string::npos);
 }
 
+/**
+ * Recording never changes results: the same multi-threaded faulted
+ * pipeline, run once with the recorder idle and once enabled, must
+ * agree on every decision and measurement it reports.
+ */
+TEST(Recorder, RecordingNeverChangesResults)
+{
+    RecorderGuard guard;
+    ScopedThreads threads(4);
+    auto &rec = obs::EventRecorder::instance();
+    const auto run = [&rec](bool recording) {
+        rec.reset();
+        rec.setEnabled(recording);
+        auto p = pipeline::buildPipeline(faultedDc1Spec());
+        auto r = pipeline::runPipeline(p);
+        rec.setEnabled(false);
+        return r;
+    };
+
+    const auto idle = run(false);
+    EXPECT_EQ(rec.recorded(), 0u);
+    const auto recorded = run(true);
+    EXPECT_GT(rec.recorded(), 0u) << "the enabled run must record events";
+
+    EXPECT_EQ(core::fingerprintAssignment(recorded.optimized),
+              core::fingerprintAssignment(idle.optimized));
+    ASSERT_FALSE(idle.swaps.empty());
+    ASSERT_EQ(recorded.swaps.size(), idle.swaps.size());
+    for (std::size_t i = 0; i < idle.swaps.size(); ++i) {
+        const auto &a = idle.swaps[i];
+        const auto &b = recorded.swaps[i];
+        EXPECT_EQ(b.instanceA, a.instanceA) << "swap " << i;
+        EXPECT_EQ(b.instanceB, a.instanceB) << "swap " << i;
+        EXPECT_EQ(b.rackA, a.rackA) << "swap " << i;
+        EXPECT_EQ(b.rackB, a.rackB) << "swap " << i;
+        EXPECT_EQ(b.scoreAtAAfter, a.scoreAtAAfter) << "swap " << i;
+        EXPECT_EQ(b.scoreAtBAfter, a.scoreAtBAfter) << "swap " << i;
+    }
+    ASSERT_EQ(recorded.comparison.levels.size(),
+              idle.comparison.levels.size());
+    for (std::size_t l = 0; l < idle.comparison.levels.size(); ++l) {
+        const auto &a = idle.comparison.levels[l];
+        const auto &b = recorded.comparison.levels[l];
+        EXPECT_EQ(b.baselineSumPeaks, a.baselineSumPeaks) << "level " << l;
+        EXPECT_EQ(b.optimizedSumPeaks, a.optimizedSumPeaks)
+            << "level " << l;
+    }
+    ASSERT_EQ(recorded.weekly.size(), idle.weekly.size());
+    for (std::size_t w = 0; w < idle.weekly.size(); ++w) {
+        EXPECT_EQ(recorded.weekly[w].fragmentationRatio,
+                  idle.weekly[w].fragmentationRatio)
+            << "week " << w;
+        EXPECT_EQ(recorded.weekly[w].action, idle.weekly[w].action)
+            << "week " << w;
+    }
+    EXPECT_EQ(recorded.opsExecuted, idle.opsExecuted);
+}
+
 /** Node-signature mode walks the graph events for one op signature. */
 TEST(Explain, NodeQueryFindsGraphEvents)
 {
@@ -600,7 +652,5 @@ TEST(Explain, NodeQueryFindsGraphEvents)
     EXPECT_TRUE(obs::explainRecord(os, events, query));
     EXPECT_NE(os.str().find("executed (sig"), std::string::npos);
 }
-
-#endif // SOSIM_OBS_ENABLED
 
 } // namespace

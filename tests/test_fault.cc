@@ -626,9 +626,7 @@ smallSpec()
 
 TEST(FaultPipeline, SurvivesHarshProfileEndToEnd)
 {
-#if SOSIM_OBS_ENABLED
     obs::registry().resetValues();
-#endif
     const auto spec = smallSpec();
     const auto dc = workload::generate(spec);
     auto training = dc.trainingTraces();
@@ -679,14 +677,12 @@ TEST(FaultPipeline, SurvivesHarshProfileEndToEnd)
     EXPECT_LT(obs.validFraction, 1.0);
     EXPECT_GT(obs.repairedSamples, 0u);
 
-#if SOSIM_OBS_ENABLED
     // The degraded-data story must be visible to a metrics scrape.
     auto &reg = obs::registry();
     EXPECT_GT(reg.counter("fault.samples_dropped").value(), 0u);
     EXPECT_GT(reg.counter("fault.blackout_samples").value(), 0u);
     EXPECT_GT(reg.counter("trace.repair.samples_repaired").value(), 0u);
     EXPECT_GT(reg.counter("monitor.degraded_observations").value(), 0u);
-#endif
 }
 
 TEST(FaultPipeline, FaultedRunsAreDeterministic)

@@ -39,8 +39,8 @@ using namespace sosim;
 
 // ---------------------------------------------------------------------
 // OpGraph unit tests on a tiny integer graph.  All assertions use the
-// graph-local counters (evalCount/cacheHits/cacheMisses), so they hold
-// with observability compiled out.
+// graph-local counters (evalCount/cacheHits/cacheMisses), so they do not
+// depend on what other tests leave in the shared metrics registry.
 
 graph::Value
 intValue(int v)
@@ -384,10 +384,8 @@ TEST(GraphParity, FaultedPipelineMatchesTheLegacyCallChain)
 
 TEST(GraphWhatIf, WarmMonitorLevelRerunIsFivefoldCheaper)
 {
-#if SOSIM_OBS_ENABLED
     const auto reg_miss0 =
         obs::registry().counter("graph.op.cache_miss").value();
-#endif
     pipeline::PipelineSpec spec;
     spec.dc = goldenSpec();
     auto p = pipeline::buildPipeline(spec);
@@ -396,14 +394,12 @@ TEST(GraphWhatIf, WarmMonitorLevelRerunIsFivefoldCheaper)
     // inject + measure pair per evaluated week.
     EXPECT_EQ(cold.opsExecuted, 13u + 2u * p.weekIns.size());
 
-#if SOSIM_OBS_ENABLED
     const auto reg_miss1 =
         obs::registry().counter("graph.op.cache_miss").value();
     EXPECT_EQ(reg_miss1 - reg_miss0, cold.opsExecuted)
         << "registry miss counter disagrees with the graph delta";
     const auto reg_hit1 =
         obs::registry().counter("graph.op.cache_hit").value();
-#endif
 
     // Watching a different level re-executes only the per-week
     // measurements: everything upstream of the monitor config is warm.
@@ -414,14 +410,12 @@ TEST(GraphWhatIf, WarmMonitorLevelRerunIsFivefoldCheaper)
         << "warm what-if must be at least 5x cheaper than cold";
     EXPECT_GT(warm.cacheHits, 0u);
 
-#if SOSIM_OBS_ENABLED
     const auto reg_miss2 =
         obs::registry().counter("graph.op.cache_miss").value();
     const auto reg_hit2 =
         obs::registry().counter("graph.op.cache_hit").value();
     EXPECT_EQ(reg_miss2 - reg_miss1, warm.opsExecuted);
     EXPECT_EQ(reg_hit2 - reg_hit1, warm.cacheHits);
-#endif
 
     // The watched level actually changed the observations.
     ASSERT_EQ(warm.weekly.size(), cold.weekly.size());
@@ -494,6 +488,21 @@ TEST(GraphWhatIf, ParseComposesKeysAndRejectsUnknownOnes)
                              "monitor-level=DC"})
         EXPECT_THROW(pipeline::parseWhatIf(p, junk), util::FatalError)
             << junk;
+}
+
+TEST(GraphWhatIf, OutOfRangeValuesFailBeforeAnyOpRuns)
+{
+    pipeline::PipelineSpec spec;
+    spec.dc = goldenSpec();
+    auto p = pipeline::buildPipeline(spec);
+    // Well-formed numbers the engines reject: parsing must fail on them
+    // instead of the what-if run failing after the base report.
+    for (const char *bad : {"max-swaps=-5", "top-services=0",
+                            "clusters-per-child=0", "remap-threshold=0.5",
+                            "replace-threshold=0.001"})
+        EXPECT_THROW(pipeline::parseWhatIf(p, bad), util::FatalError)
+            << bad;
+    EXPECT_EQ(p.graph.totalEvals(), 0u);
 }
 
 // ---------------------------------------------------------------------

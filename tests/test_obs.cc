@@ -148,8 +148,6 @@ TEST(Metrics, ConcurrentHistogramMatchesSerialFill)
     EXPECT_EQ(got.bucketCounts, want.bucketCounts);
 }
 
-#if SOSIM_OBS_ENABLED
-
 TEST(Spans, NestAcrossPoolBoundaries)
 {
     auto &tracer = obs::SpanTracer::instance();
@@ -217,8 +215,6 @@ TEST(Monitor, RecordsEvalLatency)
     EXPECT_GE(obs.evalSeconds, 0.0);
     EXPECT_EQ(latency.snapshot().count, before + 1);
 }
-
-#endif // SOSIM_OBS_ENABLED
 
 TEST(ParallelForError, ReportsFailingIndexRangeFromPool)
 {

@@ -28,6 +28,7 @@
 #include "serve/service.h"
 #include "obs/obs.h"
 #include "power/power_tree.h"
+#include "util/error.h"
 #include "util/hash.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -617,6 +618,22 @@ TEST(ServeService, RestoreWithoutCheckpointsReturnsFalse)
     EXPECT_FALSE(no_dir.restoreLatest());
 }
 
+TEST(ServeService, RejectsInvalidEngineConfigAtConstruction)
+{
+    power::PowerTree tree(tinyTopology());
+    const auto service_of = tinyServices();
+    auto initial = baseline::obliviousPlacement(tree, service_of);
+    auto bad_remap = tinyConfig("");
+    bad_remap.remap.maxSwaps = -1;
+    EXPECT_THROW(serve::Service(tree, service_of, initial, 60, bad_remap),
+                 util::FatalError);
+    auto bad_placement = tinyConfig("");
+    bad_placement.placement.clustersPerChild = 0;
+    EXPECT_THROW(
+        serve::Service(tree, service_of, initial, 60, bad_placement),
+        util::FatalError);
+}
+
 TEST(ServeService, ShapeMismatchRefusesRestore)
 {
     const std::string dir = freshDir("shape");
@@ -754,8 +771,6 @@ TEST(ServeService, RestoreRefusesMalformedPayload)
     EXPECT_EQ(svc.digest(), good.digest);
 }
 
-#if SOSIM_OBS_ENABLED
-
 TEST(ServeService, IngestCountersPublishedOnce)
 {
     const std::vector<IngestStatus> rejections = {
@@ -817,8 +832,6 @@ TEST(ServeService, IngestCountersPublishedOnce)
     EXPECT_EQ(delta(registryCounts(), before),
               delta(ringCounts(svc.ring()), restored));
 }
-
-#endif // SOSIM_OBS_ENABLED
 
 /** FNV-1a of a whole file's bytes. */
 std::uint64_t

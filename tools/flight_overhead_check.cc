@@ -171,13 +171,11 @@ main(int argc, char **argv)
               << median(off_ms) << " ms, enabled " << median(on_ms)
               << " ms; median pair ratio " << ratio << " (budget "
               << max_ratio << "), " << events_seen << " events/run\n";
-#if SOSIM_OBS_ENABLED
     if (events_seen == 0) {
         std::cerr << "flight_overhead_check: enabled run recorded no "
                      "events — the instrumented path was not exercised\n";
         return 2;
     }
-#endif
     if (ratio > max_ratio) {
         std::cerr << "flight_overhead_check: recorder-enabled report "
                      "exceeded the end-to-end overhead budget\n";
