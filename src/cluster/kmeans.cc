@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "obs/obs.h"
 #include "util/error.h"
@@ -162,8 +163,16 @@ kMeans(const std::vector<Point> &points, const KMeansConfig &config)
     SOSIM_REQUIRE(config.restarts >= 1, "kMeans: restarts must be >= 1");
     const std::size_t dim = points.front().size();
     SOSIM_REQUIRE(dim >= 1, "kMeans: points must have dimension >= 1");
-    for (const auto &p : points)
+    // A NaN or infinite coordinate makes every restart's inertia
+    // non-finite, so no restart could win below.
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const Point &p = points[i];
         SOSIM_REQUIRE(p.size() == dim, "kMeans: inconsistent dimensions");
+        SOSIM_REQUIRE(std::all_of(p.begin(), p.end(),
+                                  [](double x) { return std::isfinite(x); }),
+                      "kMeans: point " + std::to_string(i) +
+                          " has a non-finite coordinate");
+    }
 
     // Derive every restart's seed up front from one generator, then run
     // the restarts independently (and in parallel); the winner is picked

@@ -62,7 +62,8 @@ struct KMeansResult {
 /**
  * Run k-means over the given points.
  *
- * @param points Input points; all must share one dimensionality.
+ * @param points Input points; all must share one dimensionality and
+ *               have finite coordinates.
  * @param config Clustering parameters.
  */
 KMeansResult kMeans(const std::vector<Point> &points,

@@ -95,8 +95,8 @@ scoreVectorsBlocked(const std::vector<trace::TimeSeries> &itraces,
         return {};
 
     // Pack both populations into SoA arenas (contiguous, 64-byte-aligned
-    // rows) and compute the whole peak(a + b) grid with the blocked
-    // kernels; the Eq. 7 division happens on the cached peaks afterward.
+    // rows) and compute the whole peak(a + b) grid in one batch; the
+    // Eq. 7 division happens on the cached peaks afterward.
     const trace::TraceArena ivecs = trace::TraceArena::fromSeries(itraces);
     const trace::TraceArena svecs = trace::TraceArena::fromSeries(straces);
     std::vector<double> ipeaks(itraces.size());

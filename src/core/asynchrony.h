@@ -87,13 +87,10 @@ scoreVectors(const std::vector<trace::TimeSeries> &itraces,
              const std::vector<trace::TimeSeries> &straces);
 
 /**
- * Blocked-kernel population embedding: identical semantics to
- * scoreVectors, but both trace sets are packed into trace::TraceArena
- * buffers and the peak(a + b) grid runs on the blocked/SIMD kernels
- * (trace::scoreVectorsBatch).  On finite traces the scores are
- * bit-identical to scoreVectors — peak reductions do not depend on scan
- * association — but the family is ULP-bounded by contract, so consumers
- * opt in via PlacementConfig::kernels rather than getting it silently.
+ * Arena-packed population embedding: the same scores as scoreVectors,
+ * but both trace sets are packed into trace::TraceArena buffers and the
+ * peak(a + b) grid runs as one batch (trace::scoreVectorsBatch) on the
+ * same peakOfSum kernel.  Selected via PlacementConfig::kernels.
  */
 std::vector<cluster::Point>
 scoreVectorsBlocked(const std::vector<trace::TimeSeries> &itraces,

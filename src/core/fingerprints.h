@@ -104,12 +104,10 @@ fingerprintDistributeConfig(const PlacementConfig &c)
 }
 
 /**
- * Deliberately excludes RemapConfig::shards and shardLevel: the shard
- * plan only shapes the fan-out of the swap scan, never its result (the
- * sharded reduction reproduces the unsharded visit order exactly — see
- * trace/shard.h), so a what-if that merely re-shards reuses the cached
- * refinement.  The prune knobs *do* change the searched pair space and
- * are all hashed.
+ * Hashes every RemapConfig field: each one can change the refinement.
+ * The swap scan's shard plan is not configurable (it follows the pool's
+ * thread count and only shapes the fan-out, never the result — see
+ * trace/shard.h), so it is not part of the key.
  */
 inline std::uint64_t
 fingerprintRemapConfig(const RemapConfig &c)

@@ -64,12 +64,11 @@ struct PlacementConfig {
      */
     ScoringImpl scoring = ScoringImpl::kFused;
     /**
-     * Kernel family for the embedding when scoring == kFused.  kStrict
-     * (the default) is the reference scan order; kBlocked packs the
-     * populations into trace::TraceArena buffers and runs the blocked /
-     * SIMD batch kernels (core::scoreVectorsBlocked) — bit-identical
-     * peaks on finite traces, ULP-bounded by contract.  Ignored for
-     * kReference scoring.
+     * Embedding path when scoring == kFused.  kStrict (the default)
+     * scores pair by pair; kBlocked packs the populations into
+     * trace::TraceArena buffers and runs the batch kernel
+     * (core::scoreVectorsBlocked).  Both run the same peak kernels, so
+     * the scores are the same.  Ignored for kReference scoring.
      */
     trace::KernelMode kernels = trace::KernelMode::kStrict;
     /**

@@ -225,23 +225,23 @@ Remapper::refine(power::Assignment &assignment,
     util::parallelFor(itraces.size(),
                       [&](std::size_t id) { arena.stats(id); });
 
-    // Shard the racks into contiguous ranges aligned to their power
-    // subtree at config.shardLevel (the DFS construction order of the
-    // tree keeps any ancestor's racks contiguous in racks()).  The scan
-    // below fans out (candidate, shard) tasks; the shard count shapes
-    // only the fan-out, never the result (see trace/shard.h).
+    // Shard the racks into 2x the pool's thread count of contiguous
+    // ranges aligned to their suite-bus subtree (the DFS construction
+    // order of the tree keeps any ancestor's racks contiguous in
+    // racks()), so per-shard aggregate rows live in disjoint cache-line
+    // blocks.  The scan below fans out (candidate, shard) tasks; the
+    // shard count shapes only the fan-out, never the result (see
+    // trace/shard.h).
     std::vector<std::size_t> group_of(rack_ids.size());
     for (std::size_t r = 0; r < rack_ids.size(); ++r) {
         power::NodeId ancestor = rack_ids[r];
-        while (tree_.node(ancestor).level != config_.shardLevel &&
+        while (tree_.node(ancestor).level != power::Level::Sb &&
                tree_.node(ancestor).parent != power::kNoNode)
             ancestor = tree_.node(ancestor).parent;
         group_of[r] = static_cast<std::size_t>(ancestor);
     }
-    const std::size_t target_shards =
-        config_.shards > 0 ? config_.shards : util::threadCount() * 2;
     const trace::ShardPlan plan =
-        trace::ShardPlan::build(group_of, target_shards);
+        trace::ShardPlan::build(group_of, util::threadCount() * 2);
     const std::size_t shard_count = plan.shardCount();
     SOSIM_GAUGE_SET("remap.shards", shard_count);
 

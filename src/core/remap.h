@@ -78,23 +78,6 @@ struct RemapConfig {
     double pruneKeepFraction = 0.5;
     /** Seed of the k-means embedding behind kCluster. */
     std::uint64_t pruneSeed = 42;
-    /**
-     * Shard count for the swap scan's rack partition; 0 (default) picks
-     * 2x the pool thread count.  Shards are contiguous, subtree-aligned
-     * rack ranges (trace::ShardPlan), so per-shard aggregate rows live
-     * in disjoint cache-line blocks and the serial reduction over
-     * (candidate, shard, rack) order reproduces the unsharded
-     * (candidate, rack) order exactly — the shard count never changes
-     * results, only the fan-out shape.
-     */
-    std::size_t shards = 0;
-    /**
-     * Power-tree level whose subtrees shard boundaries must respect
-     * (racks under one ancestor at this level never straddle shards).
-     * Defaults to the suite bus level; coarser levels give fewer, larger
-     * groups.
-     */
-    power::Level shardLevel = power::Level::Sb;
 };
 
 /** One accepted swap, for reporting. */

@@ -14,7 +14,7 @@
  *
  *   - TraceView over a row is an offset computation, not a pointer chase;
  *   - every row starts cache-line- (and AVX-512-) aligned, which is what
- *     the blocked kernels in trace/kernels.h want;
+ *     the vector peak scans in trace/kernels.h want;
  *   - a whole population copies with one memcpy (fault injection and gap
  *     repair degrade arena *copies* instead of re-allocating a scattered
  *     bundle).

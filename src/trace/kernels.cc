@@ -2,17 +2,31 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <limits>
 
 #include "obs/obs.h"
 #include "trace/arena.h"
 #include "util/error.h"
 #include "util/parallel.h"
 
-#if defined(SOSIM_NATIVE_KERNELS) && defined(__x86_64__)
-#define SOSIM_AVX2_COMPILED 1
-#include <immintrin.h>
+/*
+ * On x86-64 the compiler builds each scan body twice, for AVX2 and for
+ * the baseline ISA, and the loader picks one per process from the CPU.
+ * Both clones run the same source, so they return the same bits.
+ * The AVX2 clone is what keeps the scan fast: for the baseline ISA
+ * GCC lowers the 256-bit select to scalar maxsd, and that body alone
+ * made perfbench's fleet remap 3.3x slower (DESIGN.md section 10.3).
+ *
+ * Not under ThreadSanitizer: GCC instruments the clones' ifunc
+ * resolver, which runs during relocation before the TSan runtime is
+ * up, so the process crashes at load.  That build compiles the one
+ * body for the baseline ISA.
+ */
+#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
+#define SOSIM_SCAN_CLONES __attribute__((target_clones("avx2", "default")))
+#define SOSIM_SCAN_AVX2_CLONE 1
+#else
+#define SOSIM_SCAN_CLONES
+#define SOSIM_SCAN_AVX2_CLONE 0
 #endif
 
 namespace sosim::trace {
@@ -26,12 +40,155 @@ requireAligned(TraceView a, TraceView b, const char *what)
     SOSIM_REQUIRE(a.alignedWith(b), what);
 }
 
+/*
+ * Element expressions of the peak operations, one per operation.  Each
+ * applies the same IEEE operations in the same order as its
+ * materializing formulation (separate multiply and add, never fused).
+ */
+
+struct Sum {
+    const double *a, *b;
+    double operator()(std::size_t i) const { return a[i] + b[i]; }
+};
+
+struct ScaledSum {
+    const double *a, *b;
+    double s;
+    double operator()(std::size_t i) const { return a[i] + s * b[i]; }
+};
+
+struct Diff {
+    const double *a, *b;
+    double operator()(std::size_t i) const { return a[i] - b[i]; }
+};
+
+struct AddScaledDiff {
+    const double *c, *a, *b;
+    double s;
+    double operator()(std::size_t i) const
+    {
+        return c[i] + s * (a[i] - b[i]);
+    }
+};
+
+/** Four doubles in one 256-bit value (GCC vector extension). */
+using Lanes = double __attribute__((vector_size(32)));
+
+/**
+ * The one peak scan: the running peak of expr(i) for i in [first, end),
+ * starting from `seed`.  Eight independent lanes (two Lanes values)
+ * each update with m = x > m ? x : m, which the vectorizer maps onto
+ * packed max instructions, and then fold with the same rule.
+ *
+ * Every lane starts from `seed` and the update never takes a NaN, so
+ * the result is NaN exactly when `seed` is, and otherwise the largest
+ * non-NaN value among seed and the scanned elements.  Seeded with the
+ * expression's first element that is the strict left-to-right scan of
+ * computeStats(), NaN included.
+ */
+template <class Expr>
+[[gnu::always_inline]] inline double
+scanPeak(Expr expr, double seed, std::size_t first, std::size_t end)
+{
+    Lanes m0 = {seed, seed, seed, seed};
+    Lanes m1 = m0;
+    std::size_t i = first;
+    for (; i + 8 <= end; i += 8) {
+        const Lanes x0 = {expr(i), expr(i + 1), expr(i + 2), expr(i + 3)};
+        const Lanes x1 = {expr(i + 4), expr(i + 5), expr(i + 6),
+                          expr(i + 7)};
+        m0 = x0 > m0 ? x0 : m0;
+        m1 = x1 > m1 ? x1 : m1;
+    }
+    double best = seed;
+    for (int l = 0; l < 4; ++l) {
+        best = m0[l] > best ? m0[l] : best;
+        best = m1[l] > best ? m1[l] : best;
+    }
+    for (; i < end; ++i) {
+        const double x = expr(i);
+        best = x > best ? x : best;
+    }
+    return best;
+}
+
+// One compiled body per peak operation; scanPeak is always inlined so
+// each clone vectorizes for its own ISA.
+
+SOSIM_SCAN_CLONES double
+scan(Sum e, double seed, std::size_t first, std::size_t end)
+{
+    return scanPeak(e, seed, first, end);
+}
+
+SOSIM_SCAN_CLONES double
+scan(ScaledSum e, double seed, std::size_t first, std::size_t end)
+{
+    return scanPeak(e, seed, first, end);
+}
+
+SOSIM_SCAN_CLONES double
+scan(Diff e, double seed, std::size_t first, std::size_t end)
+{
+    return scanPeak(e, seed, first, end);
+}
+
+SOSIM_SCAN_CLONES double
+scan(AddScaledDiff e, double seed, std::size_t first, std::size_t end)
+{
+    return scanPeak(e, seed, first, end);
+}
+
+/** Peak of e over [0, n), seeded with its first element. */
+template <class Expr>
+double
+peakOf(Expr e, std::size_t n)
+{
+    return scan(e, e(0), 0, n);
+}
+
+/**
+ * Elements scanned between early-reject checks: one division per chunk
+ * is noise next to the chunk's vector loop, and most failing candidates
+ * abort within a few chunks.
+ */
+constexpr std::size_t kRejectStride = 256;
+
+/**
+ * peakOf(e, n) that stops once the prefix peak proves
+ * numerator / peak <= threshold (see kernels.h).  Each chunk is seeded
+ * with the running peak, so a NaN first element still poisons the
+ * result and a NaN at a chunk start is skipped, exactly as in the
+ * full scan.
+ */
+template <class Expr>
+double
+peakOfEarlyReject(Expr e, std::size_t n, double numerator, double threshold)
+{
+    double best = e(0);
+    for (std::size_t i = 0; i < n; i += kRejectStride) {
+        const std::size_t end = std::min(n, i + kRejectStride);
+        best = scan(e, best, i, end);
+        // Only valid for a positive prefix peak: the zero-power branch
+        // (peak <= 0 -> score 0.0) needs the full scan's sign.  For
+        // best > 0 the argument is exact — the running max only grows
+        // and IEEE division is monotone in the denominator, so once the
+        // prefix score is <= threshold the full score is too.
+        if (end < n && best > 0.0 && numerator / best <= threshold) {
+            SOSIM_COUNT("trace.kernels.early_rejects");
+            return best;
+        }
+    }
+    return best;
+}
+
 } // namespace
 
 TraceView
 TraceView::slice(std::size_t first, std::size_t len) const
 {
-    SOSIM_REQUIRE(first + len <= size_, "TraceView::slice: range out of bounds");
+    SOSIM_REQUIRE(first <= size_ && len <= size_ - first,
+                  "TraceView::slice: range out of bounds");
     return TraceView(data_ + first, len, intervalMinutes_);
 }
 
@@ -63,13 +220,7 @@ peakOfSum(TraceView a, TraceView b)
 {
     SOSIM_COUNT("trace.kernels.peak_of_sum");
     requireAligned(a, b, "peakOfSum: views must be aligned and non-empty");
-    double best = a[0] + b[0];
-    for (std::size_t i = 1; i < a.size(); ++i) {
-        const double x = a[i] + b[i];
-        if (x > best)
-            best = x;
-    }
-    return best;
+    return peakOf(Sum{a.data(), b.data()}, a.size());
 }
 
 double
@@ -78,15 +229,7 @@ peakOfScaledSum(TraceView a, TraceView b, double scale)
     SOSIM_COUNT("trace.kernels.peak_of_scaled_sum");
     requireAligned(a, b,
                    "peakOfScaledSum: views must be aligned and non-empty");
-    // Two rounding steps per element (multiply, then add), exactly like
-    // materializing `b * scale` first and adding it to `a`.
-    double best = a[0] + scale * b[0];
-    for (std::size_t i = 1; i < a.size(); ++i) {
-        const double x = a[i] + scale * b[i];
-        if (x > best)
-            best = x;
-    }
-    return best;
+    return peakOf(ScaledSum{a.data(), b.data(), scale}, a.size());
 }
 
 double
@@ -94,13 +237,7 @@ peakOfDiff(TraceView a, TraceView b)
 {
     SOSIM_COUNT("trace.kernels.peak_of_diff");
     requireAligned(a, b, "peakOfDiff: views must be aligned and non-empty");
-    double best = a[0] - b[0];
-    for (std::size_t i = 1; i < a.size(); ++i) {
-        const double x = a[i] - b[i];
-        if (x > best)
-            best = x;
-    }
-    return best;
+    return peakOf(Diff{a.data(), b.data()}, a.size());
 }
 
 double
@@ -111,19 +248,35 @@ peakOfAddScaledDiff(TraceView c, TraceView a, TraceView b, double scale)
                    "peakOfAddScaledDiff: views must be aligned, non-empty");
     requireAligned(c, b,
                    "peakOfAddScaledDiff: views must be aligned, non-empty");
-    double best = c[0] + scale * (a[0] - b[0]);
-    for (std::size_t i = 1; i < c.size(); ++i) {
-        const double x = c[i] + scale * (a[i] - b[i]);
-        if (x > best)
-            best = x;
-    }
-    return best;
+    return peakOf(AddScaledDiff{c.data(), a.data(), b.data(), scale},
+                  c.size());
 }
 
-// peakOfScaledSumEarlyReject / peakOfAddScaledDiffEarlyReject are
-// defined after the blocked-kernel dispatch machinery below: they scan
-// in dispatched chunks so the early-reject check does not cost the
-// vectorized inner loop.
+double
+peakOfScaledSumEarlyReject(TraceView a, TraceView b, double scale,
+                           double numerator, double threshold)
+{
+    SOSIM_COUNT("trace.kernels.peak_of_scaled_sum");
+    requireAligned(a, b, "peakOfScaledSumEarlyReject: views must be "
+                         "aligned and non-empty");
+    return peakOfEarlyReject(ScaledSum{a.data(), b.data(), scale}, a.size(),
+                             numerator, threshold);
+}
+
+double
+peakOfAddScaledDiffEarlyReject(TraceView c, TraceView a, TraceView b,
+                               double scale, double numerator,
+                               double threshold)
+{
+    SOSIM_COUNT("trace.kernels.peak_of_add_scaled_diff");
+    requireAligned(c, a, "peakOfAddScaledDiffEarlyReject: views must be "
+                         "aligned, non-empty");
+    requireAligned(c, b, "peakOfAddScaledDiffEarlyReject: views must be "
+                         "aligned, non-empty");
+    return peakOfEarlyReject(
+        AddScaledDiff{c.data(), a.data(), b.data(), scale}, c.size(),
+        numerator, threshold);
+}
 
 double
 accumulatePeak(TimeSeries &dst, TraceView src)
@@ -184,283 +337,14 @@ diffPeakRow(double *dst, TraceView a, TraceView b)
     return best;
 }
 
-/*
- * ── Blocked kernels ──────────────────────────────────────────────────
- *
- * Each kernel exists as a portable multi-accumulator loop (written so
- * the compiler's vectorizer sees independent lanes) and, when
- * SOSIM_NATIVE compiled them in, as an AVX2 implementation selected at
- * runtime.  The AVX2 code uses separate mul/add — never FMA — so every
- * element value is bit-identical to the scalar expression and only the
- * (association-insensitive) max-reduction is reordered.
- */
-
-namespace {
-
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
-double
-peakOfSumGeneric(const double *a, const double *b, std::size_t n)
-{
-    double m0 = kNegInf, m1 = kNegInf, m2 = kNegInf, m3 = kNegInf;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        m0 = std::max(m0, a[i] + b[i]);
-        m1 = std::max(m1, a[i + 1] + b[i + 1]);
-        m2 = std::max(m2, a[i + 2] + b[i + 2]);
-        m3 = std::max(m3, a[i + 3] + b[i + 3]);
-    }
-    double best = std::max(std::max(m0, m1), std::max(m2, m3));
-    for (; i < n; ++i)
-        best = std::max(best, a[i] + b[i]);
-    return best;
-}
-
-double
-peakOfScaledSumGeneric(const double *a, const double *b, double s,
-                       std::size_t n)
-{
-    double m0 = kNegInf, m1 = kNegInf, m2 = kNegInf, m3 = kNegInf;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        m0 = std::max(m0, a[i] + s * b[i]);
-        m1 = std::max(m1, a[i + 1] + s * b[i + 1]);
-        m2 = std::max(m2, a[i + 2] + s * b[i + 2]);
-        m3 = std::max(m3, a[i + 3] + s * b[i + 3]);
-    }
-    double best = std::max(std::max(m0, m1), std::max(m2, m3));
-    for (; i < n; ++i)
-        best = std::max(best, a[i] + s * b[i]);
-    return best;
-}
-
-double
-peakOfAddScaledDiffGeneric(const double *c, const double *a,
-                           const double *b, double s, std::size_t n)
-{
-    double m0 = kNegInf, m1 = kNegInf, m2 = kNegInf, m3 = kNegInf;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        m0 = std::max(m0, c[i] + s * (a[i] - b[i]));
-        m1 = std::max(m1, c[i + 1] + s * (a[i + 1] - b[i + 1]));
-        m2 = std::max(m2, c[i + 2] + s * (a[i + 2] - b[i + 2]));
-        m3 = std::max(m3, c[i + 3] + s * (a[i + 3] - b[i + 3]));
-    }
-    double best = std::max(std::max(m0, m1), std::max(m2, m3));
-    for (; i < n; ++i)
-        best = std::max(best, c[i] + s * (a[i] - b[i]));
-    return best;
-}
-
-#if SOSIM_AVX2_COMPILED
-
-__attribute__((target("avx2"))) double
-horizontalMax(__m256d m, double tail_best)
-{
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, m);
-    const double a = std::max(lanes[0], lanes[1]);
-    const double b = std::max(lanes[2], lanes[3]);
-    return std::max(std::max(a, b), tail_best);
-}
-
-__attribute__((target("avx2"))) double
-peakOfSumAvx2(const double *a, const double *b, std::size_t n)
-{
-    __m256d m0 = _mm256_set1_pd(kNegInf);
-    __m256d m1 = _mm256_set1_pd(kNegInf);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        m0 = _mm256_max_pd(m0, _mm256_add_pd(_mm256_loadu_pd(a + i),
-                                             _mm256_loadu_pd(b + i)));
-        m1 = _mm256_max_pd(m1, _mm256_add_pd(_mm256_loadu_pd(a + i + 4),
-                                             _mm256_loadu_pd(b + i + 4)));
-    }
-    double best = kNegInf;
-    for (; i < n; ++i)
-        best = std::max(best, a[i] + b[i]);
-    return horizontalMax(_mm256_max_pd(m0, m1), best);
-}
-
-__attribute__((target("avx2"))) double
-peakOfScaledSumAvx2(const double *a, const double *b, double s,
-                    std::size_t n)
-{
-    const __m256d vs = _mm256_set1_pd(s);
-    __m256d m0 = _mm256_set1_pd(kNegInf);
-    __m256d m1 = _mm256_set1_pd(kNegInf);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        // mul then add, two rounding steps — matches the scalar a + s*b.
-        m0 = _mm256_max_pd(
-            m0, _mm256_add_pd(_mm256_loadu_pd(a + i),
-                              _mm256_mul_pd(vs, _mm256_loadu_pd(b + i))));
-        m1 = _mm256_max_pd(
-            m1,
-            _mm256_add_pd(_mm256_loadu_pd(a + i + 4),
-                          _mm256_mul_pd(vs, _mm256_loadu_pd(b + i + 4))));
-    }
-    double best = kNegInf;
-    for (; i < n; ++i)
-        best = std::max(best, a[i] + s * b[i]);
-    return horizontalMax(_mm256_max_pd(m0, m1), best);
-}
-
-__attribute__((target("avx2"))) double
-peakOfAddScaledDiffAvx2(const double *c, const double *a, const double *b,
-                        double s, std::size_t n)
-{
-    const __m256d vs = _mm256_set1_pd(s);
-    __m256d m0 = _mm256_set1_pd(kNegInf);
-    __m256d m1 = _mm256_set1_pd(kNegInf);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256d d0 = _mm256_sub_pd(_mm256_loadu_pd(a + i),
-                                         _mm256_loadu_pd(b + i));
-        const __m256d d1 = _mm256_sub_pd(_mm256_loadu_pd(a + i + 4),
-                                         _mm256_loadu_pd(b + i + 4));
-        m0 = _mm256_max_pd(m0, _mm256_add_pd(_mm256_loadu_pd(c + i),
-                                             _mm256_mul_pd(vs, d0)));
-        m1 = _mm256_max_pd(m1, _mm256_add_pd(_mm256_loadu_pd(c + i + 4),
-                                             _mm256_mul_pd(vs, d1)));
-    }
-    double best = kNegInf;
-    for (; i < n; ++i)
-        best = std::max(best, c[i] + s * (a[i] - b[i]));
-    return horizontalMax(_mm256_max_pd(m0, m1), best);
-}
-
-#endif // SOSIM_AVX2_COMPILED
-
-/** Function-pointer table the blocked kernels route through. */
-struct KernelDispatch {
-    double (*peakOfSum)(const double *, const double *, std::size_t);
-    double (*peakOfScaledSum)(const double *, const double *, double,
-                              std::size_t);
-    double (*peakOfAddScaledDiff)(const double *, const double *,
-                                  const double *, double, std::size_t);
-    const char *isa;
-};
-
-KernelDispatch
-pickDispatch()
-{
-    KernelDispatch d{peakOfSumGeneric, peakOfScaledSumGeneric,
-                     peakOfAddScaledDiffGeneric, "generic"};
-#if SOSIM_AVX2_COMPILED
-    const char *env = std::getenv("SOSIM_NATIVE");
-    const bool disabled = env != nullptr && env[0] == '0';
-    if (!disabled && __builtin_cpu_supports("avx2")) {
-        d = {peakOfSumAvx2, peakOfScaledSumAvx2, peakOfAddScaledDiffAvx2,
-             "avx2"};
-    }
-#endif
-    return d;
-}
-
-/** Resolved once on first use (thread-safe magic static). */
-const KernelDispatch &
-dispatch()
-{
-    static const KernelDispatch d = pickDispatch();
-    return d;
-}
-
-} // namespace
-
 const char *
 kernelIsaName()
 {
-    return dispatch().isa;
-}
-
-namespace {
-
-/**
- * Elements scanned between early-reject checks.  Each chunk goes
- * through the dispatched (AVX2 / generic multi-accumulator) peak
- * kernels, so the check never sits inside the vectorized loop; one
- * division per chunk is noise, and most failing candidates abort
- * within a few chunks.
- */
-constexpr std::size_t kRejectStride = 256;
-
-/** Prefix peak already proves numerator / peak <= threshold? */
-inline bool
-rejectDecided(double best, double numerator, double threshold)
-{
-    // Only valid for a positive prefix peak: the zero-power branch
-    // (peak <= 0 -> score 0.0) needs the full scan's sign.  For
-    // best > 0 the argument is exact — the running max only grows and
-    // IEEE division is monotone in the denominator, so once the prefix
-    // score is <= threshold the full score is too.
-    return best > 0.0 && numerator / best <= threshold;
-}
-
-} // namespace
-
-double
-peakOfScaledSumEarlyReject(TraceView a, TraceView b, double scale,
-                           double numerator, double threshold)
-{
-    SOSIM_COUNT("trace.kernels.peak_of_scaled_sum");
-    requireAligned(a, b, "peakOfScaledSumEarlyReject: views must be "
-                         "aligned and non-empty");
-    const KernelDispatch &d = dispatch();
-    const std::size_t n = a.size();
-    double best = kNegInf;
-    std::size_t i = 0;
-    while (i < n) {
-        const std::size_t len = std::min(n - i, kRejectStride);
-        const double chunk =
-            d.peakOfScaledSum(a.data() + i, b.data() + i, scale, len);
-        if (chunk > best)
-            best = chunk;
-        i += len;
-        if (i < n && rejectDecided(best, numerator, threshold)) {
-            SOSIM_COUNT("trace.kernels.early_rejects");
-            return best;
-        }
-    }
-    return best;
-}
-
-double
-peakOfAddScaledDiffEarlyReject(TraceView c, TraceView a, TraceView b,
-                               double scale, double numerator,
-                               double threshold)
-{
-    SOSIM_COUNT("trace.kernels.peak_of_add_scaled_diff");
-    requireAligned(c, a, "peakOfAddScaledDiffEarlyReject: views must be "
-                         "aligned, non-empty");
-    requireAligned(c, b, "peakOfAddScaledDiffEarlyReject: views must be "
-                         "aligned, non-empty");
-    const KernelDispatch &d = dispatch();
-    const std::size_t n = c.size();
-    double best = kNegInf;
-    std::size_t i = 0;
-    while (i < n) {
-        const std::size_t len = std::min(n - i, kRejectStride);
-        const double chunk = d.peakOfAddScaledDiff(
-            c.data() + i, a.data() + i, b.data() + i, scale, len);
-        if (chunk > best)
-            best = chunk;
-        i += len;
-        if (i < n && rejectDecided(best, numerator, threshold)) {
-            SOSIM_COUNT("trace.kernels.early_rejects");
-            return best;
-        }
-    }
-    return best;
-}
-
-double
-peakOfSumBlocked(TraceView a, TraceView b)
-{
-    SOSIM_COUNT("trace.kernels.peak_of_sum_blocked");
-    requireAligned(a, b,
-                   "peakOfSumBlocked: views must be aligned and non-empty");
-    return dispatch().peakOfSum(a.data(), b.data(), a.size());
+#if SOSIM_SCAN_AVX2_CLONE
+    if (__builtin_cpu_supports("avx2"))
+        return "avx2";
+#endif
+    return "generic";
 }
 
 std::size_t
@@ -497,7 +381,7 @@ scoreVectorsBatch(const TraceArena &itraces, const TraceArena &straces)
     util::parallelFor(rows, [&](std::size_t i) {
         const TraceView a = itraces.view(i);
         for (std::size_t j = 0; j < cols; ++j)
-            peaks[i * cols + j] = peakOfSumBlocked(a, straces.view(j));
+            peaks[i * cols + j] = peakOfSum(a, straces.view(j));
     });
     return peaks;
 }

@@ -13,9 +13,11 @@
  * each score is a single pass over the operands and never allocates.
  *
  * Determinism note: every kernel applies the same floating-point operations
- * in the same order as the materializing formulation it replaces
- * (element-wise op, then running max), so results are bit-identical to the
- * `(a + b).peak()` style they replace.  tests/test_kernels.cc pins this.
+ * per element as the materializing formulation it replaces, and a running
+ * max does not depend on the order it visits elements, so results equal
+ * the `(a + b).peak()` style they replace.  NaN follows the same rule as
+ * computeStats(): the peak is NaN exactly when the first element is, and
+ * later NaNs are skipped.  tests/test_kernels.cc pins this.
  */
 
 #include <cstddef>
@@ -129,10 +131,9 @@ double peakOfAddScaledDiff(TraceView c, TraceView a, TraceView b,
  * caller uses the value); on an aborted scan the returned prefix peak
  * still yields `numerator / result <= threshold`, so the caller's
  * accept test takes the identical branch.  Decisions are therefore
- * exactly those of the full-scan kernels.  Internally each chunk runs
- * through the dispatched blocked kernels (see below), so like that
- * family these variants require finite inputs — exactly what
- * core::remap::refine guarantees for its gap-free traces.
+ * exactly those of the full-scan kernels, on any input: each chunk
+ * continues the same scan from the running peak, so the NaN rule above
+ * holds too (a NaN peak is never positive, so it never aborts).
  */
 
 /** peakOfScaledSum with early rejection (see the contract above). */
@@ -178,53 +179,30 @@ double subAddPeakRow(double *dst, TraceView add, TraceView sub);
  */
 double diffPeakRow(double *dst, TraceView a, TraceView b);
 
-/*
- * ── Blocked kernels ──────────────────────────────────────────────────
- *
- * The strict kernels above scan with a single sequential accumulator, a
- * loop shape whose loop-carried compare keeps the compiler from using
- * wide max instructions.  The *blocked* kernels below break the scan
- * into independent accumulator lanes so they auto-vectorize (and, when
- * compiled with SOSIM_NATIVE on x86-64, dispatch at runtime to an AVX2
- * path — see kernelIsaName()).  The early-reject kernels above run
- * their chunks through the same dispatched bodies.
- *
- * Contract: on finite inputs a blocked peak is bit-identical to its
- * strict sibling — a max-reduction is insensitive to association, and
- * the element expressions apply the identical IEEE operations (the AVX2
- * path deliberately uses separate mul/add, never FMA).  Unlike the
- * strict kernels, which reproduce the reference NaN propagation, the
- * blocked peak kernels require finite data.  tests/test_arena.cc pins
- * the identity.
- */
-
 /**
- * Which kernel family the population embedding runs on
- * (PlacementConfig::kernels, core::embedPopulation).  kStrict (the
- * default) preserves the reference scan order; kBlocked packs the
- * populations into arenas and runs scoreVectorsBatch.  Both give
- * bit-identical peaks on finite traces.
+ * Which embedding path core::embedPopulation runs
+ * (PlacementConfig::kernels).  kStrict (the default) scores pairs one
+ * fused kernel call at a time; kBlocked packs the populations into
+ * arenas and runs scoreVectorsBatch.  Both use the same peak kernels,
+ * so they give the same scores.
  */
 enum class KernelMode { kStrict, kBlocked };
 
 /**
- * ISA the blocked kernels dispatch to at runtime: "avx2" when compiled
- * with SOSIM_NATIVE, running on AVX2 hardware and not disabled via the
- * environment variable SOSIM_NATIVE=0; otherwise "generic" (portable
- * multi-accumulator loops).  Resolved once, on first use.
+ * ISA of the peak-scan clone the loader selected: "avx2" on x86-64
+ * CPUs with AVX2, otherwise "generic" (also in ThreadSanitizer builds,
+ * which compile no AVX2 clone).  Informational only: both clones
+ * compute the same values.
  */
 const char *kernelIsaName();
 
-/** Blocked peak(a + b); finite inputs.  See the contract above. */
-double peakOfSumBlocked(TraceView a, TraceView b);
-
-/** Blocked count of finite samples (exact on every input). */
+/** Count of finite samples. */
 std::size_t countValid(TraceView v);
 
 /**
  * Batched peak-of-sum over two arenas: out[i * straces.size() + j] =
- * peak(itraces row i + straces row j), computed with the blocked
- * kernels, rows fanned out via util::parallelFor with per-slot writes
+ * peak(itraces row i + straces row j), computed with peakOfSum,
+ * rows fanned out via util::parallelFor with per-slot writes
  * (bit-identical for any thread count).  This is the raw kernel under
  * the blocked population embedding (core::scoreVectorsBlocked), which
  * turns the peaks into Eq. 7 pair scores.

@@ -39,7 +39,7 @@ validFraction(TraceView v)
 {
     if (v.empty())
         return 1.0;
-    // Blocked finite-count: exact (integer lanes), ~4x the scan rate of
+    // Multi-lane finite count: exact (integer lanes), ~4x the scan rate of
     // the sequential isfinite loop it replaces.
     return static_cast<double>(countValid(v)) /
            static_cast<double>(v.size());

@@ -90,7 +90,7 @@ TimeSeries::percentile(double p) const
 TimeSeries
 TimeSeries::slice(std::size_t first, std::size_t len) const
 {
-    SOSIM_REQUIRE(first + len <= samples_.size(),
+    SOSIM_REQUIRE(first <= samples_.size() && len <= samples_.size() - first,
                   "TimeSeries::slice: range out of bounds");
     std::vector<double> out(samples_.begin() + (long)first,
                             samples_.begin() + (long)(first + len));

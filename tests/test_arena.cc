@@ -1,14 +1,16 @@
 /**
  * @file
- * Property tests for the TraceArena SoA store and the blocked/SIMD
+ * Property tests for the TraceArena SoA store and the arena-side
  * kernels (trace/arena.h, trace/kernels.h): arena round-trips,
- * bit-identity of blocked peaks with the strict kernels on finite
- * data, early-reject decision parity, and a remap fuzz that checks the
+ * early-reject decision parity (NaN-laced inputs included), the
+ * arena-packed embedding, and a remap fuzz that checks the
  * incremental running-sum scores against full from-scratch
  * recomputation.
  */
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -32,11 +34,16 @@ using trace::peakOfAddScaledDiff;
 using trace::peakOfAddScaledDiffEarlyReject;
 using trace::peakOfScaledSum;
 using trace::peakOfScaledSumEarlyReject;
-using trace::peakOfSum;
-using trace::peakOfSumBlocked;
 using trace::TimeSeries;
 using trace::TraceArena;
 using trace::TraceView;
+
+/** Peaks agree: equal, or both NaN. */
+bool
+samePeak(double got, double want)
+{
+    return got == want || (std::isnan(got) && std::isnan(want));
+}
 
 /** Random finite trace with positive, negative and zero stretches. */
 TimeSeries
@@ -115,18 +122,6 @@ TEST(TraceArena, CopiesAreDeepAndZeroRowsAreZero)
     EXPECT_EQ(b.view(0)[0], 42.0);
 }
 
-TEST(BlockedKernels, PeaksBitIdenticalToStrictOnFiniteTraces)
-{
-    std::mt19937 rng(11);
-    for (int trial = 0; trial < 200; ++trial) {
-        // Cover lane remainders: sizes off every multiple of 4 and 8.
-        const std::size_t n = 1 + rng() % 257;
-        const TimeSeries a = randomTrace(rng, n);
-        const TimeSeries b = randomTrace(rng, n);
-        EXPECT_EQ(peakOfSumBlocked(a, b), peakOfSum(a, b));
-    }
-}
-
 TEST(EarlyRejectKernels, DecisionsAndAcceptedValuesMatchFullScan)
 {
     std::mt19937 rng(37);
@@ -167,6 +162,33 @@ TEST(EarlyRejectKernels, DecisionsAndAcceptedValuesMatchFullScan)
             if (scoreOf(er) > threshold) {
                 EXPECT_EQ(er, full_asd);
             }
+        }
+    }
+
+    // NaN-laced operands, against the materialized peak() with a
+    // threshold that never rejects (numerator / peak > 0 for any
+    // positive peak).  A NaN at a chunk start (256, 512) must not lose
+    // that chunk; a NaN first element makes the whole peak NaN.
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    for (std::size_t n = 1; n <= 600; ++n) {
+        for (const std::size_t pos : {std::size_t{0}, std::size_t{256},
+                                      std::size_t{512}, rng() % n, n - 1}) {
+            if (pos >= n)
+                continue;
+            TimeSeries a = randomTrace(rng, n);
+            TimeSeries b = randomTrace(rng, n);
+            TimeSeries c = randomTrace(rng, n);
+            const double s = scales(rng);
+            const double num = numerators(rng);
+            TimeSeries *const operands[] = {&a, &b, &c};
+            (*operands[rng() % 3])[pos] = kNaN;
+
+            EXPECT_PRED2(samePeak,
+                         peakOfScaledSumEarlyReject(a, b, s, num, 0.0),
+                         (a + b * s).peak());
+            EXPECT_PRED2(samePeak,
+                         peakOfAddScaledDiffEarlyReject(c, a, b, s, num, 0.0),
+                         (c + (a - b) * s).peak());
         }
     }
 }

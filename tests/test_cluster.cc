@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -101,6 +102,19 @@ TEST(KMeans, ValidatesInput)
     EXPECT_THROW(kMeans({}, config), FatalError);
     std::vector<Point> ragged = {{1.0}, {1.0, 2.0}};
     EXPECT_THROW(kMeans(ragged, config), FatalError);
+    // A non-finite coordinate makes every restart's inertia non-finite;
+    // the error must name the point instead of returning no clustering.
+    std::vector<Point> with_nan = {{1.0, 2.0}, {3.0, NAN}, {5.0, 6.0}};
+    try {
+        kMeans(with_nan, config);
+        ADD_FAILURE() << "kMeans accepted a NaN coordinate";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("point 1 has a non-finite"),
+                  std::string::npos)
+            << e.what();
+    }
+    std::vector<Point> with_inf = {{1.0}, {INFINITY}};
+    EXPECT_THROW(kMeans(with_inf, config), FatalError);
 }
 
 TEST(KMeans, HandlesDuplicatePoints)

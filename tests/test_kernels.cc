@@ -8,6 +8,9 @@
  */
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -28,6 +31,13 @@ using sosim::trace::peakOfSum;
 using sosim::trace::TimeSeries;
 using sosim::trace::TraceView;
 using sosim::util::FatalError;
+
+/** Peaks agree: equal, or both NaN. */
+bool
+samePeak(double got, double want)
+{
+    return got == want || (std::isnan(got) && std::isnan(want));
+}
 
 /** Random trace with positive, negative and zero stretches. */
 TimeSeries
@@ -54,6 +64,9 @@ TEST(TraceView, ViewsSeriesWithoutOwning)
     EXPECT_EQ(sub.size(), 2u);
     EXPECT_DOUBLE_EQ(sub[0], 2.0);
     EXPECT_THROW(v.slice(2, 2), FatalError);
+    // first + len wraps around; the check must not.
+    EXPECT_THROW(v.slice(1, SIZE_MAX), FatalError);
+    EXPECT_THROW(v.slice(4, 0), FatalError);
 
     TraceView other(t.samples().data(), 3, 5);
     EXPECT_TRUE(v.alignedWith(other));
@@ -77,6 +90,32 @@ TEST(Kernels, FusedPeaksMatchMaterializingReferenceOnRandomTraces)
         EXPECT_DOUBLE_EQ(peakOfDiff(a, b), (a - b).peak());
         EXPECT_DOUBLE_EQ(peakOfAddScaledDiff(c, a, b, s),
                          (c + (a - b) * s).peak());
+    }
+
+    // NaN-laced operands: the peak is NaN exactly when the first
+    // element is, and later NaNs are skipped — the rule of the
+    // materialized peak().  Positions cover the scan's first element,
+    // 256-element chunk starts, a random element and the last one.
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    for (std::size_t n = 1; n <= 600; ++n) {
+        for (const std::size_t pos : {std::size_t{0}, std::size_t{256},
+                                      std::size_t{512}, rng() % n, n - 1}) {
+            if (pos >= n)
+                continue;
+            TimeSeries a = randomTrace(rng, n);
+            TimeSeries b = randomTrace(rng, n);
+            TimeSeries c = randomTrace(rng, n);
+            const double s = scales(rng);
+            TimeSeries *const operands[] = {&a, &b, &c};
+            (*operands[rng() % 3])[pos] = kNaN;
+
+            EXPECT_PRED2(samePeak, peakOfSum(a, b), (a + b).peak());
+            EXPECT_PRED2(samePeak, peakOfScaledSum(a, b, s),
+                         (a + b * s).peak());
+            EXPECT_PRED2(samePeak, peakOfDiff(a, b), (a - b).peak());
+            EXPECT_PRED2(samePeak, peakOfAddScaledDiff(c, a, b, s),
+                         (c + (a - b) * s).peak());
+        }
     }
 }
 

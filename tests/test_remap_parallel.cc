@@ -9,8 +9,9 @@
  * rack) order, because ShardPlan ranges concatenate in rack order.
  * These tests pin that contract end to end: the full swap plan (every
  * SwapRecord field) and the refined assignment must be bit-identical
- * across thread counts, shard counts and pruning modes,
- * on clean and on faulted-then-repaired populations.  ShardPlan itself
+ * to the unsharded scan at every thread count (and so shard count,
+ * which follows it) and pruning mode, on clean and on
+ * faulted-then-repaired populations.  ShardPlan itself
  * is unit-tested here too (group alignment, order preservation,
  * clamping).
  */
@@ -74,10 +75,11 @@ TEST(ShardPlan, NeverSplitsAGroup)
             const auto &r = plan.range(s);
             // No group id may appear in two different shards: the first
             // item of a shard must start a new group run.
-            if (r.begin > 0)
+            if (r.begin > 0) {
                 EXPECT_NE(group_of[r.begin], group_of[r.begin - 1])
                     << "shard " << s << " splits group "
                     << group_of[r.begin];
+            }
         }
     }
 }
@@ -120,7 +122,7 @@ fixtureSpec()
     workload::DatacenterSpec spec;
     spec.name = "remap-par";
     // 2 suites x 2 MSB x 2 SB x 2 RPP x 2 racks = 32 racks: enough
-    // subtree structure for multi-shard plans at every shard level.
+    // subtree structure (8 SBs) for multi-shard plans.
     spec.topology.suites = 2;
     spec.topology.msbsPerSuite = 2;
     spec.topology.sbsPerMsb = 2;
@@ -178,6 +180,52 @@ runRefine(const Fixture &f, const core::RemapConfig &config,
     return out;
 }
 
+/**
+ * The unsharded reference: the fixture's racks, in the same order, hung
+ * under one suite bus.  ShardPlan groups racks by their SB, so this
+ * tree always scans as one shard, the plain nested loop.  refine()
+ * reads only the racks of its tree and their order, so the same start
+ * gives the same problem, and the plan maps back rack for rack.
+ */
+Outcome
+runUnsharded(const Fixture &f, const core::RemapConfig &config)
+{
+    const auto &spec = f.tree.spec();
+    power::TopologySpec flat;
+    flat.suites = 1;
+    flat.msbsPerSuite = 1;
+    flat.sbsPerMsb = 1;
+    flat.rppsPerSb = spec.suites * spec.msbsPerSuite * spec.sbsPerMsb *
+                     spec.rppsPerSb;
+    flat.racksPerRpp = spec.racksPerRpp;
+    const power::PowerTree tree(flat);
+    EXPECT_EQ(tree.nodesAtLevel(power::Level::Sb).size(), 1u);
+
+    const auto &from = f.tree.racks();
+    const auto &to = tree.racks();
+    std::vector<power::NodeId> to_flat(f.tree.nodeCount(), power::kNoNode);
+    std::vector<power::NodeId> back(tree.nodeCount(), power::kNoNode);
+    for (std::size_t r = 0; r < from.size(); ++r) {
+        to_flat[from[r]] = to[r];
+        back[to[r]] = from[r];
+    }
+
+    ScopedThreads scoped(1);
+    core::Remapper remapper(tree, config);
+    Outcome out;
+    for (const power::NodeId rack : f.start)
+        out.assignment.push_back(to_flat[rack]);
+    out.swaps = remapper.refine(out.assignment, f.traces,
+                                f.validity.empty() ? nullptr : &f.validity);
+    for (power::NodeId &rack : out.assignment)
+        rack = back[rack];
+    for (core::SwapRecord &swap : out.swaps) {
+        swap.rackA = back[swap.rackA];
+        swap.rackB = back[swap.rackB];
+    }
+    return out;
+}
+
 void
 expectIdentical(const Outcome &a, const Outcome &b,
                 const std::string &what)
@@ -220,26 +268,18 @@ TEST_P(RemapParallel, PlanIsInvariantAcrossThreadsAndShards)
     config.prune = prune;
     config.pruneKeepFraction = 0.5;
 
-    // Reference: one thread, one shard — the plain nested loop.
-    core::RemapConfig ref_config = config;
-    ref_config.shards = 1;
-    const Outcome reference = runRefine(f, ref_config, 1);
+    // Reference: one shard.  The fixture tree shards its 8 SBs into 2x
+    // the thread count, so every run below is sharded (2 to 8 shards).
+    const Outcome reference = runUnsharded(f, config);
     EXPECT_FALSE(reference.swaps.empty())
         << "fixture found no swaps; the invariance check would be "
            "vacuous";
 
     for (const std::size_t threads : {std::size_t(1), std::size_t(2),
-                                      std::size_t(8)}) {
-        for (const std::size_t shards :
-             {std::size_t(0), std::size_t(1), std::size_t(3),
-              std::size_t(8)}) {
-            core::RemapConfig c = config;
-            c.shards = shards;
-            const Outcome out = runRefine(f, c, threads);
-            expectIdentical(reference, out,
-                            "threads=" + std::to_string(threads) +
-                                " shards=" + std::to_string(shards));
-        }
+                                      std::size_t(3), std::size_t(8)}) {
+        const Outcome out = runRefine(f, config, threads);
+        expectIdentical(reference, out,
+                        "threads=" + std::to_string(threads));
     }
 }
 
@@ -249,25 +289,5 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(core::PruneMode::kOff,
                           core::PruneMode::kCluster),
         ::testing::Values(false, true)));
-
-TEST(RemapParallelShardLevel, ShardLevelNeverChangesThePlan)
-{
-    const Fixture f = makeFixture(false);
-    core::RemapConfig config;
-    config.maxSwaps = 8;
-    config.shards = 1;
-    const Outcome reference = runRefine(f, config, 1);
-    for (const power::Level level :
-         {power::Level::Suite, power::Level::Msb, power::Level::Sb,
-          power::Level::Rpp, power::Level::Rack}) {
-        core::RemapConfig c = config;
-        c.shards = 6;
-        c.shardLevel = level;
-        const Outcome out = runRefine(f, c, 4);
-        expectIdentical(reference, out,
-                        "shardLevel=" +
-                            std::to_string(static_cast<int>(level)));
-    }
-}
 
 } // namespace

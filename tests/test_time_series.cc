@@ -5,6 +5,7 @@
  */
 
 #include <cmath>
+#include <cstdint>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -115,6 +116,9 @@ TEST(TimeSeries, SliceExtractsSubRange)
     EXPECT_DOUBLE_EQ(s[0], 2.0);
     EXPECT_DOUBLE_EQ(s[2], 4.0);
     EXPECT_THROW(ts.slice(3, 3), sosim::util::FatalError);
+    // first + len wraps around; the check must not.
+    EXPECT_THROW(ts.slice(1, SIZE_MAX), sosim::util::FatalError);
+    EXPECT_THROW(ts.slice(6, 0), sosim::util::FatalError);
 }
 
 TEST(TimeSeries, ResampleAveragesBuckets)
