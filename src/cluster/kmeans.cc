@@ -219,8 +219,32 @@ equalizeClusterSizes(const std::vector<Point> &points, KMeansResult &result)
 {
     const std::size_t n = points.size();
     const std::size_t k = result.centroids.size();
+    SOSIM_REQUIRE(!points.empty(),
+                  "equalizeClusterSizes: need at least one point");
     SOSIM_REQUIRE(result.assignment.size() == n,
                   "equalizeClusterSizes: assignment size mismatch");
+    // A NaN cost would break the heap's ordering and an infinite one
+    // could leave no move to take, so every coordinate must be finite.
+    const std::size_t dim = points.front().size();
+    const auto finite = [](const Point &p) {
+        return std::all_of(p.begin(), p.end(),
+                           [](double x) { return std::isfinite(x); });
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+        SOSIM_REQUIRE(points[i].size() == dim,
+                      "equalizeClusterSizes: inconsistent dimensions");
+        SOSIM_REQUIRE(finite(points[i]),
+                      "equalizeClusterSizes: point " + std::to_string(i) +
+                          " has a non-finite coordinate");
+    }
+    for (std::size_t c = 0; c < k; ++c) {
+        SOSIM_REQUIRE(result.centroids[c].size() == dim,
+                      "equalizeClusterSizes: centroid " + std::to_string(c) +
+                          " does not match the point dimension");
+        SOSIM_REQUIRE(finite(result.centroids[c]),
+                      "equalizeClusterSizes: centroid " + std::to_string(c) +
+                          " has a non-finite coordinate");
+    }
     if (k <= 1)
         return;
 
@@ -230,38 +254,73 @@ equalizeClusterSizes(const std::vector<Point> &points, KMeansResult &result)
 
     auto target_of = [&](std::size_t c) { return base + (c < extra); };
 
-    // Greedily drain over-full clusters into under-full ones, moving the
-    // point whose reassignment costs the least extra inertia.
+    // Greedily drain each over-full cluster, in cluster order, into the
+    // under-full ones, each time taking the move that adds the least
+    // inertia; ties go to the lower point index, then the lower
+    // destination.  Centroids stay fixed, a source only drains and a
+    // destination only fills, so each (point, destination) cost is
+    // computed once into a min-heap, and a popped entry whose point has
+    // moved or whose destination has filled can never become valid
+    // again and is dropped.
+    struct Move {
+        double cost;
+        std::size_t point;
+        std::size_t dst;
+    };
+    // std::*_heap keep the largest element first, so order by "after".
+    const auto after = [](const Move &a, const Move &b) {
+        if (a.cost != b.cost)
+            return a.cost > b.cost;
+        if (a.point != b.point)
+            return a.point > b.point;
+        return a.dst > b.dst;
+    };
+    std::vector<Move> heap;
+    std::size_t moves = 0, candidates = 0;
     for (std::size_t c = 0; c < k; ++c) {
-        while (sizes[c] > target_of(c)) {
-            double best_cost = std::numeric_limits<double>::max();
-            std::size_t best_point = n, best_dst = k;
-            for (std::size_t i = 0; i < n; ++i) {
-                if (result.assignment[i] != c)
+        if (sizes[c] <= target_of(c))
+            continue;
+        heap.clear();
+        const double *own = result.centroids[c].data();
+        for (std::size_t i = 0; i < n; ++i) {
+            if (result.assignment[i] != c)
+                continue;
+            const double *p = points[i].data();
+            const double stay = squaredDistance(p, own, dim);
+            for (std::size_t dst = 0; dst < k; ++dst) {
+                if (dst == c || sizes[dst] >= target_of(dst))
                     continue;
-                for (std::size_t dst = 0; dst < k; ++dst) {
-                    if (dst == c || sizes[dst] >= target_of(dst))
-                        continue;
-                    const double cost =
-                        squaredDistance(points[i], result.centroids[dst]) -
-                        squaredDistance(points[i], result.centroids[c]);
-                    if (cost < best_cost) {
-                        best_cost = cost;
-                        best_point = i;
-                        best_dst = dst;
-                    }
-                }
+                const double cost =
+                    squaredDistance(p, result.centroids[dst].data(), dim) -
+                    stay;
+                SOSIM_REQUIRE(std::isfinite(cost),
+                              "equalizeClusterSizes: the move cost of "
+                              "point " + std::to_string(i) +
+                                  " overflows");
+                heap.push_back({cost, i, dst});
             }
-            SOSIM_ASSERT(best_point < n,
+        }
+        candidates += heap.size();
+        std::make_heap(heap.begin(), heap.end(), after);
+        while (sizes[c] > target_of(c)) {
+            SOSIM_ASSERT(!heap.empty(),
                          "equalizeClusterSizes: no destination found");
-            result.assignment[best_point] = best_dst;
+            std::pop_heap(heap.begin(), heap.end(), after);
+            const Move m = heap.back();
+            heap.pop_back();
+            if (result.assignment[m.point] != c ||
+                sizes[m.dst] >= target_of(m.dst))
+                continue;
+            result.assignment[m.point] = m.dst;
             --sizes[c];
-            ++sizes[best_dst];
+            ++sizes[m.dst];
+            ++moves;
         }
     }
+    SOSIM_COUNT_ADD("cluster.equalize.moves", moves);
+    SOSIM_COUNT_ADD("cluster.equalize.candidates", candidates);
 
     // Recompute centroids and inertia for the balanced assignment.
-    const std::size_t dim = points.front().size();
     std::vector<Point> sums(k, Point(dim, 0.0));
     std::vector<std::size_t> counts(k, 0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -279,8 +338,9 @@ equalizeClusterSizes(const std::vector<Point> &points, KMeansResult &result)
     }
     double inertia = 0.0;
     for (std::size_t i = 0; i < n; ++i)
-        inertia += squaredDistance(points[i],
-                                   result.centroids[result.assignment[i]]);
+        inertia += squaredDistance(
+            points[i].data(), result.centroids[result.assignment[i]].data(),
+            dim);
     result.inertia = inertia;
 }
 

@@ -72,11 +72,20 @@ KMeansResult kMeans(const std::vector<Point> &points,
 /**
  * Rebalance a clustering so every cluster has (near-)equal size.
  *
- * Points are greedily moved from over-full clusters to under-full ones,
- * choosing at each step the move that increases inertia the least.  Sizes
- * after the pass differ by at most one.
+ * Over-full clusters are drained in cluster order.  Each step moves the
+ * point of the current source whose move to a still under-full
+ * cluster increases inertia the least, measured against the centroids
+ * as given (they stay fixed until the pass ends).  Ties go to the lower
+ * point index, then the lower destination index.  Sizes after the pass
+ * differ by at most one; the first n % k clusters hold the extra point.
  *
- * @param points Input points (same order as the clustering).
+ * Cost: one distance per (source point, under-full destination) pair,
+ * at most n·(k−1) in all, kept in a lazy min-heap per source, so the
+ * pass runs in O(n·k·(dim + log(n·k))) time and O(n·k) memory.
+ *
+ * @param points Input points (same order as the clustering); at least
+ *               one, all of the centroids' dimension, all coordinates
+ *               finite.  Anything else throws util::FatalError.
  * @param result Clustering to rebalance; assignment is updated in place
  *               and centroids/inertia are recomputed.
  */

@@ -5,14 +5,19 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cluster/kmeans.h"
 #include "cluster/pca.h"
 #include "cluster/tsne.h"
+#include "obs/metrics.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -179,6 +184,245 @@ TEST(KMeansBalance, PreservesTotalCount)
     for (const auto s : sizes)
         total += s;
     EXPECT_EQ(total, points.size());
+}
+
+/**
+ * The size balancing as a plain rescan, the oracle for
+ * equalizeClusterSizes: for every move, scan every point of the source
+ * against every under-full destination in (point, destination) order
+ * and keep the first strict minimum of the added inertia.  O(n·k) per
+ * move.
+ */
+void
+equalizeByScan(const std::vector<Point> &points, KMeansResult &result)
+{
+    const std::size_t n = points.size();
+    const std::size_t k = result.centroids.size();
+    if (k <= 1)
+        return;
+
+    auto sizes = clusterSizes(result.assignment, k);
+    const std::size_t base = n / k;
+    const std::size_t extra = n % k;
+    auto target_of = [&](std::size_t c) { return base + (c < extra); };
+
+    for (std::size_t c = 0; c < k; ++c) {
+        while (sizes[c] > target_of(c)) {
+            double best_cost = std::numeric_limits<double>::max();
+            std::size_t best_point = n, best_dst = k;
+            for (std::size_t i = 0; i < n; ++i) {
+                if (result.assignment[i] != c)
+                    continue;
+                for (std::size_t dst = 0; dst < k; ++dst) {
+                    if (dst == c || sizes[dst] >= target_of(dst))
+                        continue;
+                    const double cost =
+                        squaredDistance(points[i], result.centroids[dst]) -
+                        squaredDistance(points[i], result.centroids[c]);
+                    if (cost < best_cost) {
+                        best_cost = cost;
+                        best_point = i;
+                        best_dst = dst;
+                    }
+                }
+            }
+            ASSERT_LT(best_point, n) << "no destination found";
+            result.assignment[best_point] = best_dst;
+            --sizes[c];
+            ++sizes[best_dst];
+        }
+    }
+
+    const std::size_t dim = points.front().size();
+    std::vector<Point> sums(k, Point(dim, 0.0));
+    std::vector<std::size_t> counts(k, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t c = result.assignment[i];
+        ++counts[c];
+        for (std::size_t d = 0; d < dim; ++d)
+            sums[c][d] += points[i][d];
+    }
+    for (std::size_t c = 0; c < k; ++c) {
+        if (counts[c] == 0)
+            continue;
+        for (std::size_t d = 0; d < dim; ++d)
+            result.centroids[c][d] =
+                sums[c][d] / static_cast<double>(counts[c]);
+    }
+    double inertia = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+        inertia += squaredDistance(points[i],
+                                   result.centroids[result.assignment[i]]);
+    result.inertia = inertia;
+}
+
+std::uint64_t
+bitsOf(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+std::size_t
+draw(sosim::util::Rng &rng, std::size_t lo, std::size_t hi)
+{
+    return static_cast<std::size_t>(rng.uniformInt(
+        static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi)));
+}
+
+TEST(KMeansBalance, MatchesRescanOracle)
+{
+    // Three point shapes (continuous, a small integer grid, a few
+    // distinct points repeated) times three starts (a k-means
+    // clustering, everything in cluster 0, everything in cluster k-1).
+    // Grid and repeated points give equal costs, so the tie rule is
+    // exercised; lopsided starts take centroids from the points, which
+    // makes grid costs integers and ties across destinations common.
+    for (unsigned seed = 0; seed < 225; ++seed) {
+        sosim::util::Rng rng(7000 + seed);
+        const std::size_t k = draw(rng, 2, 40);
+        const std::size_t n = draw(rng, k, 600);
+        const std::size_t dim = draw(rng, 1, 8);
+        const unsigned shape = seed % 3;
+        const unsigned start = (seed / 3) % 3;
+
+        std::vector<Point> distinct;
+        if (shape == 2)
+            for (std::size_t j = draw(rng, 1, 6); j > 0; --j) {
+                distinct.emplace_back();
+                for (std::size_t d = 0; d < dim; ++d)
+                    distinct.back().push_back(
+                        static_cast<double>(draw(rng, 0, 9)));
+            }
+        std::vector<Point> points(n);
+        for (auto &p : points) {
+            if (shape == 2) {
+                p = distinct[draw(rng, 0, distinct.size() - 1)];
+                continue;
+            }
+            for (std::size_t d = 0; d < dim; ++d)
+                p.push_back(shape == 0
+                                ? rng.normal(0.0, 3.0)
+                                : static_cast<double>(draw(rng, 0, 3)));
+        }
+
+        KMeansResult input;
+        if (start == 0) {
+            KMeansConfig config;
+            config.k = k;
+            config.seed = seed;
+            config.restarts = 1;
+            config.maxIterations = 10;
+            input = kMeans(points, config);
+        } else {
+            input.assignment.assign(n, start == 1 ? 0 : k - 1);
+            for (std::size_t c = 0; c < k; ++c)
+                input.centroids.push_back(points[draw(rng, 0, n - 1)]);
+        }
+
+        KMeansResult heap = input, scan = input;
+        equalizeClusterSizes(points, heap);
+        equalizeByScan(points, scan);
+        SCOPED_TRACE("seed " + std::to_string(seed) + ", k " +
+                     std::to_string(k) + ", n " + std::to_string(n) +
+                     ", dim " + std::to_string(dim));
+        ASSERT_EQ(heap.assignment, scan.assignment);
+        for (std::size_t c = 0; c < k; ++c)
+            for (std::size_t d = 0; d < dim; ++d)
+                ASSERT_EQ(bitsOf(heap.centroids[c][d]),
+                          bitsOf(scan.centroids[c][d]));
+        ASSERT_EQ(bitsOf(heap.inertia), bitsOf(scan.inertia));
+    }
+}
+
+TEST(KMeansBalance, BreaksTiesByPointThenDestination)
+{
+    // Three identical points in cluster 0; clusters 1 and 2 are equally
+    // far, so every move costs the same.  The lowest point goes first,
+    // to the lowest under-full destination.
+    const std::vector<Point> points = {{0.0}, {0.0}, {0.0}};
+    KMeansResult result;
+    result.assignment = {0, 0, 0};
+    result.centroids = {{0.0}, {1.0}, {-1.0}};
+    equalizeClusterSizes(points, result);
+    EXPECT_EQ(result.assignment, (std::vector<std::size_t>{1, 2, 0}));
+}
+
+TEST(KMeansBalance, CandidatesGrowWithPairsNotMovesTimesPairs)
+{
+    // Everything starts in cluster 0, the worst case for the old
+    // per-move rescan (about moves·n·(k−1) distance pairs).  Counted,
+    // not timed, so the verdict is the same on any machine.
+    constexpr std::size_t n = 4096, k = 32;
+    sosim::util::Rng rng(11);
+    std::vector<Point> points(n);
+    for (auto &p : points)
+        p = {rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)};
+    KMeansResult result;
+    result.assignment.assign(n, 0);
+    for (std::size_t c = 0; c < k; ++c)
+        result.centroids.push_back(points[c * 97]);
+
+    auto &moves = sosim::obs::registry().counter("cluster.equalize.moves");
+    auto &candidates =
+        sosim::obs::registry().counter("cluster.equalize.candidates");
+    const auto moves0 = moves.value();
+    const auto candidates0 = candidates.value();
+    equalizeClusterSizes(points, result);
+    EXPECT_EQ(moves.value() - moves0, n - n / k); // n - target(0)
+    EXPECT_LE(candidates.value() - candidates0, n * (k - 1));
+    const auto sizes = clusterSizes(result.assignment, k);
+    EXPECT_EQ(*std::max_element(sizes.begin(), sizes.end()), n / k);
+}
+
+TEST(KMeansBalance, RejectsEmptyPoints)
+{
+    KMeansResult result;
+    result.centroids = {{0.0}, {1.0}};
+    EXPECT_THROW(equalizeClusterSizes({}, result), FatalError);
+}
+
+TEST(KMeansBalance, RejectsCentroidDimensionMismatch)
+{
+    const std::vector<Point> points = {{0.0, 0.0}, {1.0, 1.0}};
+    KMeansResult result;
+    result.assignment = {0, 0};
+    result.centroids = {{0.0, 0.0}, {1.0}};
+    EXPECT_THROW(equalizeClusterSizes(points, result), FatalError);
+}
+
+TEST(KMeansBalance, RejectsNonFinitePoint)
+{
+    const std::vector<Point> points = {{0.0}, {NAN}};
+    KMeansResult result;
+    result.assignment = {0, 0};
+    result.centroids = {{0.0}, {1.0}};
+    try {
+        equalizeClusterSizes(points, result);
+        ADD_FAILURE() << "equalizeClusterSizes accepted a NaN coordinate";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("point 1 has a non-finite"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(KMeansBalance, RejectsNonFiniteCentroid)
+{
+    const std::vector<Point> points = {{0.0}, {1.0}};
+    KMeansResult result;
+    result.assignment = {0, 0};
+    result.centroids = {{0.0}, {INFINITY}};
+    EXPECT_THROW(equalizeClusterSizes(points, result), FatalError);
+}
+
+TEST(KMeansBalance, RejectsOverflowingMoveCost)
+{
+    // Finite coordinates whose squared distance overflows to infinity.
+    const std::vector<Point> points = {{0.0}, {1.0}};
+    KMeansResult result;
+    result.assignment = {0, 0};
+    result.centroids = {{0.0}, {1e300}};
+    EXPECT_THROW(equalizeClusterSizes(points, result), FatalError);
 }
 
 TEST(Pca, RecoversDominantDirection)

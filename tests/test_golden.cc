@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -57,6 +58,10 @@ constexpr std::uint64_t kGoldenFaultFingerprint = 0xb2672a1be3790ec1;
 // Fleet-scale remap digest (population 4096, sharded + cluster-pruned
 // swap scan; see fleetDigest below).  Same update procedure as above.
 constexpr std::uint64_t kGoldenFleetDigest = 0x98e83503b0275f74;
+// Fleet-scale balanced placement digest (population 4096, the k-means
+// split plus size balancing at every level; see fleetPlacementDigest
+// below).  Same update procedure as above.
+constexpr std::uint64_t kGoldenFleetPlacementDigest = 0x490c58424abc20bb;
 
 // ---------------------------------------------------------------------
 // FNV-1a, the same construction FaultPlan::fingerprint uses.
@@ -160,6 +165,29 @@ TEST(Golden, PipelineDigestIsThreadCountInvariant)
     EXPECT_EQ(serial, pooled);
 }
 
+/** The 4096-instance mixed fleet both fleet digests run on. */
+struct GoldenFleet {
+    workload::DatacenterSpec spec;
+    std::vector<trace::TimeSeries> training;
+    std::vector<std::size_t> serviceOf;
+};
+
+GoldenFleet
+goldenFleet()
+{
+    workload::PresetOptions options;
+    options.intervalMinutes = 30;
+    options.weeks = 2;
+    GoldenFleet fleet;
+    fleet.spec = workload::buildFleetSpec(4096, options);
+    const auto dc = workload::generate(fleet.spec);
+    fleet.training = dc.trainingTraces();
+    fleet.serviceOf.resize(dc.instanceCount());
+    for (std::size_t i = 0; i < dc.instanceCount(); ++i)
+        fleet.serviceOf[i] = dc.serviceOf(i);
+    return fleet;
+}
+
 /**
  * Fleet-scale remap: oblivious placement of a 4096-instance mixed fleet,
  * refined by the sharded, cluster-pruned swap scan.  The digest covers
@@ -170,24 +198,15 @@ TEST(Golden, PipelineDigestIsThreadCountInvariant)
 std::uint64_t
 fleetDigest()
 {
-    workload::PresetOptions options;
-    options.intervalMinutes = 30;
-    options.weeks = 2;
-    const auto spec = workload::buildFleetSpec(4096, options);
-    const auto dc = workload::generate(spec);
-    const auto training = dc.trainingTraces();
-    std::vector<std::size_t> service_of(dc.instanceCount());
-    for (std::size_t i = 0; i < dc.instanceCount(); ++i)
-        service_of[i] = dc.serviceOf(i);
-
-    power::PowerTree tree(spec.topology);
-    auto assignment = baseline::obliviousPlacement(tree, service_of);
+    const auto fleet = goldenFleet();
+    power::PowerTree tree(fleet.spec.topology);
+    auto assignment = baseline::obliviousPlacement(tree, fleet.serviceOf);
     core::RemapConfig config;
     config.maxSwaps = 16;
     config.prune = core::PruneMode::kCluster;
     config.pruneKeepFraction = 0.25;
     core::Remapper remapper(tree, config);
-    const auto swaps = remapper.refine(assignment, training);
+    const auto swaps = remapper.refine(assignment, fleet.training);
 
     Digest d;
     for (const auto rack : assignment)
@@ -215,6 +234,43 @@ TEST(Golden, FleetDigestMatchesCommittedValueAtAnyThreadCount)
     EXPECT_EQ(serial, kGoldenFleetDigest)
         << "Fleet digest changed. If intentional, update "
            "kGoldenFleetDigest in tests/test_golden.cc to 0x"
+        << std::hex << serial
+        << " and explain the behavioral change in the commit message.";
+}
+
+/**
+ * Fleet-scale balanced placement: PlacementEngine::place on the same
+ * 4096-instance fleet.  At this population every split runs k-means and
+ * then cluster::equalizeClusterSizes on hundreds of points, so the
+ * digest pins the size balancing that the pipeline digest (population
+ * 384) covers only at small n.
+ */
+std::uint64_t
+fleetPlacementDigest()
+{
+    const auto fleet = goldenFleet();
+    power::PowerTree tree(fleet.spec.topology);
+    const auto assignment = core::PlacementEngine(tree, {}).place(
+        fleet.training, fleet.serviceOf);
+
+    Digest d;
+    for (const auto rack : assignment)
+        d.mix(static_cast<std::uint64_t>(rack));
+    return d.h;
+}
+
+TEST(Golden, FleetPlacementDigestMatchesCommittedValueAtAnyThreadCount)
+{
+    util::setThreadCount(1);
+    const auto serial = fleetPlacementDigest();
+    util::setThreadCount(4);
+    const auto pooled = fleetPlacementDigest();
+    util::setThreadCount(0);
+    EXPECT_EQ(serial, pooled)
+        << "fleet placement digest differs between 1 and 4 threads.";
+    EXPECT_EQ(serial, kGoldenFleetPlacementDigest)
+        << "Fleet placement digest changed. If intentional, update "
+           "kGoldenFleetPlacementDigest in tests/test_golden.cc to 0x"
         << std::hex << serial
         << " and explain the behavioral change in the commit message.";
 }
