@@ -1,37 +1,11 @@
 #include "shape_index.h"
 
 #include <cmath>
-#include <cstring>
 
 #include "cluster/candidate_index.h"
 #include "util/error.h"
-#include "util/hash.h"
 
 namespace sosim::cluster {
-
-namespace {
-
-std::uint64_t
-fingerprintIndex(const std::vector<Point> &points, std::size_t samples,
-                 std::size_t buckets)
-{
-    std::uint64_t h = util::kFnvOffset;
-    h = util::mixWord(h, samples);
-    h = util::mixWord(h, buckets);
-    h = util::mixWord(h, points.size());
-    for (const auto &p : points) {
-        h = util::mixWord(h, p.size());
-        for (const double v : p) {
-            std::uint64_t bits;
-            static_assert(sizeof(bits) == sizeof(v));
-            std::memcpy(&bits, &v, sizeof(bits));
-            h = util::mixWord(h, bits);
-        }
-    }
-    return h;
-}
-
-} // namespace
 
 ShapeIndex
 ShapeIndex::build(const std::vector<const double *> &rows,
@@ -42,8 +16,6 @@ ShapeIndex::build(const std::vector<const double *> &rows,
     index.buckets_ = buckets;
     if (!rows.empty())
         index.points_ = shapePoints(rows, samples, buckets);
-    index.fingerprint_ =
-        fingerprintIndex(index.points_, samples, buckets);
     return index;
 }
 
@@ -55,8 +27,6 @@ ShapeIndex::fromPoints(std::vector<Point> points, std::size_t samples,
     index.samples_ = samples;
     index.buckets_ = buckets;
     index.points_ = std::move(points);
-    index.fingerprint_ =
-        fingerprintIndex(index.points_, samples, buckets);
     return index;
 }
 

@@ -3,7 +3,7 @@
 
 /**
  * @file
- * A shared, fingerprinted store of diurnal-shape embeddings.
+ * A shared store of diurnal-shape embeddings.
  *
  * Several consumers embed every instance's trace as a small normalized
  * shape vector (see shapePoints): the remap pruner clusters the shapes
@@ -15,20 +15,12 @@
  * raw traces on every call; now the index is built once per trace
  * population and passed around by const reference.
  *
- * The index carries a content fingerprint (byte-wise FNV-1a,
- * util::mixWord, over the embedding parameters and every point's
- * IEEE-754 bits), so it can flow along op-graph edges as a cached op
- * output: two indexes with equal fingerprints embed identical
- * populations identically.
- *
  * Determinism: build() delegates to shapePoints, which fans rows out
  * over util::parallelFor with per-slot writes — bit-identical points
- * for any thread count — and the fingerprint is computed serially in
- * row order afterwards.
+ * for any thread count.
  */
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "cluster/kmeans.h"
@@ -45,14 +37,14 @@ namespace sosim::cluster {
 inline constexpr std::size_t kDefaultShapeBuckets = 16;
 
 /**
- * An immutable population of shape embeddings plus its fingerprint.
+ * An immutable population of shape embeddings.
  * Value semantics; cheap to move, deliberately not copied around by the
  * consumers (they take `const ShapeIndex &` or a pointer).
  */
 class ShapeIndex
 {
   public:
-    /** An empty index (size 0, fingerprint of the empty population). */
+    /** An empty index (size 0). */
     ShapeIndex() = default;
 
     /**
@@ -66,9 +58,7 @@ class ShapeIndex
 
     /**
      * Wrap an already-computed embedding (tests, or callers that
-     * produced the points through shapePoints themselves).  The
-     * fingerprint is recomputed from the arguments, so equality with a
-     * built index holds whenever the values match.
+     * produced the points through shapePoints themselves).
      */
     static ShapeIndex fromPoints(std::vector<Point> points,
                                  std::size_t samples, std::size_t buckets);
@@ -98,13 +88,6 @@ class ShapeIndex
     const Point &point(std::size_t i) const;
 
     /**
-     * Content fingerprint over (samples, buckets, every point's bits).
-     * The caching identity of the index: equal fingerprints mean equal
-     * embeddings of equal populations.
-     */
-    std::uint64_t fingerprint() const { return fingerprint_; }
-
-    /**
      * Mean Euclidean distance between this index's points and
      * `other`'s, position-wise over the common prefix — the monitor's
      * shape-drift diagnostic (0.0 when either index is empty).  Order
@@ -116,7 +99,6 @@ class ShapeIndex
     std::vector<Point> points_;
     std::size_t buckets_ = 0;
     std::size_t samples_ = 0;
-    std::uint64_t fingerprint_ = 0;
 };
 
 } // namespace sosim::cluster

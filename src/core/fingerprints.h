@@ -3,11 +3,13 @@
 
 /**
  * @file
- * Content fingerprints of the domain types that flow along op-graph
- * edges: trace populations, assignments, trees and the config structs.
+ * Content fingerprints of the op graph's inputs and configs (trace
+ * populations, service maps, trees, config structs) and of assignments
+ * (the serve digest).
  *
- * A fingerprint is the caching identity of a graph::Value — two inputs
- * with equal fingerprints are interchangeable to the op graph — so every
+ * A fingerprint is the caching identity of an input graph::Value — two
+ * inputs with equal fingerprints are interchangeable to the op graph,
+ * whose op outputs are named by signature instead — so every
  * helper here hashes exactly the fields an op can observe and nothing
  * else.  Config fingerprints are deliberately *partial* where the
  * pipeline splits one struct across ops: fingerprintEmbedConfig covers

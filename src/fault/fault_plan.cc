@@ -207,14 +207,13 @@ FaultPlan::fingerprint() const
 }
 
 FaultPlanSpec
-parseFaultPlanSpec(const std::string &text)
+parseFaultPlanSpec(const std::string &text, const std::string &tag)
 {
-    SOSIM_REQUIRE(!text.empty(), "--fault-plan: empty spec");
+    SOSIM_REQUIRE(!text.empty(), tag + ": empty spec");
     FaultPlanSpec spec;
     const auto colon = text.find(':');
     const std::string seed_text = text.substr(0, colon);
-    spec.seed =
-        util::parseNumber<std::uint64_t>(seed_text, "--fault-plan seed");
+    spec.seed = util::parseNumber<std::uint64_t>(seed_text, tag + " seed");
     if (colon != std::string::npos) {
         spec.profile = text.substr(colon + 1);
         faultProfile(spec.profile); // Validate the name eagerly.

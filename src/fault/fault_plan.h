@@ -187,10 +187,12 @@ struct FaultPlanSpec {
 };
 
 /**
- * Parse "seed" or "seed:profile" (e.g. "7", "7:mild").  Fatal on a
- * non-numeric seed or an unknown profile name.
+ * Parse "seed" or "seed:profile" (e.g. "7", "7:mild").  Fatal on an
+ * empty spec, a non-numeric seed or an unknown profile name; `tag` names
+ * the caller's flag in the message (e.g. "--fault-plan").
  */
-FaultPlanSpec parseFaultPlanSpec(const std::string &text);
+FaultPlanSpec parseFaultPlanSpec(const std::string &text,
+                                 const std::string &tag);
 
 } // namespace sosim::fault
 

@@ -67,7 +67,8 @@ injectTraceFaults(std::vector<trace::TimeSeries> &traces,
  * Functional form of injectTraceFaults: degrade the population taken by
  * value and return (degraded traces, report) as one result.  This is
  * the body of the pipeline's fault.inject.* nodes — a pure function of
- * (traces, plan) that the op graph caches by content.
+ * (traces, plan), so the op graph caches its output under the node's
+ * signature.
  */
 InjectedTraces
 injectedCopy(std::vector<trace::TimeSeries> traces, const FaultPlan &plan);

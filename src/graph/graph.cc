@@ -11,6 +11,8 @@ Handle
 OpGraph::input(std::string name, Value v)
 {
     SOSIM_REQUIRE(!v.empty(), "OpGraph::input: empty value");
+    SOSIM_REQUIRE(v.hasFingerprint(),
+                  "OpGraph::input: value has no content fingerprint");
     SOSIM_REQUIRE(byName_.find(name) == byName_.end(),
                   "OpGraph: duplicate node name");
     Node n;
@@ -30,6 +32,8 @@ OpGraph::setInput(Handle h, Value v)
     SOSIM_REQUIRE(n.fn == nullptr,
                   "OpGraph::setInput: handle is not an input node");
     SOSIM_REQUIRE(!v.empty(), "OpGraph::setInput: empty value");
+    SOSIM_REQUIRE(v.hasFingerprint(),
+                  "OpGraph::setInput: value has no content fingerprint");
     n.inputValue = std::move(v);
 }
 
@@ -152,6 +156,10 @@ OpGraph::execute(Node &n, std::uint64_t sig, const std::vector<Value> &ins)
         SOSIM_OBSERVE("graph.op.eval_ms", eval_ms);
     }
     SOSIM_REQUIRE(!out.empty(), "OpGraph: op returned an empty value");
+    // The output is named by the signature that produced it, so no op
+    // body hashes its payload.
+    out.fp_ = sig;
+    out.hasFp_ = true;
     ++n.evalCount;
     n.cache.insert(n.cache.begin(), CacheEntry{sig, std::move(out)});
     if (n.cache.size() > kCacheEntries)

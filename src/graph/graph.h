@@ -3,8 +3,8 @@
 
 /**
  * @file
- * OpGraph: a small DAG of typed ops with content-hash caching and
- * what-if overlays.
+ * OpGraph: a small DAG of typed ops with signature caching and what-if
+ * overlays.
  *
  * The pipeline (inject -> repair -> stats -> embed -> place -> remap ->
  * monitor) used to be hard-wired call chains: editing one trace or one
@@ -12,9 +12,18 @@
  * node whose output is an immutable Value; a node's *signature* is the
  * hash of its op name, its config fingerprint and its inputs'
  * fingerprints, so a node re-executes only when something it can actually
- * observe changed.  Every evaluation walks the node's ancestor cone,
- * re-hashes each op's signature, and answers from two layers before
- * executing:
+ * observe changed.
+ *
+ * Identity: an input node's Value carries a caller-supplied content
+ * fingerprint, so restoring an input or shadowing it with a
+ * content-equal copy changes no signature.  An op's output is named by
+ * the signature that produced it: op bodies return bare payloads and the
+ * graph stamps each output with its node signature.  Two executions
+ * that happen to produce equal payloads from different inputs therefore
+ * have different identities, and their consumers re-execute.
+ *
+ * Every evaluation walks the node's ancestor cone, re-hashes each op's
+ * signature, and answers from two layers before executing:
  *
  *   - base pin: the last (signature, value) produced by an evaluation
  *     without an overlay.  Only such evaluations write it, so no number
@@ -64,24 +73,35 @@ using util::hashCombine;
 
 /**
  * An immutable, type-erased, cheaply-copyable value flowing along graph
- * edges.  Holds a shared_ptr to the payload plus the payload's content
- * fingerprint; two Values with equal fingerprints are treated as equal by
- * the caching machinery, so fingerprints must be collision-free in
- * practice (content hashes).
+ * edges.  Holds a shared_ptr to the payload plus the fingerprint that
+ * names it for caching: a content hash for input and overlay values
+ * (which must carry one), or the producing node's signature for op
+ * outputs (stamped by the graph; op bodies box bare payloads).  Values
+ * with equal fingerprints are interchangeable to the cache, so content
+ * fingerprints must be collision-free in practice.
  */
 class Value
 {
   public:
     Value() = default;
 
-    /** Box `payload` with its content fingerprint. */
+    /** Box an op body's output; the graph names it by signature. */
     template <typename T>
-    static Value of(T payload, std::uint64_t fingerprint)
+    static Value of(T payload)
     {
         Value v;
         v.box_ = std::make_shared<const T>(std::move(payload));
         v.type_ = &typeid(T);
+        return v;
+    }
+
+    /** Box an input or overlay `payload` with its content fingerprint. */
+    template <typename T>
+    static Value of(T payload, std::uint64_t fingerprint)
+    {
+        Value v = of(std::move(payload));
         v.fp_ = fingerprint;
+        v.hasFp_ = true;
         return v;
     }
 
@@ -105,13 +125,19 @@ class Value
     /** True when no payload has been boxed. */
     bool empty() const { return box_ == nullptr; }
 
-    /** Content fingerprint (identity for caching purposes). */
+    /** True when the value carries a fingerprint. */
+    bool hasFingerprint() const { return hasFp_; }
+
+    /** Identity for caching: content hash or producing signature. */
     std::uint64_t fingerprint() const { return fp_; }
 
   private:
+    friend class OpGraph;
+
     std::shared_ptr<const void> box_;
     const std::type_info *type_ = nullptr;
     std::uint64_t fp_ = 0;
+    bool hasFp_ = false;
 };
 
 /** Opaque id of a node in an OpGraph. */
@@ -141,6 +167,8 @@ class Overlay
     {
         SOSIM_REQUIRE(h.valid(), "graph::Overlay: invalid handle");
         SOSIM_REQUIRE(!v.empty(), "graph::Overlay: empty value");
+        SOSIM_REQUIRE(v.hasFingerprint(),
+                      "graph::Overlay: value has no content fingerprint");
         values_[h.id] = std::move(v);
         return *this;
     }
@@ -167,7 +195,10 @@ class Overlay
     std::map<std::size_t, Value> values_;
 };
 
-/** The function body of an op: pure inputs -> output. */
+/**
+ * The function body of an op: pure inputs -> output, boxed with
+ * Value::of(payload).  The graph names the output by its signature.
+ */
 using OpFn = std::function<Value(const std::vector<Value> &)>;
 
 /**
@@ -187,12 +218,16 @@ class OpGraph
     OpGraph(OpGraph &&) noexcept = default;
     OpGraph &operator=(OpGraph &&) noexcept = default;
 
-    /** Add an input node holding `v`.  Names must be unique. */
+    /**
+     * Add an input node holding `v`, which must carry a content
+     * fingerprint.  Names must be unique.
+     */
     Handle input(std::string name, Value v);
 
     /**
-     * Replace input `h`'s value.  Downstream ops re-execute on their next
-     * evaluation only if the fingerprint actually changed.
+     * Replace input `h`'s value (which must carry a content fingerprint).
+     * Downstream ops re-execute on their next evaluation only if the
+     * fingerprint actually changed.
      */
     void setInput(Handle h, Value v);
 

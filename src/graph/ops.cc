@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <cstring>
 #include <utility>
 
 #include "baseline/oblivious.h"
@@ -20,109 +19,6 @@
 namespace sosim::pipeline {
 
 namespace {
-
-std::uint64_t
-fpDouble(std::uint64_t h, double d)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &d, sizeof(bits));
-    return util::hashCombine(h, bits);
-}
-
-std::uint64_t
-fpInjectionReport(std::uint64_t h, const fault::InjectionReport &r)
-{
-    h = util::hashCombine(h, r.samplesDropped);
-    h = util::hashCombine(h, r.samplesStuck);
-    h = util::hashCombine(h, r.tracesLost);
-    h = util::hashCombine(h, r.tracesSkewed);
-    h = util::hashCombine(h, r.blackoutSamples);
-    h = util::hashCombine(h, r.instancesBlackedOut);
-    return util::hashCombine(h, r.nodesDerated);
-}
-
-std::uint64_t
-fpInjectedTraces(const fault::InjectedTraces &v)
-{
-    return fpInjectionReport(core::fingerprintTraces(v.traces), v.report);
-}
-
-std::uint64_t
-fpRepairedTraces(const trace::RepairedTraces &v)
-{
-    std::uint64_t h = core::fingerprintTraces(v.traces);
-    h = util::hashCombine(h, v.summary.tracesDegraded);
-    h = util::hashCombine(h, v.summary.samplesRepaired);
-    h = util::hashCombine(h, v.summary.tracesUnrepairable);
-    return util::fingerprintDoubles(v.summary.validBefore.data(),
-                                     v.summary.validBefore.size(), h);
-}
-
-std::uint64_t
-fpPoints(const std::vector<cluster::Point> &points)
-{
-    std::uint64_t h = util::hashCombine(util::kFnvOffset, points.size());
-    for (const auto &p : points)
-        h = util::fingerprintDoubles(p.data(), p.size(), h);
-    return h;
-}
-
-std::uint64_t
-fpRemapResult(const RemapResult &v)
-{
-    std::uint64_t h = core::fingerprintAssignment(v.assignment);
-    h = util::hashCombine(h, v.swaps.size());
-    for (const auto &s : v.swaps) {
-        h = util::hashCombine(h, s.instanceA);
-        h = util::hashCombine(h, s.instanceB);
-        h = util::hashCombine(h, static_cast<std::uint64_t>(s.rackA));
-        h = util::hashCombine(h, static_cast<std::uint64_t>(s.rackB));
-    }
-    return h;
-}
-
-std::uint64_t
-fpMeasurement(const core::MonitorMeasurement &m)
-{
-    std::uint64_t h = fpDouble(util::kFnvOffset, m.sumOfPeaks);
-    h = fpDouble(h, m.rootPeak);
-    h = fpDouble(h, m.fragmentationRatio);
-    h = util::hashCombine(h, m.degradedData ? 1u : 0u);
-    h = fpDouble(h, m.validFraction);
-    h = util::hashCombine(h, m.repairedSamples);
-    h = util::hashCombine(h, m.excludedInstances);
-    return fpDouble(h, m.shapeDrift);
-}
-
-std::uint64_t
-fpHeadroomReport(const core::HeadroomReport &r)
-{
-    std::uint64_t h = util::hashCombine(util::kFnvOffset,
-                                         r.levels.size());
-    for (const auto &lc : r.levels) {
-        h = util::hashCombine(h, static_cast<std::uint64_t>(lc.level));
-        h = fpDouble(h, lc.baselineSumPeaks);
-        h = fpDouble(h, lc.optimizedSumPeaks);
-        h = fpDouble(h, lc.peakReductionFraction);
-    }
-    return h;
-}
-
-std::uint64_t
-fpPopulationStats(const PopulationStats &s)
-{
-    std::uint64_t h = util::hashCombine(util::kFnvOffset,
-                                         s.perTrace.size());
-    for (const auto &t : s.perTrace) {
-        h = fpDouble(h, t.peak);
-        h = fpDouble(h, t.valley);
-        h = fpDouble(h, t.sum);
-        h = fpDouble(h, t.mean);
-        h = util::hashCombine(h, t.peakIndex);
-    }
-    h = fpDouble(h, s.totalMeanPower);
-    return fpDouble(h, s.peakOfPeaks);
-}
 
 graph::Value
 policyValue(trace::RepairPolicy policy)
@@ -252,18 +148,14 @@ buildPipeline(const PipelineSpec &spec)
     const auto tree_fp = core::fingerprintTree(*tree);
 
     const auto inject_body = [](const Ins &ins) {
-        auto out = fault::injectedCopy(
+        return graph::Value::of(fault::injectedCopy(
             ins[0].as<std::vector<trace::TimeSeries>>(),
-            ins[1].as<fault::FaultPlan>());
-        const auto fp = fpInjectedTraces(out);
-        return graph::Value::of(std::move(out), fp);
+            ins[1].as<fault::FaultPlan>()));
     };
     const auto repair_body = [](const Ins &ins) {
-        auto out = trace::repairedCopy(
+        return graph::Value::of(trace::repairedCopy(
             ins[0].as<fault::InjectedTraces>().traces,
-            ins[1].as<trace::RepairPolicy>());
-        const auto fp = fpRepairedTraces(out);
-        return graph::Value::of(std::move(out), fp);
+            ins[1].as<trace::RepairPolicy>()));
     };
 
     p.injectTrainingOp = g.op("fault.inject.training",
@@ -286,23 +178,18 @@ buildPipeline(const PipelineSpec &spec)
                 out.totalMeanPower += s.mean;
                 out.peakOfPeaks = std::max(out.peakOfPeaks, s.peak);
             }
-            const auto fp = fpPopulationStats(out);
-            return graph::Value::of(std::move(out), fp);
+            return graph::Value::of(std::move(out));
         });
     p.scoreOp = g.op(
         "score.asynchrony.training", {p.repairTrainingOp}, 0,
         [](const Ins &ins) {
-            const double score = core::asynchronyScore(
-                ins[0].as<trace::RepairedTraces>().traces);
-            return graph::Value::of(score,
-                                    fpDouble(util::kFnvOffset, score));
+            return graph::Value::of(core::asynchronyScore(
+                ins[0].as<trace::RepairedTraces>().traces));
         });
     p.obliviousOp = g.op(
         "place.oblivious", {p.serviceOfIn}, tree_fp, [tree](const Ins &ins) {
-            auto assignment = baseline::obliviousPlacement(
-                *tree, ins[0].as<std::vector<std::size_t>>());
-            const auto fp = core::fingerprintAssignment(assignment);
-            return graph::Value::of(std::move(assignment), fp);
+            return graph::Value::of(baseline::obliviousPlacement(
+                *tree, ins[0].as<std::vector<std::size_t>>()));
         });
     // One shape-embedding build for the whole pipeline: the kShape
     // embedding path, remap pruning, and every week's drift diagnostic
@@ -319,9 +206,8 @@ buildPipeline(const PipelineSpec &spec)
                 rows.push_back(ts.samples().data());
             const std::size_t samples =
                 population.empty() ? 0 : population.front().size();
-            auto index = cluster::ShapeIndex::build(rows, samples);
-            const auto fp = index.fingerprint();
-            return graph::Value::of(std::move(index), fp);
+            return graph::Value::of(
+                cluster::ShapeIndex::build(rows, samples));
         });
     // With kShape the embed body forwards the shared index's points;
     // kScoreVector never reads them.
@@ -331,33 +217,24 @@ buildPipeline(const PipelineSpec &spec)
          p.shapeIndexOp},
         0, [](const Ins &ins) {
             const auto &cfg = ins[2].as<core::PlacementConfig>();
-            if (cfg.embedding == core::PlacementEmbedding::kShape) {
-                // fpPoints, not the index fingerprint, so the distribute
-                // node sees the same identity either way the points were
-                // produced.
-                auto points = ins[3].as<cluster::ShapeIndex>().points();
-                const auto fp = fpPoints(points);
-                return graph::Value::of(std::move(points), fp);
-            }
+            if (cfg.embedding == core::PlacementEmbedding::kShape)
+                return graph::Value::of(
+                    ins[3].as<cluster::ShapeIndex>().points());
             const auto &population =
                 ins[0].as<trace::RepairedTraces>().traces;
             const auto straces = core::extractServiceTraces(
                 population, ins[1].as<std::vector<std::size_t>>(),
                 cfg.topServices);
-            auto points = core::embedPopulation(
-                population, straces.straces, cfg.scoring, cfg.kernels);
-            const auto fp = fpPoints(points);
-            return graph::Value::of(std::move(points), fp);
+            return graph::Value::of(core::embedPopulation(
+                population, straces.straces, cfg.scoring, cfg.kernels));
         });
     p.placeOp = g.op(
         "place.distribute", {p.embedOp, p.distributeConfigIn}, tree_fp,
         [tree](const Ins &ins) {
             const auto &cfg = ins[1].as<core::PlacementConfig>();
-            auto assignment =
+            return graph::Value::of(
                 core::PlacementEngine(*tree, cfg).placeWithEmbedding(
-                    ins[0].as<std::vector<cluster::Point>>());
-            const auto fp = core::fingerprintAssignment(assignment);
-            return graph::Value::of(std::move(assignment), fp);
+                    ins[0].as<std::vector<cluster::Point>>()));
         });
     // Pre-repair validity gates swap candidacy exactly as the CLI's
     // faulted path does; an all-valid population gates nothing, so the
@@ -376,8 +253,7 @@ buildPipeline(const PipelineSpec &spec)
                 out.assignment, training.traces,
                 &training.summary.validBefore,
                 &ins[3].as<cluster::ShapeIndex>());
-            const auto fp = fpRemapResult(out);
-            return graph::Value::of(std::move(out), fp);
+            return graph::Value::of(std::move(out));
         });
     p.tripsOp = g.op(
         "fault.trips.test", {p.repairTestOp, p.remapOp, p.planIn}, tree_fp,
@@ -387,30 +263,26 @@ buildPipeline(const PipelineSpec &spec)
             out.report = fault::injectBreakerTrips(
                 out.traces, *tree, ins[1].as<RemapResult>().assignment,
                 ins[2].as<fault::FaultPlan>());
-            const auto fp = fpInjectedTraces(out);
-            return graph::Value::of(std::move(out), fp);
+            return graph::Value::of(std::move(out));
         });
     p.compareOp = g.op(
         "compare.headroom", {p.tripsOp, p.obliviousOp, p.remapOp}, tree_fp,
         [tree](const Ins &ins) {
-            auto report = core::comparePlacements(
+            return graph::Value::of(core::comparePlacements(
                 *tree, ins[0].as<fault::InjectedTraces>().traces,
                 ins[1].as<power::Assignment>(),
-                ins[2].as<RemapResult>().assignment);
-            const auto fp = fpHeadroomReport(report);
-            return graph::Value::of(std::move(report), fp);
+                ins[2].as<RemapResult>().assignment));
         });
     // measureWeek is the pure half of one week's observation; runPipeline
     // makes the stateful threshold judgment.  The training index enables
     // the shape-drift diagnostic, which annotates but never steers the
     // recommended action.
     const auto measure_body = [tree](const Ins &ins) {
-        const auto m = core::measureWeek(
+        return graph::Value::of(core::measureWeek(
             *tree, ins[2].as<core::MonitorConfig>(),
             ins[0].as<fault::InjectedTraces>().traces,
             ins[1].as<RemapResult>().assignment,
-            &ins[3].as<cluster::ShapeIndex>());
-        return graph::Value::of(m, fpMeasurement(m));
+            &ins[3].as<cluster::ShapeIndex>()));
     };
     for (std::size_t w = 0; w < p.weekIns.size(); ++w) {
         const auto week = std::to_string(w);
@@ -538,7 +410,7 @@ parseWhatIf(const Pipeline &p, const std::string &text)
             overlay.set(p.repairPolicyIn,
                         policyValue(trace::repairPolicyFromName(value)));
         } else if (key == "fault-plan") {
-            const auto plan_spec = fault::parseFaultPlanSpec(value);
+            const auto plan_spec = fault::parseFaultPlanSpec(value, tag);
             overlay.set(p.planIn,
                         planValue(fault::FaultPlan::build(
                             plan_spec.seed,

@@ -11,9 +11,10 @@
  * baseline -> embed -> distribute -> remap -> breaker trips -> compare
  * -> weekly monitoring) as one persistent OpGraph and registers each
  * stage body with OpGraph::op: a pure function from upstream Values to
- * one output Value carrying a content fingerprint, so downstream nodes
- * re-run only when a value they can observe actually changed.  The
- * graph's inputs are the trace populations and config structs.
+ * one bare output payload, which the graph names by the node's
+ * signature, so a node re-runs only when an input it observes or its
+ * config changed.  The graph's inputs are the trace populations and
+ * config structs, each boxed with its content fingerprint.
  * runPipeline() evaluates it — optionally under a what-if Overlay — and
  * returns every artifact the report prints.  Strict-mode guarantee:
  * with an empty overlay the results are bit-identical to the legacy call

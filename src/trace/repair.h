@@ -119,7 +119,8 @@ RepairSummary repairAll(std::vector<TimeSeries> &traces,
  * Functional form of repairAll: repair the population taken by value
  * and return (repaired traces, summary) as one result.  This is the
  * body of the pipeline's trace.repair.* nodes — a pure function of
- * (traces, policy) that the op graph caches by content.
+ * (traces, policy), so the op graph caches its output under the node's
+ * signature.
  */
 RepairedTraces repairedCopy(std::vector<TimeSeries> traces,
                             RepairPolicy policy);

@@ -4,9 +4,9 @@
 /**
  * @file
  * The one FNV-1a family every fingerprint in the simulator is built
- * from: op-graph value identities (core/fingerprints.h), the fault-plan
- * and shape-index fingerprints, the serve digest and the checkpoint
- * payload check.
+ * from: op-graph input identities and node signatures
+ * (core/fingerprints.h), the fault-plan fingerprint, the serve digest
+ * and the checkpoint payload check.
  *
  * Two word mixers with different, pinned outputs live here:
  * hashCombine (one xor-multiply-fold step per 64-bit word, for cache

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -101,17 +102,20 @@ TEST(FaultPlan, NoneProfileSchedulesNothing)
 
 TEST(FaultPlan, SpecParsing)
 {
-    const auto bare = fault::parseFaultPlanSpec("42");
+    const auto parse = [](const std::string &text) {
+        return fault::parseFaultPlanSpec(text, "--fault-plan");
+    };
+    const auto bare = parse("42");
     EXPECT_EQ(bare.seed, 42u);
     EXPECT_EQ(bare.profile, "harsh");
-    const auto full = fault::parseFaultPlanSpec("7:mild");
+    const auto full = parse("7:mild");
     EXPECT_EQ(full.seed, 7u);
     EXPECT_EQ(full.profile, "mild");
-    EXPECT_THROW(fault::parseFaultPlanSpec(""), FatalError);
-    EXPECT_THROW(fault::parseFaultPlanSpec("abc"), FatalError);
-    EXPECT_THROW(fault::parseFaultPlanSpec("-1:mild"), FatalError);
-    EXPECT_THROW(fault::parseFaultPlanSpec("7x:mild"), FatalError);
-    EXPECT_THROW(fault::parseFaultPlanSpec("7:bogus"), FatalError);
+    EXPECT_THROW(parse(""), FatalError);
+    EXPECT_THROW(parse("abc"), FatalError);
+    EXPECT_THROW(parse("-1:mild"), FatalError);
+    EXPECT_THROW(parse("7x:mild"), FatalError);
+    EXPECT_THROW(parse("7:bogus"), FatalError);
     EXPECT_THROW(fault::faultProfile("bogus"), FatalError);
 }
 

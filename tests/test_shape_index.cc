@@ -1,19 +1,19 @@
 /**
  * @file
- * Tests for cluster::ShapeIndex, the shared fingerprinted store of
- * diurnal-shape embeddings (src/cluster/shape_index.{h,cc}).
+ * Tests for cluster::ShapeIndex, the shared store of diurnal-shape
+ * embeddings (src/cluster/shape_index.{h,cc}).
  *
  * The index replaced three independent call sites that each recomputed
  * cluster::shapePoints from raw traces: the remap pruner's candidate
  * index, fleet-scale placement's kShape embedding, and the monitor's
  * drift diagnostic.  These tests pin (a) that build() is exactly
  * shapePoints — so handing a prebuilt index to any consumer is
- * bit-identical to letting it re-embed — (b) that the fingerprint is a
- * faithful caching identity (stable across calls and thread counts,
- * sensitive to every input), and (c) the drift metric's contract.
+ * bit-identical to letting it re-embed — (b) that the points are stable
+ * across calls and thread counts, and (c) the drift metric's contract.
  */
 
 #include <cstddef>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -109,7 +109,6 @@ TEST(ShapeIndex, FromPointsEqualsBuild)
         cluster::shapePoints(rows, samples, cluster::kDefaultShapeBuckets),
         samples, cluster::kDefaultShapeBuckets);
 
-    EXPECT_EQ(built.fingerprint(), wrapped.fingerprint());
     EXPECT_EQ(built.points(), wrapped.points());
 }
 
@@ -119,57 +118,46 @@ TEST(ShapeIndex, EmptyIndexIsEmpty)
     EXPECT_TRUE(index.empty());
     EXPECT_EQ(index.size(), 0u);
     EXPECT_EQ(index.dimensions(), 0u);
-    // Two default-constructed indexes agree on identity.
-    EXPECT_EQ(index.fingerprint(), cluster::ShapeIndex().fingerprint());
 }
 
 // ---------------------------------------------------------------------
-// Fingerprint: stable and sensitive.
+// Determinism.
 
-TEST(ShapeIndex, FingerprintIsStableAcrossCallsAndThreadCounts)
+/** True when `a` and `b` hold the same points bit for bit. */
+bool
+samePointBits(const std::vector<cluster::Point> &a,
+              const std::vector<cluster::Point> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (a[i].size() != b[i].size() ||
+            std::memcmp(a[i].data(), b[i].data(),
+                        a[i].size() * sizeof(double)) != 0)
+            return false;
+    return true;
+}
+
+TEST(ShapeIndex, PointsAreStableAcrossCallsAndThreadCounts)
 {
     const auto dc = makeDc();
     const auto traces = dc.trainingTraces();
     const auto rows = rowsOf(traces);
     const std::size_t samples = traces.front().size();
 
-    std::uint64_t reference = 0;
+    std::vector<cluster::Point> reference;
     {
         ScopedThreads scoped(1);
-        reference = cluster::ShapeIndex::build(rows, samples).fingerprint();
+        reference = cluster::ShapeIndex::build(rows, samples).points();
     }
+    ASSERT_FALSE(reference.empty());
     for (const std::size_t threads :
          {std::size_t(1), std::size_t(2), std::size_t(8)}) {
         ScopedThreads scoped(threads);
-        EXPECT_EQ(cluster::ShapeIndex::build(rows, samples).fingerprint(),
-                  reference)
+        EXPECT_TRUE(samePointBits(
+            cluster::ShapeIndex::build(rows, samples).points(), reference))
             << "threads=" << threads;
     }
-}
-
-TEST(ShapeIndex, FingerprintSeesEveryInput)
-{
-    const auto dc = makeDc();
-    const auto traces = dc.trainingTraces();
-    const auto rows = rowsOf(traces);
-    const std::size_t samples = traces.front().size();
-    const auto base = cluster::ShapeIndex::build(rows, samples);
-
-    // Different bucket count -> different embedding -> different id.
-    EXPECT_NE(cluster::ShapeIndex::build(rows, samples, 8).fingerprint(),
-              base.fingerprint());
-
-    // Different population (drop one instance) -> different id.
-    std::vector<const double *> fewer(rows.begin(), rows.end() - 1);
-    EXPECT_NE(cluster::ShapeIndex::build(fewer, samples).fingerprint(),
-              base.fingerprint());
-
-    // Same shape parameters over different traces -> different id.
-    const auto other = makeDc(77);
-    const auto other_traces = other.trainingTraces();
-    EXPECT_NE(cluster::ShapeIndex::build(rowsOf(other_traces), samples)
-                  .fingerprint(),
-              base.fingerprint());
 }
 
 // ---------------------------------------------------------------------

@@ -339,7 +339,8 @@ cmdReport(const Args &args)
     spec.dc = presetFromArgs(args);
     if (args.has("fault-plan")) {
         const auto fp_spec =
-            fault::parseFaultPlanSpec(args.require("fault-plan"));
+            fault::parseFaultPlanSpec(args.require("fault-plan"),
+                                      "--fault-plan");
         spec.faulted = true;
         spec.faultSeed = fp_spec.seed;
         spec.faultProfile = fp_spec.profile;
@@ -388,7 +389,8 @@ cmdServe(const Args &args)
 
     if (args.has("fault-plan")) {
         const auto fp_spec =
-            fault::parseFaultPlanSpec(args.require("fault-plan"));
+            fault::parseFaultPlanSpec(args.require("fault-plan"),
+                                      "--fault-plan");
         const auto plan = fault::FaultPlan::build(
             fp_spec.seed, fault::faultProfile(fp_spec.profile),
             {traces.size(), traces.front().size()});
