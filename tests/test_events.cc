@@ -9,6 +9,7 @@
  */
 
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -409,6 +410,259 @@ TEST(Journal, UnescapesStrings)
     EXPECT_EQ(parsed[0].kind, "k\xc3\xa9");
     EXPECT_EQ(parsed[0].args.at("s"), "a\"b\\c\nA");
     EXPECT_EQ(parsed[0].args.at("n"), "7");
+}
+
+/** Header label of the pinned journal: a quote, a backslash, a newline. */
+constexpr const char *kHostileLabel = "say \"hi\" \\ then\nnext";
+
+/**
+ * A hand-made journal covering the whole schema: every EventKind (plus
+ * one out-of-range kind), every RejectReason (plus an unknown code),
+ * every FaultEventCode, scope and graph-eval events with zero and
+ * non-zero optional slots, NaN and infinities, a hostile label, and
+ * parent links through a scope, a graph op, a monitor week, an unknown
+ * kind and an evicted event.  Built by hand, not recorded, so seqs,
+ * threads and timestamps do not depend on test order.
+ */
+std::vector<obs::Event>
+pinnedSchemaEvents()
+{
+    using K = obs::EventKind;
+    auto &rec = obs::EventRecorder::instance();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<obs::Event> events;
+    const auto add = [&](obs::Event e, std::string_view label = {}) {
+        e.seq = events.size() + 1;
+        e.steadyNanos = e.seq * 1234;
+        e.name = label.empty() ? 0 : rec.internLabel(label);
+        events.push_back(e);
+    };
+    const auto code = [](auto c) { return static_cast<std::uint32_t>(c); };
+    add({.kind = K::Scope}, "pipeline");
+    add({.parent = 1, .b = 2500, .kind = K::Span}, "pipeline/place/leaf");
+    add({.parent = 1, .a = 1, .b = 2, .c = 3, .d = 4, .kind = K::Scope,
+         .thread = 3},
+        kHostileLabel);
+    add({.parent = 3, .a = 2748, .kind = K::GraphEval, .thread = 3},
+        "op.remap");
+    add({.parent = 1, .a = 77, .b = 11, .c = 12, .d = 13,
+         .kind = K::GraphEval},
+        "op.place");
+    add({.parent = 1, .a = 2748, .kind = K::GraphCacheHit}, "op.remap");
+    add({.parent = 4, .a = 7, .b = 9, .c = 1, .d = 2, .x = nan, .y = inf,
+         .z = -0.125, .kind = K::SwapAccept, .thread = 3});
+    add({.parent = 4, .a = 7, .b = 3, .c = 1, .d = 8, .x = 1.5, .y = 1.25,
+         .code = code(obs::RejectReason::EarlyReject),
+         .kind = K::SwapReject, .thread = 3});
+    add({.parent = 4, .a = 5, .b = 2, .d = 6,
+         .code = code(obs::RejectReason::ValidityGate),
+         .kind = K::SwapReject, .thread = 3});
+    add({.parent = 4, .a = 11, .b = 4, .c = 2, .d = 7, .x = 2, .y = 1.75,
+         .code = code(obs::RejectReason::NoImprovement),
+         .kind = K::SwapReject, .thread = 3});
+    add({.parent = 4, .a = 7, .b = 10, .c = 1,
+         .code = code(obs::RejectReason::Pruned), .kind = K::SwapReject,
+         .thread = 3});
+    add({.parent = 999, .a = 7, .b = 1, .c = 1, .d = 3, .x = -inf,
+         .kind = K::SwapReject});
+    add({.parent = 1, .a = 0, .b = 1, .c = 2, .d = 40, .x = 1.3, .y = 0.95,
+         .z = 1.5, .code = 1, .kind = K::MonitorWeek},
+        "remeasure");
+    add({.parent = 1, .a = 1, .x = 1.1, .y = 1, .z = 1,
+         .kind = K::MonitorWeek});
+    add({.parent = 13, .a = 7, .x = 0.42, .kind = K::MonitorExclude});
+    add({.parent = 1, .kind = K::Scope});
+    add({.parent = 16, .a = 7, .b = static_cast<std::uint64_t>(-300),
+         .d = 5, .code = code(obs::FaultEventCode::ClockSkew),
+         .kind = K::FaultInject});
+    add({.parent = 16, .a = 7, .b = 2, .c = 12,
+         .code = code(obs::FaultEventCode::StuckSensor),
+         .kind = K::FaultInject});
+    add({.parent = 16, .a = 3, .b = 4, .c = 9,
+         .code = code(obs::FaultEventCode::Gap), .kind = K::FaultInject});
+    add({.parent = 16, .a = 7, .code = code(obs::FaultEventCode::TraceLoss),
+         .kind = K::FaultInject});
+    add({.parent = 16, .a = 2, .b = 100, .c = 6,
+         .code = code(obs::FaultEventCode::BreakerTrip),
+         .kind = K::FaultInject});
+    add({.parent = 16, .a = 1, .x = 0.9,
+         .code = code(obs::FaultEventCode::Derate), .kind = K::FaultInject});
+    add({.parent = 28, .a = 7, .b = 33, .kind = K::FaultRepair});
+    add({.a = 7, .b = 12, .x = -inf, .kind = K::IngestReject},
+        "rejected_stale");
+    add({.a = 3, .b = 36, .c = 1, .d = 2, .x = nan, .code = 1,
+         .kind = K::EpochCommit});
+    add({.a = 4, .b = 2, .kind = K::EpochShed});
+    add({.a = 3, .b = 4096, .c = 1, .kind = K::CheckpointWrite});
+    add({.parent = 16, .a = 3, .b = 36, .kind = static_cast<K>(200)});
+    add({.a = 3, .b = 36, .kind = K::CheckpointRestore});
+    add({.kind = K::None});
+    return events;
+}
+
+/** The pinned events' journal, written under fake time. */
+std::string
+pinnedJournal()
+{
+    obs::setFakeTime("2026-01-01T00:00:00Z");
+    auto &rec = obs::EventRecorder::instance();
+    // The header stamps the recorder's wall epoch: pin it too.
+    rec.setEnabled(true);
+    rec.setEnabled(false);
+    std::ostringstream out;
+    obs::writeEventJournal(out, pinnedSchemaEvents(), kHostileLabel);
+    return out.str();
+}
+
+std::vector<obs::JournalEvent>
+readJournal(const std::string &text)
+{
+    std::istringstream in(text);
+    std::vector<obs::JournalEvent> events;
+    std::string error;
+    EXPECT_TRUE(obs::readEventJournal(in, events, &error)) << error;
+    return events;
+}
+
+std::string
+explainText(const std::vector<obs::JournalEvent> &events,
+            const obs::ExplainQuery &query)
+{
+    std::ostringstream os;
+    EXPECT_TRUE(obs::explainRecord(os, events, query));
+    return os.str();
+}
+
+/**
+ * Committed bytes for the journal, the Chrome trace and both explain
+ * modes over the pinned schema events.  Any change to a kind, reason or
+ * fault name, an args key, the number format or the explain wording
+ * shows up here.
+ */
+TEST(Journal, GoldenBytesPinTheWholeSchema)
+{
+    RecorderGuard guard;
+    const std::string journal = pinnedJournal();
+    std::ostringstream trace;
+    obs::writeChromeTrace(trace, pinnedSchemaEvents(), kHostileLabel);
+    const auto events = readJournal(journal);
+    obs::ExplainQuery instance;
+    instance.instance = 7;
+    obs::ExplainQuery node;
+    node.node = 2748;
+
+    EXPECT_EQ(journal, R"golden({"label": "say \"hi\" \\ then\nnext", "timestamp_utc": "2026-01-01T00:00:00Z", "dropped": 0, "recorded": 0, "events": 30}
+{"seq": 1, "parent": 0, "thread": 0, "t_ns": 1234, "kind": "scope", "args": {"label": "pipeline"}}
+{"seq": 2, "parent": 1, "thread": 0, "t_ns": 2468, "kind": "span", "args": {"span": "pipeline/place/leaf", "dur_ns": 2500}}
+{"seq": 3, "parent": 1, "thread": 3, "t_ns": 3702, "kind": "scope", "args": {"label": "say \"hi\" \\ then\nnext", "a": 1, "b": 2, "c": 3, "d": 4}}
+{"seq": 4, "parent": 3, "thread": 3, "t_ns": 4936, "kind": "graph_eval", "args": {"op": "op.remap", "sig": 2748}}
+{"seq": 5, "parent": 1, "thread": 0, "t_ns": 6170, "kind": "graph_eval", "args": {"op": "op.place", "sig": 77, "input_fp0": 11, "input_fp1": 12, "input_fp2": 13}}
+{"seq": 6, "parent": 1, "thread": 0, "t_ns": 7404, "kind": "graph_cache_hit", "args": {"op": "op.remap", "sig": 2748}}
+{"seq": 7, "parent": 4, "thread": 3, "t_ns": 8638, "kind": "swap_accept", "args": {"inst_a": 7, "inst_b": 9, "rack_a": 1, "rack_b": 2, "gain": null, "delta_a": null, "delta_b": -0.125}}
+{"seq": 8, "parent": 4, "thread": 3, "t_ns": 9872, "kind": "swap_reject", "args": {"reason": "early_reject", "inst_a": 7, "partners": 3, "rack_a": 1, "nearest": 8, "score_before": 1.5, "score_after": 1.25}}
+{"seq": 9, "parent": 4, "thread": 3, "t_ns": 11106, "kind": "swap_reject", "args": {"reason": "validity_gate", "inst_a": 5, "partners": 2, "rack_a": 0, "nearest": 6, "score_before": 0, "score_after": 0}}
+{"seq": 10, "parent": 4, "thread": 3, "t_ns": 12340, "kind": "swap_reject", "args": {"reason": "no_improvement", "inst_a": 11, "partners": 4, "rack_a": 2, "nearest": 7, "score_before": 2, "score_after": 1.75}}
+{"seq": 11, "parent": 4, "thread": 3, "t_ns": 13574, "kind": "swap_reject", "args": {"reason": "pruned", "inst_a": 7, "partners": 10, "rack_a": 1, "nearest": 0, "score_before": 0, "score_after": 0}}
+{"seq": 12, "parent": 999, "thread": 0, "t_ns": 14808, "kind": "swap_reject", "args": {"reason": "unknown", "inst_a": 7, "partners": 1, "rack_a": 1, "nearest": 3, "score_before": null, "score_after": 0}}
+{"seq": 13, "parent": 1, "thread": 0, "t_ns": 16042, "kind": "monitor_week", "args": {"week": 0, "action": 1, "action_name": "remeasure", "degraded": 1, "excluded": 2, "repaired_samples": 40, "fragmentation_ratio": 1.3, "valid_fraction": 0.95, "widen": 1.5}}
+{"seq": 14, "parent": 1, "thread": 0, "t_ns": 17276, "kind": "monitor_week", "args": {"week": 1, "action": 0, "degraded": 0, "excluded": 0, "repaired_samples": 0, "fragmentation_ratio": 1.1, "valid_fraction": 1, "widen": 1}}
+{"seq": 15, "parent": 13, "thread": 0, "t_ns": 18510, "kind": "monitor_exclude", "args": {"instance": 7, "validity": 0.42}}
+{"seq": 16, "parent": 1, "thread": 0, "t_ns": 19744, "kind": "scope", "args": {"label": ""}}
+{"seq": 17, "parent": 16, "thread": 0, "t_ns": 20978, "kind": "fault_inject", "args": {"fault": "clock_skew", "instance": 7, "offset": -300, "plan": 5}}
+{"seq": 18, "parent": 16, "thread": 0, "t_ns": 22212, "kind": "fault_inject", "args": {"fault": "stuck_sensor", "instance": 7, "windows": 2, "samples": 12}}
+{"seq": 19, "parent": 16, "thread": 0, "t_ns": 23446, "kind": "fault_inject", "args": {"fault": "gap", "instance": 3, "gaps": 4, "samples": 9}}
+{"seq": 20, "parent": 16, "thread": 0, "t_ns": 24680, "kind": "fault_inject", "args": {"fault": "trace_loss", "instance": 7}}
+{"seq": 21, "parent": 16, "thread": 0, "t_ns": 25914, "kind": "fault_inject", "args": {"fault": "breaker_trip", "rack": 2, "at_sample": 100, "duration": 6}}
+{"seq": 22, "parent": 16, "thread": 0, "t_ns": 27148, "kind": "fault_inject", "args": {"fault": "derate", "node": 1, "factor": 0.9}}
+{"seq": 23, "parent": 28, "thread": 0, "t_ns": 28382, "kind": "fault_repair", "args": {"instance": 7, "samples": 33}}
+{"seq": 24, "parent": 0, "thread": 0, "t_ns": 29616, "kind": "ingest_reject", "args": {"reason": "rejected_stale", "instance": 7, "tick": 12, "watts": null}}
+{"seq": 25, "parent": 0, "thread": 0, "t_ns": 30850, "kind": "epoch_commit", "args": {"epoch": 3, "frontier": 36, "action": 1, "swaps": 2, "fragmentation_ratio": null, "degraded": 1}}
+{"seq": 26, "parent": 0, "thread": 0, "t_ns": 32084, "kind": "epoch_shed", "args": {"epoch": 4, "queue_depth": 2}}
+{"seq": 27, "parent": 0, "thread": 0, "t_ns": 33318, "kind": "checkpoint_write", "args": {"epoch": 3, "bytes": 4096, "slot": 1}}
+{"seq": 28, "parent": 16, "thread": 0, "t_ns": 34552, "kind": "unknown"}
+{"seq": 29, "parent": 0, "thread": 0, "t_ns": 35786, "kind": "checkpoint_restore", "args": {"epoch": 3, "frontier": 36}}
+{"seq": 30, "parent": 0, "thread": 0, "t_ns": 37020, "kind": "none"}
+)golden");
+    EXPECT_EQ(trace.str(), R"golden({
+"traceEvents": [
+{"ph": "M", "pid": 0, "tid": 0, "name": "process_name", "args": {"name": "sosim"}},
+{"ph": "M", "pid": 0, "tid": 0, "name": "thread_name", "args": {"name": "worker 0"}},
+{"ph": "M", "pid": 0, "tid": 3, "name": "thread_name", "args": {"name": "worker 3"}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 1.234, "name": "scope", "cat": "decision", "args": {"seq": 1, "parent": 0, "label": "pipeline"}},
+{"ph": "X", "pid": 0, "tid": 0, "ts": 2.468, "dur": 2.500, "name": "leaf", "cat": "span", "args": {"seq": 2, "parent": 1, "span": "pipeline/place/leaf", "dur_ns": 2500}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 3, "ts": 3.702, "name": "scope", "cat": "decision", "args": {"seq": 3, "parent": 1, "label": "say \"hi\" \\ then\nnext", "a": 1, "b": 2, "c": 3, "d": 4}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 3, "ts": 4.936, "name": "graph_eval", "cat": "decision", "args": {"seq": 4, "parent": 3, "op": "op.remap", "sig": 2748}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 6.170, "name": "graph_eval", "cat": "decision", "args": {"seq": 5, "parent": 1, "op": "op.place", "sig": 77, "input_fp0": 11, "input_fp1": 12, "input_fp2": 13}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 7.404, "name": "graph_cache_hit", "cat": "decision", "args": {"seq": 6, "parent": 1, "op": "op.remap", "sig": 2748}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 3, "ts": 8.638, "name": "swap_accept", "cat": "decision", "args": {"seq": 7, "parent": 4, "inst_a": 7, "inst_b": 9, "rack_a": 1, "rack_b": 2, "gain": null, "delta_a": null, "delta_b": -0.125}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 3, "ts": 9.872, "name": "swap_reject", "cat": "decision", "args": {"seq": 8, "parent": 4, "reason": "early_reject", "inst_a": 7, "partners": 3, "rack_a": 1, "nearest": 8, "score_before": 1.5, "score_after": 1.25}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 3, "ts": 11.106, "name": "swap_reject", "cat": "decision", "args": {"seq": 9, "parent": 4, "reason": "validity_gate", "inst_a": 5, "partners": 2, "rack_a": 0, "nearest": 6, "score_before": 0, "score_after": 0}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 3, "ts": 12.340, "name": "swap_reject", "cat": "decision", "args": {"seq": 10, "parent": 4, "reason": "no_improvement", "inst_a": 11, "partners": 4, "rack_a": 2, "nearest": 7, "score_before": 2, "score_after": 1.75}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 3, "ts": 13.574, "name": "swap_reject", "cat": "decision", "args": {"seq": 11, "parent": 4, "reason": "pruned", "inst_a": 7, "partners": 10, "rack_a": 1, "nearest": 0, "score_before": 0, "score_after": 0}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 14.808, "name": "swap_reject", "cat": "decision", "args": {"seq": 12, "parent": 999, "reason": "unknown", "inst_a": 7, "partners": 1, "rack_a": 1, "nearest": 3, "score_before": null, "score_after": 0}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 16.042, "name": "monitor_week", "cat": "decision", "args": {"seq": 13, "parent": 1, "week": 0, "action": 1, "action_name": "remeasure", "degraded": 1, "excluded": 2, "repaired_samples": 40, "fragmentation_ratio": 1.3, "valid_fraction": 0.95, "widen": 1.5}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 17.276, "name": "monitor_week", "cat": "decision", "args": {"seq": 14, "parent": 1, "week": 1, "action": 0, "degraded": 0, "excluded": 0, "repaired_samples": 0, "fragmentation_ratio": 1.1, "valid_fraction": 1, "widen": 1}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 18.510, "name": "monitor_exclude", "cat": "decision", "args": {"seq": 15, "parent": 13, "instance": 7, "validity": 0.42}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 19.744, "name": "scope", "cat": "decision", "args": {"seq": 16, "parent": 1, "label": ""}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 20.978, "name": "fault_inject", "cat": "decision", "args": {"seq": 17, "parent": 16, "fault": "clock_skew", "instance": 7, "offset": -300, "plan": 5}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 22.212, "name": "fault_inject", "cat": "decision", "args": {"seq": 18, "parent": 16, "fault": "stuck_sensor", "instance": 7, "windows": 2, "samples": 12}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 23.446, "name": "fault_inject", "cat": "decision", "args": {"seq": 19, "parent": 16, "fault": "gap", "instance": 3, "gaps": 4, "samples": 9}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 24.680, "name": "fault_inject", "cat": "decision", "args": {"seq": 20, "parent": 16, "fault": "trace_loss", "instance": 7}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 25.914, "name": "fault_inject", "cat": "decision", "args": {"seq": 21, "parent": 16, "fault": "breaker_trip", "rack": 2, "at_sample": 100, "duration": 6}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 27.148, "name": "fault_inject", "cat": "decision", "args": {"seq": 22, "parent": 16, "fault": "derate", "node": 1, "factor": 0.9}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 28.382, "name": "fault_repair", "cat": "decision", "args": {"seq": 23, "parent": 28, "instance": 7, "samples": 33}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 29.616, "name": "ingest_reject", "cat": "decision", "args": {"seq": 24, "parent": 0, "reason": "rejected_stale", "instance": 7, "tick": 12, "watts": null}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 30.850, "name": "epoch_commit", "cat": "decision", "args": {"seq": 25, "parent": 0, "epoch": 3, "frontier": 36, "action": 1, "swaps": 2, "fragmentation_ratio": null, "degraded": 1}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 32.084, "name": "epoch_shed", "cat": "decision", "args": {"seq": 26, "parent": 0, "epoch": 4, "queue_depth": 2}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 33.318, "name": "checkpoint_write", "cat": "decision", "args": {"seq": 27, "parent": 0, "epoch": 3, "bytes": 4096, "slot": 1}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 34.552, "name": "unknown", "cat": "decision", "args": {"seq": 28, "parent": 16}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 35.786, "name": "checkpoint_restore", "cat": "decision", "args": {"seq": 29, "parent": 0, "epoch": 3, "frontier": 36}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 37.020, "name": "none", "cat": "decision", "args": {"seq": 30, "parent": 0}}
+],
+"displayTimeUnit": "ms",
+"otherData": {"label": "say \"hi\" \\ then\nnext", "timestamp_utc": "2026-01-01T00:00:00Z"}
+}
+)golden");
+    EXPECT_EQ(explainText(events, instance), R"golden(decision history for instance 7
+  10 matching event(s) + 2 global monitor-week record(s) out of 30 in the journal
+  #000007 [swap_accept] accepted swap: instance 7 <-> instance 9 (rack 1 <-> rack 2), gain null (delta A null, delta B -0.125)
+          within op 'op.remap' <- say "hi" \ then
+next <- pipeline
+  #000008 [swap_reject] rejected pairings: instance 7 at rack 1 — 3 partner(s) showed no improvement at the donor rack (early-reject kernel gate); nearest miss: instance 8, score 1.5 -> 1.25
+          within op 'op.remap' <- say "hi" \ then
+next <- pipeline
+  #000010 [swap_reject] rejected pairings: instance 11 at rack 2 — 4 partner(s) showed no net improvement after the full swap; nearest miss: instance 7, score 2 -> 1.75
+          within op 'op.remap' <- say "hi" \ then
+next <- pipeline
+  #000011 [swap_reject] rejected pairings: instance 7 at rack 1 — 10 partner(s) pruned by the cluster candidate index before evaluation
+          within op 'op.remap' <- say "hi" \ then
+next <- pipeline
+  #000012 [swap_reject] rejected pairings: instance 7 at rack 1 — 1 partner(s) rejected: unknown; nearest miss: instance 3, score null -> 0
+          within (evicted #999)
+  #000013 [monitor_week] monitor week 0: DEGRADED, fragmentation_ratio 1.3, valid_fraction 0.95, action remeasure, thresholds widened x1.5, 2 instance(s) excluded
+          within pipeline
+  #000014 [monitor_week] monitor week 1: normal, fragmentation_ratio 1.1, valid_fraction 1
+          within pipeline
+  #000015 [monitor_exclude] instance 7 excluded from the week's measurement (validity 0.42)
+          within monitor_week#13 <- pipeline
+  #000017 [fault_inject] fault injected: clock_skew instance=7 offset=-300 (plan 5)
+          within scope#16 <- pipeline
+  #000018 [fault_inject] fault injected: stuck_sensor instance=7 samples=12 windows=2
+          within scope#16 <- pipeline
+  #000020 [fault_inject] fault injected: trace_loss instance=7
+          within scope#16 <- pipeline
+  #000023 [fault_repair] trace repaired: instance 7, 33 sample(s) restored
+          within unknown#28 <- scope#16 <- pipeline
+)golden");
+    EXPECT_EQ(explainText(events, node), R"golden(decision history for graph node signature 2748
+  2 matching event(s) out of 30 in the journal
+  #000004 [graph_eval] op 'op.remap' executed (sig 2748)
+          within say "hi" \ then
+next <- pipeline
+  #000006 [graph_cache_hit] op 'op.remap' served from cache (sig 2748)
+          within pipeline
+)golden");
 }
 
 TEST(ValidateJson, AcceptsStrictDocuments)
