@@ -10,10 +10,14 @@
 #include <mutex>
 #include <ostream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 namespace sosim::obs {
 
+namespace {
+
+/** printf's "%.12g": the one number format of every exporter. */
 std::string
 formatDouble(double v)
 {
@@ -22,41 +26,107 @@ formatDouble(double v)
     return buf;
 }
 
-std::string
-jsonEscape(const std::string &s)
+} // namespace
+
+void
+JsonWriter::element()
 {
-    std::string out;
-    out.reserve(s.size());
+    if (std::exchange(afterKey_, false) || frames_.empty())
+        return;
+    Frame &f = frames_.back();
+    out_ += f.empty ? f.layout.lead : f.layout.sep;
+    f.empty = false;
+}
+
+JsonWriter &
+JsonWriter::open(char bracket, JsonLayout layout)
+{
+    element();
+    frames_.push_back({bracket == '{' ? '}' : ']', layout});
+    out_ += bracket;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::optionalObject(std::string_view key)
+{
+    const std::size_t mark = out_.size();
+    const bool parent_empty = frames_.back().empty;
+    this->key(key).open('{');
+    frames_.back().eraseFrom = mark;
+    frames_.back().parentWasEmpty = parent_empty;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::close()
+{
+    const Frame f = frames_.back();
+    frames_.pop_back();
+    if (f.empty && f.eraseFrom != std::string::npos) {
+        out_.resize(f.eraseFrom);
+        frames_.back().empty = f.parentWasEmpty;
+        return *this;
+    }
+    if (!f.empty)
+        out_ += f.layout.tail;
+    out_ += f.close;
+    if (frames_.empty()) {
+        os_ << out_ << '\n';
+        out_.clear();
+    }
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::key(std::string_view key, std::string_view gap)
+{
+    value(key);
+    out_ += ':';
+    out_ += gap;
+    afterKey_ = true;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::value(std::string_view s)
+{
+    // Each character of kSpecial is written as a backslash and its
+    // counterpart in kCode; other control characters as \u00XX.
+    constexpr std::string_view kSpecial = "\"\\\n\r\t";
+    constexpr std::string_view kCode = "\"\\nrt";
+    element();
+    out_ += '"';
     for (const char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
+        const std::size_t k = kSpecial.find(c);
+        if (k != std::string_view::npos) {
+            out_ += '\\';
+            out_ += kCode[k];
+        } else if (static_cast<unsigned char>(c) < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof buf, "\\u%04x",
+                          static_cast<unsigned>(c));
+            out_ += buf;
+        } else {
+            out_ += c;
         }
     }
-    return out;
+    out_ += '"';
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::value(double v)
+{
+    return number(std::isfinite(v) ? formatDouble(v) : "null");
+}
+
+JsonWriter &
+JsonWriter::number(std::string_view text)
+{
+    element();
+    out_ += text;
+    return *this;
 }
 
 namespace {
@@ -88,25 +158,22 @@ promLabelEscape(const std::string &s)
 }
 
 void
-jsonSpanNode(std::ostream &os, const SpanNode &node, int indent)
+jsonSpanNode(JsonWriter &json, const SpanNode &node, std::size_t indent)
 {
-    const std::string pad(static_cast<std::size_t>(indent), ' ');
-    os << pad << "{\"name\": \"" << jsonEscape(node.name) << "\", "
-       << "\"invocations\": "
-       << node.invocations.load(std::memory_order_relaxed) << ", "
-       << "\"total_ns\": "
-       << node.totalNanos.load(std::memory_order_relaxed);
-    if (node.children.empty()) {
-        os << "}";
-        return;
+    constexpr auto kRelaxed = std::memory_order_relaxed;
+    json.open('{').member("name", node.name);
+    json.member("invocations", node.invocations.load(kRelaxed));
+    json.member("total_ns", node.totalNanos.load(kRelaxed));
+    if (!node.children.empty()) {
+        const std::string pad = "\n" + std::string(indent, ' ');
+        const std::string lead = pad + "  ";
+        const std::string sep = "," + lead;
+        json.key("children").open('[', {lead, sep, pad});
+        for (const auto &[name, child] : node.children)
+            jsonSpanNode(json, *child, indent + 2);
+        json.close();
     }
-    os << ", \"children\": [\n";
-    std::size_t i = 0;
-    for (const auto &[name, child] : node.children) {
-        jsonSpanNode(os, *child, indent + 2);
-        os << (++i < node.children.size() ? ",\n" : "\n");
-    }
-    os << pad << "]}";
+    json.close();
 }
 
 /** "sosim_" + name with every non-alphanumeric mapped to '_'. */
@@ -215,54 +282,39 @@ writeMetricsJson(std::ostream &os, const MetricsSnapshot &snapshot,
                  const SpanNode &span_root, const std::string &label,
                  const std::string &timestamp)
 {
-    os << "{\n";
-    os << "  \"label\": \"" << jsonEscape(label) << "\",\n";
-    os << "  \"timestamp_utc\": \"" << jsonEscape(timestamp) << "\",\n";
+    constexpr JsonLayout kSection{"\n    ", ",\n    ", "\n  "};
+    JsonWriter json(os);
+    json.open('{', {"\n  ", ",\n  ", "\n"}).header(label, timestamp);
 
-    os << "  \"counters\": {";
-    std::size_t i = 0;
-    for (const auto &c : snapshot.counters) {
-        os << (i++ ? ",\n    " : "\n    ");
-        os << "\"" << jsonEscape(c.name) << "\": " << c.value;
-    }
-    os << (i ? "\n  },\n" : "},\n");
+    json.key("counters").open('{', kSection);
+    for (const auto &c : snapshot.counters)
+        json.member(c.name, c.value);
+    json.close();
 
-    os << "  \"gauges\": {";
-    i = 0;
-    for (const auto &g : snapshot.gauges) {
-        os << (i++ ? ",\n    " : "\n    ");
-        // JSON has no literals for NaN/Inf.
-        os << "\"" << jsonEscape(g.name) << "\": "
-           << (std::isfinite(g.value) ? formatDouble(g.value) : "null");
-    }
-    os << (i ? "\n  },\n" : "},\n");
+    json.key("gauges").open('{', kSection);
+    for (const auto &g : snapshot.gauges)
+        json.member(g.name, g.value);
+    json.close();
 
-    os << "  \"histograms\": {";
-    i = 0;
+    json.key("histograms").open('{', kSection);
     const auto &bounds = histogramBounds();
     for (const auto &h : snapshot.histograms) {
-        os << (i++ ? ",\n    " : "\n    ");
-        os << "\"" << jsonEscape(h.name) << "\": {\"count\": "
-           << h.data.count << ", \"sum\": "
-           << (std::isfinite(h.data.sum) ? formatDouble(h.data.sum)
-                                         : "null")
-           << ", \"buckets\": [";
-        std::size_t emitted = 0;
+        json.key(h.name).open('{').member("count", h.data.count);
+        json.member("sum", h.data.sum).key("buckets").open('[');
         for (std::size_t b = 0; b < bounds.size(); ++b) {
             if (h.data.bucketCounts[b] == 0)
                 continue;
-            os << (emitted++ ? ", " : "") << "{\"le\": "
-               << formatDouble(bounds[b])
-               << ", \"count\": " << h.data.bucketCounts[b] << "}";
+            json.open('{').member("le", bounds[b]);
+            json.member("count", h.data.bucketCounts[b]).close();
         }
-        os << "], \"overflow\": " << h.data.bucketCounts[bounds.size()]
-           << "}";
+        json.close().member("overflow", h.data.bucketCounts[bounds.size()]);
+        json.close();
     }
-    os << (i ? "\n  },\n" : "},\n");
+    json.close();
 
-    os << "  \"spans\":\n";
-    jsonSpanNode(os, span_root, 4);
-    os << "\n}\n";
+    json.key("spans", "\n    ");
+    jsonSpanNode(json, span_root, 4);
+    json.close();
 }
 
 void

@@ -24,6 +24,9 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -48,18 +51,85 @@ void setFakeTime(const std::string &stamp);
 /** True while a fake timestamp is pinned (one relaxed load). */
 bool fakeTimeActive();
 
-/**
- * JSON string escaping: quotes, backslashes and control characters (a
- * raw newline or tab in a name would break the emitted document).
- */
-std::string jsonEscape(const std::string &s);
+/** Whitespace of one JSON container: before its first element, between
+ *  elements, and before the closing bracket when non-empty.  The views
+ *  must outlive the container. */
+struct JsonLayout {
+    std::string_view lead;
+    std::string_view sep = ", ";
+    std::string_view tail;
+};
 
 /**
- * `v` in printf's "%.12g" form: the one number format of the metrics
- * JSON, the Prometheus exposition and the flight journal.  Non-finite
- * values print as printf's nan/inf; the JSON writers emit null instead.
+ * The one JSON emitter behind the metrics JSON, the flight journal and
+ * the Chrome trace.  It owns member separators, string escaping, printf
+ * "%.12g" numbers with NaN/Inf written as null (JSON has no literal for
+ * them), and the label / timestamp_utc header every document carries.
+ *
+ * Closing the outermost container ends the document's line and writes
+ * it to the stream; until then output is buffered, so an
+ * optionalObject() left empty can be taken back.
  */
-std::string formatDouble(double v);
+class JsonWriter
+{
+  public:
+    explicit JsonWriter(std::ostream &os) : os_(os) {}
+
+    /** Open '{' or '[' as the next element. */
+    JsonWriter &open(char bracket, JsonLayout layout = {});
+
+    /** Open object member `key` inside an object; close() erases it
+     *  again, key and all, when nothing was written into it. */
+    JsonWriter &optionalObject(std::string_view key);
+
+    JsonWriter &close();
+
+    /** `"key":` then `gap`; the next value or open() is its value. */
+    JsonWriter &key(std::string_view key, std::string_view gap = " ");
+
+    JsonWriter &value(std::string_view s);
+    JsonWriter &value(double v);
+
+    template <typename T,
+              typename = std::enable_if_t<std::is_integral_v<T>>>
+    JsonWriter &value(T v)
+    {
+        return number(std::to_string(v));
+    }
+
+    /** A value already formatted as a JSON number. */
+    JsonWriter &number(std::string_view text);
+
+    template <typename T>
+    JsonWriter &member(std::string_view k, const T &v)
+    {
+        return key(k).value(v);
+    }
+
+    JsonWriter &header(std::string_view label, std::string_view timestamp)
+    {
+        return member("label", label).member("timestamp_utc", timestamp);
+    }
+
+  private:
+    struct Frame {
+        char close;
+        JsonLayout layout;
+        bool empty = true;
+        /** optionalObject(): where its key began, and whether the
+         *  parent was empty before it. */
+        std::size_t eraseFrom = std::string::npos;
+        bool parentWasEmpty = false;
+    };
+
+    /** Write the separator that precedes the next key or value. */
+    void element();
+
+    std::ostream &os_;
+    std::string out_;
+    std::vector<Frame> frames_;
+    bool afterKey_ = false;
+};
 
 /** JSON dump of a snapshot plus a span tree. */
 void writeMetricsJson(std::ostream &os, const MetricsSnapshot &snapshot,

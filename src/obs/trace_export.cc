@@ -22,285 +22,240 @@ namespace {
 /** Nanoseconds as microseconds with exactly three decimals (exact —
  *  Chrome trace "ts"/"dur" are microseconds, and integer-splitting
  *  avoids floating-point rounding in the export). */
-void
-writeMicros(std::ostream &os, std::uint64_t ns)
+std::string
+micros(std::uint64_t ns)
 {
     char buf[8];
-    std::snprintf(buf, sizeof buf, "%03u",
+    std::snprintf(buf, sizeof buf, ".%03u",
                   static_cast<unsigned>(ns % 1000));
-    os << ns / 1000 << '.' << buf;
-}
-
-const char *
-rejectReasonName(std::uint32_t code)
-{
-    switch (static_cast<RejectReason>(code)) {
-      case RejectReason::EarlyReject:
-        return "early_reject";
-      case RejectReason::ValidityGate:
-        return "validity_gate";
-      case RejectReason::NoImprovement:
-        return "no_improvement";
-      case RejectReason::Pruned:
-        return "pruned";
-    }
-    return "unknown";
-}
-
-const char *
-faultCodeName(std::uint32_t code)
-{
-    switch (static_cast<FaultEventCode>(code)) {
-      case FaultEventCode::ClockSkew:
-        return "clock_skew";
-      case FaultEventCode::StuckSensor:
-        return "stuck_sensor";
-      case FaultEventCode::Gap:
-        return "gap";
-      case FaultEventCode::TraceLoss:
-        return "trace_loss";
-      case FaultEventCode::BreakerTrip:
-        return "breaker_trip";
-      case FaultEventCode::Derate:
-        return "derate";
-    }
-    return "unknown";
+    return std::to_string(ns / 1000) + buf;
 }
 
 /**
- * The kind-specific payload of one event as `"key": value` JSON object
- * members (no surrounding braces) — shared by the journal writer and
- * the Chrome-trace writer.  This is the journal's args schema.
+ * The journal schema's names: one table per enum, and the only place
+ * each name is spelled.  Writers map values to names through it and
+ * the explain reader maps names back.
  */
-std::string
-argsInner(const Event &e)
+template <typename Enum>
+struct Named {
+    Enum value;
+    std::string_view name;
+};
+
+constexpr Named<EventKind> kKindNames[] = {
+    {EventKind::None, "none"},
+    {EventKind::Span, "span"},
+    {EventKind::Scope, "scope"},
+    {EventKind::SwapAccept, "swap_accept"},
+    {EventKind::SwapReject, "swap_reject"},
+    {EventKind::MonitorWeek, "monitor_week"},
+    {EventKind::MonitorExclude, "monitor_exclude"},
+    {EventKind::FaultInject, "fault_inject"},
+    {EventKind::FaultRepair, "fault_repair"},
+    {EventKind::GraphEval, "graph_eval"},
+    {EventKind::GraphCacheHit, "graph_cache_hit"},
+    {EventKind::IngestReject, "ingest_reject"},
+    {EventKind::EpochCommit, "epoch_commit"},
+    {EventKind::EpochShed, "epoch_shed"},
+    {EventKind::CheckpointWrite, "checkpoint_write"},
+    {EventKind::CheckpointRestore, "checkpoint_restore"},
+};
+
+/** Reject reasons also carry their explain wording and whether the
+ *  event's `nearest` partner is a real near miss.  Pruned and
+ *  validity-gate rejects note every partner with margin 0, so their
+ *  `nearest` is merely the first partner noted (core/remap.cc). */
+struct ReasonName : Named<RejectReason> {
+    std::string_view explain;
+    bool nearestIsMiss;
+};
+
+constexpr ReasonName kReasonNames[] = {
+    {{RejectReason::EarlyReject, "early_reject"},
+     "showed no improvement at the donor rack (early-reject kernel gate)",
+     true},
+    {{RejectReason::ValidityGate, "validity_gate"},
+     "excluded by the validity gate",
+     false},
+    {{RejectReason::NoImprovement, "no_improvement"},
+     "showed no net improvement after the full swap",
+     true},
+    {{RejectReason::Pruned, "pruned"},
+     "pruned by the cluster candidate index before evaluation",
+     false},
+};
+
+constexpr Named<FaultEventCode> kFaultNames[] = {
+    {FaultEventCode::ClockSkew, "clock_skew"},
+    {FaultEventCode::StuckSensor, "stuck_sensor"},
+    {FaultEventCode::Gap, "gap"},
+    {FaultEventCode::TraceLoss, "trace_loss"},
+    {FaultEventCode::BreakerTrip, "breaker_trip"},
+    {FaultEventCode::Derate, "derate"},
+};
+
+/** The journal name of an enum value ("unknown" when out of range). */
+template <typename Entry, std::size_t N, typename Code>
+std::string_view
+nameOf(const Entry (&table)[N], Code code)
 {
-    std::ostringstream os;
-    bool first = true;
-    auto key = [&](const char *k) {
-        if (!first)
-            os << ", ";
-        first = false;
-        os << '"' << k << "\": ";
-    };
-    auto u64 = [&](const char *k, std::uint64_t v) {
-        key(k);
-        os << v;
-    };
-    auto i64 = [&](const char *k, std::int64_t v) {
-        key(k);
-        os << v;
-    };
-    auto dbl = [&](const char *k, double v) {
-        key(k);
-        // JSON has no literals for NaN/Inf.
-        os << (std::isfinite(v) ? formatDouble(v) : "null");
-    };
-    auto str = [&](const char *k, const std::string &v) {
-        key(k);
-        os << '"' << jsonEscape(v) << '"';
-    };
+    for (const Entry &entry : table)
+        if (entry.value == static_cast<decltype(Entry::value)>(code))
+            return entry.name;
+    return "unknown";
+}
+
+/** The table entry spelled `name`, or nullptr. */
+template <typename Entry, std::size_t N>
+const Entry *
+byName(const Entry (&table)[N], std::string_view name)
+{
+    for (const Entry &entry : table)
+        if (entry.name == name)
+            return &entry;
+    return nullptr;
+}
+
+/**
+ * The kind-specific payload of one event as members of the open JSON
+ * object — shared by the journal writer and the Chrome-trace writer.
+ * This is the journal's args schema.
+ */
+void
+writeArgs(JsonWriter &json, const Event &e)
+{
     const EventRecorder &rec = EventRecorder::instance();
+    const auto nonzero = [&json](std::string_view key, std::uint64_t v) {
+        if (v != 0)
+            json.member(key, v);
+    };
     switch (e.kind) {
       case EventKind::None:
         break;
       case EventKind::Span:
-        str("span", rec.labelOf(e.name));
-        u64("dur_ns", e.b);
+        json.member("span", rec.labelOf(e.name)).member("dur_ns", e.b);
         break;
       case EventKind::Scope:
-        str("label", rec.labelOf(e.name));
-        if (e.a != 0)
-            u64("a", e.a);
-        if (e.b != 0)
-            u64("b", e.b);
-        if (e.c != 0)
-            u64("c", e.c);
-        if (e.d != 0)
-            u64("d", e.d);
+        json.member("label", rec.labelOf(e.name));
+        nonzero("a", e.a);
+        nonzero("b", e.b);
+        nonzero("c", e.c);
+        nonzero("d", e.d);
         break;
       case EventKind::SwapAccept:
-        u64("inst_a", e.a);
-        u64("inst_b", e.b);
-        u64("rack_a", e.c);
-        u64("rack_b", e.d);
-        dbl("gain", e.x);
-        dbl("delta_a", e.y);
-        dbl("delta_b", e.z);
+        json.member("inst_a", e.a).member("inst_b", e.b);
+        json.member("rack_a", e.c).member("rack_b", e.d);
+        json.member("gain", e.x).member("delta_a", e.y).member("delta_b", e.z);
         break;
       case EventKind::SwapReject:
         // Coalesced: one event per candidate per reason per remap
         // round — `partners` rejected pairings, `nearest` the partner
         // with the smallest score deficit (see core/remap.cc).
-        str("reason", rejectReasonName(e.code));
-        u64("inst_a", e.a);
-        u64("partners", e.b);
-        u64("rack_a", e.c);
-        u64("nearest", e.d);
-        dbl("score_before", e.x);
-        dbl("score_after", e.y);
+        json.member("reason", nameOf(kReasonNames, e.code));
+        json.member("inst_a", e.a).member("partners", e.b);
+        json.member("rack_a", e.c).member("nearest", e.d);
+        json.member("score_before", e.x).member("score_after", e.y);
         break;
       case EventKind::MonitorWeek:
-        u64("week", e.a);
-        u64("action", e.b);
+        json.member("week", e.a).member("action", e.b);
         if (e.name != 0)
-            str("action_name", rec.labelOf(e.name));
-        u64("degraded", e.code);
-        u64("excluded", e.c);
-        u64("repaired_samples", e.d);
-        dbl("fragmentation_ratio", e.x);
-        dbl("valid_fraction", e.y);
-        dbl("widen", e.z);
+            json.member("action_name", rec.labelOf(e.name));
+        json.member("degraded", e.code).member("excluded", e.c);
+        json.member("repaired_samples", e.d);
+        json.member("fragmentation_ratio", e.x);
+        json.member("valid_fraction", e.y).member("widen", e.z);
         break;
       case EventKind::MonitorExclude:
-        u64("instance", e.a);
-        dbl("validity", e.x);
+        json.member("instance", e.a).member("validity", e.x);
         break;
       case EventKind::FaultInject:
-        str("fault", faultCodeName(e.code));
+        json.member("fault", nameOf(kFaultNames, e.code));
         switch (static_cast<FaultEventCode>(e.code)) {
           case FaultEventCode::ClockSkew:
-            u64("instance", e.a);
-            i64("offset", static_cast<std::int64_t>(e.b));
+            json.member("instance", e.a);
+            json.member("offset", static_cast<std::int64_t>(e.b));
             break;
           case FaultEventCode::StuckSensor:
-            u64("instance", e.a);
-            u64("windows", e.b);
-            u64("samples", e.c);
+            json.member("instance", e.a).member("windows", e.b);
+            json.member("samples", e.c);
             break;
           case FaultEventCode::Gap:
-            u64("instance", e.a);
-            u64("gaps", e.b);
-            u64("samples", e.c);
+            json.member("instance", e.a).member("gaps", e.b);
+            json.member("samples", e.c);
             break;
           case FaultEventCode::TraceLoss:
-            u64("instance", e.a);
+            json.member("instance", e.a);
             break;
           case FaultEventCode::BreakerTrip:
-            u64("rack", e.a);
-            u64("at_sample", e.b);
-            u64("duration", e.c);
+            json.member("rack", e.a).member("at_sample", e.b);
+            json.member("duration", e.c);
             break;
           case FaultEventCode::Derate:
-            u64("node", e.a);
-            dbl("factor", e.x);
+            json.member("node", e.a).member("factor", e.x);
             break;
         }
-        if (e.d != 0)
-            u64("plan", e.d);
+        nonzero("plan", e.d);
         break;
       case EventKind::FaultRepair:
-        u64("instance", e.a);
-        u64("samples", e.b);
+        json.member("instance", e.a).member("samples", e.b);
         break;
       case EventKind::GraphEval:
-        str("op", rec.labelOf(e.name));
-        u64("sig", e.a);
-        if (e.b != 0)
-            u64("input_fp0", e.b);
-        if (e.c != 0)
-            u64("input_fp1", e.c);
-        if (e.d != 0)
-            u64("input_fp2", e.d);
+        json.member("op", rec.labelOf(e.name)).member("sig", e.a);
+        nonzero("input_fp0", e.b);
+        nonzero("input_fp1", e.c);
+        nonzero("input_fp2", e.d);
         break;
       case EventKind::GraphCacheHit:
-        str("op", rec.labelOf(e.name));
-        u64("sig", e.a);
+        json.member("op", rec.labelOf(e.name)).member("sig", e.a);
         break;
       case EventKind::IngestReject:
-        str("reason", rec.labelOf(e.name));
-        u64("instance", e.a);
-        u64("tick", e.b);
-        dbl("watts", e.x);
+        json.member("reason", rec.labelOf(e.name));
+        json.member("instance", e.a).member("tick", e.b);
+        json.member("watts", e.x);
         break;
       case EventKind::EpochCommit:
-        u64("epoch", e.a);
-        u64("frontier", e.b);
-        u64("action", e.c);
-        u64("swaps", e.d);
-        dbl("fragmentation_ratio", e.x);
-        u64("degraded", e.code);
+        json.member("epoch", e.a).member("frontier", e.b);
+        json.member("action", e.c).member("swaps", e.d);
+        json.member("fragmentation_ratio", e.x).member("degraded", e.code);
         break;
       case EventKind::EpochShed:
-        u64("epoch", e.a);
-        u64("queue_depth", e.b);
+        json.member("epoch", e.a).member("queue_depth", e.b);
         break;
       case EventKind::CheckpointWrite:
-        u64("epoch", e.a);
-        u64("bytes", e.b);
-        u64("slot", e.c);
+        json.member("epoch", e.a).member("bytes", e.b).member("slot", e.c);
         break;
       case EventKind::CheckpointRestore:
-        u64("epoch", e.a);
-        u64("frontier", e.b);
+        json.member("epoch", e.a).member("frontier", e.b);
         break;
     }
-    return os.str();
+}
+
+/** The recording's wall-clock epoch, or now when nothing was recorded. */
+std::string
+recordingStamp()
+{
+    const std::string epoch = EventRecorder::instance().wallEpoch();
+    return epoch.empty() ? utcTimestamp() : epoch;
 }
 
 } // namespace
-
-const char *
-eventKindName(EventKind kind)
-{
-    switch (kind) {
-      case EventKind::None:
-        return "none";
-      case EventKind::Span:
-        return "span";
-      case EventKind::Scope:
-        return "scope";
-      case EventKind::SwapAccept:
-        return "swap_accept";
-      case EventKind::SwapReject:
-        return "swap_reject";
-      case EventKind::MonitorWeek:
-        return "monitor_week";
-      case EventKind::MonitorExclude:
-        return "monitor_exclude";
-      case EventKind::FaultInject:
-        return "fault_inject";
-      case EventKind::FaultRepair:
-        return "fault_repair";
-      case EventKind::GraphEval:
-        return "graph_eval";
-      case EventKind::GraphCacheHit:
-        return "graph_cache_hit";
-      case EventKind::IngestReject:
-        return "ingest_reject";
-      case EventKind::EpochCommit:
-        return "epoch_commit";
-      case EventKind::EpochShed:
-        return "epoch_shed";
-      case EventKind::CheckpointWrite:
-        return "checkpoint_write";
-      case EventKind::CheckpointRestore:
-        return "checkpoint_restore";
-    }
-    return "unknown";
-}
 
 void
 writeEventJournal(std::ostream &os, const std::vector<Event> &events,
                   const std::string &label)
 {
-    EventRecorder &rec = EventRecorder::instance();
-    const std::string stamp =
-        rec.wallEpoch().empty() ? utcTimestamp() : rec.wallEpoch();
-    os << "{\"label\": \"" << jsonEscape(label)
-       << "\", \"timestamp_utc\": \"" << jsonEscape(stamp)
-       << "\", \"dropped\": " << rec.dropped()
-       << ", \"recorded\": " << rec.recorded()
-       << ", \"events\": " << events.size() << "}\n";
+    const EventRecorder &rec = EventRecorder::instance();
+    JsonWriter json(os);
+    json.open('{').header(label, recordingStamp());
+    json.member("dropped", rec.dropped()).member("recorded", rec.recorded());
+    json.member("events", events.size()).close();
     for (const Event &e : events) {
-        os << "{\"seq\": " << e.seq << ", \"parent\": " << e.parent
-           << ", \"thread\": " << e.thread
-           << ", \"t_ns\": " << e.steadyNanos << ", \"kind\": \""
-           << eventKindName(e.kind) << "\"";
-        const std::string inner = argsInner(e);
-        if (!inner.empty())
-            os << ", \"args\": {" << inner << "}";
-        os << "}\n";
+        json.open('{').member("seq", e.seq).member("parent", e.parent);
+        json.member("thread", e.thread).member("t_ns", e.steadyNanos);
+        json.member("kind", nameOf(kKindNames, e.kind));
+        json.optionalObject("args");
+        writeArgs(json, e);
+        json.close().close();
     }
 }
 
@@ -308,61 +263,48 @@ void
 writeChromeTrace(std::ostream &os, const std::vector<Event> &events,
                  const std::string &label)
 {
-    EventRecorder &rec = EventRecorder::instance();
-    const std::string stamp =
-        rec.wallEpoch().empty() ? utcTimestamp() : rec.wallEpoch();
-    os << "{\n\"traceEvents\": [\n";
-    bool first = true;
-    auto sep = [&] {
-        if (!first)
-            os << ",\n";
-        first = false;
+    constexpr JsonLayout kLines{"\n", ",\n", "\n"};
+    const EventRecorder &rec = EventRecorder::instance();
+    JsonWriter json(os);
+    json.open('{', kLines).key("traceEvents").open('[', kLines);
+    const auto metadata = [&json](unsigned tid, std::string_view name,
+                                  std::string_view value) {
+        json.open('{').member("ph", "M").member("pid", 0);
+        json.member("tid", tid).member("name", name);
+        json.key("args").open('{').member("name", value).close().close();
     };
-    sep();
-    os << "{\"ph\": \"M\", \"pid\": 0, \"tid\": 0, "
-          "\"name\": \"process_name\", \"args\": {\"name\": \"sosim\"}}";
+    metadata(0, "process_name", "sosim");
     std::set<unsigned> threads;
     for (const Event &e : events)
         threads.insert(e.thread);
-    for (const unsigned t : threads) {
-        sep();
-        os << "{\"ph\": \"M\", \"pid\": 0, \"tid\": " << t
-           << ", \"name\": \"thread_name\", \"args\": {\"name\": "
-              "\"worker "
-           << t << "\"}}";
-    }
+    for (const unsigned t : threads)
+        metadata(t, "thread_name", "worker " + std::to_string(t));
     for (const Event &e : events) {
-        sep();
-        const std::string inner = argsInner(e);
+        json.open('{');
         if (e.kind == EventKind::Span) {
             // The slice is named by the span's last path component (span
             // names never contain '/').
             const std::string path = rec.labelOf(e.name);
-            os << "{\"ph\": \"X\", \"pid\": 0, \"tid\": " << e.thread
-               << ", \"ts\": ";
-            writeMicros(os, e.steadyNanos);
-            os << ", \"dur\": ";
-            writeMicros(os, e.b);
-            os << ", \"name\": \""
-               << jsonEscape(path.substr(path.rfind('/') + 1))
-               << "\", \"cat\": \"span\"";
+            json.member("ph", "X").member("pid", 0).member("tid", e.thread);
+            json.key("ts").number(micros(e.steadyNanos));
+            json.key("dur").number(micros(e.b));
+            json.member("name", path.substr(path.rfind('/') + 1));
+            json.member("cat", nameOf(kKindNames, e.kind));
         } else {
-            os << "{\"ph\": \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": "
-               << e.thread << ", \"ts\": ";
-            writeMicros(os, e.steadyNanos);
-            os << ", \"name\": \"" << eventKindName(e.kind)
-               << "\", \"cat\": \"decision\"";
+            json.member("ph", "i").member("s", "t").member("pid", 0);
+            json.member("tid", e.thread);
+            json.key("ts").number(micros(e.steadyNanos));
+            json.member("name", nameOf(kKindNames, e.kind));
+            json.member("cat", "decision");
         }
-        os << ", \"args\": {\"seq\": " << e.seq
-           << ", \"parent\": " << e.parent;
-        if (!inner.empty())
-            os << ", " << inner;
-        os << "}}";
+        json.key("args").open('{');
+        json.member("seq", e.seq).member("parent", e.parent);
+        writeArgs(json, e);
+        json.close().close();
     }
-    os << "\n],\n\"displayTimeUnit\": \"ms\",\n\"otherData\": "
-          "{\"label\": \""
-       << jsonEscape(label) << "\", \"timestamp_utc\": \""
-       << jsonEscape(stamp) << "\"}\n}\n";
+    json.close().member("displayTimeUnit", "ms");
+    json.key("otherData").open('{').header(label, recordingStamp()).close();
+    json.close();
 }
 
 namespace {
@@ -733,6 +675,20 @@ readEventJournal(std::istream &is, std::vector<JournalEvent> &out,
 
 namespace {
 
+/** A journal row with its kind parsed back through the name table
+ *  (None for a name the table does not hold). */
+struct Row {
+    const JournalEvent *e;
+    EventKind kind;
+};
+
+Row
+parseRow(const JournalEvent &e)
+{
+    const auto *entry = byName(kKindNames, e.kind);
+    return {&e, entry != nullptr ? entry->value : EventKind::None};
+}
+
 std::string
 arg(const JournalEvent &e, const char *k)
 {
@@ -747,62 +703,72 @@ argEquals(const JournalEvent &e, const char *k, std::uint64_t v)
     return it != e.args.end() && it->second == std::to_string(v);
 }
 
+/** Whether a swap_reject's `nearest` partner is a real near miss (an
+ *  unknown reason keeps it, as its explain line shows it). */
 bool
-matchesInstance(const JournalEvent &e, std::uint64_t id)
+nearestIsMiss(const JournalEvent &e)
 {
-    if (e.kind == "swap_accept")
+    const ReasonName *reason = byName(kReasonNames, arg(e, "reason"));
+    return reason == nullptr || reason->nearestIsMiss;
+}
+
+bool
+matchesInstance(const Row &row, std::uint64_t id)
+{
+    const JournalEvent &e = *row.e;
+    switch (row.kind) {
+      case EventKind::SwapAccept:
         return argEquals(e, "inst_a", id) || argEquals(e, "inst_b", id);
-    if (e.kind == "swap_reject")
+      case EventKind::SwapReject:
         return argEquals(e, "inst_a", id) ||
-               argEquals(e, "nearest", id);
-    if (e.kind == "monitor_exclude" || e.kind == "fault_inject" ||
-        e.kind == "fault_repair")
+               (nearestIsMiss(e) && argEquals(e, "nearest", id));
+      case EventKind::MonitorExclude:
+      case EventKind::FaultInject:
+      case EventKind::FaultRepair:
         return argEquals(e, "instance", id);
-    return false;
+      default:
+        return false;
+    }
 }
 
 bool
-matchesNode(const JournalEvent &e, std::uint64_t sig)
+matchesNode(const Row &row, std::uint64_t sig)
 {
-    return (e.kind == "graph_eval" || e.kind == "graph_cache_hit") &&
-           argEquals(e, "sig", sig);
+    return (row.kind == EventKind::GraphEval ||
+            row.kind == EventKind::GraphCacheHit) &&
+           argEquals(*row.e, "sig", sig);
 }
 
-/** One human-readable sentence for an event (k=v fallback). */
-std::string
-describe(const JournalEvent &e)
+/** One human-readable sentence for a matched event (k=v fallback). */
+void
+describe(std::ostream &os, const Row &row)
 {
-    std::ostringstream os;
-    if (e.kind == "swap_accept") {
+    const JournalEvent &e = *row.e;
+    switch (row.kind) {
+      case EventKind::SwapAccept:
         os << "accepted swap: instance " << arg(e, "inst_a")
            << " <-> instance " << arg(e, "inst_b") << " (rack "
            << arg(e, "rack_a") << " <-> rack " << arg(e, "rack_b")
            << "), gain " << arg(e, "gain") << " (delta A "
            << arg(e, "delta_a") << ", delta B " << arg(e, "delta_b")
            << ")";
-    } else if (e.kind == "swap_reject") {
+        break;
+      case EventKind::SwapReject: {
         const std::string reason = arg(e, "reason");
         os << "rejected pairings: instance " << arg(e, "inst_a")
            << " at rack " << arg(e, "rack_a") << " — "
            << arg(e, "partners") << " partner(s) ";
-        if (reason == "early_reject")
-            os << "showed no improvement at the donor rack "
-                  "(early-reject kernel gate)";
-        else if (reason == "validity_gate")
-            os << "excluded by the validity gate";
-        else if (reason == "no_improvement")
-            os << "showed no net improvement after the full swap";
-        else if (reason == "pruned")
-            os << "pruned by the cluster candidate index before "
-                  "evaluation";
+        if (const ReasonName *known = byName(kReasonNames, reason))
+            os << known->explain;
         else
             os << "rejected: " << reason;
-        if (reason != "validity_gate" && reason != "pruned" &&
-            !arg(e, "nearest").empty())
+        if (nearestIsMiss(e) && !arg(e, "nearest").empty())
             os << "; nearest miss: instance " << arg(e, "nearest")
                << ", score " << arg(e, "score_before") << " -> "
                << arg(e, "score_after");
-    } else if (e.kind == "monitor_week") {
+        break;
+      }
+      case EventKind::MonitorWeek:
         os << "monitor week " << arg(e, "week") << ": "
            << (arg(e, "degraded") == "1" ? "DEGRADED" : "normal")
            << ", fragmentation_ratio "
@@ -814,46 +780,45 @@ describe(const JournalEvent &e)
             os << ", thresholds widened x" << arg(e, "widen");
         if (arg(e, "excluded") != "0" && !arg(e, "excluded").empty())
             os << ", " << arg(e, "excluded") << " instance(s) excluded";
-    } else if (e.kind == "monitor_exclude") {
+        break;
+      case EventKind::MonitorExclude:
         os << "instance " << arg(e, "instance")
            << " excluded from the week's measurement (validity "
            << arg(e, "validity") << ")";
-    } else if (e.kind == "fault_inject") {
+        break;
+      case EventKind::FaultInject:
         os << "fault injected: " << arg(e, "fault");
         for (const auto &[k, v] : e.args)
             if (k != "fault" && k != "plan")
                 os << " " << k << "=" << v;
         if (!arg(e, "plan").empty())
             os << " (plan " << arg(e, "plan") << ")";
-    } else if (e.kind == "fault_repair") {
+        break;
+      case EventKind::FaultRepair:
         os << "trace repaired: instance " << arg(e, "instance") << ", "
            << arg(e, "samples") << " sample(s) restored";
-    } else if (e.kind == "graph_eval") {
+        break;
+      case EventKind::GraphEval:
         os << "op '" << arg(e, "op") << "' executed (sig "
            << arg(e, "sig") << ")";
-    } else if (e.kind == "graph_cache_hit") {
+        break;
+      case EventKind::GraphCacheHit:
         os << "op '" << arg(e, "op") << "' served from cache (sig "
            << arg(e, "sig") << ")";
-    } else if (e.kind == "span") {
-        os << "span " << arg(e, "span") << " closed ("
-           << arg(e, "dur_ns") << " ns)";
-    } else if (e.kind == "scope") {
-        os << "scope " << arg(e, "label");
-    } else {
+        break;
+      default:
         os << e.kind;
         for (const auto &[k, v] : e.args)
             os << " " << k << "=" << v;
     }
-    return os.str();
 }
 
 /** "a <- b <- c" chain of enclosing scopes, via parent ids. */
 std::string
-scopeChain(const JournalEvent &e,
-           const std::map<std::uint64_t, const JournalEvent *> &by_seq)
+scopeChain(const Row &row, const std::map<std::uint64_t, Row> &by_seq)
 {
     std::string chain;
-    std::uint64_t parent = e.parent;
+    std::uint64_t parent = row.e->parent;
     for (int depth = 0; parent != 0 && depth < 16; ++depth) {
         const auto it = by_seq.find(parent);
         if (it == by_seq.end()) {
@@ -861,13 +826,14 @@ scopeChain(const JournalEvent &e,
             chain += "(evicted #" + std::to_string(parent) + ")";
             break;
         }
-        const JournalEvent &p = *it->second;
+        const JournalEvent &p = *it->second.e;
         std::string name;
-        if (p.kind == "scope")
+        if (it->second.kind == EventKind::Scope)
             name = arg(p, "label");
-        else if (p.kind == "graph_eval")
+        else if (it->second.kind == EventKind::GraphEval &&
+                 !arg(p, "op").empty())
             name = "op '" + arg(p, "op") + "'";
-        if (name.empty() || name == "op ''")
+        if (name.empty())
             name = p.kind + "#" + std::to_string(p.seq);
         chain += chain.empty() ? "" : " <- ";
         chain += name;
@@ -882,29 +848,26 @@ bool
 explainRecord(std::ostream &os, const std::vector<JournalEvent> &events,
               const ExplainQuery &query)
 {
-    std::map<std::uint64_t, const JournalEvent *> by_seq;
-    for (const JournalEvent &e : events)
-        by_seq.emplace(e.seq, &e);
-
-    std::vector<const JournalEvent *> matched;
-    for (const JournalEvent &e : events) {
-        if (query.instance && (matchesInstance(e, *query.instance) ||
-                               e.kind == "monitor_week"))
-            matched.push_back(&e);
-        else if (query.node && matchesNode(e, *query.node))
-            matched.push_back(&e);
-    }
-
+    std::map<std::uint64_t, Row> by_seq;
+    // Every monitor week rides along with an instance's history as
+    // global context; only the other matches count as specific.
+    std::vector<Row> matched;
     std::size_t specific = 0;
-    for (const JournalEvent *e : matched)
-        if (!query.instance || e->kind != "monitor_week")
-            ++specific;
+    for (const JournalEvent &e : events) {
+        const Row row = parseRow(e);
+        by_seq.emplace(e.seq, row);
+        const bool hit =
+            (query.instance && matchesInstance(row, *query.instance)) ||
+            (query.node && matchesNode(row, *query.node));
+        if (hit || (query.instance && row.kind == EventKind::MonitorWeek))
+            matched.push_back(row);
+        specific += hit ? 1 : 0;
+    }
 
     if (query.instance)
         os << "decision history for instance " << *query.instance;
     else if (query.node)
-        os << "decision history for graph node signature "
-           << (query.node ? *query.node : 0);
+        os << "decision history for graph node signature " << *query.node;
     else
         os << "decision history";
     os << "\n  " << specific << " matching event(s)";
@@ -920,12 +883,13 @@ explainRecord(std::ostream &os, const std::vector<JournalEvent> &events,
         return false;
     }
 
-    for (const JournalEvent *e : matched) {
+    for (const Row &row : matched) {
         std::ostringstream tag;
-        tag << "#" << std::setw(6) << std::setfill('0') << e->seq;
-        os << "  " << tag.str() << " [" << e->kind << "] "
-           << describe(*e) << "\n";
-        const std::string chain = scopeChain(*e, by_seq);
+        tag << "#" << std::setw(6) << std::setfill('0') << row.e->seq;
+        os << "  " << tag.str() << " [" << row.e->kind << "] ";
+        describe(os, row);
+        os << "\n";
+        const std::string chain = scopeChain(row, by_seq);
         if (!chain.empty())
             os << "          within " << chain << "\n";
     }

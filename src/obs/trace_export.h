@@ -41,9 +41,6 @@
 
 namespace sosim::obs {
 
-/** Stable lowercase name for an event kind ("swap_reject", ...). */
-const char *eventKindName(EventKind kind);
-
 /** Write the JSONL journal for an explicit event snapshot. */
 void writeEventJournal(std::ostream &os, const std::vector<Event> &events,
                        const std::string &label);

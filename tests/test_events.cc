@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -665,6 +666,103 @@ next <- pipeline
 )golden");
 }
 
+/** Split `text` into lines (without their newlines). */
+std::vector<std::string>
+splitLines(const std::string &text)
+{
+    std::vector<std::string> lines;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    return lines;
+}
+
+/**
+ * Deterministic mutation fuzzing of the journal reader and the JSON
+ * validator, seeded from the pinned journal: byte flips, truncations,
+ * duplicated and dropped lines, 200-deep nesting and \u escapes.  Every
+ * input must parse, or be refused with a line-numbered (reader) or
+ * byte-numbered (validator) error; nothing may throw.  Accepted
+ * journals also go through explain.
+ */
+TEST(Journal, MutatedJournalsAreAcceptedOrRefusedCleanly)
+{
+    RecorderGuard guard;
+    const std::vector<std::string> seed = splitLines(pinnedJournal());
+    std::mt19937_64 rng(20260101);
+    const auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    const std::string deep =
+        std::string(200, '[') + "1" + std::string(200, ']');
+    const char *escapes[] = {"\\u00e9", "\\u0000", "\\uD83D", "\\u12",
+                             "\\uZZZZ", "\\u"};
+
+    std::size_t accepted = 0;
+    std::size_t refused = 0;
+    for (int iter = 0; iter < 2000; ++iter) {
+        std::vector<std::string> lines = seed;
+        for (std::size_t m = 1 + pick(3); m > 0; --m) {
+            std::string &line = lines[pick(lines.size())];
+            switch (pick(6)) {
+              case 0: // Flip one bit of one byte.
+                if (!line.empty())
+                    line[pick(line.size())] ^=
+                        static_cast<char>(1U << pick(8));
+                break;
+              case 1: // Truncate.
+                line.resize(pick(line.size() + 1));
+                break;
+              case 2: // Duplicate a line.
+                lines.insert(lines.begin() + pick(lines.size()), line);
+                break;
+              case 3: // Drop a line.
+                if (lines.size() > 1)
+                    lines.erase(lines.begin() + pick(lines.size()));
+                break;
+              case 4: // Nest 200 deep, as a member value or bare.
+                line.insert(pick(line.size() + 1),
+                            pick(2) ? "\"deep\": " + deep + ", " : deep);
+                break;
+              default: // A \u escape, well-formed or not.
+                line.insert(pick(line.size() + 1), escapes[pick(6)]);
+            }
+        }
+        std::string text;
+        for (const std::string &line : lines) {
+            text += line + "\n";
+            std::string error;
+            bool valid = true;
+            EXPECT_NO_THROW(valid = obs::validateJson(line, &error))
+                << line;
+            if (!valid) {
+                EXPECT_EQ(error.rfind("at byte ", 0), 0u) << error;
+            }
+        }
+
+        std::istringstream in(text);
+        std::vector<obs::JournalEvent> events;
+        std::string error;
+        bool ok = false;
+        EXPECT_NO_THROW(ok = obs::readEventJournal(in, events, &error))
+            << text;
+        if (!ok) {
+            ++refused;
+            EXPECT_EQ(error.rfind("malformed journal line ", 0), 0u)
+                << error;
+            continue;
+        }
+        ++accepted;
+        obs::ExplainQuery query;
+        query.instance = 7;
+        std::ostringstream os;
+        EXPECT_NO_THROW(obs::explainRecord(os, events, query));
+    }
+    // The mutations must exercise both outcomes.
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(refused, 0u);
+}
+
 TEST(ValidateJson, AcceptsStrictDocuments)
 {
     for (const char *good : {
@@ -715,6 +813,45 @@ TEST(Explain, ReportsWhenNothingMatches)
     // Monitor weeks alone are global context, not a match.
     EXPECT_FALSE(obs::explainRecord(os, events, query));
     EXPECT_NE(os.str().find("0 matching event(s)"), std::string::npos);
+}
+
+/**
+ * A swap_reject's `nearest` names a partner only when the reason scores
+ * partners.  Pruned and validity-gate rejects note every partner with
+ * margin 0, so their `nearest` is just the first partner noted: it must
+ * not pull the reject into that partner's history, where the printed
+ * line would never mention the partner.
+ */
+TEST(Explain, NearestMatchesOnlyForScoredRejectReasons)
+{
+    for (const char *reason :
+         {"early_reject", "no_improvement", "pruned", "validity_gate"}) {
+        obs::JournalEvent reject;
+        reject.seq = 1;
+        reject.kind = "swap_reject";
+        reject.args = {{"reason", reason}, {"inst_a", "5"},
+                       {"partners", "3"},  {"rack_a", "1"},
+                       {"nearest", "6"},   {"score_before", "1"},
+                       {"score_after", "0.5"}};
+        const std::vector<obs::JournalEvent> events{reject};
+        const bool scored = std::string(reason) == "early_reject" ||
+                            std::string(reason) == "no_improvement";
+
+        obs::ExplainQuery partner;
+        partner.instance = 6;
+        std::ostringstream os;
+        EXPECT_EQ(obs::explainRecord(os, events, partner), scored) << reason;
+        EXPECT_EQ(os.str().find("nearest miss: instance 6") !=
+                      std::string::npos,
+                  scored)
+            << reason << "\n"
+            << os.str();
+
+        obs::ExplainQuery candidate;
+        candidate.instance = 5;
+        std::ostringstream own;
+        EXPECT_TRUE(obs::explainRecord(own, events, candidate)) << reason;
+    }
 }
 
 /** A faulted dc1 report pipeline whose remap run accepts swaps. */

@@ -565,14 +565,10 @@ emitObservability(const Args &args, const std::string &command)
         SOSIM_REQUIRE(out.good(),
                       "cannot open --metrics-out file " + metrics_out);
         const std::string format = args.get("metrics-format", "json");
-        if (format == "json") {
-            obs::writeMetricsJson(out, "sosim-" + command);
-        } else if (format == "prom") {
+        if (format == "prom")
             obs::writeMetricsPrometheus(out);
-        } else {
-            SOSIM_REQUIRE(false,
-                          "--metrics-format must be json or prom");
-        }
+        else
+            obs::writeMetricsJson(out, "sosim-" + command);
         std::cout << "wrote metrics (" << format << ") to "
                   << metrics_out << "\n";
     }
@@ -612,6 +608,11 @@ main(int argc, char **argv)
     const std::string command = argv[1];
     try {
         Args args(argc, argv, 2);
+        // Checked before the command runs: a bad value must not cost a
+        // whole run and then truncate the --metrics-out file.
+        const std::string metrics_format = args.get("metrics-format", "json");
+        SOSIM_REQUIRE(metrics_format == "json" || metrics_format == "prom",
+                      "--metrics-format must be json or prom");
         // Recording must be live before the command runs; it is off by
         // default so instrumented sites stay one-load-and-branch cheap.
         // A full report emits tens of thousands of decisions, so widen
