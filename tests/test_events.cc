@@ -680,10 +680,10 @@ splitLines(const std::string &text)
 /**
  * Deterministic mutation fuzzing of the journal reader and the JSON
  * validator, seeded from the pinned journal: byte flips, truncations,
- * duplicated and dropped lines, 200-deep nesting and \u escapes.  Every
- * input must parse, or be refused with a line-numbered (reader) or
- * byte-numbered (validator) error; nothing may throw.  Accepted
- * journals also go through explain.
+ * duplicated and dropped lines, 200-deep nesting, edited numbers and
+ * \u escapes.  Every input must parse, or be refused with a
+ * line-numbered (reader) or byte-numbered (validator) error; nothing may
+ * throw.  Accepted journals also go through explain.
  */
 TEST(Journal, MutatedJournalsAreAcceptedOrRefusedCleanly)
 {
@@ -695,6 +695,7 @@ TEST(Journal, MutatedJournalsAreAcceptedOrRefusedCleanly)
     };
     const std::string deep =
         std::string(200, '[') + "1" + std::string(200, ']');
+    const char *numberEdits[] = {"-", "0.5", "1e", "99999999999999999999"};
     const char *escapes[] = {"\\u00e9", "\\u0000", "\\uD83D", "\\u12",
                              "\\uZZZZ", "\\u"};
 
@@ -704,7 +705,7 @@ TEST(Journal, MutatedJournalsAreAcceptedOrRefusedCleanly)
         std::vector<std::string> lines = seed;
         for (std::size_t m = 1 + pick(3); m > 0; --m) {
             std::string &line = lines[pick(lines.size())];
-            switch (pick(6)) {
+            switch (pick(7)) {
               case 0: // Flip one bit of one byte.
                 if (!line.empty())
                     line[pick(line.size())] ^=
@@ -714,7 +715,8 @@ TEST(Journal, MutatedJournalsAreAcceptedOrRefusedCleanly)
                 line.resize(pick(line.size() + 1));
                 break;
               case 2: // Duplicate a line.
-                lines.insert(lines.begin() + pick(lines.size()), line);
+                lines.insert(lines.begin() + pick(lines.size()),
+                             std::string(line));
                 break;
               case 3: // Drop a line.
                 if (lines.size() > 1)
@@ -724,6 +726,13 @@ TEST(Journal, MutatedJournalsAreAcceptedOrRefusedCleanly)
                 line.insert(pick(line.size() + 1),
                             pick(2) ? "\"deep\": " + deep + ", " : deep);
                 break;
+              case 5: { // A sign, fraction, exponent or overflow at a digit.
+                const std::size_t at = line.find_first_of(
+                    "0123456789", pick(line.size() + 1));
+                if (at != std::string::npos)
+                    line.insert(at, numberEdits[pick(4)]);
+                break;
+              }
               default: // A \u escape, well-formed or not.
                 line.insert(pick(line.size() + 1), escapes[pick(6)]);
             }
