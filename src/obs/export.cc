@@ -48,11 +48,11 @@ JsonWriter::open(char bracket, JsonLayout layout)
 }
 
 JsonWriter &
-JsonWriter::optionalObject(std::string_view key)
+JsonWriter::optionalObject(std::string_view name)
 {
     const std::size_t mark = out_.size();
     const bool parent_empty = frames_.back().empty;
-    this->key(key).open('{');
+    key(name).open('{');
     frames_.back().eraseFrom = mark;
     frames_.back().parentWasEmpty = parent_empty;
     return *this;
@@ -79,9 +79,9 @@ JsonWriter::close()
 }
 
 JsonWriter &
-JsonWriter::key(std::string_view key, std::string_view gap)
+JsonWriter::key(std::string_view name, std::string_view gap)
 {
-    value(key);
+    value(name);
     out_ += ':';
     out_ += gap;
     afterKey_ = true;

@@ -78,14 +78,14 @@ class JsonWriter
     /** Open '{' or '[' as the next element. */
     JsonWriter &open(char bracket, JsonLayout layout = {});
 
-    /** Open object member `key` inside an object; close() erases it
+    /** Open object member `name` inside an object; close() erases it
      *  again, key and all, when nothing was written into it. */
-    JsonWriter &optionalObject(std::string_view key);
+    JsonWriter &optionalObject(std::string_view name);
 
     JsonWriter &close();
 
-    /** `"key":` then `gap`; the next value or open() is its value. */
-    JsonWriter &key(std::string_view key, std::string_view gap = " ");
+    /** `"name":` then `gap`; the next value or open() is its value. */
+    JsonWriter &key(std::string_view name, std::string_view gap = " ");
 
     JsonWriter &value(std::string_view s);
     JsonWriter &value(double v);
@@ -101,9 +101,9 @@ class JsonWriter
     JsonWriter &number(std::string_view text);
 
     template <typename T>
-    JsonWriter &member(std::string_view k, const T &v)
+    JsonWriter &member(std::string_view name, const T &v)
     {
-        return key(k).value(v);
+        return key(name).value(v);
     }
 
     JsonWriter &header(std::string_view label, std::string_view timestamp)
