@@ -55,6 +55,7 @@ JsonWriter::optionalObject(std::string_view name)
     key(name).open('{');
     frames_.back().eraseFrom = mark;
     frames_.back().parentWasEmpty = parent_empty;
+    ++optionalOpen_;
     return *this;
 }
 
@@ -63,16 +64,21 @@ JsonWriter::close()
 {
     const Frame f = frames_.back();
     frames_.pop_back();
-    if (f.empty && f.eraseFrom != std::string::npos) {
-        out_.resize(f.eraseFrom);
-        frames_.back().empty = f.parentWasEmpty;
-        return *this;
+    if (f.eraseFrom != std::string::npos) {
+        --optionalOpen_;
+        if (f.empty) {
+            out_.resize(f.eraseFrom);
+            frames_.back().empty = f.parentWasEmpty;
+            return *this;
+        }
     }
     if (!f.empty)
         out_ += f.layout.tail;
     out_ += f.close;
-    if (frames_.empty()) {
-        os_ << out_ << '\n';
+    if (frames_.empty())
+        out_ += '\n';
+    if (optionalOpen_ == 0) {
+        os_ << out_;
         out_.clear();
     }
     return *this;

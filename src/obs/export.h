@@ -66,9 +66,10 @@ struct JsonLayout {
  * "%.12g" numbers with NaN/Inf written as null (JSON has no literal for
  * them), and the label / timestamp_utc header every document carries.
  *
- * Closing the outermost container ends the document's line and writes
- * it to the stream; until then output is buffered, so an
- * optionalObject() left empty can be taken back.
+ * Closing the outermost container ends the document's line.  Output
+ * reaches the stream as containers close, except while an
+ * optionalObject() is open: it stays buffered so that one can be taken
+ * back if it ends up empty.
  */
 class JsonWriter
 {
@@ -90,8 +91,7 @@ class JsonWriter
     JsonWriter &value(std::string_view s);
     JsonWriter &value(double v);
 
-    template <typename T,
-              typename = std::enable_if_t<std::is_integral_v<T>>>
+    template <typename T, typename = std::enable_if_t<std::is_integral_v<T>>>
     JsonWriter &value(T v)
     {
         return number(std::to_string(v));
@@ -129,6 +129,8 @@ class JsonWriter
     std::string out_;
     std::vector<Frame> frames_;
     bool afterKey_ = false;
+    /** Open optionalObject()s; output is held back while non-zero. */
+    int optionalOpen_ = 0;
 };
 
 /** JSON dump of a snapshot plus a span tree. */

@@ -25,8 +25,7 @@ std::string
 micros(std::uint64_t ns)
 {
     char buf[8];
-    std::snprintf(buf, sizeof buf, ".%03u",
-                  static_cast<unsigned>(ns % 1000));
+    std::snprintf(buf, sizeof buf, ".%03u", static_cast<unsigned>(ns % 1000));
     return std::to_string(ns / 1000) + buf;
 }
 
@@ -74,14 +73,11 @@ constexpr ReasonName kReasonNames[] = {
      "showed no improvement at the donor rack (early-reject kernel gate)",
      true},
     {{RejectReason::ValidityGate, "validity_gate"},
-     "excluded by the validity gate",
-     false},
+     "excluded by the validity gate", false},
     {{RejectReason::NoImprovement, "no_improvement"},
-     "showed no net improvement after the full swap",
-     true},
+     "showed no net improvement after the full swap", true},
     {{RejectReason::Pruned, "pruned"},
-     "pruned by the cluster candidate index before evaluation",
-     false},
+     "pruned by the cluster candidate index before evaluation", false},
 };
 
 constexpr Named<FaultEventCode> kFaultNames[] = {
