@@ -10,6 +10,43 @@
 
 namespace sosim::core {
 
+namespace {
+
+/** Eq. 7 from its three peaks, with the zero-power convention. */
+double
+pairScore(double peak_a, double peak_b, double aggregate_peak)
+{
+    if (aggregate_peak <= 0.0)
+        return 0.0; // Eq. 7 undefined: zero-power convention.
+    return (peak_a + peak_b) / aggregate_peak;
+}
+
+/** Peaks of a trace set, one scan each. */
+std::vector<double>
+peaksOf(const std::vector<trace::TimeSeries> &traces)
+{
+    std::vector<double> peaks(traces.size());
+    for (std::size_t j = 0; j < traces.size(); ++j)
+        peaks[j] = traces[j].peak();
+    return peaks;
+}
+
+/** scoreVector with the S-trace peaks already computed. */
+cluster::Point
+scoreRow(const trace::TimeSeries &itrace,
+         const std::vector<trace::TimeSeries> &straces,
+         const std::vector<double> &speaks)
+{
+    const double ipeak = itrace.peak();
+    cluster::Point v(straces.size());
+    for (std::size_t j = 0; j < straces.size(); ++j)
+        v[j] = pairScore(ipeak, speaks[j],
+                         trace::peakOfSum(itrace, straces[j]));
+    return v;
+}
+
+} // namespace
+
 double
 asynchronyScore(const std::vector<const trace::TimeSeries *> &traces)
 {
@@ -23,7 +60,7 @@ asynchronyScore(const std::vector<const trace::TimeSeries *> &traces)
                                  traces.front()->intervalMinutes());
     double aggregate_peak = 0.0;
     for (const auto *t : traces) {
-        peak_sum += t->stats().peak;
+        peak_sum += t->peak();
         // Fused add + max-scan; the last call's return value is peak(Σ).
         aggregate_peak = trace::accumulatePeak(aggregate, *t);
     }
@@ -45,10 +82,7 @@ asynchronyScore(const std::vector<trace::TimeSeries> &traces)
 double
 pairAsynchronyScore(const trace::TimeSeries &a, const trace::TimeSeries &b)
 {
-    const double aggregate_peak = trace::peakOfSum(a, b);
-    if (aggregate_peak <= 0.0)
-        return 0.0; // Eq. 7 undefined: zero-power convention.
-    return (a.stats().peak + b.stats().peak) / aggregate_peak;
+    return pairScore(a.peak(), b.peak(), trace::peakOfSum(a, b));
 }
 
 cluster::Point
@@ -56,11 +90,7 @@ scoreVector(const trace::TimeSeries &itrace,
             const std::vector<trace::TimeSeries> &straces)
 {
     SOSIM_REQUIRE(!straces.empty(), "scoreVector: need S-traces");
-    cluster::Point v;
-    v.reserve(straces.size());
-    for (const auto &s : straces)
-        v.push_back(pairAsynchronyScore(itrace, s));
-    return v;
+    return scoreRow(itrace, straces, peaksOf(straces));
 }
 
 std::vector<cluster::Point>
@@ -70,16 +100,12 @@ scoreVectors(const std::vector<trace::TimeSeries> &itraces,
     SOSIM_SPAN("scoring.score_vectors");
     SOSIM_COUNT_ADD("scoring.rows", itraces.size());
     SOSIM_REQUIRE(!straces.empty(), "scoreVectors: need S-traces");
-    // Warm the shared stats caches serially: the row workers only read
-    // them (see the threading note on TimeSeries::stats()).
-    for (const auto &s : straces)
-        s.stats();
-    for (const auto &t : itraces)
-        t.stats();
-
+    // Each S-trace peak is read by every row: scan it once here.  Each
+    // I-trace peak is read by its own row only.
+    const std::vector<double> speaks = peaksOf(straces);
     std::vector<cluster::Point> out(itraces.size());
     util::parallelFor(itraces.size(), [&](std::size_t i) {
-        out[i] = scoreVector(itraces[i], straces);
+        out[i] = scoreRow(itraces[i], straces, speaks);
     });
     return out;
 }
@@ -96,28 +122,20 @@ scoreVectorsBlocked(const std::vector<trace::TimeSeries> &itraces,
 
     // Pack both populations into SoA arenas (contiguous, 64-byte-aligned
     // rows) and compute the whole peak(a + b) grid in one batch; the
-    // Eq. 7 division happens on the cached peaks afterward.
+    // Eq. 7 division then runs per row, next to that row's own peak.
     const trace::TraceArena ivecs = trace::TraceArena::fromSeries(itraces);
     const trace::TraceArena svecs = trace::TraceArena::fromSeries(straces);
-    std::vector<double> ipeaks(itraces.size());
-    for (std::size_t i = 0; i < itraces.size(); ++i)
-        ipeaks[i] = itraces[i].stats().peak;
-    std::vector<double> speaks(straces.size());
-    for (std::size_t j = 0; j < straces.size(); ++j)
-        speaks[j] = straces[j].stats().peak;
-
+    const std::vector<double> speaks = peaksOf(straces);
     const std::vector<double> peaks = trace::scoreVectorsBatch(ivecs, svecs);
+    const std::size_t cols = straces.size();
     std::vector<cluster::Point> out(itraces.size());
-    for (std::size_t i = 0; i < itraces.size(); ++i) {
+    util::parallelFor(itraces.size(), [&](std::size_t i) {
+        const double ipeak = trace::peakOf(ivecs.view(i));
         cluster::Point &v = out[i];
-        v.resize(straces.size());
-        for (std::size_t j = 0; j < straces.size(); ++j) {
-            const double aggregate_peak = peaks[i * straces.size() + j];
-            v[j] = aggregate_peak <= 0.0
-                       ? 0.0 // Zero-power convention.
-                       : (ipeaks[i] + speaks[j]) / aggregate_peak;
-        }
-    }
+        v.resize(cols);
+        for (std::size_t j = 0; j < cols; ++j)
+            v[j] = pairScore(ipeak, speaks[j], peaks[i * cols + j]);
+    });
     return out;
 }
 
@@ -136,8 +154,7 @@ differentialScore(const trace::TimeSeries &itrace,
         trace::peakOfScaledSum(itrace, node_others, scale);
     if (aggregate_peak <= 0.0)
         return 0.0; // Zero-power convention.
-    return (itrace.stats().peak + scale * node_others.stats().peak) /
-           aggregate_peak;
+    return (itrace.peak() + scale * node_others.peak()) / aggregate_peak;
 }
 
 namespace reference {
@@ -145,9 +162,10 @@ namespace reference {
 namespace {
 
 /**
- * Uncached peak: one max_element scan per call, exactly what the
- * pre-kernel implementation paid.  The cached TimeSeries::peak() would
- * make the reference look faster than the code it stands in for.
+ * Plain peak: one scalar max_element scan per call, exactly what the
+ * pre-kernel implementation paid.  TimeSeries::peak() runs the vector
+ * scan of trace/kernels.cc, which would make the reference look faster
+ * than the code it stands in for.
  */
 double
 scanPeak(const trace::TimeSeries &t)

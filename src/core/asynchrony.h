@@ -23,8 +23,10 @@
  * than a powered one.
  *
  * Implementation: scores run on the fused kernels of trace/kernels.h
- * (single pass, no temporaries) with per-trace peaks served from the
- * TraceStats cache; scoreVectors fans rows out via util::parallelFor.
+ * (single pass, no temporaries).  A peak read by many scores is scanned
+ * once where it is read: scoreVectors scans each S-trace peak before
+ * fanning rows out via util::parallelFor, and each I-trace peak inside
+ * its own row.
  * The materializing formulas are retained in core::reference as the
  * oracle the property tests compare the fused kernels against.
  */

@@ -4,6 +4,7 @@
 #include <limits>
 #include <map>
 
+#include "trace/kernels.h"
 #include "util/error.h"
 
 namespace sosim::core {
@@ -259,7 +260,7 @@ enforceConstraints(const power::PowerTree &tree,
                         continue;
                     }
                     const double damage =
-                        (rack_agg[rack] + itraces[inst]).peak() -
+                        trace::peakOfSum(rack_agg[rack], itraces[inst]) -
                         rack_agg[rack].peak();
                     if (damage < best_damage) {
                         best_damage = damage;

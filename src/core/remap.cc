@@ -218,12 +218,12 @@ Remapper::refine(power::Assignment &assignment,
     const auto rack_ids = tree_.racks();
     trace::TraceArena arena = trace::TraceArena::fromSeries(
         itraces, rack_ids.size() + config_.candidatesPerRound);
-    // Warm the per-instance stats rows up front: the parallel candidate
-    // evaluation below reads them from worker threads.  Each index fills
-    // only its own lazy slot (distinct LazyStatsSlot objects), which is
-    // the per-index-slot discipline the parallelFor contract requires.
-    util::parallelFor(itraces.size(),
-                      [&](std::size_t id) { arena.stats(id); });
+    // Every instance peak is read many times below (rack peak sums,
+    // member scores, every pair of the swap scan): scan each row once.
+    std::vector<double> peaks(itraces.size());
+    util::parallelFor(itraces.size(), [&](std::size_t id) {
+        peaks[id] = trace::peakOf(arena.view(id));
+    });
 
     // Shard the racks into 2x the pool's thread count of contiguous
     // ranges aligned to their suite-bus subtree (the DFS construction
@@ -263,7 +263,7 @@ Remapper::refine(power::Assignment &assignment,
         double *agg = arena.mutableRow(state.aggRow);
         for (const auto i : state.members) {
             state.aggPeak = trace::accumulatePeakRow(agg, arena.view(i));
-            state.peakSum += arena.stats(i).peak;
+            state.peakSum += peaks[i];
         }
     });
     // One ArenaShardView per shard over its aggregate-row block, handed
@@ -364,8 +364,7 @@ Remapper::refine(power::Assignment &assignment,
             rack.scoreBefore[m] =
                 aggregate_peak <= 0.0
                     ? 0.0
-                    : (arena.stats(i).peak + scale * others_peak) /
-                          aggregate_peak;
+                    : (peaks[i] + scale * others_peak) / aggregate_peak;
         });
         rack.cacheValid = true;
     };
@@ -459,7 +458,7 @@ Remapper::refine(power::Assignment &assignment,
             const std::size_t inst_a = scored[c].second;
             const double score_a_before = scored[c].first;
             const trace::TraceView inst_a_row = arena.view(inst_a);
-            const double inst_a_peak = arena.stats(inst_a).peak;
+            const double inst_a_peak = peaks[inst_a];
             const trace::TraceView others_a_row = arena.view(scratch[c]);
             const std::size_t cluster_a =
                 prune ? prune_index.clusterOf(inst_a) : 0;
@@ -507,7 +506,7 @@ Remapper::refine(power::Assignment &assignment,
                     // reordering of the paper's accept test — the
                     // accepted set is unchanged.
                     const double score_a_after = diffScoreHoisted(
-                        arena.view(inst_b), arena.stats(inst_b).peak,
+                        arena.view(inst_b), peaks[inst_b],
                         others_a_row, cand_others_peak[c], others_a,
                         score_a_before);
                     if (score_a_after <= score_a_before) {
@@ -624,13 +623,11 @@ Remapper::refine(power::Assignment &assignment,
             rack_a.aggPeak = trace::subAddPeakRow(
                 arena.mutableRow(rack_a.aggRow), arena.view(best.instanceB),
                 arena.view(best.instanceA));
-            rack_a.peakSum += arena.stats(best.instanceB).peak -
-                              arena.stats(best.instanceA).peak;
+            rack_a.peakSum += peaks[best.instanceB] - peaks[best.instanceA];
             rack_b.aggPeak = trace::subAddPeakRow(
                 arena.mutableRow(rack_b.aggRow), arena.view(best.instanceA),
                 arena.view(best.instanceB));
-            rack_b.peakSum += arena.stats(best.instanceA).peak -
-                              arena.stats(best.instanceB).peak;
+            rack_b.peakSum += peaks[best.instanceA] - peaks[best.instanceB];
             rack_a.cacheValid = false;
             rack_b.cacheValid = false;
 

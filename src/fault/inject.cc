@@ -42,8 +42,7 @@ injectTraceFaults(std::vector<trace::TimeSeries> &traces,
                  "injectTraceFaults: traces do not match the plan shape");
     InjectionReport report;
     const std::size_t n = plan.shape().samplesPerTrace;
-    // The mutable element access invalidates each touched series' stats.
-    const auto row = [&](std::size_t i) { return &traces[i][0]; };
+    const auto row = [&](std::size_t i) { return traces[i].data(); };
 
     // fingerprint() walks the whole plan, so it is hashed once per pass
     // and only when the recorder is live — recomputing it per injected

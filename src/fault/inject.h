@@ -56,8 +56,7 @@ struct InjectedTraces {
 /**
  * Apply the plan's trace-level faults (skew, stuck-at, gaps, loss) to a
  * trace population in place.  The population must match the plan's
- * shape.  Samples already NaN are not double-counted; every touched
- * series' cached stats are invalidated.
+ * shape.  Samples already NaN are not double-counted.
  */
 InjectionReport
 injectTraceFaults(std::vector<trace::TimeSeries> &traces,

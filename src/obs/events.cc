@@ -206,10 +206,10 @@ EventRecorder::recorded() const
     return total;
 }
 
-std::vector<Event>
+EventSnapshot
 EventRecorder::collect(bool clear)
 {
-    std::vector<Event> out;
+    EventSnapshot out;
     const std::size_t cap = capacity();
     for (auto &shard : shards_) {
         std::lock_guard<std::mutex> lock(shard.mutex);
@@ -218,13 +218,15 @@ EventRecorder::collect(bool clear)
         // sits at head; before that the ring is in append order.
         const std::size_t start = n < cap ? 0 : shard.head;
         for (std::size_t i = 0; i < n; ++i)
-            out.push_back(shard.ring[(start + i) % n]);
+            out.events.push_back(shard.ring[(start + i) % n]);
+        out.dropped += shard.dropped;
+        out.recorded += shard.recorded;
         if (clear) {
             shard.ring.clear();
             shard.head = 0;
         }
     }
-    std::sort(out.begin(), out.end(),
+    std::sort(out.events.begin(), out.events.end(),
               [](const Event &l, const Event &r) { return l.seq < r.seq; });
     return out;
 }

@@ -148,6 +148,21 @@ struct Event {
 };
 
 /**
+ * What EventRecorder::collect() returns: the buffered events and the
+ * recorder's drop/record totals, read in the same pass.  A journal
+ * written from a snapshot reports the totals of that snapshot, however
+ * much is recorded after it was taken.
+ */
+struct EventSnapshot {
+    /** Buffered events, sorted by sequence number. */
+    std::vector<Event> events;
+    /** Events evicted by ring wrap before the snapshot. */
+    std::uint64_t dropped = 0;
+    /** Events stored before the snapshot. */
+    std::uint64_t recorded = 0;
+};
+
+/**
  * Call-site payload for SOSIM_EVENT / SOSIM_EVENT_SCOPE.  Designated
  * initializers keep sites readable: SOSIM_EVENT(.kind = ..., .a = ...).
  * `label` is interned only when the recorder is enabled, so sites may
@@ -210,12 +225,12 @@ class EventRecorder
     std::uint64_t recorded() const;
 
     /**
-     * Snapshot every shard, sorted by sequence number.  `clear` also
-     * empties the rings (drop/record totals are kept).  Callers must
-     * have quiesced writers for an exact result — same contract as
-     * Registry::snapshot().
+     * Snapshot every shard: its events, sorted by sequence number, and
+     * the drop/record totals.  `clear` also empties the rings (the
+     * totals are kept).  Callers must have quiesced writers for an
+     * exact result — same contract as Registry::snapshot().
      */
-    std::vector<Event> collect(bool clear = false);
+    EventSnapshot collect(bool clear = false);
 
     /** Drop buffered events, zero the drop/record totals, and rewind
      *  the sequence counter (tests and golden replays). */

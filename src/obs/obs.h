@@ -13,7 +13,7 @@
  * branch while the recorder is idle, and do not evaluate their payload.
  *
  * Naming convention: dot-separated lowercase paths,
- * "<subsystem>.<object>.<event>" — e.g. "trace.stats_cache.hit",
+ * "<subsystem>.<object>.<event>" — e.g. "trace.kernels.peak_of_sum",
  * "pool.chunks_run", "monitor.fragmentation_ratio".  Exporters derive
  * Prometheus names from these (dots become underscores).
  */

@@ -236,15 +236,15 @@ recordingStamp()
 } // namespace
 
 void
-writeEventJournal(std::ostream &os, const std::vector<Event> &events,
+writeEventJournal(std::ostream &os, const EventSnapshot &snapshot,
                   const std::string &label)
 {
-    const EventRecorder &rec = EventRecorder::instance();
     JsonWriter json(os);
     json.open('{').header(label, recordingStamp());
-    json.member("dropped", rec.dropped()).member("recorded", rec.recorded());
-    json.member("events", events.size()).close();
-    for (const Event &e : events) {
+    json.member("dropped", snapshot.dropped);
+    json.member("recorded", snapshot.recorded);
+    json.member("events", snapshot.events.size()).close();
+    for (const Event &e : snapshot.events) {
         json.open('{').member("seq", e.seq).member("parent", e.parent);
         json.member("thread", e.thread).member("t_ns", e.steadyNanos);
         json.member("kind", nameOf(kKindNames, e.kind));

@@ -41,8 +41,11 @@
 
 namespace sosim::obs {
 
-/** Write the JSONL journal for an explicit event snapshot. */
-void writeEventJournal(std::ostream &os, const std::vector<Event> &events,
+/**
+ * Write the JSONL journal for an explicit event snapshot; the header's
+ * drop/record totals are the snapshot's own.
+ */
+void writeEventJournal(std::ostream &os, const EventSnapshot &snapshot,
                        const std::string &label);
 
 /** Write a Chrome-trace JSON document for an explicit snapshot. */

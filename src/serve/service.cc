@@ -151,7 +151,6 @@ Service::processEpoch(const EpochSnapshot &snapshot)
     SOSIM_OBSERVE("serve.epoch.eval_seconds", eval_seconds);
     SOSIM_EVENT(.kind = obs::EventKind::EpochCommit,
                 .code = r.observation.degradedData ? 1u : 0u,
-                .label = core::monitorActionName(r.observation.action),
                 .a = r.epoch, .b = r.lastTick,
                 .c = static_cast<std::uint64_t>(r.observation.action),
                 .d = r.swaps, .x = r.observation.fragmentationRatio);

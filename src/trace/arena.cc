@@ -50,7 +50,6 @@ TraceArena::TraceArena(std::size_t capacity, std::size_t samples_per_trace,
     SOSIM_REQUIRE(interval_minutes >= 1,
                   "TraceArena: interval_minutes must be >= 1");
     data_.reset(allocateRows(capacity_, stride_));
-    statsCache_.reset(capacity_);
 }
 
 TraceArena
@@ -70,8 +69,7 @@ TraceArena::fromSeries(const std::vector<TimeSeries> &series,
 TraceArena::TraceArena(const TraceArena &other)
     : capacity_(other.capacity_), samples_(other.samples_),
       stride_(other.stride_), rows_(other.rows_),
-      intervalMinutes_(other.intervalMinutes_),
-      statsCache_(other.statsCache_)
+      intervalMinutes_(other.intervalMinutes_)
 {
     data_.reset(allocateRows(capacity_, stride_));
     if (data_ != nullptr)
@@ -113,39 +111,7 @@ double *
 TraceArena::mutableRow(TraceId id)
 {
     SOSIM_REQUIRE(id < rows_, "TraceArena: row id out of range");
-    statsCache_.invalidate(id);
     return data_.get() + id * stride_;
-}
-
-void
-TraceArena::assignRow(TraceId id, TraceView v)
-{
-    SOSIM_REQUIRE(alignedWith(v),
-                  "TraceArena::assignRow: view shape does not match arena");
-    std::memcpy(mutableRow(id), v.data(), samples_ * sizeof(double));
-}
-
-const TraceStats &
-TraceArena::stats(TraceId id) const
-{
-    SOSIM_REQUIRE(id < rows_, "TraceArena: row id out of range");
-    return statsCache_.get(id, [&] { return computeStats(view(id)); });
-}
-
-void
-TraceArena::invalidateStats(TraceId id)
-{
-    SOSIM_REQUIRE(id < rows_, "TraceArena: row id out of range");
-    statsCache_.invalidate(id);
-}
-
-TimeSeries
-TraceArena::toSeries(TraceId id) const
-{
-    SOSIM_REQUIRE(id < rows_, "TraceArena: row id out of range");
-    const double *p = rowPtr(id);
-    return TimeSeries(std::vector<double>(p, p + samples_),
-                      intervalMinutes_);
 }
 
 const double *

@@ -22,10 +22,10 @@
  * Rows are identified by a stable TraceId (the insertion index); the
  * TraceId -> row mapping never changes once a row is added, so long-lived
  * consumers (core::remap keeps per-rack running-sum rows here) can hold
- * ids across mutations.  Per-row summary stats are cached lazily exactly
- * like TimeSeries::stats() and invalidated by mutableRow(); the same
- * warm-serially-before-sharing threading contract applies (see
- * time_series.h).
+ * ids across mutations.  The arena holds samples only: a caller that
+ * reads a row's peak more than once computes it with trace::peakOf and
+ * keeps the value (core::Remapper::refine fills one vector of instance
+ * peaks up front).
  *
  * Layout and ordering contract: DESIGN.md section 10.
  */
@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "trace/kernels.h"
-#include "trace/stats_cache.h"
 #include "trace/time_series.h"
 
 namespace sosim::trace {
@@ -114,26 +113,10 @@ class TraceArena
     const double *row(TraceId id) const { return rowPtr(id); }
 
     /**
-     * Mutable raw row pointer; invalidates that row's cached stats.  The
-     * padding tail beyond samplesPerTrace() must stay zero.
+     * Writable raw row pointer.  The padding tail beyond
+     * samplesPerTrace() must stay zero.
      */
     double *mutableRow(TraceId id);
-
-    /** Overwrite a row from a view (must be aligned with the arena). */
-    void assignRow(TraceId id, TraceView v);
-
-    /**
-     * Cached one-pass summary stats of a row, identical to
-     * computeStats(view(id)) (same scan order, bit for bit).  Lazily
-     * filled; see the threading note in the file comment.
-     */
-    const TraceStats &stats(TraceId id) const;
-
-    /** Drop a row's cached stats (after external mutation). */
-    void invalidateStats(TraceId id);
-
-    /** Materialize a row as an owning TimeSeries (round-trip helper). */
-    TimeSeries toSeries(TraceId id) const;
 
     /** True when a view's shape matches this arena's rows. */
     bool alignedWith(TraceView v) const
@@ -155,9 +138,6 @@ class TraceArena
     std::size_t stride_ = 0;
     std::size_t rows_ = 0;
     int intervalMinutes_ = 1;
-    /** Lazily-filled per-row stats; shared invalidation discipline with
-     *  TimeSeries (trace/stats_cache.h). */
-    LazyStatsTable statsCache_;
 };
 
 } // namespace sosim::trace

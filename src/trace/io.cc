@@ -72,30 +72,31 @@ splitCsvLine(const std::string &line)
 TraceBundle
 readCsv(std::istream &is)
 {
+    // Every error names the offending line (1-based, counting the
+    // header), and body errors the column too, so a bad row in a
+    // million-line telemetry dump can actually be found.
     std::string line;
 
     // Header comment with the interval.
     SOSIM_REQUIRE(static_cast<bool>(std::getline(is, line)),
-                  "readCsv: empty input");
+                  "readCsv: empty input at line 1");
     stripCr(line);
     const std::string prefix = "# interval_minutes=";
     SOSIM_REQUIRE(line.rfind(prefix, 0) == 0,
-                  "readCsv: missing '# interval_minutes=' header");
+                  "readCsv: missing '# interval_minutes=' header at line 1");
     const int interval = util::parseNumber<int>(
-        line.substr(prefix.size()), "readCsv: interval header");
-    SOSIM_REQUIRE(interval >= 1, "readCsv: interval must be >= 1");
+        line.substr(prefix.size()), "readCsv: interval header at line 1");
+    SOSIM_REQUIRE(interval >= 1, "readCsv: interval must be >= 1 at line 1");
 
     // Column names.
     SOSIM_REQUIRE(static_cast<bool>(std::getline(is, line)),
-                  "readCsv: missing column-name row");
+                  "readCsv: missing column-name row at line 2");
     stripCr(line);
     TraceBundle bundle;
     bundle.names = splitCsvLine(line);
-    SOSIM_REQUIRE(!bundle.names.empty(), "readCsv: no columns");
+    SOSIM_REQUIRE(!bundle.names.empty(), "readCsv: no columns at line 2");
 
-    // Body.  Errors name the offending line (1-based, counting the
-    // header) and column so a bad row in a million-line telemetry dump
-    // can actually be found.
+    // Body.
     std::vector<std::vector<double>> columns(bundle.names.size());
     std::size_t line_no = 2; // Header and name rows already consumed.
     while (std::getline(is, line)) {
@@ -137,7 +138,9 @@ readCsv(std::istream &is)
             columns[c].push_back(v);
         }
     }
-    SOSIM_REQUIRE(!columns.front().empty(), "readCsv: no data rows");
+    SOSIM_REQUIRE(!columns.front().empty(),
+                  "readCsv: no data rows after line " +
+                      std::to_string(line_no));
 
     bundle.traces.reserve(columns.size());
     for (auto &col : columns)

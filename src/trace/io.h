@@ -48,9 +48,10 @@ void writeCsv(std::ostream &os, const TraceBundle &bundle);
  * @return The parsed bundle.
  * @throws util::FatalError on malformed input (missing header, ragged
  *         rows, non-numeric cells, non-finite literals such as "nan" or
- *         "inf", empty body); the message names the offending line and
- *         column.  Degraded telemetry is modeled explicitly via
- *         src/fault + trace::repairAll, never smuggled in as NaN cells.
+ *         "inf", empty body); the message names the offending line,
+ *         and for a body cell its column too.  Degraded telemetry is
+ *         modeled explicitly via src/fault + trace::repairAll, never
+ *         smuggled in as NaN cells.
  */
 TraceBundle readCsv(std::istream &is);
 

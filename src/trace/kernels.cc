@@ -46,6 +46,11 @@ requireAligned(TraceView a, TraceView b, const char *what)
  * materializing formulation (separate multiply and add, never fused).
  */
 
+struct Single {
+    const double *a;
+    double operator()(std::size_t i) const { return a[i]; }
+};
+
 struct Sum {
     const double *a, *b;
     double operator()(std::size_t i) const { return a[i] + b[i]; }
@@ -116,6 +121,12 @@ scanPeak(Expr expr, double seed, std::size_t first, std::size_t end)
 // each clone vectorizes for its own ISA.
 
 SOSIM_SCAN_CLONES double
+scan(Single e, double seed, std::size_t first, std::size_t end)
+{
+    return scanPeak(e, seed, first, end);
+}
+
+SOSIM_SCAN_CLONES double
 scan(Sum e, double seed, std::size_t first, std::size_t end)
 {
     return scanPeak(e, seed, first, end);
@@ -142,7 +153,7 @@ scan(AddScaledDiff e, double seed, std::size_t first, std::size_t end)
 /** Peak of e over [0, n), seeded with its first element. */
 template <class Expr>
 double
-peakOf(Expr e, std::size_t n)
+peakOfExpr(Expr e, std::size_t n)
 {
     return scan(e, e(0), 0, n);
 }
@@ -155,7 +166,7 @@ peakOf(Expr e, std::size_t n)
 constexpr std::size_t kRejectStride = 256;
 
 /**
- * peakOf(e, n) that stops once the prefix peak proves
+ * peakOfExpr(e, n) that stops once the prefix peak proves
  * numerator / peak <= threshold (see kernels.h).  Each chunk is seeded
  * with the running peak, so a NaN first element still poisons the
  * result and a NaN at a chunk start is skipped, exactly as in the
@@ -216,11 +227,19 @@ computeStats(TraceView v)
 }
 
 double
+peakOf(TraceView v)
+{
+    SOSIM_COUNT("trace.kernels.peak_of");
+    SOSIM_REQUIRE(!v.empty(), "peakOf: view is empty");
+    return peakOfExpr(Single{v.data()}, v.size());
+}
+
+double
 peakOfSum(TraceView a, TraceView b)
 {
     SOSIM_COUNT("trace.kernels.peak_of_sum");
     requireAligned(a, b, "peakOfSum: views must be aligned and non-empty");
-    return peakOf(Sum{a.data(), b.data()}, a.size());
+    return peakOfExpr(Sum{a.data(), b.data()}, a.size());
 }
 
 double
@@ -229,7 +248,7 @@ peakOfScaledSum(TraceView a, TraceView b, double scale)
     SOSIM_COUNT("trace.kernels.peak_of_scaled_sum");
     requireAligned(a, b,
                    "peakOfScaledSum: views must be aligned and non-empty");
-    return peakOf(ScaledSum{a.data(), b.data(), scale}, a.size());
+    return peakOfExpr(ScaledSum{a.data(), b.data(), scale}, a.size());
 }
 
 double
@@ -237,7 +256,7 @@ peakOfDiff(TraceView a, TraceView b)
 {
     SOSIM_COUNT("trace.kernels.peak_of_diff");
     requireAligned(a, b, "peakOfDiff: views must be aligned and non-empty");
-    return peakOf(Diff{a.data(), b.data()}, a.size());
+    return peakOfExpr(Diff{a.data(), b.data()}, a.size());
 }
 
 double
@@ -248,8 +267,8 @@ peakOfAddScaledDiff(TraceView c, TraceView a, TraceView b, double scale)
                    "peakOfAddScaledDiff: views must be aligned, non-empty");
     requireAligned(c, b,
                    "peakOfAddScaledDiff: views must be aligned, non-empty");
-    return peakOf(AddScaledDiff{c.data(), a.data(), b.data(), scale},
-                  c.size());
+    return peakOfExpr(AddScaledDiff{c.data(), a.data(), b.data(), scale},
+                      c.size());
 }
 
 double
@@ -285,9 +304,7 @@ accumulatePeak(TimeSeries &dst, TraceView src)
                   "accumulatePeak: destination must be non-empty");
     SOSIM_REQUIRE(TraceView(dst).alignedWith(src),
                   "accumulatePeak: views must be aligned");
-    // Taking one mutable reference invalidates dst's stats cache; the
-    // remaining writes go through the raw pointer.
-    return accumulatePeakRow(&dst[0], src);
+    return accumulatePeakRow(dst.data(), src);
 }
 
 double

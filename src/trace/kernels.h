@@ -87,11 +87,33 @@ class TraceView
     int intervalMinutes_ = 1;
 };
 
+/** Summary statistics of a trace, computed in one pass. */
+struct TraceStats {
+    /** Maximum sample value; the paper's peak(P). */
+    double peak = 0.0;
+    /** Minimum sample value. */
+    double valley = 0.0;
+    /** Sum of the samples. */
+    double sum = 0.0;
+    /** Arithmetic mean of the samples. */
+    double mean = 0.0;
+    /** Index of the first maximum sample. */
+    std::size_t peakIndex = 0;
+};
+
 /**
- * Single-pass summary statistics of a trace (see TimeSeries::stats() for
- * the cached variant).
+ * Single-pass summary statistics of a trace (TimeSeries::stats()).
+ * Requires non-empty.
  */
 TraceStats computeStats(TraceView v);
+
+/**
+ * peak(v): the vector peak scan every fused kernel below runs, over one
+ * operand (TimeSeries::peak()).  Equals computeStats(v).peak under ==,
+ * NaN rule included (a zero peak may differ in sign; DESIGN.md 7.1).
+ * Requires non-empty.
+ */
+double peakOf(TraceView v);
 
 /** Fused peak(a + b); no temporary.  Views must be aligned, non-empty. */
 double peakOfSum(TraceView a, TraceView b);
@@ -149,7 +171,7 @@ double peakOfAddScaledDiffEarlyReject(TraceView c, TraceView a,
  * Element-wise accumulate `src` into `dst` and return the peak of the
  * *updated* dst, in one fused pass.  This is the building block of
  * aggregate scores: summing n member traces costs n passes total and the
- * final call's return value is peak(Σ).  Invalidates dst's cached stats.
+ * final call's return value is peak(Σ).
  *
  * @return Peak of dst after the accumulation.
  */
@@ -158,7 +180,7 @@ double accumulatePeak(TimeSeries &dst, TraceView src);
 /**
  * Raw-row form of accumulatePeak for arena rows: dst[i] += src[i] with a
  * fused max-scan of the updated row.  Same operations in the same order
- * as accumulatePeak; the caller owns stats invalidation.
+ * as accumulatePeak.
  */
 double accumulatePeakRow(double *dst, TraceView src);
 

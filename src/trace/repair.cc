@@ -109,8 +109,7 @@ repairSeries(TimeSeries &ts, RepairPolicy policy)
 {
     if (ts.empty())
         return {};
-    // The mutable element access invalidates the series' stats cache.
-    return repairSpan(&ts[0], ts.size(), policy);
+    return repairSpan(ts.data(), ts.size(), policy);
 }
 
 double

@@ -109,8 +109,7 @@ struct RepairedTraces {
  * Repair every series of a bundle in place; emits
  * "trace.repair.samples_repaired" / "trace.repair.traces_degraded" /
  * "trace.repair.traces_unrepairable" counters and the
- * "trace.repair.valid_fraction" histogram.  Each repaired series'
- * cached stats are invalidated.
+ * "trace.repair.valid_fraction" histogram.
  */
 RepairSummary repairAll(std::vector<TimeSeries> &traces,
                         RepairPolicy policy);

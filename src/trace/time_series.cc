@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/obs.h"
 #include "trace/kernels.h"
 #include "util/error.h"
 
@@ -39,21 +38,39 @@ double &
 TimeSeries::at(std::size_t i)
 {
     SOSIM_REQUIRE(i < samples_.size(), "TimeSeries::at: index out of range");
-    statsCache_.invalidate();
     return samples_[i];
 }
 
-const TraceStats &
+TraceStats
 TimeSeries::stats() const
 {
     SOSIM_REQUIRE(!empty(), "TimeSeries::stats: series is empty");
-    // Telemetry stays here (not in LazyStatsSlot): SOSIM_COUNT needs a
-    // compile-time-constant name for its static-reference cache.
-    if (statsCache_.valid())
-        SOSIM_COUNT("trace.stats_cache.hit");
-    else
-        SOSIM_COUNT("trace.stats_cache.miss");
-    return statsCache_.get([&] { return computeStats(TraceView(*this)); });
+    return computeStats(*this);
+}
+
+double
+TimeSeries::peak() const
+{
+    SOSIM_REQUIRE(!empty(), "TimeSeries::peak: series is empty");
+    return peakOf(*this);
+}
+
+std::size_t
+TimeSeries::peakIndex() const
+{
+    return stats().peakIndex;
+}
+
+double
+TimeSeries::valley() const
+{
+    return stats().valley;
+}
+
+double
+TimeSeries::mean() const
+{
+    return stats().mean;
 }
 
 double
@@ -125,7 +142,6 @@ TimeSeries &
 TimeSeries::operator+=(const TimeSeries &other)
 {
     SOSIM_REQUIRE(alignedWith(other), "TimeSeries::+=: misaligned series");
-    statsCache_.invalidate();
     for (std::size_t i = 0; i < samples_.size(); ++i)
         samples_[i] += other.samples_[i];
     return *this;
@@ -135,7 +151,6 @@ TimeSeries &
 TimeSeries::operator-=(const TimeSeries &other)
 {
     SOSIM_REQUIRE(alignedWith(other), "TimeSeries::-=: misaligned series");
-    statsCache_.invalidate();
     for (std::size_t i = 0; i < samples_.size(); ++i)
         samples_[i] -= other.samples_[i];
     return *this;
@@ -144,7 +159,6 @@ TimeSeries::operator-=(const TimeSeries &other)
 TimeSeries &
 TimeSeries::operator*=(double factor)
 {
-    statsCache_.invalidate();
     for (auto &s : samples_)
         s *= factor;
     return *this;
@@ -172,7 +186,6 @@ void
 TimeSeries::clamp(double lo, double hi)
 {
     SOSIM_REQUIRE(lo <= hi, "TimeSeries::clamp: lo must be <= hi");
-    statsCache_.invalidate();
     for (auto &s : samples_)
         s = std::clamp(s, lo, hi);
 }

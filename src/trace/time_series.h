@@ -10,15 +10,18 @@
  * The paper treats power traces as plain vectors ("since power traces are
  * simply vectors, vector arithmetic can be directly applied", section 3.3);
  * TimeSeries is that vector plus its sampling interval, with the arithmetic
- * checked for alignment.
+ * checked for alignment.  It holds samples only: peak() and stats() scan
+ * the samples on every call, so a const series is safe to read from any
+ * number of threads.  Callers that read one peak many times compute it
+ * once and keep the value (core::scoreVectors, core::Remapper::refine).
  */
 
 #include <cstddef>
 #include <vector>
 
-#include "trace/stats_cache.h"
-
 namespace sosim::trace {
+
+struct TraceStats; // trace/kernels.h
 
 /** Minutes in a day; traces are sampled on minute multiples. */
 inline constexpr int kMinutesPerDay = 24 * 60;
@@ -72,43 +75,39 @@ class TimeSeries
     /** Value at sample index i (checked). */
     double at(std::size_t i) const;
 
-    /** Mutable value at sample index i (checked); invalidates stats(). */
+    /** Writable value at sample index i (checked). */
     double &at(std::size_t i);
 
-    /** Unchecked element access; the mutable form invalidates stats(). */
+    /** Unchecked element access. */
     double operator[](std::size_t i) const { return samples_[i]; }
-    double &operator[](std::size_t i)
-    {
-        statsCache_.invalidate();
-        return samples_[i];
-    }
+    double &operator[](std::size_t i) { return samples_[i]; }
 
     /** Underlying sample storage. */
     const std::vector<double> &samples() const { return samples_; }
 
-    /**
-     * Cached summary statistics, computed lazily in one pass and
-     * invalidated by every mutating operation (mutable at()/operator[],
-     * +=, -=, *=, clamp).  Requires non-empty.
-     *
-     * Thread-safety: the lazy fill is not synchronized.  Call stats()
-     * once (or any of peak()/valley()/mean()) before sharing a series
-     * across threads read-only; every parallel call-site in this library
-     * warms the caches serially before fanning out.
-     */
-    const TraceStats &stats() const;
+    /** Writable sample row (size() doubles), for in-place kernels. */
+    double *data() { return samples_.data(); }
 
-    /** Maximum sample value; the paper's peak(P). Requires non-empty. */
-    double peak() const { return stats().peak; }
+    /**
+     * One-pass summary statistics (trace::computeStats), computed on
+     * every call.  Requires non-empty.
+     */
+    TraceStats stats() const;
+
+    /**
+     * Maximum sample value; the paper's peak(P).  One vector scan
+     * (trace::peakOf) per call.  Requires non-empty.
+     */
+    double peak() const;
 
     /** Index of the first maximum sample. Requires non-empty. */
-    std::size_t peakIndex() const { return stats().peakIndex; }
+    std::size_t peakIndex() const;
 
     /** Minimum sample value. Requires non-empty. */
-    double valley() const { return stats().valley; }
+    double valley() const;
 
     /** Arithmetic mean of the samples. Requires non-empty. */
-    double mean() const { return stats().mean; }
+    double mean() const;
 
     /** Sum of the samples (0.0 for an empty series). */
     double sum() const;
@@ -158,9 +157,6 @@ class TimeSeries
   private:
     std::vector<double> samples_;
     int intervalMinutes_ = 1;
-    /** Lazily-filled stats cache; shared invalidation discipline with
-     *  TraceArena (trace/stats_cache.h). */
-    LazyStatsSlot statsCache_;
 };
 
 /** Element-wise sum of two aligned series. */

@@ -64,7 +64,7 @@ TEST(Recorder, DisabledStoresNothing)
     auto &rec = obs::EventRecorder::instance();
     EXPECT_EQ(rec.record({.kind = obs::EventKind::FaultRepair, .a = 1}), 0u);
     EXPECT_EQ(rec.recorded(), 0u);
-    EXPECT_TRUE(rec.collect().empty());
+    EXPECT_TRUE(rec.collect().events.empty());
 }
 
 TEST(Recorder, RecordsCollectsInSeqOrderAndInternsLabels)
@@ -78,7 +78,7 @@ TEST(Recorder, RecordsCollectsInSeqOrderAndInternsLabels)
                 .a = 11});
     rec.setEnabled(false);
 
-    const auto events = rec.collect();
+    const auto events = rec.collect().events;
     ASSERT_EQ(events.size(), 2u);
     EXPECT_EQ(events[0].seq, 1u);
     EXPECT_EQ(events[1].seq, 2u);
@@ -104,7 +104,7 @@ TEST(Recorder, RingWrapEvictsOldestAndCountsDrops)
 
     EXPECT_EQ(rec.recorded(), 10u);
     EXPECT_EQ(rec.dropped(), 6u);
-    const auto events = rec.collect();
+    const auto events = rec.collect().events;
     ASSERT_EQ(events.size(), 4u);
     // The survivors are the newest four, still in sequence order.
     for (std::size_t i = 0; i < 4; ++i) {
@@ -120,8 +120,8 @@ TEST(Recorder, CollectWithClearEmptiesRingsButKeepsTotals)
     rec.setEnabled(true);
     rec.record({.kind = obs::EventKind::GraphCacheHit, .a = 1});
     rec.setEnabled(false);
-    EXPECT_EQ(rec.collect(true).size(), 1u);
-    EXPECT_TRUE(rec.collect().empty());
+    EXPECT_EQ(rec.collect(true).events.size(), 1u);
+    EXPECT_TRUE(rec.collect().events.empty());
     EXPECT_EQ(rec.recorded(), 1u);
 }
 
@@ -146,7 +146,7 @@ TEST(Recorder, FakeTimeMakesTimestampsSynthetic)
     rec.record({.kind = obs::EventKind::FaultRepair, .a = 2});
     rec.setEnabled(false);
     EXPECT_EQ(rec.wallEpoch(), "2026-01-01T00:00:00Z");
-    const auto events = rec.collect();
+    const auto events = rec.collect().events;
     ASSERT_EQ(events.size(), 2u);
     EXPECT_EQ(events[0].steadyNanos, events[0].seq * 1000);
     EXPECT_EQ(events[1].steadyNanos, events[1].seq * 1000);
@@ -162,7 +162,7 @@ TEST(Recorder, ResetRewindsTheSequenceCounter)
     rec.reset();
     rec.record({.kind = obs::EventKind::GraphCacheHit});
     rec.setEnabled(false);
-    const auto events = rec.collect();
+    const auto events = rec.collect().events;
     ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(events[0].seq, 1u);
 }
@@ -177,7 +177,7 @@ TEST(Recorder, MacroRecordsWhenEnabled)
     SOSIM_EVENT(.kind = obs::EventKind::FaultRepair, .a = touch());
     rec.setEnabled(false);
     EXPECT_EQ(calls, 1);
-    const auto events = rec.collect();
+    const auto events = rec.collect().events;
     ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(events[0].kind, obs::EventKind::FaultRepair);
     EXPECT_EQ(events[0].a, 1u);
@@ -205,7 +205,7 @@ TEST(Scopes, EventsChainToEnclosingScopeAndRestore)
     EXPECT_EQ(obs::threadContext().scope, 0u);
     rec.setEnabled(false);
 
-    const auto events = rec.collect();
+    const auto events = rec.collect().events;
     ASSERT_EQ(events.size(), 3u);
     const auto &outer = events[0];
     const auto &inner = events[1];
@@ -233,7 +233,7 @@ TEST(Scopes, ParallelForPropagatesTheSubmittingScope)
     rec.setEnabled(false);
 
     ASSERT_NE(scope_seq, 0u);
-    const auto events = rec.collect();
+    const auto events = rec.collect().events;
     ASSERT_EQ(events.size(), 65u);
     std::size_t chained = 0;
     for (const auto &e : events)
@@ -261,7 +261,7 @@ TEST(ChromeTrace, SpanSlicesAgreeWithTheSpanTree)
     }
     rec.setEnabled(false);
 
-    const auto events = rec.collect();
+    const auto events = rec.collect().events;
     std::uint64_t sliced_ns = 0;
     std::size_t slices = 0;
     for (const auto &e : events)
@@ -336,6 +336,35 @@ TEST(Journal, WriteReadRoundTrip)
     EXPECT_EQ(parsed[1].args.at("action_name"), "remeasure");
 }
 
+TEST(Journal, HeaderTotalsAreTheSnapshots)
+{
+    RecorderGuard guard;
+    obs::setFakeTime("2026-01-01T00:00:00Z");
+    auto &rec = obs::EventRecorder::instance();
+    rec.setCapacity(4);
+    rec.setEnabled(true);
+    // Single-threaded: all ten land in one shard's 4-slot ring.
+    for (std::uint64_t i = 0; i < 10; ++i)
+        rec.record({.kind = obs::EventKind::FaultInject, .a = i});
+    const obs::EventSnapshot snapshot = rec.collect();
+    EXPECT_EQ(snapshot.events.size(), 4u);
+    EXPECT_EQ(snapshot.dropped, 6u);
+    EXPECT_EQ(snapshot.recorded, 10u);
+
+    // Recording goes on after the snapshot was taken.
+    for (std::uint64_t i = 0; i < 5; ++i)
+        rec.record({.kind = obs::EventKind::FaultInject, .a = i});
+    rec.setEnabled(false);
+    ASSERT_EQ(rec.recorded(), 15u);
+
+    std::ostringstream out;
+    obs::writeEventJournal(out, snapshot, "unit");
+    const std::string header = out.str().substr(0, out.str().find('\n'));
+    EXPECT_NE(header.find(R"("dropped": 6, "recorded": 10, "events": 4)"),
+              std::string::npos)
+        << header;
+}
+
 TEST(Journal, SpanEventsSurviveSpanTreeReset)
 {
     RecorderGuard guard;
@@ -347,16 +376,16 @@ TEST(Journal, SpanEventsSurviveSpanTreeReset)
         obs::ScopedSpan span("stage.a");
     }
     rec.setEnabled(false);
-    const auto events = rec.collect();
+    const auto snapshot = rec.collect();
     // Destroys the span node: the writers must not need it.
     tracer.reset();
 
     std::ostringstream journal;
-    obs::writeEventJournal(journal, events, "unit");
+    obs::writeEventJournal(journal, snapshot, "unit");
     EXPECT_NE(journal.str().find(R"("span": "stage.a")"), std::string::npos)
         << journal.str();
     std::ostringstream trace;
-    obs::writeChromeTrace(trace, events, "unit");
+    obs::writeChromeTrace(trace, snapshot.events, "unit");
     EXPECT_NE(trace.str().find(R"("name": "stage.a", "cat": "span")"),
               std::string::npos)
         << trace.str();
@@ -513,7 +542,8 @@ pinnedJournal()
     rec.setEnabled(true);
     rec.setEnabled(false);
     std::ostringstream out;
-    obs::writeEventJournal(out, pinnedSchemaEvents(), kHostileLabel);
+    obs::writeEventJournal(out, {.events = pinnedSchemaEvents()},
+                           kHostileLabel);
     return out.str();
 }
 

@@ -4,7 +4,11 @@
  * malformed-input rejection).
  */
 
+#include <cmath>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -129,6 +133,103 @@ TEST(TraceIo, MalformedRowErrorsNameLineAndColumn)
     EXPECT_NE(non_finite.find("line 3"), std::string::npos) << non_finite;
     EXPECT_NE(non_finite.find("column 'a'"), std::string::npos)
         << non_finite;
+}
+
+TEST(TraceIo, MutatedCsvIsAcceptedOrRefusedCleanly)
+{
+    // Seed: a writeCsv bundle of four short traces.
+    TraceBundle seed_bundle;
+    for (int c = 0; c < 4; ++c) {
+        std::vector<double> samples(24);
+        for (std::size_t i = 0; i < samples.size(); ++i)
+            samples[i] = 0.25 * c + 1.0 / (1.0 + static_cast<double>(i));
+        seed_bundle.names.push_back("inst-" + std::to_string(c));
+        seed_bundle.traces.emplace_back(std::move(samples), 5);
+    }
+    std::ostringstream seed_text;
+    trace::writeCsv(seed_text, seed_bundle);
+    std::vector<std::string> seed;
+    {
+        std::istringstream in(seed_text.str());
+        std::string line;
+        while (std::getline(in, line))
+            seed.push_back(line);
+    }
+
+    std::mt19937_64 rng(20261018);
+    const auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    const char *numberEdits[] = {"-", ".", "e", "e999", "e-999", "x",
+                                 "nan", "inf", "0x", "99999999999999999999"};
+    const char *intervals[] = {"0",  "-5",  "abc", "2147483648", "",
+                               "5.5", " 5", "+5",  "1e3",        "60"};
+
+    std::size_t accepted = 0;
+    std::size_t refused = 0;
+    for (int iter = 0; iter < 1000; ++iter) {
+        std::vector<std::string> lines = seed;
+        for (std::size_t m = 1 + pick(3); m > 0; --m) {
+            std::string &line = lines[pick(lines.size())];
+            switch (pick(6)) {
+              case 0: // Flip one bit of one byte.
+                if (!line.empty())
+                    line[pick(line.size())] ^=
+                        static_cast<char>(1U << pick(8));
+                break;
+              case 1: // Truncate.
+                line.resize(pick(line.size() + 1));
+                break;
+              case 2: // Duplicate a line.
+                lines.insert(lines.begin() + pick(lines.size()),
+                             std::string(line));
+                break;
+              case 3: // Drop a line.
+                if (lines.size() > 1)
+                    lines.erase(lines.begin() + pick(lines.size()));
+                break;
+              case 4: { // A sign, point, exponent or junk at a digit.
+                const std::size_t at = line.find_first_of(
+                    "0123456789", pick(line.size() + 1));
+                if (at != std::string::npos)
+                    line.insert(at, numberEdits[pick(10)]);
+                break;
+              }
+              default: // Edit the interval header.
+                lines.front() =
+                    "# interval_minutes=" + std::string(intervals[pick(10)]);
+            }
+        }
+        std::string text;
+        for (const std::string &line : lines)
+            text += line + "\n";
+
+        std::istringstream in(text);
+        try {
+            const TraceBundle bundle = trace::readCsv(in);
+            ++accepted;
+            ASSERT_FALSE(bundle.traces.empty()) << text;
+            EXPECT_EQ(bundle.names.size(), bundle.traces.size()) << text;
+            for (const TimeSeries &t : bundle.traces) {
+                EXPECT_FALSE(t.empty()) << text;
+                EXPECT_TRUE(t.alignedWith(bundle.traces.front())) << text;
+                EXPECT_GE(t.intervalMinutes(), 1) << text;
+                for (const double v : t.samples())
+                    EXPECT_TRUE(std::isfinite(v)) << text;
+            }
+        } catch (const FatalError &e) {
+            ++refused;
+            const std::string what = e.what();
+            EXPECT_NE(what.find("readCsv: "), std::string::npos) << what;
+            EXPECT_NE(what.find("line "), std::string::npos) << what;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "unexpected exception: " << e.what() << "\n"
+                          << text;
+        }
+    }
+    // The mutations must exercise both outcomes.
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(refused, 0u);
 }
 
 TEST(TraceIo, SkipsBlankLines)

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "core/remap.h"
 #include "cluster/kmeans.h"
 #include "power/power_tree.h"
+#include "trace/kernels.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "workload/catalog.h"
@@ -187,6 +189,44 @@ TEST(ParallelDeterminism, ScoreVectorsBitIdenticalToSerialAndReference)
     // Exact equality, element for element: same doubles, not just close.
     EXPECT_EQ(serial, parallel);
     EXPECT_EQ(serial, naive);
+}
+
+TEST(ParallelDeterminism, SharedSeriesStatsNeedNoWarmUp)
+{
+    // A const series holds samples only, so workers may read its peak
+    // and stats at once with no serial warm-up.  The workers meet at a
+    // barrier before reading: under ThreadSanitizer a write hidden
+    // behind one worker's const read races with another worker's read.
+    std::vector<double> samples(2016);
+    for (std::size_t i = 0; i < samples.size(); ++i)
+        samples[i] = 2.0 + std::sin(0.003 * static_cast<double>(i * i));
+    const trace::TimeSeries shared(std::move(samples), 5);
+    const trace::TraceStats want = trace::computeStats(shared);
+
+    constexpr std::size_t kWorkers = 4;
+    ScopedThreads guard(kWorkers);
+    std::atomic<std::size_t> arrived{0};
+    std::vector<double> peaks(kWorkers);
+    std::vector<trace::TraceStats> stats(kWorkers);
+    util::parallelFor(kWorkers, [&](std::size_t w) {
+        // Bounded wait: a pool with fewer free lanes still finishes.
+        arrived.fetch_add(1);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (arrived.load() < kWorkers &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        peaks[w] = shared.peak();
+        stats[w] = shared.stats();
+    });
+    for (std::size_t w = 0; w < kWorkers; ++w) {
+        EXPECT_EQ(peaks[w], want.peak);
+        EXPECT_EQ(stats[w].peak, want.peak);
+        EXPECT_EQ(stats[w].valley, want.valley);
+        EXPECT_EQ(stats[w].sum, want.sum);
+        EXPECT_EQ(stats[w].mean, want.mean);
+        EXPECT_EQ(stats[w].peakIndex, want.peakIndex);
+    }
 }
 
 TEST(ParallelDeterminism, KMeansBitIdenticalAcrossThreadCounts)

@@ -402,11 +402,11 @@ main(int argc, char **argv)
     if (!opt.flightRecord.empty()) {
         std::ofstream out(opt.flightRecord);
         CHECK(out.good(), "cannot open --flight-record file");
-        const auto events = obs::EventRecorder::instance().collect();
-        obs::writeEventJournal(out, events, "serve-soak");
+        const auto snapshot = obs::EventRecorder::instance().collect();
+        obs::writeEventJournal(out, snapshot, "serve-soak");
         std::cout << "serve_soak: wrote flight record ("
-                  << events.size() << " events) to " << opt.flightRecord
-                  << "\n";
+                  << snapshot.events.size() << " events) to "
+                  << opt.flightRecord << "\n";
     }
 
     std::cout << "serve_soak: all invariants held\n";

@@ -577,23 +577,22 @@ emitObservability(const Args &args, const std::string &command)
     if (record_out.empty() && chrome_out.empty())
         return;
     // One drain feeds both sinks so the files agree event-for-event.
-    obs::EventRecorder &rec = obs::EventRecorder::instance();
-    const auto events = rec.collect();
+    const auto snapshot = obs::EventRecorder::instance().collect();
     if (!record_out.empty()) {
         std::ofstream out(record_out);
         SOSIM_REQUIRE(out.good(),
                       "cannot open --flight-record file " + record_out);
-        obs::writeEventJournal(out, events, "sosim-" + command);
-        std::cout << "wrote flight record (" << events.size()
-                  << " events, " << rec.dropped() << " dropped) to "
+        obs::writeEventJournal(out, snapshot, "sosim-" + command);
+        std::cout << "wrote flight record (" << snapshot.events.size()
+                  << " events, " << snapshot.dropped << " dropped) to "
                   << record_out << "\n";
     }
     if (!chrome_out.empty()) {
         std::ofstream out(chrome_out);
         SOSIM_REQUIRE(out.good(),
                       "cannot open --chrome-trace file " + chrome_out);
-        obs::writeChromeTrace(out, events, "sosim-" + command);
-        std::cout << "wrote chrome trace (" << events.size()
+        obs::writeChromeTrace(out, snapshot.events, "sosim-" + command);
+        std::cout << "wrote chrome trace (" << snapshot.events.size()
                   << " events) to " << chrome_out << "\n";
     }
 }
