@@ -173,14 +173,18 @@ enforceConstraints(const power::PowerTree &tree,
         return moves;
     }
 
-    // 2. Spread repair.  Maintain per-rack aggregates for damage-aware
-    //    destination choice.
+    // 2. Spread repair.  Maintain per-rack aggregates and their peaks
+    //    for damage-aware destination choice; a move rescans only the
+    //    two racks it touches.
     std::vector<trace::TimeSeries> rack_agg(tree.nodeCount());
     for (const auto rack : tree.racks())
         rack_agg[rack] = trace::TimeSeries::zeros(
             itraces.front().size(), itraces.front().intervalMinutes());
     for (std::size_t i = 0; i < assignment.size(); ++i)
         rack_agg[assignment[i]] += itraces[i];
+    std::vector<double> rack_peak(tree.nodeCount(), 0.0);
+    for (const auto rack : tree.racks())
+        rack_peak[rack] = rack_agg[rack].peak();
 
     auto rack_count = countSpread(tree, assignment, service_of, false);
     auto rpp_count = countSpread(tree, assignment, service_of, true);
@@ -203,6 +207,8 @@ enforceConstraints(const power::PowerTree &tree,
         assignment[inst] = dst;
         rack_agg[src] -= itraces[inst];
         rack_agg[dst] += itraces[inst];
+        rack_peak[src] = rack_agg[src].peak();
+        rack_peak[dst] = rack_agg[dst].peak();
         --rack_count[{src, service}];
         ++rack_count[{dst, service}];
         --rpp_count[{rppOf(tree, src), service}];
@@ -261,7 +267,7 @@ enforceConstraints(const power::PowerTree &tree,
                     }
                     const double damage =
                         trace::peakOfSum(rack_agg[rack], itraces[inst]) -
-                        rack_agg[rack].peak();
+                        rack_peak[rack];
                     if (damage < best_damage) {
                         best_damage = damage;
                         best_rack = rack;

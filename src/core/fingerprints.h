@@ -107,9 +107,9 @@ fingerprintDistributeConfig(const PlacementConfig &c)
 
 /**
  * Hashes every RemapConfig field: each one can change the refinement.
- * The swap scan's shard plan is not configurable (it follows the pool's
- * thread count and only shapes the fan-out, never the result — see
- * trace/shard.h), so it is not part of the key.
+ * The swap scan's fan-out is not configurable (it follows the pool's
+ * thread count and never changes the result), so it is not part of the
+ * key.
  */
 inline std::uint64_t
 fingerprintRemapConfig(const RemapConfig &c)

@@ -165,16 +165,8 @@ MonitorObservation
 FragmentationMonitor::ingest(const MonitorMeasurement &m,
                              double eval_seconds)
 {
-    MonitorObservation obs;
+    MonitorObservation obs{m};
     obs.week = weekCounter_++;
-    obs.sumOfPeaks = m.sumOfPeaks;
-    obs.rootPeak = m.rootPeak;
-    obs.fragmentationRatio = m.fragmentationRatio;
-    obs.degradedData = m.degradedData;
-    obs.validFraction = m.validFraction;
-    obs.repairedSamples = m.repairedSamples;
-    obs.excludedInstances = m.excludedInstances;
-    obs.shapeDrift = m.shapeDrift;
 
     // Degraded weeks face widened thresholds: repaired samples can
     // fabricate fragmentation, so demand a proportionally larger margin

@@ -41,50 +41,6 @@ enum class MonitorAction {
 /** Printable action name. */
 std::string monitorActionName(MonitorAction action);
 
-/** One week's evaluation record. */
-struct MonitorObservation {
-    /** Week index (0-based ingestion order). */
-    std::size_t week = 0;
-    /** Sum of per-node peaks at the watched level. */
-    double sumOfPeaks = 0.0;
-    /** Placement-invariant reference: the root (DC) peak. */
-    double rootPeak = 0.0;
-    /**
-     * Fragmentation ratio: sumOfPeaks / rootPeak.  Normalizing by the
-     * root peak cancels overall traffic growth, isolating placement
-     * quality drift from load drift.
-     */
-    double fragmentationRatio = 0.0;
-    MonitorAction action = MonitorAction::None;
-    /**
-     * Wall-clock seconds observeWeek() spent evaluating this week
-     * (aggregation + peak scans).  Also recorded into the
-     * "monitor.observe_seconds" histogram.
-     */
-    double evalSeconds = 0.0;
-    /**
-     * True when this week's telemetry contained missing samples and the
-     * ratio was computed from repaired data.  Degraded observations are
-     * flagged, judged against conservatively widened thresholds, and
-     * kept out of the baseline window (see MonitorConfig).
-     */
-    bool degradedData = false;
-    /** Mean valid fraction of this week's I-traces before repair. */
-    double validFraction = 1.0;
-    /** Samples filled in by the repair policy for this evaluation. */
-    std::size_t repairedSamples = 0;
-    /** Instances below minValidFraction, excluded from aggregation. */
-    std::size_t excludedInstances = 0;
-    /**
-     * Workload-drift diagnostic: mean distance between this week's
-     * shape embeddings and the training population's (see
-     * cluster::ShapeIndex::meanDriftFrom).  0.0 when no training index
-     * was supplied to measureWeek.  Purely informational — it never
-     * influences the recommended action.
-     */
-    double shapeDrift = 0.0;
-};
-
 /** Monitor configuration. */
 struct MonitorConfig {
     /** Level whose sum of peaks is watched (leaf-most reported level). */
@@ -133,12 +89,19 @@ struct MonitorMeasurement {
     /** Placement-invariant reference: the root (DC) peak. */
     double rootPeak = 0.0;
     /**
-     * sumOfPeaks / rootPeak, or the zero-power sentinel 0.0 when no
-     * instance draws power (core/asynchrony.h); such a week is flagged
-     * degradedData and judged MonitorAction::None.
+     * Fragmentation ratio: sumOfPeaks / rootPeak.  Normalizing by the
+     * root peak cancels overall traffic growth, isolating placement
+     * quality drift from load drift.  The zero-power sentinel 0.0 when
+     * no instance draws power (core/asynchrony.h); such a week is
+     * flagged degradedData and judged MonitorAction::None.
      */
     double fragmentationRatio = 0.0;
-    /** True when the week's telemetry contained missing samples. */
+    /**
+     * True when the week's telemetry contained missing samples and the
+     * ratio was computed from repaired data.  Degraded observations are
+     * flagged, judged against conservatively widened thresholds, and
+     * kept out of the baseline window (see MonitorConfig).
+     */
     bool degradedData = false;
     /** Mean valid fraction of the week's I-traces before repair. */
     double validFraction = 1.0;
@@ -147,10 +110,26 @@ struct MonitorMeasurement {
     /** Instances below minValidFraction, excluded from aggregation. */
     std::size_t excludedInstances = 0;
     /**
-     * Mean shape drift of the week against the training index handed to
-     * measureWeek; 0.0 when none was supplied.  Diagnostic only.
+     * Workload-drift diagnostic: mean distance between this week's
+     * shape embeddings and the training population's (see
+     * cluster::ShapeIndex::meanDriftFrom).  0.0 when no training index
+     * was supplied to measureWeek.  Purely informational — it never
+     * influences the recommended action.
      */
     double shapeDrift = 0.0;
+};
+
+/** One week's evaluation record: the measurement plus its judgment. */
+struct MonitorObservation : MonitorMeasurement {
+    /** Week index (0-based ingestion order). */
+    std::size_t week = 0;
+    MonitorAction action = MonitorAction::None;
+    /**
+     * Wall-clock seconds observeWeek() spent evaluating this week
+     * (aggregation + peak scans).  Also recorded into the
+     * "monitor.observe_seconds" histogram.
+     */
+    double evalSeconds = 0.0;
 };
 
 /**

@@ -5,7 +5,6 @@
 #include "core/asynchrony.h"
 #include "core/service_traces.h"
 #include "obs/obs.h"
-#include "trace/shard.h"
 #include "util/error.h"
 #include "util/parallel.h"
 
@@ -15,29 +14,12 @@ namespace {
 
 /**
  * One pending node split of the level frontier: distribute `ids` across
- * the children of `node`, clustering with `seed`.  `parent` is the
- * task's index in the previous frontier, used only to group sibling
- * subtrees into the same shard (ShardPlan group ids are equality-only).
+ * the children of `node`, clustering with `seed`.
  */
 struct DistributeTask {
     power::NodeId node = power::kNoNode;
     std::vector<std::size_t> ids;
     std::uint64_t seed = 0;
-    std::size_t parent = 0;
-};
-
-/**
- * Per-shard accumulator of one level's fan-out.  Padded to a cache line
- * so concurrent shard tasks never share one; the serial reduction walks
- * slots in shard order, which — because a ShardPlan's concatenated
- * ranges reproduce the frontier order — rebuilds the next frontier in
- * exactly the order the old depth-first recursion produced children.
- */
-struct alignas(64) PlaceShardSlot {
-    std::uint64_t nodesVisited = 0;
-    std::uint64_t instancesAssigned = 0;
-    std::vector<std::size_t> fanouts;
-    std::vector<DistributeTask> children;
 };
 
 /** Shape-embed a population of uniform-length traces (kShape path). */
@@ -171,19 +153,16 @@ PlacementEngine::distribute(const std::vector<cluster::Point> &vectors,
     // configuration and seed, same dealing order.  Rack tasks assign
     // directly; assignment writes are race-free because sibling tasks
     // carry disjoint instance ids.
-    const auto split = [&](const DistributeTask &task, std::size_t index,
-                           PlaceShardSlot &slot) {
+    const auto split = [&](const DistributeTask &task,
+                           std::vector<DistributeTask> &children) {
         const auto &n = tree_.node(task.node);
-        ++slot.nodesVisited;
         if (n.level == power::Level::Rack) {
-            slot.instancesAssigned += task.ids.size();
             for (const auto i : task.ids)
                 assignment[i] = task.node;
             return;
         }
         const std::size_t q = n.children.size();
         SOSIM_ASSERT(q >= 1, "distribute: interior node without children");
-        slot.fanouts.push_back(q);
 
         std::vector<std::vector<std::size_t>> per_child(q);
 
@@ -226,14 +205,14 @@ PlacementEngine::distribute(const std::vector<cluster::Point> &vectors,
         for (std::size_t child = 0; child < q; ++child) {
             if (per_child[child].empty())
                 continue;
-            slot.children.push_back(DistributeTask{
-                n.children[child], std::move(per_child[child]),
-                task.seed + child + 1, index});
+            children.push_back(DistributeTask{n.children[child],
+                                              std::move(per_child[child]),
+                                              task.seed + child + 1});
         }
     };
 
     std::vector<DistributeTask> frontier;
-    frontier.push_back(DistributeTask{node, std::move(ids), seed, 0});
+    frontier.push_back(DistributeTask{node, std::move(ids), seed});
 
     while (!frontier.empty()) {
         // One span per tree level, so the expansion reads as
@@ -243,46 +222,35 @@ PlacementEngine::distribute(const std::vector<cluster::Point> &vectors,
         obs::ScopedSpan level_span(
             "placement." +
             power::levelName(tree_.node(frontier.front().node).level));
-        // Shard the frontier into contiguous blocks that never split a
-        // parent's children apart, so each block covers a few whole
-        // power subtrees.  The shard count tracks the pool width, but
-        // results cannot depend on it: every task is split
-        // independently, and the reduction below is serial.
-        std::vector<std::size_t> group_of(frontier.size());
-        for (std::size_t t = 0; t < frontier.size(); ++t)
-            group_of[t] = frontier[t].parent;
-        const auto plan = trace::ShardPlan::build(
-            group_of, util::threadCount() * 2);
-
-        std::vector<PlaceShardSlot> slots(plan.shardCount());
-        util::parallelFor(
-            plan.shardCount(),
-            [&](std::size_t s) {
-                const auto &range = plan.range(s);
-                for (std::size_t t = range.begin; t < range.end; ++t)
-                    split(frontier[t], t, slots[s]);
-            },
-            util::ParallelForOptions{2, plan.shardCount()});
-
-        // Serial reduction in shard order = frontier order: totals fold
-        // in the order the recursion observed them, and concatenating
-        // the slots' children rebuilds the next frontier in depth-first
-        // child order regardless of thread or shard count.
-        std::vector<DistributeTask> next;
-        std::uint64_t nodes_visited = 0;
+        // Counters and fan-out observations depend only on the
+        // frontier, so they are taken serially in frontier order.
         std::uint64_t instances_assigned = 0;
-        for (auto &slot : slots) {
-            nodes_visited += slot.nodesVisited;
-            instances_assigned += slot.instancesAssigned;
-            for (const auto fanout : slot.fanouts)
-                SOSIM_OBSERVE("placement.fanout", fanout);
-            for (auto &child : slot.children)
-                next.push_back(std::move(child));
+        for (const auto &task : frontier) {
+            const auto &n = tree_.node(task.node);
+            if (n.level == power::Level::Rack)
+                instances_assigned += task.ids.size();
+            else
+                SOSIM_OBSERVE("placement.fanout", n.children.size());
         }
-        SOSIM_COUNT_ADD("placement.nodes_visited", nodes_visited);
+        SOSIM_COUNT_ADD("placement.nodes_visited", frontier.size());
         if (instances_assigned > 0)
             SOSIM_COUNT_ADD("placement.instances_assigned",
                             instances_assigned);
+
+        // Every task is split independently and writes only its own
+        // children slot; concatenating the slots in frontier order
+        // rebuilds the next frontier in depth-first child order at any
+        // thread count.
+        std::vector<std::vector<DistributeTask>> children(frontier.size());
+        util::parallelFor(
+            frontier.size(),
+            [&](std::size_t t) { split(frontier[t], children[t]); },
+            util::ParallelForOptions{2, 2 * util::threadCount()});
+
+        std::vector<DistributeTask> next;
+        for (auto &slot : children)
+            for (auto &child : slot)
+                next.push_back(std::move(child));
         frontier = std::move(next);
     }
 }

@@ -147,13 +147,12 @@ class PlacementEngine
      * Level-frontier expansion of the balanced-partition recursion:
      * starting from (node, ids, seed), repeatedly split every task of
      * the current tree level into per-child tasks until the rack level
-     * assigns.  Each level's tasks fan out over util::parallelFor in
-     * contiguous, subtree-aligned blocks (a trace::ShardPlan grouped by
-     * parent task); per-block accumulators live in their own cache
-     * lines and a serial reduction in block order rebuilds the next
+     * assigns.  Each level's tasks fan out over util::parallelFor, one
+     * index per task; task t writes only its own children slot, and
+     * concatenating the slots in frontier order rebuilds the next
      * frontier in exactly the order the old depth-first recursion
      * visited — so the derived assignment is bit-identical at any
-     * thread or shard count.
+     * thread count.
      */
     void distribute(const std::vector<cluster::Point> &vectors,
                     std::vector<std::size_t> ids, power::NodeId node,

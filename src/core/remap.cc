@@ -10,7 +10,6 @@
 #include "obs/obs.h"
 #include "trace/arena.h"
 #include "trace/kernels.h"
-#include "trace/shard.h"
 #include "util/error.h"
 #include "util/parallel.h"
 
@@ -28,9 +27,8 @@ namespace {
  * them wholesale.
  *
  * Every rack — occupied or not — owns one aggregate row, allocated in
- * racks() order, so the rows of one ShardPlan shard form a contiguous,
- * cache-line-aligned arena block (trace/shard.h): tasks evaluating
- * different shards never touch the same aggregate cache line.
+ * racks() order.  Arena rows are padded to 64 bytes, so the per-rack
+ * fill tasks never share a cache line.
  */
 struct RackState {
     std::vector<std::size_t> members;
@@ -60,18 +58,11 @@ rackAsynchrony(const RackState &rack)
     return rack.peakSum / rack.aggPeak;
 }
 
-/** Best swap found while scanning one (candidate, shard) task. */
-struct LocalBest {
-    double gain = 0.0;
-    std::size_t posB = 0;
-    SwapRecord record;
-};
-
 /**
- * Per-task reject tallies for the flight recorder.  The pair scan
+ * Per-index reject tallies for the flight recorder.  The pair scan
  * rejects tens of thousands of pairings per run, so journaling one
  * event per pair would let the recorder dominate the scan it observes;
- * instead each (candidate, shard) task tallies its rejects by reason
+ * instead each (candidate, rack) index tallies its rejects by reason
  * (index = RejectReason - 1) and remembers the nearest miss — the
  * rejected partner with the smallest score deficit — and the round
  * reduces the tallies to one event per candidate per reason.  Filled
@@ -124,16 +115,19 @@ struct RejectTally {
 };
 
 /**
- * Per-(candidate, shard) accumulator of the parallel swap scan, padded
- * to its own cache line so concurrent tasks never false-share: each
- * task writes only its slot, and the serial reduction walks the slots
- * in (candidate, shard) order afterwards — which visits racks in the
- * same global order as the unsharded nested loop (shard ranges
- * concatenate in rack order, see trace/shard.h), so the first-max
- * tie-breaking is identical for any shard or thread count.
+ * Outcome of scanning one (candidate, rack) index of the parallel swap
+ * scan: the rack's best improving partner for the candidate and the
+ * pair counts.  Each index writes only its own slot; the serial
+ * reduction folds the slots in (candidate, rack) order with a strict
+ * `>`, so the first-max tie-breaking of the nested loop holds at any
+ * thread count.  The rest of the SwapRecord is recovered from the
+ * index: candidate, rack and the cached before-scores.
  */
-struct alignas(64) ShardSlot {
-    LocalBest best;
+struct ScanSlot {
+    double gain = 0.0;
+    std::size_t posB = 0;
+    double scoreAtAAfter = 0.0;
+    double scoreAtBAfter = 0.0;
     /** Pairs that reached a kernel pass (passed validity + prune). */
     std::uint64_t evaluated = 0;
     /** Pairs skipped by the cluster candidate index before any pass. */
@@ -212,9 +206,8 @@ Remapper::refine(power::Assignment &assignment,
     // rows live in one SoA arena: the whole swap scan walks contiguous
     // 64-byte-aligned rows instead of chasing per-series allocations.
     // Row ids: [0, N) instance traces (TraceId == instance index), then
-    // one aggregate row per rack — every rack, in racks() order, so each
-    // shard of the plan below owns a contiguous row block — then the
-    // candidate scratch rows.
+    // one aggregate row per rack, in racks() order, then the candidate
+    // scratch rows.
     const auto rack_ids = tree_.racks();
     trace::TraceArena arena = trace::TraceArena::fromSeries(
         itraces, rack_ids.size() + config_.candidatesPerRound);
@@ -225,33 +218,12 @@ Remapper::refine(power::Assignment &assignment,
         peaks[id] = trace::peakOf(arena.view(id));
     });
 
-    // Shard the racks into 2x the pool's thread count of contiguous
-    // ranges aligned to their suite-bus subtree (the DFS construction
-    // order of the tree keeps any ancestor's racks contiguous in
-    // racks()), so per-shard aggregate rows live in disjoint cache-line
-    // blocks.  The scan below fans out (candidate, shard) tasks; the
-    // shard count shapes only the fan-out, never the result (see
-    // trace/shard.h).
-    std::vector<std::size_t> group_of(rack_ids.size());
-    for (std::size_t r = 0; r < rack_ids.size(); ++r) {
-        power::NodeId ancestor = rack_ids[r];
-        while (tree_.node(ancestor).level != power::Level::Sb &&
-               tree_.node(ancestor).parent != power::kNoNode)
-            ancestor = tree_.node(ancestor).parent;
-        group_of[r] = static_cast<std::size_t>(ancestor);
-    }
-    const trace::ShardPlan plan =
-        trace::ShardPlan::build(group_of, util::threadCount() * 2);
-    const std::size_t shard_count = plan.shardCount();
-    SOSIM_GAUGE_SET("remap.shards", shard_count);
-
     // Build per-rack state once; aggregates are maintained incrementally
     // after every accepted swap rather than rebuilt.  Rows are claimed
-    // serially (allocation order is the layout contract above); the
-    // fills fan out per rack, each writing only its own row and state.
+    // serially; the fills fan out per rack, each writing only its own
+    // row and state.
     std::vector<RackState> racks(tree_.nodeCount());
     const auto per_rack = tree_.instancesPerRack(assignment);
-    const trace::TraceId agg_base = arena.size();
     for (const auto rack : rack_ids) {
         racks[rack].members = per_rack[rack];
         racks[rack].aggRow = arena.addZeros();
@@ -266,13 +238,6 @@ Remapper::refine(power::Assignment &assignment,
             state.peakSum += peaks[i];
         }
     });
-    // One ArenaShardView per shard over its aggregate-row block, handed
-    // to evaluation tasks so a task only ever reads rows of its shard.
-    std::vector<trace::ArenaShardView> shard_rows;
-    shard_rows.reserve(shard_count);
-    for (std::size_t s = 0; s < shard_count; ++s)
-        shard_rows.emplace_back(arena, agg_base + plan.range(s).begin,
-                                plan.range(s).size());
 
     // The cluster candidate index (when pruning): embed every trace's
     // diurnal shape, cluster once, and let the scan skip partners from
@@ -371,6 +336,10 @@ Remapper::refine(power::Assignment &assignment,
 
     std::vector<SwapRecord> swaps;
     std::vector<power::NodeId> tried;
+    // Per-(candidate, rack) scan slots and reject tallies, reused across
+    // rounds.
+    std::vector<ScanSlot> slots;
+    std::vector<RejectTally> tally;
     std::size_t round = 0;
     while (static_cast<int>(swaps.size()) < config_.maxSwaps) {
         SOSIM_SPAN("remap.round");
@@ -436,25 +405,27 @@ Remapper::refine(power::Assignment &assignment,
                 arena.view(scored[c].second));
         });
 
-        // 3. Best improving swap across all other racks: one task per
-        // (candidate, shard) evaluates that shard's racks against the
-        // candidate, accumulating into its own cache-line-sized slot;
-        // the serial reduction below then walks the slots in
-        // (candidate, shard) order — rack order, since shard ranges
-        // concatenate in order — so ties resolve identically to the
-        // unsharded nested loop for any thread or shard count.
-        const std::size_t tasks = candidates * shard_count;
-        std::vector<ShardSlot> local(tasks);
-        // Reject journaling is tallied per task and reduced to one
+        // 3. Best improving swap across all other racks: one index per
+        // (candidate, rack) evaluates the rack's members against the
+        // candidate and writes only its own slot; the serial reduction
+        // below folds the slots in (candidate, rack) order, so ties
+        // resolve as in the nested loop for any thread count.
+        const std::size_t rack_count = rack_ids.size();
+        const std::size_t pairs = candidates * rack_count;
+        slots.assign(pairs, ScanSlot{});
+        // Reject journaling is tallied per index and reduced to one
         // event per candidate per reason after the scan (see
         // RejectTally) — never emitted from inside the hot loop.
         const bool recording = obs::EventRecorder::instance().enabled();
-        std::vector<RejectTally> tally(recording ? tasks : 0);
-        const auto scanTask = [&](std::size_t task) {
-            const std::size_t c = task / shard_count;
-            const std::size_t s = task % shard_count;
-            const trace::ShardRange &shard = plan.range(s);
-            const trace::ArenaShardView &shard_aggs = shard_rows[s];
+        tally.assign(recording ? pairs : 0, RejectTally{});
+        const auto scanPair = [&](std::size_t index) {
+            const std::size_t c = index / rack_count;
+            const power::NodeId rack_b_id = rack_ids[index % rack_count];
+            if (rack_b_id == worst_rack)
+                return;
+            const auto &rack_b = racks[rack_b_id];
+            if (rack_b.members.empty())
+                return;
             const std::size_t inst_a = scored[c].second;
             const double score_a_before = scored[c].first;
             const trace::TraceView inst_a_row = arena.view(inst_a);
@@ -462,108 +433,90 @@ Remapper::refine(power::Assignment &assignment,
             const trace::TraceView others_a_row = arena.view(scratch[c]);
             const std::size_t cluster_a =
                 prune ? prune_index.clusterOf(inst_a) : 0;
-            ShardSlot &slot = local[task];
-            for (std::size_t r = shard.begin; r < shard.end; ++r) {
-                const power::NodeId rack_b_id = rack_ids[r];
-                if (rack_b_id == worst_rack)
+            const trace::TraceView agg_b = arena.view(rack_b.aggRow);
+            const std::size_t others_b = rack_b.members.size() - 1;
+            const double scale_b =
+                others_b == 0 ? 0.0 : 1.0 / static_cast<double>(others_b);
+            // Accumulate locally and store once: neighbouring slots may
+            // share a cache line across a chunk boundary.
+            ScanSlot slot;
+            for (std::size_t pos_b = 0; pos_b < rack_b.members.size();
+                 ++pos_b) {
+                const std::size_t inst_b = rack_b.members[pos_b];
+                if (!swappable(inst_b)) {
+                    if (recording)
+                        tally[index].note(obs::RejectReason::ValidityGate,
+                                          inst_b, 0.0, 0.0);
                     continue;
-                const auto &rack_b = racks[rack_b_id];
-                if (rack_b.members.empty())
+                }
+                // Cluster prune: partners whose diurnal shape falls in a
+                // cluster too synchronous with the candidate's never
+                // reach a kernel pass.
+                if (prune && !prune_index.allowed(
+                                 cluster_a, prune_index.clusterOf(inst_b))) {
+                    ++slot.pruned;
+                    if (recording)
+                        tally[index].note(obs::RejectReason::Pruned, inst_b,
+                                          0.0, 0.0);
                     continue;
-                const trace::TraceView agg_b =
-                    shard_aggs.view(r - shard.begin);
-                const std::size_t others_b = rack_b.members.size() - 1;
-                const double scale_b =
-                    others_b == 0 ? 0.0
-                                  : 1.0 / static_cast<double>(others_b);
-                for (std::size_t pos_b = 0;
-                     pos_b < rack_b.members.size(); ++pos_b) {
-                    const std::size_t inst_b = rack_b.members[pos_b];
-                    if (!swappable(inst_b)) {
-                        if (recording)
-                            tally[task].note(
-                                obs::RejectReason::ValidityGate, inst_b,
-                                0.0, 0.0);
-                        continue;
-                    }
-                    // Cluster prune: partners whose diurnal shape falls
-                    // in a cluster too synchronous with the candidate's
-                    // never reach a kernel pass.
-                    if (prune &&
-                        !prune_index.allowed(
-                            cluster_a, prune_index.clusterOf(inst_b))) {
-                        ++slot.pruned;
-                        if (recording)
-                            tally[task].note(obs::RejectReason::Pruned,
-                                             inst_b, 0.0, 0.0);
-                        continue;
-                    }
-                    ++slot.evaluated;
-                    // Post-swap score of B at rack A first: it is the
-                    // cheaper pass (two streams against the hoisted
-                    // row), and a pair failing the improve-at-A rule
-                    // skips the improve-at-B evaluation entirely.  Pure
-                    // reordering of the paper's accept test — the
-                    // accepted set is unchanged.
-                    const double score_a_after = diffScoreHoisted(
-                        arena.view(inst_b), peaks[inst_b],
-                        others_a_row, cand_others_peak[c], others_a,
-                        score_a_before);
-                    if (score_a_after <= score_a_before) {
-                        if (recording)
-                            tally[task].note(
-                                obs::RejectReason::EarlyReject, inst_b,
-                                score_a_before, score_a_after);
-                        continue;
-                    }
-                    const double score_b_before =
-                        rack_b.scoreBefore[pos_b];
-                    double score_b_after;
-                    if (others_b == 0) {
-                        score_b_after = 2.0;
-                    } else {
-                        const double numerator =
-                            inst_a_peak +
-                            scale_b * rack_b.othersPeak[pos_b];
-                        const double aggregate_peak =
-                            trace::peakOfAddScaledDiffEarlyReject(
-                                inst_a_row, agg_b, arena.view(inst_b),
-                                scale_b, numerator, score_b_before);
-                        score_b_after = aggregate_peak <= 0.0
-                                            ? 0.0
-                                            : numerator / aggregate_peak;
-                    }
-                    // Accept only improving-both-nodes swaps (paper).
-                    if (score_b_after <= score_b_before) {
-                        if (recording)
-                            tally[task].note(
-                                obs::RejectReason::NoImprovement, inst_b,
-                                score_b_before, score_b_after);
-                        continue;
-                    }
-                    const double gain =
-                        (score_a_after - score_a_before) +
-                        (score_b_after - score_b_before);
-                    LocalBest &best = slot.best;
-                    if (gain > best.gain) {
-                        best.gain = gain;
-                        best.posB = pos_b;
-                        best.record.instanceA = inst_a;
-                        best.record.instanceB = inst_b;
-                        best.record.rackA = worst_rack;
-                        best.record.rackB = rack_b_id;
-                        best.record.scoreAtABefore = score_a_before;
-                        best.record.scoreAtAAfter = score_a_after;
-                        best.record.scoreAtBBefore = score_b_before;
-                        best.record.scoreAtBAfter = score_b_after;
-                    }
+                }
+                ++slot.evaluated;
+                // Post-swap score of B at rack A first: it is the cheaper
+                // pass (two streams against the hoisted row), and a pair
+                // failing the improve-at-A rule skips the improve-at-B
+                // evaluation entirely.  Pure reordering of the paper's
+                // accept test — the accepted set is unchanged.
+                const double score_a_after = diffScoreHoisted(
+                    arena.view(inst_b), peaks[inst_b], others_a_row,
+                    cand_others_peak[c], others_a, score_a_before);
+                if (score_a_after <= score_a_before) {
+                    if (recording)
+                        tally[index].note(obs::RejectReason::EarlyReject,
+                                          inst_b, score_a_before,
+                                          score_a_after);
+                    continue;
+                }
+                const double score_b_before = rack_b.scoreBefore[pos_b];
+                double score_b_after;
+                if (others_b == 0) {
+                    score_b_after = 2.0;
+                } else {
+                    const double numerator =
+                        inst_a_peak + scale_b * rack_b.othersPeak[pos_b];
+                    const double aggregate_peak =
+                        trace::peakOfAddScaledDiffEarlyReject(
+                            inst_a_row, agg_b, arena.view(inst_b), scale_b,
+                            numerator, score_b_before);
+                    score_b_after = aggregate_peak <= 0.0
+                                        ? 0.0
+                                        : numerator / aggregate_peak;
+                }
+                // Accept only improving-both-nodes swaps (paper).
+                if (score_b_after <= score_b_before) {
+                    if (recording)
+                        tally[index].note(obs::RejectReason::NoImprovement,
+                                          inst_b, score_b_before,
+                                          score_b_after);
+                    continue;
+                }
+                const double gain = (score_a_after - score_a_before) +
+                                    (score_b_after - score_b_before);
+                if (gain > slot.gain) {
+                    slot.gain = gain;
+                    slot.posB = pos_b;
+                    slot.scoreAtAAfter = score_a_after;
+                    slot.scoreAtBAfter = score_b_after;
                 }
             }
+            slots[index] = slot;
         };
-        // One chunk per task: shard occupancy varies, so dynamic claims
-        // load-balance uneven shards across the pool lanes.
-        util::parallelFor(tasks, scanTask,
-                          util::ParallelForOptions{2, tasks});
+        // Rack occupancy varies, so oversubscribe the pool lanes with
+        // about two chunks per lane per candidate and let dynamic claims
+        // balance the load.
+        util::parallelFor(
+            pairs, scanPair,
+            util::ParallelForOptions{2, candidates * 2 *
+                                            util::threadCount()});
 
         if (recording) {
             // One journal event per candidate per reject reason: the
@@ -571,8 +524,8 @@ Remapper::refine(power::Assignment &assignment,
             // story a per-pair log would bury in repetition.
             for (std::size_t c = 0; c < candidates; ++c) {
                 RejectTally sum;
-                for (std::size_t s = 0; s < shard_count; ++s)
-                    sum.merge(tally[c * shard_count + s]);
+                for (std::size_t r = 0; r < rack_count; ++r)
+                    sum.merge(tally[c * rack_count + r]);
                 const std::size_t inst_a = scored[c].second;
                 for (std::uint32_t code = 1; code <= RejectTally::kReasons;
                      ++code) {
@@ -589,36 +542,47 @@ Remapper::refine(power::Assignment &assignment,
             }
         }
 
-        SwapRecord best;
+        std::size_t best_index = pairs;
         double best_gain = 0.0;
-        std::size_t best_b_pos = 0;
         std::uint64_t evaluated_pairs = 0;
         std::uint64_t pruned_pairs = 0;
-        for (const auto &slot : local) {
+        for (std::size_t index = 0; index < pairs; ++index) {
+            const ScanSlot &slot = slots[index];
             evaluated_pairs += slot.evaluated;
             pruned_pairs += slot.pruned;
-            if (slot.best.gain > best_gain) {
-                best_gain = slot.best.gain;
-                best = slot.best.record;
-                best_b_pos = slot.best.posB;
+            if (slot.gain > best_gain) {
+                best_gain = slot.gain;
+                best_index = index;
             }
         }
         SOSIM_COUNT_ADD("remap.pairs_evaluated", evaluated_pairs);
         SOSIM_COUNT_ADD("remap.pairs_pruned", pruned_pairs);
 
         if (best_gain > 0.0) {
+            const ScanSlot &slot = slots[best_index];
+            const std::size_t c = best_index / rack_count;
+            SwapRecord best;
+            best.rackA = worst_rack;
+            best.rackB = rack_ids[best_index % rack_count];
+            auto &rack_b = racks[best.rackB];
+            best.instanceA = scored[c].second;
+            best.instanceB = rack_b.members[slot.posB];
+            best.scoreAtABefore = scored[c].first;
+            best.scoreAtAAfter = slot.scoreAtAAfter;
+            best.scoreAtBBefore = rack_b.scoreBefore[slot.posB];
+            best.scoreAtBAfter = slot.scoreAtBAfter;
+
             // Apply the swap and update both racks' state incrementally.
             SOSIM_COUNT("remap.swaps_accepted");
             // One fused sub/add-and-max pass per rack row, plus two
             // peak-sum adjustments.
             SOSIM_COUNT_ADD("remap.aggregate_updates", 2);
-            auto &rack_b = racks[best.rackB];
             auto it_a = std::find(rack_a.members.begin(),
                                   rack_a.members.end(), best.instanceA);
             SOSIM_ASSERT(it_a != rack_a.members.end(),
                          "Remapper: lost swap candidate A");
             *it_a = best.instanceB;
-            rack_b.members[best_b_pos] = best.instanceA;
+            rack_b.members[slot.posB] = best.instanceA;
 
             rack_a.aggPeak = trace::subAddPeakRow(
                 arena.mutableRow(rack_a.aggRow), arena.view(best.instanceB),

@@ -1,6 +1,5 @@
 #include "io.h"
 
-#include <cmath>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -111,30 +110,15 @@ readCsv(std::istream &is)
                           std::to_string(bundle.names.size()) +
                           " cells, got " + std::to_string(cells.size()));
         for (std::size_t c = 0; c < cells.size(); ++c) {
-            const std::string where = "line " + std::to_string(line_no) +
-                                      ", column '" + bundle.names[c] +
-                                      "'";
-            double v = 0.0;
-            try {
-                std::size_t used = 0;
-                v = std::stod(cells[c], &used);
-                SOSIM_REQUIRE(used == cells[c].size(),
-                              "readCsv: trailing junk in numeric cell '" +
-                                  cells[c] + "' at " + where);
-            } catch (const util::FatalError &) {
-                throw;
-            } catch (const std::exception &) {
-                SOSIM_REQUIRE(false, "readCsv: non-numeric cell '" +
-                                         cells[c] + "' at " + where);
-            }
-            // stod happily parses "nan", "inf" and friends; a power
-            // sample must be a real measurement.  Degraded telemetry is
-            // modeled explicitly (fault::injectTraceFaults produces the
-            // NaN gaps, trace::repairAll heals them) — it does not enter
-            // through the interchange format.
-            SOSIM_REQUIRE(std::isfinite(v),
-                          "readCsv: non-finite sample '" + cells[c] +
-                              "' at " + where);
+            // The whole cell must be one finite decimal number: no hex,
+            // no leading space or '+', no overflow, and no "nan" or
+            // "inf" — degraded telemetry is modeled explicitly
+            // (fault::injectTraceFaults produces the NaN gaps,
+            // trace::repairAll heals them), not through the interchange
+            // format.
+            const double v = util::parseNumber<double>(
+                cells[c], "readCsv: line " + std::to_string(line_no) +
+                              ", column '" + bundle.names[c] + "'");
             columns[c].push_back(v);
         }
     }

@@ -126,9 +126,9 @@ struct ParallelForOptions {
      * Number of contiguous chunks to split [0, n) into; 0 (default)
      * uses one chunk per pool lane.  Chunks are claimed dynamically by
      * whichever lane is free, so oversubscribing (chunks > lanes) load-
-     * balances *uneven* per-index work — e.g. remap's shard tasks,
-     * whose cost varies with shard occupancy — at the price of one
-     * atomic claim per chunk.  Results are independent of the chunk
+     * balances *uneven* per-index work — e.g. remap's (candidate,
+     * rack) scan, whose cost varies with rack occupancy — at the price
+     * of one atomic claim per chunk.  Results are independent of the chunk
      * count (the determinism contract is per-index slot writes).
      */
     std::size_t chunks = 0;

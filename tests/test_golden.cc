@@ -55,7 +55,7 @@ using namespace sosim;
 
 constexpr std::uint64_t kGoldenPipelineDigest = 0xe61fda27aed13ed4;
 constexpr std::uint64_t kGoldenFaultFingerprint = 0xb2672a1be3790ec1;
-// Fleet-scale remap digest (population 4096, sharded + cluster-pruned
+// Fleet-scale remap digest (population 4096, parallel cluster-pruned
 // swap scan; see fleetDigest below).  Same update procedure as above.
 constexpr std::uint64_t kGoldenFleetDigest = 0x98e83503b0275f74;
 // Fleet-scale balanced placement digest (population 4096, the k-means
@@ -190,7 +190,7 @@ goldenFleet()
 
 /**
  * Fleet-scale remap: oblivious placement of a 4096-instance mixed fleet,
- * refined by the sharded, cluster-pruned swap scan.  The digest covers
+ * refined by the parallel, cluster-pruned swap scan.  The digest covers
  * the refined assignment and the full swap plan (instances plus rounded
  * scores), so it pins the fleet path's determinism the way
  * pipelineDigest pins the bench-scale pipeline.
@@ -229,7 +229,7 @@ TEST(Golden, FleetDigestMatchesCommittedValueAtAnyThreadCount)
     const auto pooled = fleetDigest();
     util::setThreadCount(0);
     EXPECT_EQ(serial, pooled)
-        << "fleet digest differs between 1 and 4 threads — the sharded "
+        << "fleet digest differs between 1 and 4 threads — the parallel "
            "scan broke the serial==parallel contract.";
     EXPECT_EQ(serial, kGoldenFleetDigest)
         << "Fleet digest changed. If intentional, update "

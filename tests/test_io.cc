@@ -5,6 +5,7 @@
  */
 
 #include <cmath>
+#include <functional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -85,6 +86,19 @@ TEST(TraceIo, ReadRejectsMalformedInput)
                  FatalError);
     EXPECT_THROW(parse("# interval_minutes=5\na\n1.5x\n"), FatalError);
     EXPECT_THROW(parse("# interval_minutes=5\na\n"), FatalError);
+    // A cell is one plain decimal number: hex, a leading space or '+'
+    // (writeCsv never writes one) and out-of-range exponents are all
+    // refused, with the line and column named.
+    for (const char *cell : {"0x10", "0x1p3", " 5", "+5", "1e-400"}) {
+        try {
+            parse(std::string("# interval_minutes=5\na\n") + cell + "\n");
+            ADD_FAILURE() << "accepted '" << cell << "'";
+        } catch (const FatalError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("line 3, column 'a'"), std::string::npos)
+                << what;
+        }
+    }
 }
 
 TEST(TraceIo, ReadRejectsNonFiniteLiterals)
@@ -93,7 +107,8 @@ TEST(TraceIo, ReadRejectsNonFiniteLiterals)
         std::istringstream is(text);
         return trace::readCsv(is);
     };
-    // stod accepts all of these spellings; the trace format does not —
+    // from_chars accepts all of these spellings; the trace format does
+    // not —
     // degraded telemetry enters through the fault layer, not the CSV.
     EXPECT_THROW(parse("# interval_minutes=5\na\nnan\n"), FatalError);
     EXPECT_THROW(parse("# interval_minutes=5\na\nNaN\n"), FatalError);
@@ -135,6 +150,67 @@ TEST(TraceIo, MalformedRowErrorsNameLineAndColumn)
         << non_finite;
 }
 
+/** The lines of `text`, without their newlines. */
+std::vector<std::string>
+splitLines(const std::string &text)
+{
+    std::vector<std::string> lines;
+    std::istringstream in(text);
+    std::string line;
+    while (std::getline(in, line))
+        lines.push_back(line);
+    return lines;
+}
+
+/**
+ * One seeded mutation of a line-oriented input: one to three edits, each
+ * a bit flip, a truncation, a duplicated or dropped line, one of
+ * `digit_edits` inserted at a digit, or the format's own `format_edit`
+ * of the picked line.  Returns the lines joined with newlines.
+ */
+std::string
+mutateLines(
+    std::vector<std::string> lines,
+    const std::function<std::size_t(std::size_t)> &pick,
+    const std::vector<std::string> &digit_edits,
+    const std::function<void(std::vector<std::string> &, std::string &)>
+        &format_edit)
+{
+    for (std::size_t m = 1 + pick(3); m > 0; --m) {
+        std::string &line = lines[pick(lines.size())];
+        switch (pick(6)) {
+          case 0: // Flip one bit of one byte.
+            if (!line.empty())
+                line[pick(line.size())] ^= static_cast<char>(1U << pick(8));
+            break;
+          case 1: // Truncate.
+            line.resize(pick(line.size() + 1));
+            break;
+          case 2: // Duplicate a line.
+            lines.insert(lines.begin() + pick(lines.size()),
+                         std::string(line));
+            break;
+          case 3: // Drop a line.
+            if (lines.size() > 1)
+                lines.erase(lines.begin() + pick(lines.size()));
+            break;
+          case 4: { // A sign, point, exponent or junk at a digit.
+            const std::size_t at =
+                line.find_first_of("0123456789", pick(line.size() + 1));
+            if (at != std::string::npos)
+                line.insert(at, digit_edits[pick(digit_edits.size())]);
+            break;
+          }
+          default:
+            format_edit(lines, line);
+        }
+    }
+    std::string text;
+    for (const std::string &line : lines)
+        text += line + "\n";
+    return text;
+}
+
 TEST(TraceIo, MutatedCsvIsAcceptedOrRefusedCleanly)
 {
     // Seed: a writeCsv bundle of four short traces.
@@ -148,62 +224,29 @@ TEST(TraceIo, MutatedCsvIsAcceptedOrRefusedCleanly)
     }
     std::ostringstream seed_text;
     trace::writeCsv(seed_text, seed_bundle);
-    std::vector<std::string> seed;
-    {
-        std::istringstream in(seed_text.str());
-        std::string line;
-        while (std::getline(in, line))
-            seed.push_back(line);
-    }
+    const std::vector<std::string> seed = splitLines(seed_text.str());
 
     std::mt19937_64 rng(20261018);
     const auto pick = [&rng](std::size_t n) {
         return static_cast<std::size_t>(rng() % n);
     };
-    const char *numberEdits[] = {"-", ".", "e", "e999", "e-999", "x",
-                                 "nan", "inf", "0x", "99999999999999999999"};
+    const std::vector<std::string> numberEdits = {
+        "-", ".", "e", "e999", "e-999", "x", "nan", "inf", "0x",
+        "99999999999999999999"};
     const char *intervals[] = {"0",  "-5",  "abc", "2147483648", "",
                                "5.5", " 5", "+5",  "1e3",        "60"};
+    // Edit the interval header.
+    const auto editHeader = [&](std::vector<std::string> &lines,
+                                std::string &) {
+        lines.front() =
+            "# interval_minutes=" + std::string(intervals[pick(10)]);
+    };
 
     std::size_t accepted = 0;
     std::size_t refused = 0;
     for (int iter = 0; iter < 1000; ++iter) {
-        std::vector<std::string> lines = seed;
-        for (std::size_t m = 1 + pick(3); m > 0; --m) {
-            std::string &line = lines[pick(lines.size())];
-            switch (pick(6)) {
-              case 0: // Flip one bit of one byte.
-                if (!line.empty())
-                    line[pick(line.size())] ^=
-                        static_cast<char>(1U << pick(8));
-                break;
-              case 1: // Truncate.
-                line.resize(pick(line.size() + 1));
-                break;
-              case 2: // Duplicate a line.
-                lines.insert(lines.begin() + pick(lines.size()),
-                             std::string(line));
-                break;
-              case 3: // Drop a line.
-                if (lines.size() > 1)
-                    lines.erase(lines.begin() + pick(lines.size()));
-                break;
-              case 4: { // A sign, point, exponent or junk at a digit.
-                const std::size_t at = line.find_first_of(
-                    "0123456789", pick(line.size() + 1));
-                if (at != std::string::npos)
-                    line.insert(at, numberEdits[pick(10)]);
-                break;
-              }
-              default: // Edit the interval header.
-                lines.front() =
-                    "# interval_minutes=" + std::string(intervals[pick(10)]);
-            }
-        }
-        std::string text;
-        for (const std::string &line : lines)
-            text += line + "\n";
-
+        const std::string text =
+            mutateLines(seed, pick, numberEdits, editHeader);
         std::istringstream in(text);
         try {
             const TraceBundle bundle = trace::readCsv(in);
@@ -377,6 +420,70 @@ TEST(AssignmentIo, ReadRejectsMalformedInput)
     EXPECT_THROW(parse("instance,rack\n0,suite0/msb0/sb0/rpp0/rack0\n"
                        "2,suite0/msb0/sb0/rpp0/rack1\n"),
                  FatalError);
+}
+
+TEST(AssignmentIo, MutatedCsvIsAcceptedOrRefusedCleanly)
+{
+    // Seed: a writeAssignmentCsv output spreading 12 instances over the
+    // tree's four racks.
+    power::PowerTree tree(tinyTopology());
+    power::Assignment seed_assignment;
+    for (std::size_t i = 0; i < 12; ++i)
+        seed_assignment.push_back(tree.racks()[(i * 3) % 4]);
+    std::ostringstream seed_text;
+    power::writeAssignmentCsv(seed_text, tree, seed_assignment);
+    const std::vector<std::string> seed = splitLines(seed_text.str());
+
+    std::mt19937_64 rng(20261019);
+    const auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    const std::vector<std::string> idEdits = {
+        "-", "+", " ", "x", "0x", "1", "9", "99999999999999999999", ",",
+        "/"};
+    const char *rackEdits[] = {"suite0/msb0/sb0/rpp0",
+                               "suite0",
+                               "suite0/msb0/sb0/rpp1/rack1",
+                               "suite0/msb0/sb0/rpp0/rack0 ",
+                               "suite0/msb0/sb0/rpp2/rack0",
+                               ""};
+    // Point a row at another node name.
+    const auto editRack = [&](std::vector<std::string> &,
+                              std::string &line) {
+        const std::size_t comma = line.find(',');
+        if (comma != std::string::npos)
+            line = line.substr(0, comma + 1) + rackEdits[pick(6)];
+    };
+
+    std::size_t accepted = 0;
+    std::size_t refused = 0;
+    for (int iter = 0; iter < 1000; ++iter) {
+        const std::string text = mutateLines(seed, pick, idEdits, editRack);
+        std::istringstream in(text);
+        try {
+            const power::Assignment assignment =
+                power::readAssignmentCsv(in, tree);
+            ++accepted;
+            ASSERT_FALSE(assignment.empty()) << text;
+            for (const power::NodeId rack : assignment) {
+                ASSERT_LT(rack, tree.nodeCount()) << text;
+                EXPECT_EQ(tree.node(rack).level, power::Level::Rack)
+                    << text;
+            }
+        } catch (const FatalError &e) {
+            ++refused;
+            const std::string what = e.what();
+            EXPECT_NE(what.find("readAssignmentCsv: "), std::string::npos)
+                << what;
+            EXPECT_NE(what.find("line "), std::string::npos) << what;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "unexpected exception: " << e.what() << "\n"
+                          << text;
+        }
+    }
+    // The mutations must exercise both outcomes.
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(refused, 0u);
 }
 
 TEST(AssignmentIo, OutOfOrderRowsAccepted)

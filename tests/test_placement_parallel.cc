@@ -3,11 +3,10 @@
  * Determinism harness for the parallel balanced-partition placement.
  *
  * PlacementEngine::distribute expands the recursion level by level: the
- * tasks of each power-tree level fan out over util::parallelFor in
- * contiguous, subtree-aligned blocks (trace::ShardPlan grouped by
- * parent task), with per-block accumulators and a serial reduction in
- * block order that rebuilds the next frontier in exactly the old
- * depth-first child order (src/core/placement.cc).  These tests pin the
+ * tasks of each power-tree level fan out over util::parallelFor, one
+ * index per task, each writing only its own children slot; a serial
+ * concatenation in frontier order rebuilds the next frontier in exactly
+ * the old depth-first child order (src/core/placement.cc).  These tests pin the
  * serial==parallel contract end to end: the full derived assignment
  * must be bit-identical across thread counts, kernel modes, both
  * embeddings, and on clean as well as faulted-then-repaired
@@ -55,9 +54,9 @@ fixtureSpec()
 {
     workload::DatacenterSpec spec;
     spec.name = "place-par";
-    // 2 suites x 2 MSB x 2 SB x 2 RPP x 2 racks = 32 racks: the level
-    // frontier is wider than any thread count under test at every level
-    // below the root, so multi-shard plans actually occur.
+    // 2 suites x 2 MSB x 2 SB x 2 RPP x 2 racks = 32 racks: every level
+    // below the root holds at least two tasks, so each one fans out
+    // across the pool.
     spec.topology.suites = 2;
     spec.topology.msbsPerSuite = 2;
     spec.topology.sbsPerMsb = 2;
