@@ -10,31 +10,27 @@ namespace sosim::cluster {
 
 CandidatePairIndex
 CandidatePairIndex::build(const std::vector<Point> &points,
-                          const CandidateIndexConfig &config)
+                          double keep_fraction)
 {
     SOSIM_REQUIRE(!points.empty(),
                   "CandidatePairIndex: no points to cluster");
-    SOSIM_REQUIRE(config.keepFraction > 0.0 &&
-                      config.keepFraction <= 1.0,
+    SOSIM_REQUIRE(keep_fraction > 0.0 && keep_fraction <= 1.0,
                   "CandidatePairIndex: keepFraction must be in (0, 1]");
     const std::size_t n = points.size();
 
     CandidatePairIndex index;
-    std::size_t k = config.clusters;
-    if (k == 0) {
-        const auto root = static_cast<std::size_t>(
-            std::ceil(std::sqrt(static_cast<double>(n))));
-        k = std::clamp<std::size_t>(root, 2, 32);
-    }
-    k = std::min(k, n);
+    const auto root = static_cast<std::size_t>(
+        std::ceil(std::sqrt(static_cast<double>(n))));
+    const std::size_t k =
+        std::min(std::clamp<std::size_t>(root, 2, 32), n);
     index.k_ = k;
 
     KMeansConfig kc;
     kc.k = k;
-    kc.maxIterations = config.maxIterations;
+    kc.maxIterations = kCandidateIndexIterations;
     kc.tolerance = 1e-4; // Rough clusters suffice for pruning.
     kc.restarts = 1;
-    kc.seed = config.seed;
+    kc.seed = kCandidateIndexSeed;
     KMeansResult result = kMeans(points, kc);
     index.assignment_ = std::move(result.assignment);
 
@@ -42,11 +38,11 @@ CandidatePairIndex::build(const std::vector<Point> &points,
     // clusters by centroid distance (descending; ties broken by the
     // lower cluster id so the bitmap is deterministic).  A cluster's
     // own distance is 0, so it is pruned first — cross-cluster pairs
-    // are where asynchronous partners live — except in the k = 1 and
-    // keepFraction = 1 configurations, which keep everything.
+    // are where asynchronous partners live — except with k = 1 (a
+    // one-point population) or keep_fraction = 1, which keep everything.
     index.kept_ = std::max<std::size_t>(
         1, static_cast<std::size_t>(
-               std::ceil(config.keepFraction * static_cast<double>(k))));
+               std::ceil(keep_fraction * static_cast<double>(k))));
     index.kept_ = std::min(index.kept_, k);
     index.allowed_.assign(k * k, 0);
     std::vector<std::pair<double, std::size_t>> order(k);

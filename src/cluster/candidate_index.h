@@ -22,13 +22,20 @@
  * — before any kernel pass runs, cutting the evaluated pair space to
  * roughly keepFraction * n per candidate.
  *
+ * The clustering itself is fixed: k = ceil(sqrt(n)) clamped to [2, 32]
+ * (and never more than n), seed kCandidateIndexSeed and at most
+ * kCandidateIndexIterations Lloyd iterations.  Small k keeps the
+ * clustering far below the pair-scan cost it prunes, and the index
+ * needs rough clusters, not converged ones; only the keep fraction is
+ * the caller's.
+ *
  * Soundness: pruning only *restricts* the searched pair space; every
  * accepted swap still passes the paper's improve-at-both-nodes test, so
  * a pruned refinement is always a valid (possibly slightly less
  * improving) refinement.  tests/test_prune.cc pins the final-score gap
- * against exhaustive search to a fixed epsilon and the k = 1 /
- * keepFraction = 1 configurations to exact parity (a single cluster
- * keeps itself, so nothing is pruned).
+ * against exhaustive search to a fixed epsilon and the keepFraction = 1
+ * configuration to exact parity (every cluster keeps every cluster, so
+ * nothing is pruned).
  */
 
 #include <cstdint>
@@ -38,26 +45,10 @@
 
 namespace sosim::cluster {
 
-/** Parameters of the candidate-pair index. */
-struct CandidateIndexConfig {
-    /**
-     * Cluster count; 0 picks automatically: ceil(sqrt(n)) clamped to
-     * [2, 32] (and never more than n).  Small k keeps the clustering
-     * itself far below the pair-scan cost it prunes.
-     */
-    std::size_t clusters = 0;
-    /**
-     * Fraction of clusters each candidate scans, farthest first, in
-     * (0, 1]; at least one partner cluster is always kept.  1.0 keeps
-     * every cluster (pruning disabled, exact parity).
-     */
-    double keepFraction = 0.5;
-    /** Seed for the k-means run. */
-    std::uint64_t seed = 42;
-    /** Lloyd iteration cap; the index needs rough clusters, not
-     *  converged ones. */
-    int maxIterations = 8;
-};
+/** Seed of the index's k-means run. */
+inline constexpr std::uint64_t kCandidateIndexSeed = 42;
+/** Lloyd iteration cap of that run. */
+inline constexpr int kCandidateIndexIterations = 8;
 
 /**
  * The pruning structure: a k-means clustering of the population plus a
@@ -68,11 +59,14 @@ class CandidatePairIndex
   public:
     /**
      * Cluster `points` (one embedding point per instance, shared
-     * dimension) and precompute the partner bitmaps.  Deterministic for
-     * fixed inputs and config.
+     * dimension) and precompute the partner bitmaps.  `keep_fraction`
+     * is the fraction of clusters each candidate scans, farthest
+     * first, in (0, 1]; at least one partner cluster is always kept,
+     * and 1.0 keeps every cluster (pruning disabled, exact parity).
+     * Deterministic for fixed inputs.
      */
     static CandidatePairIndex build(const std::vector<Point> &points,
-                                    const CandidateIndexConfig &config);
+                                    double keep_fraction);
 
     /** Number of clusters. */
     std::size_t clusterCount() const { return k_; }
@@ -80,7 +74,7 @@ class CandidatePairIndex
     /** Cluster of instance i. */
     std::size_t clusterOf(std::size_t i) const { return assignment_[i]; }
 
-    /** Partner clusters kept per cluster (ceil(keepFraction * k)). */
+    /** Partner clusters kept per cluster (ceil(keep_fraction * k)). */
     std::size_t keptPerCluster() const { return kept_; }
 
     /**

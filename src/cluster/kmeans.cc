@@ -109,7 +109,7 @@ lloyd(const std::vector<Point> &points, std::vector<Point> centroids,
                 result.assignment[i] = best_c;
                 best_dist[i] = best;
             },
-            /*min_grain=*/64);
+            {.minGrain = 64});
         double inertia = 0.0;
         for (std::size_t i = 0; i < n; ++i)
             inertia += best_dist[i];

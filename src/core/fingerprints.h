@@ -25,12 +25,13 @@
  */
 
 #include <cstdint>
-#include <cstring>
 
+#include "cluster/candidate_index.h"
 #include "core/monitor.h"
 #include "core/placement.h"
 #include "core/remap.h"
 #include "power/power_tree.h"
+#include "trace/repair.h"
 #include "trace/time_series.h"
 #include "util/hash.h"
 
@@ -109,38 +110,42 @@ fingerprintDistributeConfig(const PlacementConfig &c)
  * Hashes every RemapConfig field: each one can change the refinement.
  * The swap scan's fan-out is not configurable (it follows the pool's
  * thread count and never changes the result), so it is not part of the
- * key.
+ * key.  Four former fields are constants now — the candidates per
+ * round, the validity floor, the prune cluster count (0, automatic) and
+ * the prune seed — and each is hashed where its field was, so the
+ * fingerprint keeps its value and checkpoints written by earlier builds
+ * still restore.
  */
 inline std::uint64_t
 fingerprintRemapConfig(const RemapConfig &c)
 {
     std::uint64_t h = util::fingerprintString("remap-config");
     h = util::hashCombine(h, static_cast<std::uint64_t>(c.maxSwaps));
-    h = util::hashCombine(h, c.candidatesPerRound);
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(c.minValidFraction));
-    std::memcpy(&bits, &c.minValidFraction, sizeof(bits));
-    h = util::hashCombine(h, bits);
+    h = util::hashCombine(h, kCandidatesPerRound);
+    h = util::hashCombine(h, util::doubleBits(trace::kMinValidFraction));
     h = util::hashCombine(h, static_cast<std::uint64_t>(c.prune));
-    h = util::hashCombine(h, c.pruneClusters);
-    std::memcpy(&bits, &c.pruneKeepFraction, sizeof(bits));
-    h = util::hashCombine(h, bits);
-    h = util::hashCombine(h, c.pruneSeed);
+    h = util::hashCombine(h, 0); // Automatic cluster count.
+    h = util::hashCombine(h, util::doubleBits(c.pruneKeepFraction));
+    h = util::hashCombine(h, cluster::kCandidateIndexSeed);
     return h;
 }
 
-/** The MonitorConfig fields measureWeek observes (not the thresholds:
- *  those act in FragmentationMonitor::ingest, outside the graph, so a
- *  threshold-only what-if re-uses every cached measurement). */
+/**
+ * The MonitorConfig fields measureWeek observes (not the thresholds:
+ * those act in FragmentationMonitor::ingest, outside the graph, so a
+ * threshold-only what-if re-uses every cached measurement).  The
+ * repair policy and validity floor are constants now; they are hashed
+ * where their former fields were, so the fingerprint keeps its value
+ * and checkpoints written by earlier builds still restore.
+ */
 inline std::uint64_t
 fingerprintMonitorMeasureConfig(const MonitorConfig &c)
 {
     std::uint64_t h = util::fingerprintString("monitor-measure-config");
     h = util::hashCombine(h, static_cast<std::uint64_t>(c.level));
-    h = util::hashCombine(h, static_cast<std::uint64_t>(c.repairPolicy));
-    std::uint64_t bits;
-    std::memcpy(&bits, &c.minValidFraction, sizeof(bits));
-    h = util::hashCombine(h, bits);
+    h = util::hashCombine(h,
+                           static_cast<std::uint64_t>(kMonitorRepairPolicy));
+    h = util::hashCombine(h, util::doubleBits(trace::kMinValidFraction));
     return h;
 }
 
@@ -154,10 +159,7 @@ fingerprintTree(const power::PowerTree &tree)
         const auto &n = tree.node(id);
         h = util::hashCombine(h, static_cast<std::uint64_t>(n.parent));
         h = util::hashCombine(h, static_cast<std::uint64_t>(n.level));
-        std::uint64_t bits;
-        const double budget = n.budgetWatts;
-        std::memcpy(&bits, &budget, sizeof(bits));
-        h = util::hashCombine(h, bits);
+        h = util::hashCombine(h, util::doubleBits(n.budgetWatts));
     }
     return h;
 }

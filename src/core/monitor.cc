@@ -36,13 +36,6 @@ FragmentationMonitor::FragmentationMonitor(const power::PowerTree &tree,
     SOSIM_REQUIRE(config.level != power::Level::Datacenter,
                   "FragmentationMonitor: the DC level is placement-"
                   "invariant; watch a lower level");
-    SOSIM_REQUIRE(config.minValidFraction >= 0.0 &&
-                      config.minValidFraction <= 1.0,
-                  "FragmentationMonitor: minValidFraction must be in "
-                  "[0, 1]");
-    SOSIM_REQUIRE(config.degradedThresholdFactor >= 1.0,
-                  "FragmentationMonitor: degradedThresholdFactor must "
-                  "be >= 1");
 }
 
 MonitorMeasurement
@@ -92,7 +85,7 @@ measureWeek(const power::PowerTree &tree, const MonitorConfig &config,
             if (validity[i] >= 1.0)
                 continue;
             double *row = repaired.mutableRow(i);
-            if (validity[i] < config.minValidFraction) {
+            if (validity[i] < trace::kMinValidFraction) {
                 // Mostly fabricated: contribute nothing rather than a
                 // guess (the zeros keep aggregateTraces' shape intact).
                 std::fill(row, row + repaired.samplesPerTrace(), 0.0);
@@ -103,7 +96,7 @@ measureWeek(const power::PowerTree &tree, const MonitorConfig &config,
             }
             const auto r =
                 trace::repairSpan(row, repaired.samplesPerTrace(),
-                                  config.repairPolicy);
+                                  kMonitorRepairPolicy);
             m.repairedSamples += r.samplesRepaired;
             if (r.samplesRepaired > 0)
                 SOSIM_EVENT(.kind = obs::EventKind::FaultRepair,
@@ -172,7 +165,7 @@ FragmentationMonitor::ingest(const MonitorMeasurement &m,
     // fabricate fragmentation, so demand a proportionally larger margin
     // before recommending churn.
     const double widen =
-        obs.degradedData ? config_.degradedThresholdFactor : 1.0;
+        obs.degradedData ? kDegradedThresholdFactor : 1.0;
     if (window_.empty()) {
         obs.action = MonitorAction::None;
     } else {

@@ -14,6 +14,12 @@
  * per-level sum of peaks of the current placement against the best
  * placement seen, and recommends an action: nothing, incremental
  * remapping, or a full re-placement.
+ *
+ * MonitorConfig holds what callers vary: the watched level, the
+ * baseline window and the two thresholds.  The degraded-data handling
+ * is fixed: gaps are repaired under kMonitorRepairPolicy, instances
+ * below the shared floor trace::kMinValidFraction are dropped, and a
+ * degraded week faces thresholds widened by kDegradedThresholdFactor.
  */
 
 #include <cstddef>
@@ -41,6 +47,26 @@ enum class MonitorAction {
 /** Printable action name. */
 std::string monitorActionName(MonitorAction action);
 
+/**
+ * Gap-repair policy applied (to an internal copy) when a week's
+ * telemetry contains NaN samples; the caller's traces are never
+ * mutated.
+ */
+inline constexpr trace::RepairPolicy kMonitorRepairPolicy =
+    trace::RepairPolicy::Interpolate;
+
+/**
+ * Threshold widening factor applied while data is degraded: both action
+ * thresholds are multiplied by this, so noisy weeks must show
+ * proportionally more degradation before the monitor recommends churn.
+ * This is the conservative-headroom rule: acting on repaired data risks
+ * remapping against sensor artifacts, so the monitor demands a wider
+ * margin before it acts.  Degraded ratios are also kept out of the
+ * baseline window so they cannot lower the baseline that future healthy
+ * weeks are judged against.
+ */
+inline constexpr double kDegradedThresholdFactor = 2.0;
+
 /** Monitor configuration. */
 struct MonitorConfig {
     /** Level whose sum of peaks is watched (leaf-most reported level). */
@@ -51,29 +77,6 @@ struct MonitorConfig {
     double remapThreshold = 0.02;
     /** Relative ratio degradation that triggers a full re-place. */
     double replaceThreshold = 0.08;
-    /**
-     * Gap-repair policy applied (to an internal copy) when a week's
-     * telemetry contains NaN samples; the caller's traces are never
-     * mutated.
-     */
-    trace::RepairPolicy repairPolicy = trace::RepairPolicy::Interpolate;
-    /**
-     * Instances whose week is less valid than this fraction are dropped
-     * from the aggregation entirely — mostly-fabricated traces should
-     * not steer remap/replace decisions.
-     */
-    double minValidFraction = 0.5;
-    /**
-     * Threshold widening factor applied while data is degraded: both
-     * action thresholds are multiplied by this, so noisy weeks must
-     * show proportionally more degradation before the monitor recommends
-     * churn.  This is the conservative-headroom rule: acting on repaired
-     * data risks remapping against sensor artifacts, so the monitor
-     * demands a wider margin before it acts.  Degraded ratios are also
-     * kept out of the baseline window so they cannot lower the baseline
-     * that future healthy weeks are judged against.
-     */
-    double degradedThresholdFactor = 2.0;
 };
 
 /**
@@ -107,7 +110,8 @@ struct MonitorMeasurement {
     double validFraction = 1.0;
     /** Samples filled in by the repair policy. */
     std::size_t repairedSamples = 0;
-    /** Instances below minValidFraction, excluded from aggregation. */
+    /** Instances below trace::kMinValidFraction, excluded from
+     *  aggregation. */
     std::size_t excludedInstances = 0;
     /**
      * Workload-drift diagnostic: mean distance between this week's
@@ -138,9 +142,8 @@ struct MonitorObservation : MonitorMeasurement {
  * mutated), aggregation, and the sum-of-peaks / root-peak ratio.  Pure
  * function of its arguments — the body of the pipeline's
  * monitor.measure.week.* nodes and the first half of
- * FragmentationMonitor::observeWeek.  Only the level /
- * repairPolicy / minValidFraction fields of the config are read (see
- * core::fingerprintMonitorMeasureConfig).
+ * FragmentationMonitor::observeWeek.  Only the level field of the
+ * config is read (see core::fingerprintMonitorMeasureConfig).
  *
  * When `training` is supplied (the shared ShapeIndex built over the
  * training population — the same index placement and remap pruning
@@ -177,11 +180,11 @@ class FragmentationMonitor
      * configured thresholds triggers Remap / Replace.
      *
      * Degraded telemetry (NaN samples) is handled gracefully: the week
-     * is repaired into an internal copy under config().repairPolicy,
-     * instances below minValidFraction are excluded, the observation is
-     * flagged degradedData, and the action thresholds are widened by
-     * degradedThresholdFactor so the monitor does not recommend churn
-     * based on fabricated samples.
+     * is repaired into an internal copy under kMonitorRepairPolicy,
+     * instances below trace::kMinValidFraction are excluded, the
+     * observation is flagged degradedData, and the action thresholds
+     * are widened by kDegradedThresholdFactor so the monitor does not
+     * recommend churn based on fabricated samples.
      *
      * Equivalent to ingest(measureWeek(tree, config(), itraces,
      * assignment), seconds spent measuring).

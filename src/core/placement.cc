@@ -42,6 +42,20 @@ shapeEmbed(const std::vector<trace::TimeSeries> &traces,
 
 } // namespace
 
+std::vector<cluster::Point>
+placementEmbedding(const PlacementConfig &config,
+                   const std::vector<trace::TimeSeries> &itraces,
+                   const std::vector<std::size_t> &service_of,
+                   const cluster::ShapeIndex *shapes)
+{
+    if (config.embedding == PlacementEmbedding::kShape)
+        return shapeEmbed(itraces, shapes);
+    const auto straces =
+        extractServiceTraces(itraces, service_of, config.topServices);
+    return embedPopulation(itraces, straces.straces, config.scoring,
+                           config.kernels);
+}
+
 PlacementEngine::PlacementEngine(const power::PowerTree &tree,
                                  PlacementConfig config)
     : tree_(tree), config_(config)
@@ -62,12 +76,8 @@ PlacementEngine::place(const std::vector<trace::TimeSeries> &itraces,
     SOSIM_REQUIRE(service_of.size() == itraces.size(),
                   "PlacementEngine::place: service_of size mismatch");
 
-    if (config_.embedding == PlacementEmbedding::kShape)
-        return placeWithEmbedding(shapeEmbed(itraces, shapes));
-    const auto straces =
-        extractServiceTraces(itraces, service_of, config_.topServices);
-    return placeWithEmbedding(embedPopulation(
-        itraces, straces.straces, config_.scoring, config_.kernels));
+    return placeWithEmbedding(
+        placementEmbedding(config_, itraces, service_of, shapes));
 }
 
 power::Assignment
@@ -121,15 +131,8 @@ PlacementEngine::placeSubtree(const std::vector<trace::TimeSeries> &itraces,
         sub_traces.push_back(itraces[i]);
         sub_service.push_back(service_of[i]);
     }
-    std::vector<cluster::Point> sub_vectors;
-    if (config_.embedding == PlacementEmbedding::kShape) {
-        sub_vectors = shapeEmbed(sub_traces, nullptr);
-    } else {
-        const auto straces = extractServiceTraces(
-            sub_traces, sub_service, config_.topServices);
-        sub_vectors = embedPopulation(
-            sub_traces, straces.straces, config_.scoring, config_.kernels);
-    }
+    const auto sub_vectors =
+        placementEmbedding(config_, sub_traces, sub_service);
 
     // distribute() indexes vectors by instance id; scatter the subtree's
     // vectors into a full-size table.
@@ -245,7 +248,7 @@ PlacementEngine::distribute(const std::vector<cluster::Point> &vectors,
         util::parallelFor(
             frontier.size(),
             [&](std::size_t t) { split(frontier[t], children[t]); },
-            util::ParallelForOptions{2, 2 * util::threadCount()});
+            {.chunks = 2 * util::threadCount()});
 
         std::vector<DistributeTask> next;
         for (auto &slot : children)

@@ -81,6 +81,21 @@ struct PlacementConfig {
 };
 
 /**
+ * The population embedding the recursive distribution clusters, chosen
+ * by config.embedding — the one place that choice is made
+ * (PlacementEngine::place, placeSubtree and the pipeline's place.embed
+ * node all call this).  kShape forwards `shapes`' points when the index
+ * covers exactly this population and shape-embeds locally otherwise;
+ * kScoreVector extracts the top config.topServices S-traces and scores
+ * every instance against them (core::embedPopulation).
+ */
+std::vector<cluster::Point>
+placementEmbedding(const PlacementConfig &config,
+                   const std::vector<trace::TimeSeries> &itraces,
+                   const std::vector<std::size_t> &service_of,
+                   const cluster::ShapeIndex *shapes = nullptr);
+
+/**
  * Derives workload-aware placements of service instances onto the racks
  * of a power tree.
  */

@@ -10,6 +10,7 @@
 #include "obs/obs.h"
 #include "trace/arena.h"
 #include "trace/kernels.h"
+#include "trace/repair.h"
 #include "util/error.h"
 #include "util/parallel.h"
 
@@ -140,11 +141,6 @@ Remapper::Remapper(const power::PowerTree &tree, RemapConfig config)
     : tree_(tree), config_(config)
 {
     SOSIM_REQUIRE(config.maxSwaps >= 0, "Remapper: maxSwaps must be >= 0");
-    SOSIM_REQUIRE(config.candidatesPerRound >= 1,
-                  "Remapper: candidatesPerRound must be >= 1");
-    SOSIM_REQUIRE(config.minValidFraction >= 0.0 &&
-                      config.minValidFraction <= 1.0,
-                  "Remapper: minValidFraction must be in [0, 1]");
     SOSIM_REQUIRE(config.pruneKeepFraction > 0.0 &&
                       config.pruneKeepFraction <= 1.0,
                   "Remapper: pruneKeepFraction must be in (0, 1]");
@@ -193,12 +189,12 @@ Remapper::refine(power::Assignment &assignment,
     // aggregate — the power is real even if the trace shape is not).
     const auto swappable = [&](std::size_t instance) {
         return validity == nullptr ||
-               (*validity)[instance] >= config_.minValidFraction;
+               (*validity)[instance] >= trace::kMinValidFraction;
     };
     std::size_t excluded = 0;
     if (validity != nullptr)
         for (const double v : *validity)
-            if (v < config_.minValidFraction)
+            if (v < trace::kMinValidFraction)
                 ++excluded;
     SOSIM_COUNT_ADD("remap.instances_excluded", excluded);
 
@@ -210,7 +206,7 @@ Remapper::refine(power::Assignment &assignment,
     // scratch rows.
     const auto rack_ids = tree_.racks();
     trace::TraceArena arena = trace::TraceArena::fromSeries(
-        itraces, rack_ids.size() + config_.candidatesPerRound);
+        itraces, rack_ids.size() + kCandidatesPerRound);
     // Every instance peak is read many times below (rack peak sums,
     // member scores, every pair of the swap scan): scan each row once.
     std::vector<double> peaks(itraces.size());
@@ -266,18 +262,14 @@ Remapper::refine(power::Assignment &assignment,
                 cluster::kDefaultShapeBuckets);
             points = &local_points;
         }
-        cluster::CandidateIndexConfig index_config;
-        index_config.clusters = config_.pruneClusters;
-        index_config.keepFraction = config_.pruneKeepFraction;
-        index_config.seed = config_.pruneSeed;
-        prune_index =
-            cluster::CandidatePairIndex::build(*points, index_config);
+        prune_index = cluster::CandidatePairIndex::build(
+            *points, config_.pruneKeepFraction);
         SOSIM_GAUGE_SET("remap.prune_clusters",
                         prune_index.clusterCount());
     }
 
     // Scratch rows for the per-candidate "aggregate minus leaver" diffs.
-    std::vector<trace::TraceId> scratch(config_.candidatesPerRound);
+    std::vector<trace::TraceId> scratch(kCandidatesPerRound);
     for (auto &row : scratch)
         row = arena.addZeros();
 
@@ -391,7 +383,7 @@ Remapper::refine(power::Assignment &assignment,
                                         }),
                          scored.end());
         const std::size_t candidates =
-            std::min(config_.candidatesPerRound, scored.size());
+            std::min(kCandidatesPerRound, scored.size());
 
         // Hoist the per-candidate "rack A minus leaver" row and its peak
         // out of the pair scan: one materializing pass per candidate
@@ -515,8 +507,7 @@ Remapper::refine(power::Assignment &assignment,
         // balance the load.
         util::parallelFor(
             pairs, scanPair,
-            util::ParallelForOptions{2, candidates * 2 *
-                                            util::threadCount()});
+            {.chunks = candidates * 2 * util::threadCount()});
 
         if (recording) {
             // One journal event per candidate per reject reason: the

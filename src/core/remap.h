@@ -14,10 +14,15 @@
  * early-reject peak kernels (trace/kernels.h), whose accept decisions
  * and accepted scores are exactly those of the materializing
  * formulation, so refine() reproduces the golden pipeline digest.
+ *
+ * RemapConfig holds only what callers vary: the swap budget and the
+ * pruning mode and keep fraction.  The rest of the search is fixed:
+ * kCandidatesPerRound swap-out candidates per round, the shared
+ * validity floor trace::kMinValidFraction, and the pruner's automatic
+ * cluster count and seed (cluster/candidate_index.h).
  */
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "power/power_tree.h"
@@ -41,22 +46,14 @@ namespace sosim::core {
  */
 enum class PruneMode { kOff, kCluster };
 
+/** How many of the worst-scoring members of the fragmented node are
+ *  considered as swap-out candidates each round. */
+inline constexpr std::size_t kCandidatesPerRound = 4;
+
 /** Parameters of the swap-based refinement. */
 struct RemapConfig {
     /** Upper bound on accepted swaps per refine() call. */
     int maxSwaps = 64;
-    /** How many of the worst-scoring members of the fragmented node are
-     *  considered as swap-out candidates each round. */
-    std::size_t candidatesPerRound = 4;
-    /**
-     * Instances whose trace validity (fraction of genuinely measured
-     * samples, see trace::validFraction / trace::RepairSummary) falls
-     * below this are excluded from swap candidacy on both sides of a
-     * swap: a trace that is mostly repair-fabricated must not drive
-     * placement churn.  Only takes effect when refine() is given a
-     * validity vector; 0.0 disables the filter.
-     */
-    double minValidFraction = 0.5;
     /**
      * Candidate-pair pruning (see PruneMode).  kOff is bit-identical to
      * the exhaustive scan; kCluster trades an epsilon of final score for
@@ -64,20 +61,12 @@ struct RemapConfig {
      */
     PruneMode prune = PruneMode::kOff;
     /**
-     * Cluster count for the kCluster embedding; 0 picks
-     * ceil(sqrt(population)) clamped to [2, 32].  Ignored when prune is
-     * kOff.
-     */
-    std::size_t pruneClusters = 0;
-    /**
      * Fraction of clusters each candidate may partner with, farthest
      * centroids first (asynchronous shapes live far apart in the
      * embedding).  Clamped per build to keep at least one cluster; 1.0
      * keeps every cluster, making kCluster score-equivalent to kOff.
      */
     double pruneKeepFraction = 0.5;
-    /** Seed of the k-means embedding behind kCluster. */
-    std::uint64_t pruneSeed = 42;
 };
 
 /** One accepted swap, for reporting. */
@@ -113,10 +102,12 @@ class Remapper
      *                   trace::repairAll first).
      * @param validity   Optional per-instance valid fraction *before*
      *                   repair (e.g. RepairSummary::validBefore).  When
-     *                   given, instances below config's
-     *                   minValidFraction still count toward their rack's
-     *                   aggregate but are never chosen as a swap-out
-     *                   candidate or a swap partner.
+     *                   given, instances below trace::kMinValidFraction
+     *                   still count toward their rack's aggregate but
+     *                   are never chosen as a swap-out candidate or a
+     *                   swap partner: a trace that is mostly
+     *                   repair-fabricated must not drive placement
+     *                   churn.
      * @param shapes     Optional prebuilt cluster::ShapeIndex over
      *                   `itraces` (population order, default buckets).
      *                   Read only when config's prune is kCluster: the

@@ -1,7 +1,6 @@
 #include "fault_plan.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 
 #include "util/error.h"
@@ -24,14 +23,6 @@ drawLength(util::Rng &rng, double mean)
     const auto hi = std::max<std::int64_t>(
         1, static_cast<std::int64_t>(2.0 * mean) - 1);
     return static_cast<std::size_t>(rng.uniformInt(1, hi));
-}
-
-std::uint64_t
-hashDouble(std::uint64_t h, double v)
-{
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    return util::mixWord(h, bits);
 }
 
 } // namespace
@@ -70,17 +61,6 @@ FaultPlan::build(std::uint64_t seed, const FaultProfile &profile,
     SOSIM_REQUIRE(profile.sampleLossRate >= 0.0 &&
                       profile.sampleLossRate < 1.0,
                   "FaultPlan: sampleLossRate must be in [0, 1)");
-    SOSIM_REQUIRE(profile.meanGapSamples >= 1.0,
-                  "FaultPlan: meanGapSamples must be >= 1");
-    SOSIM_REQUIRE(profile.meanStuckSamples >= 1.0,
-                  "FaultPlan: meanStuckSamples must be >= 1");
-    SOSIM_REQUIRE(profile.meanTripSamples >= 1.0,
-                  "FaultPlan: meanTripSamples must be >= 1");
-    SOSIM_REQUIRE(profile.derateFactor > 0.0 &&
-                      profile.derateFactor <= 1.0,
-                  "FaultPlan: derateFactor must be in (0, 1]");
-    SOSIM_REQUIRE(profile.maxSkewSamples >= 0,
-                  "FaultPlan: maxSkewSamples must be >= 0");
 
     FaultPlan plan;
     plan.seed_ = seed;
@@ -105,7 +85,7 @@ FaultPlan::build(std::uint64_t seed, const FaultProfile &profile,
         gap.instance = static_cast<std::size_t>(rng.uniformInt(0, n - 1));
         gap.firstSample =
             static_cast<std::size_t>(rng.uniformInt(0, len - 1));
-        gap.length = std::min(drawLength(rng, profile.meanGapSamples),
+        gap.length = std::min(drawLength(rng, kMeanGapSamples),
                               shape.samplesPerTrace - gap.firstSample);
         plan.gaps_.push_back(gap);
         scheduled += gap.length;
@@ -121,16 +101,15 @@ FaultPlan::build(std::uint64_t seed, const FaultProfile &profile,
             stuck.firstSample =
                 static_cast<std::size_t>(rng.uniformInt(0, len - 1));
             stuck.length =
-                std::min(drawLength(rng, profile.meanStuckSamples),
+                std::min(drawLength(rng, kMeanStuckSamples),
                          shape.samplesPerTrace - stuck.firstSample);
             plan.stuck_.push_back(stuck);
         }
-        if (rng.chance(profile.clockSkewRate) &&
-            profile.maxSkewSamples > 0) {
+        if (rng.chance(profile.clockSkewRate)) {
             ClockSkew skew;
             skew.instance = i;
-            skew.offsetSamples = static_cast<int>(rng.uniformInt(
-                -profile.maxSkewSamples, profile.maxSkewSamples));
+            skew.offsetSamples = static_cast<int>(
+                rng.uniformInt(-kMaxSkewSamples, kMaxSkewSamples));
             if (skew.offsetSamples != 0)
                 plan.skews_.push_back(skew);
         }
@@ -146,7 +125,7 @@ FaultPlan::build(std::uint64_t seed, const FaultProfile &profile,
             rng.uniformInt(0, std::numeric_limits<std::int64_t>::max()));
         ev.atSample = static_cast<std::size_t>(rng.uniformInt(0, len - 1));
         ev.durationSamples =
-            std::min(drawLength(rng, profile.meanTripSamples),
+            std::min(drawLength(rng, kMeanTripSamples),
                      shape.samplesPerTrace - ev.atSample);
         plan.events_.push_back(ev);
     }
@@ -156,7 +135,7 @@ FaultPlan::build(std::uint64_t seed, const FaultProfile &profile,
         ev.nodeOrdinal = static_cast<std::size_t>(
             rng.uniformInt(0, std::numeric_limits<std::int64_t>::max()));
         ev.atSample = static_cast<std::size_t>(rng.uniformInt(0, len - 1));
-        ev.factor = profile.derateFactor;
+        ev.factor = kDerateFactor;
         plan.events_.push_back(ev);
     }
     return plan;
@@ -201,7 +180,7 @@ FaultPlan::fingerprint() const
         h = util::mixWord(h, e.nodeOrdinal);
         h = util::mixWord(h, e.atSample);
         h = util::mixWord(h, e.durationSamples);
-        h = hashDouble(h, e.factor);
+        h = util::mixWord(h, util::doubleBits(e.factor));
     }
     return h;
 }

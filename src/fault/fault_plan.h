@@ -19,6 +19,11 @@
  *   - whole-instance trace loss: the collection plane lost the host,
  *   - power events: breaker trips and node derating at a timestep.
  *
+ * A FaultProfile sets how often each fault happens; how long a gap, a
+ * stuck window or a trip lasts, how far a clock skews and how deep a
+ * derating cuts are fixed constants (kMeanGapSamples and friends
+ * below), since every preset uses the same shapes.
+ *
  * The plan only schedules; src/fault/inject.h applies it to traces and
  * power trees, and src/trace/repair.h is the recovery side.  Keeping
  * scheduling separate from application means a plan can be fingerprinted
@@ -33,32 +38,33 @@
 
 namespace sosim::fault {
 
+/** Mean dropout gap length in samples. */
+inline constexpr double kMeanGapSamples = 6.0;
+/** Mean stuck-at window length in samples. */
+inline constexpr double kMeanStuckSamples = 24.0;
+/** Maximum clock-skew magnitude in samples (either direction). */
+inline constexpr int kMaxSkewSamples = 3;
+/** Mean blackout duration of a breaker trip, in samples. */
+inline constexpr double kMeanTripSamples = 12.0;
+/** Budget multiplier applied by a derating event. */
+inline constexpr double kDerateFactor = 0.85;
+
 /** Fault intensity knobs; preset instances come from faultProfile(). */
 struct FaultProfile {
     /** Profile name as parsed/printed ("none", "mild", "harsh", ...). */
     std::string name = "custom";
     /** Target fraction of all samples lost to dropout gaps, in [0, 1). */
     double sampleLossRate = 0.0;
-    /** Mean dropout gap length in samples (>= 1). */
-    double meanGapSamples = 6.0;
     /** Fraction of instances that get one stuck-at window. */
     double stuckSensorRate = 0.0;
-    /** Mean stuck-at window length in samples (>= 1). */
-    double meanStuckSamples = 24.0;
     /** Fraction of instances whose trace is rotated by clock skew. */
     double clockSkewRate = 0.0;
-    /** Maximum skew magnitude in samples (either direction). */
-    int maxSkewSamples = 3;
     /** Fraction of instances whose whole trace is lost (all-NaN). */
     double traceLossRate = 0.0;
     /** Number of breaker-trip events scheduled on the power tree. */
     int breakerTrips = 0;
-    /** Mean blackout duration of a breaker trip, in samples (>= 1). */
-    double meanTripSamples = 12.0;
     /** Number of node-derating events scheduled on the power tree. */
     int deratedNodes = 0;
-    /** Budget multiplier applied by a derating event, in (0, 1]. */
-    double derateFactor = 0.85;
 };
 
 /**

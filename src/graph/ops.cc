@@ -9,7 +9,6 @@
 #include "cluster/shape_index.h"
 #include "core/asynchrony.h"
 #include "core/fingerprints.h"
-#include "core/service_traces.h"
 #include "obs/obs.h"
 #include "trace/kernels.h"
 #include "util/error.h"
@@ -216,17 +215,11 @@ buildPipeline(const PipelineSpec &spec)
         {p.repairTrainingOp, p.serviceOfIn, p.embedConfigIn,
          p.shapeIndexOp},
         0, [](const Ins &ins) {
-            const auto &cfg = ins[2].as<core::PlacementConfig>();
-            if (cfg.embedding == core::PlacementEmbedding::kShape)
-                return graph::Value::of(
-                    ins[3].as<cluster::ShapeIndex>().points());
-            const auto &population =
-                ins[0].as<trace::RepairedTraces>().traces;
-            const auto straces = core::extractServiceTraces(
-                population, ins[1].as<std::vector<std::size_t>>(),
-                cfg.topServices);
-            return graph::Value::of(core::embedPopulation(
-                population, straces.straces, cfg.scoring, cfg.kernels));
+            return graph::Value::of(core::placementEmbedding(
+                ins[2].as<core::PlacementConfig>(),
+                ins[0].as<trace::RepairedTraces>().traces,
+                ins[1].as<std::vector<std::size_t>>(),
+                &ins[3].as<cluster::ShapeIndex>()));
         });
     p.placeOp = g.op(
         "place.distribute", {p.embedOp, p.distributeConfigIn}, tree_fp,

@@ -100,7 +100,7 @@ enum class EventKind : std::uint8_t {
 enum class RejectReason : std::uint32_t {
     /** Failed the improve-at-A test (the early-reject kernel path). */
     EarlyReject = 1,
-    /** Instance validity below RemapConfig::minValidFraction. */
+    /** Instance validity below trace::kMinValidFraction. */
     ValidityGate = 2,
     /** Passed at A but failed improve-at-B, or the round found no
      *  positive-gain swap at all. */

@@ -42,10 +42,7 @@ PayloadWriter::u64(std::uint64_t v)
 void
 PayloadWriter::f64(double v)
 {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    appendU64(bytes_, bits);
+    appendU64(bytes_, util::doubleBits(v));
 }
 
 void

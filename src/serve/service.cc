@@ -1,7 +1,6 @@
 #include "service.h"
 
 #include <chrono>
-#include <cstring>
 #include <utility>
 
 #include "core/fingerprints.h"
@@ -12,19 +11,6 @@
 #include "util/hash.h"
 
 namespace sosim::serve {
-
-namespace {
-
-std::uint64_t
-doubleBits(double v)
-{
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    return bits;
-}
-
-} // namespace
 
 Service::Service(const power::PowerTree &tree,
                  std::vector<std::size_t> service_of,
@@ -114,7 +100,7 @@ Service::processEpoch(const EpochSnapshot &snapshot)
     // candidacy, mirroring the monitor's own degraded-data discipline.
     if (r.observation.action == core::MonitorAction::Remap) {
         const trace::RepairedTraces repaired = trace::repairedCopy(
-            snapshot.traces, config_.monitor.repairPolicy);
+            snapshot.traces, core::kMonitorRepairPolicy);
         const auto swaps = remapper_.refine(
             assignment_, repaired.traces, &repaired.summary.validBefore);
         r.swaps = swaps.size();
@@ -122,7 +108,7 @@ Service::processEpoch(const EpochSnapshot &snapshot)
             monitor_.placementUpdated();
     } else if (r.observation.action == core::MonitorAction::Replace) {
         const trace::RepairedTraces repaired = trace::repairedCopy(
-            snapshot.traces, config_.monitor.repairPolicy);
+            snapshot.traces, core::kMonitorRepairPolicy);
         assignment_ = placer_.place(repaired.traces, serviceOf_);
         monitor_.placementUpdated();
         r.replaced = true;
@@ -133,7 +119,7 @@ Service::processEpoch(const EpochSnapshot &snapshot)
     // restored runs match unbroken ones bit for bit).
     digest_ = util::hashCombine(digest_, r.epoch);
     digest_ = util::hashCombine(
-        digest_, doubleBits(r.observation.fragmentationRatio));
+        digest_, util::doubleBits(r.observation.fragmentationRatio));
     digest_ = util::hashCombine(
         digest_, static_cast<std::uint64_t>(r.observation.action));
     digest_ = util::hashCombine(digest_,
@@ -288,11 +274,14 @@ Service::computeShapeFingerprint() const
     h = util::hashCombine(
         h, core::fingerprintMonitorMeasureConfig(config_.monitor));
     h = util::hashCombine(h, config_.monitor.baselineWindowWeeks);
-    h = util::hashCombine(h, doubleBits(config_.monitor.remapThreshold));
     h = util::hashCombine(h,
-                           doubleBits(config_.monitor.replaceThreshold));
+                           util::doubleBits(config_.monitor.remapThreshold));
     h = util::hashCombine(
-        h, doubleBits(config_.monitor.degradedThresholdFactor));
+        h, util::doubleBits(config_.monitor.replaceThreshold));
+    // The widening factor is a constant now; hashing it where its
+    // former field was keeps the fingerprint, so checkpoints written by
+    // earlier builds still restore.
+    h = util::hashCombine(h, util::doubleBits(core::kDegradedThresholdFactor));
     h = util::hashCombine(h, core::fingerprintRemapConfig(config_.remap));
     h = util::hashCombine(h,
                            core::fingerprintEmbedConfig(config_.placement));

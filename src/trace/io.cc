@@ -116,10 +116,14 @@ readCsv(std::istream &is)
             // (fault::injectTraceFaults produces the NaN gaps,
             // trace::repairAll heals them), not through the interchange
             // format.
-            const double v = util::parseNumber<double>(
-                cells[c], "readCsv: line " + std::to_string(line_no) +
-                              ", column '" + bundle.names[c] + "'");
-            columns[c].push_back(v);
+            // The tag is built only for a refused cell: building it for
+            // every cell would double the reader's time.
+            const auto v = util::tryParseNumber<double>(cells[c]);
+            if (!v)
+                util::rejectNumber<double>(
+                    cells[c], "readCsv: line " + std::to_string(line_no) +
+                                  ", column '" + bundle.names[c] + "'");
+            columns[c].push_back(*v);
         }
     }
     SOSIM_REQUIRE(!columns.front().empty(),

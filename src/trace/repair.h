@@ -53,6 +53,15 @@ RepairPolicy repairPolicyFromName(const std::string &name);
  */
 double validFraction(TraceView v);
 
+/**
+ * The validity floor shared by the degraded-data consumers: an instance
+ * whose valid fraction before repair is below this is mostly
+ * fabricated, so core::measureWeek drops it from the aggregation and
+ * core::Remapper::refine never picks it as a swap candidate or partner.
+ * An instance at exactly the floor passes both.
+ */
+inline constexpr double kMinValidFraction = 0.5;
+
 /** Repair outcome for one series. */
 struct RepairResult {
     /** Samples that were NaN and got filled (0 under RepairPolicy::None). */
@@ -62,8 +71,8 @@ struct RepairResult {
     /**
      * True when the series had no valid sample at all; such a series is
      * filled with zeros (there is nothing to extrapolate from) and its
-     * instance should be excluded from placement decisions via the
-     * validity threshold in core::remap / core::monitor.
+     * instance should be excluded from placement decisions via
+     * kMinValidFraction.
      */
     bool unrepairable = false;
 };

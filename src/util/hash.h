@@ -16,9 +16,9 @@
  * fingerprint pins depend on both.
  */
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <string_view>
 
 namespace sosim::util {
@@ -57,6 +57,14 @@ mixWord(std::uint64_t h, std::uint64_t v)
     return h;
 }
 
+/** The IEEE-754 bit pattern of a double: how every fingerprint hashes
+ *  one. */
+constexpr std::uint64_t
+doubleBits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
 /** Mix a second hash into a first (order-sensitive). */
 inline std::uint64_t
 hashCombine(std::uint64_t a, std::uint64_t b)
@@ -77,11 +85,8 @@ fingerprintDoubles(const double *data, std::size_t n,
                    std::uint64_t seed = kFnvOffset)
 {
     std::uint64_t h = hashCombine(seed, n);
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t bits;
-        std::memcpy(&bits, &data[i], sizeof(bits));
-        h = hashCombine(h, bits);
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        h = hashCombine(h, doubleBits(data[i]));
     return h;
 }
 

@@ -344,13 +344,6 @@ setPoolWatchdogMillis(std::size_t ms)
 
 void
 parallelFor(std::size_t n, const std::function<void(std::size_t)> &body,
-            std::size_t min_grain)
-{
-    parallelFor(n, body, ParallelForOptions{min_grain, 0});
-}
-
-void
-parallelFor(std::size_t n, const std::function<void(std::size_t)> &body,
             const ParallelForOptions &options)
 {
     if (n == 0)

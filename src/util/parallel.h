@@ -93,6 +93,23 @@ void setThreadCount(std::size_t n);
  */
 void setPoolWatchdogMillis(std::size_t ms);
 
+/** Tuning knobs of parallelFor; the defaults suit most loops. */
+struct ParallelForOptions {
+    /** Run inline serially when n < minGrain (fan-out overhead would
+     *  dominate tiny loops). */
+    std::size_t minGrain = 2;
+    /**
+     * Number of contiguous chunks to split [0, n) into; 0 (default)
+     * uses one chunk per pool lane.  Chunks are claimed dynamically by
+     * whichever lane is free, so oversubscribing (chunks > lanes) load-
+     * balances *uneven* per-index work — e.g. remap's (candidate,
+     * rack) scan, whose cost varies with rack occupancy — at the price
+     * of one atomic claim per chunk.  Results are independent of the chunk
+     * count (the determinism contract is per-index slot writes).
+     */
+    std::size_t chunks = 0;
+};
+
 /**
  * Run body(i) for every i in [0, n), fanned out across the pool in
  * contiguous chunks.  Blocks until every index completed.  Exceptions
@@ -108,38 +125,15 @@ void setPoolWatchdogMillis(std::size_t ms);
  * and flight-recorder events emitted by the body attach under the
  * submitting stage (obs/events.h).
  *
- * @param n         Iteration count.
- * @param body      Callback; must be safe to invoke concurrently for
- *                  distinct indices and must not touch another index's
- *                  output slot.
- * @param min_grain Run inline serially when n < min_grain (fan-out
- *                  overhead would dominate tiny loops).
+ * @param n       Iteration count.
+ * @param body    Callback; must be safe to invoke concurrently for
+ *                distinct indices and must not touch another index's
+ *                output slot.
+ * @param options Inline threshold and chunk count (see
+ *                ParallelForOptions).
  */
 void parallelFor(std::size_t n, const std::function<void(std::size_t)> &body,
-                 std::size_t min_grain = 2);
-
-/** Tuning knobs for the options overload of parallelFor. */
-struct ParallelForOptions {
-    /** Run inline serially when n < minGrain. */
-    std::size_t minGrain = 2;
-    /**
-     * Number of contiguous chunks to split [0, n) into; 0 (default)
-     * uses one chunk per pool lane.  Chunks are claimed dynamically by
-     * whichever lane is free, so oversubscribing (chunks > lanes) load-
-     * balances *uneven* per-index work — e.g. remap's (candidate,
-     * rack) scan, whose cost varies with rack occupancy — at the price
-     * of one atomic claim per chunk.  Results are independent of the chunk
-     * count (the determinism contract is per-index slot writes).
-     */
-    std::size_t chunks = 0;
-};
-
-/**
- * Options overload: identical contract to parallelFor above, with
- * explicit control over chunking (see ParallelForOptions::chunks).
- */
-void parallelFor(std::size_t n, const std::function<void(std::size_t)> &body,
-                 const ParallelForOptions &options);
+                 const ParallelForOptions &options = {});
 
 } // namespace sosim::util
 

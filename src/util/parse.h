@@ -14,12 +14,49 @@
 
 #include <charconv>
 #include <cmath>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <type_traits>
 
 #include "util/error.h"
 
 namespace sosim::util {
+
+/**
+ * Parse all of `text` as a T; nullopt when anything is left over, the
+ * value does not fit, or a floating-point value is not finite.  For hot
+ * loops that build their error tag only once a token is refused.
+ */
+template <typename T>
+std::optional<T>
+tryParseNumber(std::string_view text)
+{
+    static_assert(std::is_arithmetic_v<T>);
+    T value{};
+    const char *last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, value);
+    bool ok = ec == std::errc() && end == last;
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(value);
+    if (!ok)
+        return std::nullopt;
+    return value;
+}
+
+/**
+ * Raise the FatalError parseNumber raises for a refused `text`:
+ * "<tag>: '<text>' is not ...".
+ */
+template <typename T>
+[[noreturn]] void
+rejectNumber(const std::string &text, const std::string &tag)
+{
+    const char *kind = std::is_floating_point_v<T> ? "a finite number"
+                       : std::is_unsigned_v<T> ? "a non-negative integer"
+                                               : "an integer";
+    fatal(__FILE__, __LINE__, tag + ": '" + text + "' is not " + kind);
+}
 
 /**
  * Parse all of `text` as a T.  Anything else raises FatalError
@@ -30,18 +67,10 @@ template <typename T>
 T
 parseNumber(const std::string &text, const std::string &tag)
 {
-    static_assert(std::is_arithmetic_v<T>);
-    T value{};
-    const char *last = text.data() + text.size();
-    const auto [end, ec] = std::from_chars(text.data(), last, value);
-    bool ok = ec == std::errc() && end == last;
-    if constexpr (std::is_floating_point_v<T>)
-        ok = ok && std::isfinite(value);
-    const char *kind = std::is_floating_point_v<T> ? "a finite number"
-                       : std::is_unsigned_v<T> ? "a non-negative integer"
-                                               : "an integer";
-    SOSIM_REQUIRE(ok, tag + ": '" + text + "' is not " + kind);
-    return value;
+    const auto value = tryParseNumber<T>(text);
+    if (!value)
+        rejectNumber<T>(text, tag);
+    return *value;
 }
 
 } // namespace sosim::util

@@ -267,7 +267,7 @@ TEST(Remapper, ValidatesConfig)
     bad.maxSwaps = -1;
     EXPECT_THROW(core::Remapper(tree, bad), FatalError);
     bad = core::RemapConfig{};
-    bad.candidatesPerRound = 0;
+    bad.pruneKeepFraction = 0.0;
     EXPECT_THROW(core::Remapper(tree, bad), FatalError);
 }
 

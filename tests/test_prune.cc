@@ -7,15 +7,18 @@
  * still passes the paper's improve-at-both-nodes test — so a pruned
  * refinement is always a valid refinement; what it may lose is a little
  * final score.  These tests pin that story: the degenerate
- * configurations (k = 1, keepFraction = 1) are bit-identical to the
- * exhaustive scan, the pruned final asynchrony score stays within a
- * fixed epsilon of exhaustive on randomized populations, and the index
- * itself is deterministic with at least one partner cluster per
- * cluster at any k.
+ * configuration keepFraction = 1 is bit-identical to the exhaustive
+ * scan, the pruned final asynchrony score stays within a fixed epsilon
+ * of exhaustive on randomized populations, and the index itself is
+ * deterministic with at least one partner cluster per cluster at every
+ * automatic k.  The cluster count is ceil(sqrt(n)) clamped to [2, 32],
+ * so the k sweeps below are drawn through the population size.
  */
 
+#include <array>
 #include <cstddef>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +26,7 @@
 #include "baseline/oblivious.h"
 #include "cluster/candidate_index.h"
 #include "core/remap.h"
+#include "obs/metrics.h"
 #include "power/power_tree.h"
 #include "util/rng.h"
 #include "workload/catalog.h"
@@ -46,15 +50,16 @@ ringPoints(std::size_t n, std::size_t dim, std::uint64_t seed)
     return points;
 }
 
+/** (population, automatic k) pairs spanning the clamp range. */
+constexpr std::array<std::pair<std::size_t, std::size_t>, 4> kAutoK = {
+    {{4, 2}, {25, 5}, {256, 16}, {2048, 32}}};
+
 TEST(CandidatePairIndex, EveryClusterKeepsAtLeastOnePartner)
 {
-    const auto points = ringPoints(64, 4, 11);
-    for (const std::size_t k : {1u, 2u, 5u, 16u}) {
-        cluster::CandidateIndexConfig config;
-        config.clusters = k;
-        config.keepFraction = 0.1; // Tiny, but >= 1 partner guaranteed.
-        const auto index =
-            cluster::CandidatePairIndex::build(points, config);
+    for (const auto &[n, k] : kAutoK) {
+        const auto points = ringPoints(n, 4, 11);
+        // Tiny, but >= 1 partner guaranteed.
+        const auto index = cluster::CandidatePairIndex::build(points, 0.1);
         EXPECT_EQ(index.clusterCount(), k);
         EXPECT_GE(index.keptPerCluster(), 1u);
         for (std::size_t ca = 0; ca < k; ++ca) {
@@ -68,11 +73,9 @@ TEST(CandidatePairIndex, EveryClusterKeepsAtLeastOnePartner)
 
 TEST(CandidatePairIndex, KeepFractionOneKeepsEveryPair)
 {
-    const auto points = ringPoints(48, 3, 5);
-    cluster::CandidateIndexConfig config;
-    config.clusters = 6;
-    config.keepFraction = 1.0;
-    const auto index = cluster::CandidatePairIndex::build(points, config);
+    const auto points = ringPoints(36, 3, 5);
+    const auto index = cluster::CandidatePairIndex::build(points, 1.0);
+    ASSERT_EQ(index.clusterCount(), 6u); // ceil(sqrt(36)).
     for (std::size_t ca = 0; ca < 6; ++ca)
         for (std::size_t cb = 0; cb < 6; ++cb)
             EXPECT_TRUE(index.allowed(ca, cb));
@@ -81,11 +84,8 @@ TEST(CandidatePairIndex, KeepFractionOneKeepsEveryPair)
 TEST(CandidatePairIndex, BuildIsDeterministic)
 {
     const auto points = ringPoints(100, 5, 77);
-    cluster::CandidateIndexConfig config;
-    config.clusters = 8;
-    config.keepFraction = 0.4;
-    const auto a = cluster::CandidatePairIndex::build(points, config);
-    const auto b = cluster::CandidatePairIndex::build(points, config);
+    const auto a = cluster::CandidatePairIndex::build(points, 0.4);
+    const auto b = cluster::CandidatePairIndex::build(points, 0.4);
     ASSERT_EQ(a.clusterCount(), b.clusterCount());
     EXPECT_EQ(a.keptPerCluster(), b.keptPerCluster());
     for (std::size_t i = 0; i < points.size(); ++i)
@@ -97,12 +97,11 @@ TEST(CandidatePairIndex, BuildIsDeterministic)
 
 TEST(CandidatePairIndex, AutoClusterCountScalesWithPopulation)
 {
-    cluster::CandidateIndexConfig config; // clusters = 0: auto.
     const auto small =
-        cluster::CandidatePairIndex::build(ringPoints(9, 3, 1), config);
+        cluster::CandidatePairIndex::build(ringPoints(9, 3, 1), 0.5);
     EXPECT_EQ(small.clusterCount(), 3u); // ceil(sqrt(9)).
     const auto large = cluster::CandidatePairIndex::build(
-        ringPoints(4096, 3, 2), config);
+        ringPoints(4096, 3, 2), 0.5);
     EXPECT_EQ(large.clusterCount(), 32u); // Clamped.
 }
 
@@ -127,8 +126,12 @@ TEST(ShapePoints, NormalizesShapeAndKeepsZeroTracesAtOrigin)
 // ---------------------------------------------------------------------
 // Pruned refinement vs exhaustive.
 
+/** Instances of the four services of pruneSpec; 256 by default. */
+using ServiceCounts = std::array<int, 4>;
+constexpr ServiceCounts kDefaultCounts = {80, 80, 48, 48};
+
 workload::DatacenterSpec
-pruneSpec(std::uint64_t seed)
+pruneSpec(std::uint64_t seed, const ServiceCounts &counts)
 {
     workload::DatacenterSpec spec;
     spec.name = "prune-test";
@@ -140,10 +143,10 @@ pruneSpec(std::uint64_t seed)
     spec.intervalMinutes = 60;
     spec.weeks = 2;
     spec.seed = seed;
-    spec.services.push_back({workload::webFrontend(), 80});
-    spec.services.push_back({workload::dbBackend(), 80});
-    spec.services.push_back({workload::hadoop(), 48});
-    spec.services.push_back({workload::instagram(), 48});
+    spec.services.push_back({workload::webFrontend(), counts[0]});
+    spec.services.push_back({workload::dbBackend(), counts[1]});
+    spec.services.push_back({workload::hadoop(), counts[2]});
+    spec.services.push_back({workload::instagram(), counts[3]});
     return spec;
 }
 
@@ -154,9 +157,10 @@ struct PruneFixture {
 };
 
 PruneFixture
-makePruneFixture(std::uint64_t seed)
+makePruneFixture(std::uint64_t seed,
+                 const ServiceCounts &counts = kDefaultCounts)
 {
-    const auto spec = pruneSpec(seed);
+    const auto spec = pruneSpec(seed, counts);
     const auto dc = workload::generate(spec);
     std::vector<std::size_t> service_of(dc.instanceCount());
     for (std::size_t i = 0; i < dc.instanceCount(); ++i)
@@ -212,24 +216,6 @@ TEST(PruneSoundness, KeepFractionOneMatchesExhaustiveExactly)
     }
 }
 
-TEST(PruneSoundness, SingleClusterMatchesExhaustiveExactly)
-{
-    // k = 1: the only cluster keeps itself, so nothing is pruned.
-    const PruneFixture f = makePruneFixture(102);
-    core::RemapConfig off;
-    off.maxSwaps = 12;
-    core::RemapConfig on = off;
-    on.prune = core::PruneMode::kCluster;
-    on.pruneClusters = 1;
-    on.pruneKeepFraction = 0.5;
-
-    power::Assignment a = f.start;
-    power::Assignment b = f.start;
-    refineWith(f, a, off);
-    refineWith(f, b, on);
-    EXPECT_EQ(a, b);
-}
-
 TEST(PruneSoundness, PrunedScoreWithinEpsilonOfExhaustive)
 {
     // Randomized populations (pop = 256, three seeds): the pruned
@@ -264,20 +250,26 @@ TEST(PruneSoundness, PrunedScoreWithinEpsilonOfExhaustive)
 
 TEST(PruneSoundness, ClusterCountFuzz)
 {
-    // k in {1, 2, 16, n}: every configuration must produce a valid
+    // The automatic k over populations of 4, 36, 256 and 1120 (k = 2,
+    // 6, 16 and the clamp 32): every configuration must produce a valid
     // refinement (assignment stays a permutation of the start: swaps
     // preserve the rack occupancy multiset).
-    const PruneFixture f = makePruneFixture(303);
-    const std::size_t n = f.traces.size();
-    for (const std::size_t k :
-         {std::size_t(1), std::size_t(2), std::size_t(16), n}) {
+    const std::array<std::pair<ServiceCounts, std::size_t>, 4> sweeps = {
+        {{{1, 1, 1, 1}, 2},
+         {{10, 10, 8, 8}, 6},
+         {kDefaultCounts, 16},
+         {{320, 320, 240, 240}, 32}}};
+    auto &clusters = obs::registry().gauge("remap.prune_clusters");
+    for (const auto &[counts, k] : sweeps) {
+        const PruneFixture f = makePruneFixture(303, counts);
         core::RemapConfig config;
         config.maxSwaps = 8;
         config.prune = core::PruneMode::kCluster;
-        config.pruneClusters = k;
         config.pruneKeepFraction = 0.3;
+        clusters.reset();
         power::Assignment refined = f.start;
         const auto swaps = refineWith(f, refined, config);
+        EXPECT_EQ(clusters.value(), static_cast<double>(k));
         // Swaps preserve per-rack occupancy counts.
         std::vector<std::size_t> before(f.tree.nodeCount(), 0);
         std::vector<std::size_t> after(f.tree.nodeCount(), 0);

@@ -518,9 +518,10 @@ TEST(ServeService, ActsOnMonitorRecommendations)
 TEST(ServeService, ShortEpochsJudgeAnUnfilledWindowAsDegraded)
 {
     // Epochs shorter than half the window: the first snapshot holds 6 of
-    // 24 ticks, so every instance falls below minValidFraction and the
-    // week has no powered instance.  That is a degraded, action-None
-    // epoch with the zero-power ratio sentinel — not an abort.
+    // 24 ticks, so every instance falls below trace::kMinValidFraction
+    // and the week has no powered instance.  That is a degraded,
+    // action-None epoch with the zero-power ratio sentinel — not an
+    // abort.
     power::PowerTree tree(tinyTopology());
     const auto service_of = tinyServices();
     auto initial = baseline::obliviousPlacement(tree, service_of);
