@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "obs/obs.h"
-#include "trace/arena.h"
 #include "util/error.h"
 
 namespace sosim::core {
@@ -42,87 +41,77 @@ MonitorMeasurement
 measureWeek(const power::PowerTree &tree, const MonitorConfig &config,
             const std::vector<trace::TimeSeries> &itraces,
             const power::Assignment &assignment,
-            const cluster::ShapeIndex *training)
+            const cluster::ShapeIndex *training, RepairedWeek *repaired)
 {
     MonitorMeasurement m;
 
-    // Shape-drift diagnostic against the shared training index: embeds
-    // the week the same way the index embedded the training population.
-    // Degraded weeks embed their repaired rows (filled below), so the
-    // drift reflects workload change, not sensor gaps.
-    const bool want_drift = training != nullptr && !training->empty();
-    const auto driftOf = [&](const std::vector<const double *> &rows,
-                             std::size_t samples) {
-        return cluster::ShapeIndex::build(rows, samples,
-                                          training->buckets())
-            .meanDriftFrom(*training);
-    };
-
-    // Validity sweep: one pass per trace.  Fully valid weeks take the
-    // zero-copy path below; anything with gaps is repaired into a copy.
+    // Validity sweep: one pass per trace.
     double valid_sum = 0.0;
-    bool any_gap = false;
-    std::vector<double> validity(itraces.size(), 1.0);
+    std::vector<double> validity(itraces.size());
     for (std::size_t i = 0; i < itraces.size(); ++i) {
         validity[i] = trace::validFraction(itraces[i]);
         valid_sum += validity[i];
-        any_gap = any_gap || validity[i] < 1.0;
+        m.degradedData = m.degradedData || validity[i] < 1.0;
     }
     m.validFraction = itraces.empty()
                           ? 1.0
                           : valid_sum /
                                 static_cast<double>(itraces.size());
 
-    std::vector<trace::TimeSeries> node_traces;
-    if (any_gap) {
-        m.degradedData = true;
-        // Repair into an arena copy of the week (the caller's traces are
-        // never mutated): one contiguous allocation instead of a cloned
-        // vector of series, and the aggregation reads the rows directly.
-        trace::TraceArena repaired =
-            trace::TraceArena::fromSeries(itraces);
-        for (std::size_t i = 0; i < repaired.size(); ++i) {
-            if (validity[i] >= 1.0)
-                continue;
-            double *row = repaired.mutableRow(i);
-            if (validity[i] < trace::kMinValidFraction) {
-                // Mostly fabricated: contribute nothing rather than a
-                // guess (the zeros keep aggregateTraces' shape intact).
-                std::fill(row, row + repaired.samplesPerTrace(), 0.0);
-                ++m.excludedInstances;
-                SOSIM_EVENT(.kind = obs::EventKind::MonitorExclude,
-                            .a = i, .x = validity[i]);
-                continue;
-            }
-            const auto r =
-                trace::repairSpan(row, repaired.samplesPerTrace(),
-                                  kMonitorRepairPolicy);
+    // A week with a gap is copied once (the caller's traces are never
+    // mutated) and every gapped row is repaired in place, those below
+    // the floor too, so the copy is trace::repairedCopy's.
+    std::vector<trace::TimeSeries> copy;
+    if (m.degradedData)
+        copy = itraces;
+    for (std::size_t i = 0; i < copy.size(); ++i) {
+        if (validity[i] >= 1.0)
+            continue;
+        const auto r = trace::repairSeries(copy[i], kMonitorRepairPolicy);
+        if (validity[i] < trace::kMinValidFraction) {
+            ++m.excludedInstances;
+            SOSIM_EVENT(.kind = obs::EventKind::MonitorExclude,
+                        .a = i, .x = validity[i]);
+        } else {
             m.repairedSamples += r.samplesRepaired;
             if (r.samplesRepaired > 0)
                 SOSIM_EVENT(.kind = obs::EventKind::FaultRepair,
                             .a = i, .b = r.samplesRepaired);
         }
-        if (want_drift) {
-            std::vector<const double *> rows(repaired.size());
-            for (trace::TraceId id = 0; id < repaired.size(); ++id)
-                rows[id] = repaired.row(id);
-            m.shapeDrift = driftOf(rows, repaired.samplesPerTrace());
-        }
-        std::vector<trace::TraceView> views;
-        views.reserve(repaired.size());
-        for (trace::TraceId id = 0; id < repaired.size(); ++id)
-            views.push_back(repaired.view(id));
-        node_traces = tree.aggregateTraces(views, assignment);
-    } else {
-        if (want_drift && !itraces.empty()) {
-            std::vector<const double *> rows(itraces.size());
-            for (std::size_t i = 0; i < itraces.size(); ++i)
-                rows[i] = itraces[i].samples().data();
-            m.shapeDrift =
-                driftOf(rows, itraces.front().samples().size());
-        }
-        node_traces = tree.aggregateTraces(itraces, assignment);
     }
+
+    // One row per instance feeds the aggregation and the drift
+    // embedding: the week's row, repaired if it had a gap, or a shared
+    // zero row for an instance below the floor — mostly fabricated, it
+    // contributes nothing rather than a guess.  aggregateTraces refuses
+    // a misaligned week before it reads a row.
+    const auto &week = m.degradedData ? copy : itraces;
+    std::vector<trace::TraceView> rows(week.begin(), week.end());
+    const std::vector<double> zeros(
+        m.excludedInstances > 0 ? week.front().size() : 0, 0.0);
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        if (validity[i] < trace::kMinValidFraction)
+            rows[i] = trace::TraceView(zeros.data(), week[i].size(),
+                                       week[i].intervalMinutes());
+    const auto node_traces = tree.aggregateTraces(rows, assignment);
+
+    // Shape-drift diagnostic against the shared training index: embeds
+    // the week the same way the index embedded the training population.
+    if (training != nullptr && !training->empty()) {
+        std::vector<const double *> starts;
+        for (const trace::TraceView &row : rows)
+            starts.push_back(row.data());
+        const auto week_index = cluster::ShapeIndex::build(
+            starts, rows.front().size(), training->buckets());
+        m.shapeDrift = week_index.meanDriftFrom(*training);
+    }
+
+    if (repaired != nullptr) {
+        if (!m.degradedData)
+            validity.clear();
+        *repaired = {std::move(copy), std::move(validity)};
+    }
+
     m.sumOfPeaks = tree.sumOfPeaks(node_traces, config.level);
     m.rootPeak = node_traces[tree.root()].peak();
     if (m.rootPeak <= 0.0) {

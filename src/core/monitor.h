@@ -48,7 +48,7 @@ enum class MonitorAction {
 std::string monitorActionName(MonitorAction action);
 
 /**
- * Gap-repair policy applied (to an internal copy) when a week's
+ * Gap-repair policy applied (to a copy) when a week's
  * telemetry contains NaN samples; the caller's traces are never
  * mutated.
  */
@@ -136,9 +136,18 @@ struct MonitorObservation : MonitorMeasurement {
     double evalSeconds = 0.0;
 };
 
+/** measureWeek's copy of a week with gaps: `traces` equals
+ *  trace::repairedCopy(itraces, kMonitorRepairPolicy).traces and
+ *  `validity` its summary.validBefore, so callers that act on the week
+ *  need not repair it again. */
+struct RepairedWeek {
+    std::vector<trace::TimeSeries> traces;
+    std::vector<double> validity;
+};
+
 /**
  * Evaluate one week of I-traces against a placement: validity sweep,
- * gap repair into an internal arena copy (the caller's traces are never
+ * gap repair into one copy of the week (the caller's traces are never
  * mutated), aggregation, and the sum-of-peaks / root-peak ratio.  Pure
  * function of its arguments — the body of the pipeline's
  * monitor.measure.week.* nodes and the first half of
@@ -151,12 +160,16 @@ struct MonitorObservation : MonitorMeasurement {
  * from it (MonitorMeasurement::shapeDrift); degraded weeks embed their
  * repaired copy so sensor gaps do not masquerade as workload drift.
  * The drift is a diagnostic and never changes the computed ratio.
+ *
+ * When `repaired` is supplied, it receives the repaired copy if the
+ * week had a gap, and is left empty if it had none (no copy is made).
  */
 MonitorMeasurement
 measureWeek(const power::PowerTree &tree, const MonitorConfig &config,
             const std::vector<trace::TimeSeries> &itraces,
             const power::Assignment &assignment,
-            const cluster::ShapeIndex *training = nullptr);
+            const cluster::ShapeIndex *training = nullptr,
+            RepairedWeek *repaired = nullptr);
 
 /**
  * Tracks placement quality over successive weeks of telemetry.
@@ -180,7 +193,7 @@ class FragmentationMonitor
      * configured thresholds triggers Remap / Replace.
      *
      * Degraded telemetry (NaN samples) is handled gracefully: the week
-     * is repaired into an internal copy under kMonitorRepairPolicy,
+     * is repaired into a copy under kMonitorRepairPolicy,
      * instances below trace::kMinValidFraction are excluded, the
      * observation is flagged degradedData, and the action thresholds
      * are widened by kDegradedThresholdFactor so the monitor does not

@@ -195,7 +195,8 @@ parseFaultPlanSpec(const std::string &text, const std::string &tag)
     spec.seed = util::parseNumber<std::uint64_t>(seed_text, tag + " seed");
     if (colon != std::string::npos) {
         spec.profile = text.substr(colon + 1);
-        faultProfile(spec.profile); // Validate the name eagerly.
+        // Validate the name eagerly.
+        util::withTag(tag, [&] { faultProfile(spec.profile); });
     }
     return spec;
 }

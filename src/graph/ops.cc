@@ -34,7 +34,7 @@ planValue(const fault::FaultPlan &plan)
 }
 
 power::Level
-levelFromName(const std::string &name)
+levelFromName(const std::string &name, const std::string &tag)
 {
     std::string upper = name;
     std::transform(upper.begin(), upper.end(), upper.begin(),
@@ -44,7 +44,7 @@ levelFromName(const std::string &name)
         if (level != power::Level::Datacenter &&
             power::levelName(level) == upper)
             return level;
-    SOSIM_REQUIRE(false, "unknown power level '" + name +
+    SOSIM_REQUIRE(false, tag + ": unknown power level '" + name +
                              "' (SUITE|MSB|SB|RPP|RACK)");
 }
 
@@ -353,8 +353,8 @@ parseWhatIf(const Pipeline &p, const std::string &text)
     auto monitor = p.spec.monitor;
     bool embed_changed = false;
     bool distribute_changed = false;
-    bool remap_changed = false;
-    bool monitor_changed = false;
+    // The last key that edited each engine's config ("" = untouched).
+    std::string placement_key, remap_key, monitor_key;
     graph::Overlay overlay;
 
     std::size_t pos = 0;
@@ -375,18 +375,21 @@ parseWhatIf(const Pipeline &p, const std::string &text)
         const std::string tag = "--what-if: " + key;
         if (key == "max-swaps") {
             remap.maxSwaps = util::parseNumber<int>(value, tag);
-            remap_changed = true;
+            remap_key = key;
         } else if (key == "placement-seed") {
             placement.seed = util::parseNumber<std::uint64_t>(value, tag);
             distribute_changed = true;
+            placement_key = key;
         } else if (key == "top-services") {
             placement.topServices =
                 util::parseNumber<std::size_t>(value, tag);
             embed_changed = true;
+            placement_key = key;
         } else if (key == "clusters-per-child") {
             placement.clustersPerChild =
                 util::parseNumber<std::size_t>(value, tag);
             distribute_changed = true;
+            placement_key = key;
         } else if (key == "placement-embedding") {
             if (value == "score") {
                 placement.embedding =
@@ -399,9 +402,11 @@ parseWhatIf(const Pipeline &p, const std::string &text)
                                          value + "'");
             }
             embed_changed = true;
+            placement_key = key;
         } else if (key == "repair-policy") {
-            overlay.set(p.repairPolicyIn,
-                        policyValue(trace::repairPolicyFromName(value)));
+            const auto policy = util::withTag(
+                tag, [&] { return trace::repairPolicyFromName(value); });
+            overlay.set(p.repairPolicyIn, policyValue(policy));
         } else if (key == "fault-plan") {
             const auto plan_spec = fault::parseFaultPlanSpec(value, tag);
             overlay.set(p.planIn,
@@ -410,24 +415,28 @@ parseWhatIf(const Pipeline &p, const std::string &text)
                             fault::faultProfile(plan_spec.profile),
                             p.shape)));
         } else if (key == "monitor-level") {
-            monitor.level = levelFromName(value);
-            monitor_changed = true;
+            monitor.level = levelFromName(value, tag);
+            monitor_key = key;
         } else if (key == "remap-threshold") {
             monitor.remapThreshold = util::parseNumber<double>(value, tag);
-            monitor_changed = true;
+            monitor_key = key;
         } else if (key == "replace-threshold") {
             monitor.replaceThreshold = util::parseNumber<double>(value, tag);
-            monitor_changed = true;
+            monitor_key = key;
         } else {
             SOSIM_REQUIRE(false,
                           "--what-if: unknown key '" + key + "'");
         }
     }
     // The engines' constructors check their configs: run them here so
-    // an out-of-range value fails before any op executes.
-    core::PlacementEngine(*p.tree, placement);
-    core::Remapper(*p.tree, remap);
-    core::FragmentationMonitor(*p.tree, monitor);
+    // an out-of-range value fails before any op executes, naming the
+    // last key that edited the config.
+    util::withTag("--what-if: " + placement_key,
+                  [&] { core::PlacementEngine(*p.tree, placement); });
+    util::withTag("--what-if: " + remap_key,
+                  [&] { core::Remapper(*p.tree, remap); });
+    util::withTag("--what-if: " + monitor_key,
+                  [&] { core::FragmentationMonitor(*p.tree, monitor); });
 
     if (embed_changed)
         overlay.set(p.embedConfigIn,
@@ -439,11 +448,11 @@ parseWhatIf(const Pipeline &p, const std::string &text)
                     graph::Value::of(
                         placement,
                         core::fingerprintDistributeConfig(placement)));
-    if (remap_changed)
+    if (!remap_key.empty())
         overlay.set(p.remapConfigIn,
                     graph::Value::of(
                         remap, core::fingerprintRemapConfig(remap)));
-    if (monitor_changed)
+    if (!monitor_key.empty())
         overlay.set(
             p.monitorConfigIn,
             graph::Value::of(

@@ -104,36 +104,10 @@ PowerTree::aggregateTraces(
     const std::vector<trace::TimeSeries> &instance_traces,
     const Assignment &assignment) const
 {
-    SOSIM_REQUIRE(assignment.size() == instance_traces.size(),
-                  "aggregateTraces: assignment must cover every instance");
-    SOSIM_REQUIRE(!instance_traces.empty(),
-                  "aggregateTraces: need at least one instance");
-
-    const auto &proto = instance_traces.front();
-    for (const auto &t : instance_traces)
-        SOSIM_REQUIRE(t.alignedWith(proto),
-                      "aggregateTraces: misaligned instance traces");
-
-    std::vector<trace::TimeSeries> node_traces(nodes_.size());
-    for (auto &t : node_traces)
-        t = trace::TimeSeries::zeros(proto.size(), proto.intervalMinutes());
-
-    // Add every instance to its rack, then accumulate racks upwards.
-    for (std::size_t i = 0; i < instance_traces.size(); ++i) {
-        const NodeId rack = assignment[i];
-        SOSIM_REQUIRE(rack < nodes_.size() &&
-                          nodes_[rack].level == Level::Rack,
-                      "aggregateTraces: assignment target is not a rack");
-        node_traces[rack] += instance_traces[i];
-    }
-
-    // Children always have larger ids than parents (construction order),
-    // so a reverse id sweep accumulates leaves into the root correctly.
-    for (NodeId id = nodes_.size(); id-- > 1;) {
-        const NodeId parent = nodes_[id].parent;
-        node_traces[parent] += node_traces[id];
-    }
-    return node_traces;
+    return aggregateTraces(
+        std::vector<trace::TraceView>(instance_traces.begin(),
+                                      instance_traces.end()),
+        assignment);
 }
 
 std::vector<trace::TimeSeries>
@@ -161,14 +135,14 @@ PowerTree::aggregateTraces(
         SOSIM_REQUIRE(rack < nodes_.size() &&
                           nodes_[rack].level == Level::Rack,
                       "aggregateTraces: assignment target is not a rack");
-        // Element-wise add in index order: sample-wise identical to the
-        // owned-series overload's `+=`.
-        double *dst = &node_traces[rack][0];
+        double *dst = node_traces[rack].data();
         const trace::TraceView v = instance_traces[i];
         for (std::size_t s = 0; s < v.size(); ++s)
             dst[s] += v[s];
     }
 
+    // Children always have larger ids than parents (construction order),
+    // so a reverse id sweep accumulates leaves into the root correctly.
     for (NodeId id = nodes_.size(); id-- > 1;) {
         const NodeId parent = nodes_[id].parent;
         node_traces[parent] += node_traces[id];

@@ -108,17 +108,13 @@ class PowerTree
      *                        this tree and cover every instance.
      * @return One aggregate trace per node, indexed by NodeId; parents are
      *         the exact sample-wise sum of their children.
+     *
+     * The view overload is the one aggregation loop; the TimeSeries
+     * overload views its series and calls it.
      */
     std::vector<trace::TimeSeries>
     aggregateTraces(const std::vector<trace::TimeSeries> &instance_traces,
                     const Assignment &assignment) const;
-
-    /**
-     * View overload: aggregate from non-owning trace views (e.g. the
-     * rows of a trace::TraceArena) instead of owned series.  Sample-wise
-     * identical results to the TimeSeries overload — only the storage
-     * of the inputs differs.
-     */
     std::vector<trace::TimeSeries>
     aggregateTraces(const std::vector<trace::TraceView> &instance_traces,
                     const Assignment &assignment) const;

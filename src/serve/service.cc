@@ -6,7 +6,6 @@
 #include "core/fingerprints.h"
 #include "obs/obs.h"
 #include "serve/checkpoint.h"
-#include "trace/repair.h"
 #include "util/error.h"
 #include "util/hash.h"
 
@@ -80,8 +79,10 @@ Service::processEpoch(const EpochSnapshot &snapshot)
 {
     SOSIM_SPAN("serve.process_epoch");
     const auto t0 = std::chrono::steady_clock::now();
-    const core::MonitorMeasurement m = core::measureWeek(
-        tree_, config_.monitor, snapshot.traces, assignment_);
+    core::RepairedWeek repaired;
+    const core::MonitorMeasurement m =
+        core::measureWeek(tree_, config_.monitor, snapshot.traces,
+                          assignment_, nullptr, &repaired);
     const double eval_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)
@@ -94,22 +95,21 @@ Service::processEpoch(const EpochSnapshot &snapshot)
 
     // Unlike the batch pipeline (which only records recommendations),
     // the serving loop acts on them: a Remap refines the live
-    // assignment, a Replace re-derives it.  Both run on a repaired copy
-    // of the snapshot — the remap/placement engines need gap-free
-    // traces — with per-instance pre-repair validity gating swap
-    // candidacy, mirroring the monitor's own degraded-data discipline.
+    // assignment, a Replace re-derives it.  Both need gap-free traces,
+    // so a week with gaps is read from the monitor's repaired copy, its
+    // pre-repair validity gating swap candidacy; a clean week is read as
+    // is, ungated (an all-valid vector would gate nothing).
+    const bool gapped = !repaired.validity.empty();
+    const std::vector<trace::TimeSeries> &traces =
+        gapped ? repaired.traces : snapshot.traces;
     if (r.observation.action == core::MonitorAction::Remap) {
-        const trace::RepairedTraces repaired = trace::repairedCopy(
-            snapshot.traces, core::kMonitorRepairPolicy);
         const auto swaps = remapper_.refine(
-            assignment_, repaired.traces, &repaired.summary.validBefore);
+            assignment_, traces, gapped ? &repaired.validity : nullptr);
         r.swaps = swaps.size();
         if (!swaps.empty())
             monitor_.placementUpdated();
     } else if (r.observation.action == core::MonitorAction::Replace) {
-        const trace::RepairedTraces repaired = trace::repairedCopy(
-            snapshot.traces, core::kMonitorRepairPolicy);
-        assignment_ = placer_.place(repaired.traces, serviceOf_);
+        assignment_ = placer_.place(traces, serviceOf_);
         monitor_.placementUpdated();
         r.replaced = true;
     }

@@ -25,13 +25,13 @@
  * drains the queue: each snapshot is measured with
  * core::measureWeek (whose degraded-data path handles the NaNs exactly
  * like the batch pipeline), judged by the FragmentationMonitor, and the
- * recommended action is executed — Remap refines the live assignment on
- * a repaired copy with per-instance validity gating, Replace re-derives
- * the placement.  A running FNV digest over every processed epoch's
- * observable outcome (ratio bits, action, degradation tallies, swap
- * count, assignment fingerprint) is the replay-equality witness: an
- * unbroken run and a kill/restore run that processed the same epochs
- * end with bit-identical digests, at any thread count.
+ * recommended action is executed on measureWeek's repaired copy with
+ * per-instance validity gating — Remap refines the live assignment,
+ * Replace re-derives the placement.  A running FNV digest over every
+ * processed epoch's observable outcome (ratio bits, action, degradation
+ * tallies, swap count, assignment fingerprint) is the replay-equality
+ * witness: an unbroken run and a kill/restore run that processed the
+ * same epochs end with bit-identical digests, at any thread count.
  *
  * Crash safety: with a checkpoint directory configured, the service
  * commits its full state (ring, queue, assignment, monitor baseline,
@@ -66,7 +66,7 @@ struct ServeConfig {
     std::size_t epochTicks = 24;
     /** Pending snapshots kept before shed-oldest kicks in (>= 1). */
     std::size_t maxEpochQueue = 4;
-    /** Measurement + judgment knobs (incl. the online repair policy). */
+    /** Measurement + judgment knobs: level, baseline window, thresholds. */
     core::MonitorConfig monitor;
     /** Swap refinement executed on a Remap recommendation. */
     core::RemapConfig remap;

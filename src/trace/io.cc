@@ -3,7 +3,7 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
+#include <string_view>
 
 #include "util/error.h"
 #include "util/parse.h"
@@ -53,17 +53,21 @@ stripCr(std::string &line)
         line.pop_back();
 }
 
-std::vector<std::string>
-splitCsvLine(const std::string &line)
+/** Split `line` at every ',' into `cells`, views into `line`; an empty
+ *  line has no cells. */
+void
+splitCsvLine(std::string_view line, std::vector<std::string_view> &cells)
 {
-    std::vector<std::string> cells;
-    std::string cell;
-    std::istringstream ss(line);
-    while (std::getline(ss, cell, ','))
-        cells.push_back(cell);
-    if (!line.empty() && line.back() == ',')
-        cells.push_back("");
-    return cells;
+    cells.clear();
+    if (line.empty())
+        return;
+    for (std::size_t start = 0;;) {
+        const std::size_t comma = line.find(',', start);
+        cells.push_back(line.substr(start, comma - start));
+        if (comma == std::string_view::npos)
+            return;
+        start = comma + 1;
+    }
 }
 
 } // namespace
@@ -92,7 +96,9 @@ readCsv(std::istream &is)
                   "readCsv: missing column-name row at line 2");
     stripCr(line);
     TraceBundle bundle;
-    bundle.names = splitCsvLine(line);
+    std::vector<std::string_view> cells;
+    splitCsvLine(line, cells);
+    bundle.names.assign(cells.begin(), cells.end());
     SOSIM_REQUIRE(!bundle.names.empty(), "readCsv: no columns at line 2");
 
     // Body.
@@ -103,7 +109,7 @@ readCsv(std::istream &is)
         stripCr(line);
         if (line.empty())
             continue;
-        const auto cells = splitCsvLine(line);
+        splitCsvLine(line, cells);
         SOSIM_REQUIRE(cells.size() == bundle.names.size(),
                       "readCsv: ragged row at line " +
                           std::to_string(line_no) + ": expected " +

@@ -46,9 +46,11 @@ validFraction(TraceView v)
 }
 
 RepairResult
-repairSpan(double *samples, std::size_t n, RepairPolicy policy)
+repairSeries(TimeSeries &ts, RepairPolicy policy)
 {
     RepairResult result;
+    double *samples = ts.data();
+    const std::size_t n = ts.size();
     if (n == 0)
         return result;
 
@@ -102,14 +104,6 @@ repairSpan(double *samples, std::size_t n, RepairPolicy policy)
         i = end;
     }
     return result;
-}
-
-RepairResult
-repairSeries(TimeSeries &ts, RepairPolicy policy)
-{
-    if (ts.empty())
-        return {};
-    return repairSpan(ts.data(), ts.size(), policy);
 }
 
 double

@@ -78,13 +78,6 @@ struct RepairResult {
 };
 
 /**
- * Fill the NaN gaps of a raw sample span in place under a policy — the
- * core of repairSeries, also used on arena rows (core::measureWeek).
- */
-RepairResult repairSpan(double *samples, std::size_t n,
-                        RepairPolicy policy);
-
-/**
  * Fill the NaN gaps of one series in place under a policy.
  *
  * RepairPolicy::None only measures (the series is untouched); the other

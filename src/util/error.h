@@ -66,6 +66,20 @@ panic(const char *file, int line, const std::string &msg)
     throw LogicError(os.str());
 }
 
+/** Run `body`; a FatalError it raises is raised again as "<tag>: <its
+ *  message>", so a nested check names the flag or key being parsed. */
+template <typename F>
+decltype(auto)
+withTag(const std::string &tag, F &&body)
+{
+    try {
+        return body();
+    } catch (const FatalError &e) {
+        // what() is "fatal: <message>".
+        throw FatalError(tag + ": " + (e.what() + sizeof("fatal: ") - 1));
+    }
+}
+
 } // namespace sosim::util
 
 /** Check a user-facing precondition; throws sosim::util::FatalError. */

@@ -50,12 +50,13 @@ tryParseNumber(std::string_view text)
  */
 template <typename T>
 [[noreturn]] void
-rejectNumber(const std::string &text, const std::string &tag)
+rejectNumber(std::string_view text, const std::string &tag)
 {
     const char *kind = std::is_floating_point_v<T> ? "a finite number"
                        : std::is_unsigned_v<T> ? "a non-negative integer"
                                                : "an integer";
-    fatal(__FILE__, __LINE__, tag + ": '" + text + "' is not " + kind);
+    fatal(__FILE__, __LINE__,
+          tag + ": '" + std::string(text) + "' is not " + kind);
 }
 
 /**

@@ -11,7 +11,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "core/remap.h"
 #include "fault/fault_plan.h"
 #include "fault/inject.h"
+#include "mutate_lines.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "power/power_tree.h"
@@ -118,6 +121,50 @@ TEST(FaultPlan, SpecParsing)
     EXPECT_THROW(parse("7x:mild"), FatalError);
     EXPECT_THROW(parse("7:bogus"), FatalError);
     EXPECT_THROW(fault::faultProfile("bogus"), FatalError);
+}
+
+TEST(FaultPlan, MutatedSpecIsAcceptedOrRefusedCleanly)
+{
+    std::mt19937_64 rng(20261020);
+    const auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    const std::vector<std::string> seedEdits = {
+        "-", "+", ".", " ", "x", "0x", ":", "9", "99999999999999999999",
+        "18446744073709551616"};
+    const char *profiles[] = {"none", "mild", "harsh", "HARSH",
+                              "bogus", "", "harsh:mild", " mild"};
+    // Replace the profile, or drop it.
+    const auto editProfile = [&](std::vector<std::string> &,
+                                 std::string &line) {
+        const std::size_t colon = line.find(':');
+        const std::string seed = line.substr(0, colon);
+        const std::size_t p = pick(9);
+        line = p == 8 ? seed : seed + ":" + profiles[p];
+    };
+
+    std::size_t accepted = 0;
+    std::size_t refused = 0;
+    for (int iter = 0; iter < 1000; ++iter) {
+        std::string text = fuzz::mutateLines({"7:harsh"}, pick, seedEdits,
+                                             editProfile);
+        text.pop_back(); // The spec is one line, without its newline.
+        try {
+            const auto spec = fault::parseFaultPlanSpec(text, "--fault-plan");
+            ++accepted;
+            EXPECT_NO_THROW(fault::faultProfile(spec.profile)) << text;
+        } catch (const FatalError &e) {
+            ++refused;
+            const std::string what = e.what();
+            EXPECT_NE(what.find("--fault-plan"), std::string::npos) << what;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "unexpected exception: " << e.what() << "\n"
+                          << text;
+        }
+    }
+    // The mutations must exercise both outcomes.
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(refused, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -8,6 +8,7 @@
  * untouched cone stays cached.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <set>
@@ -26,6 +27,7 @@
 #include "fault/inject.h"
 #include "graph/graph.h"
 #include "graph/ops.h"
+#include "mutate_lines.h"
 #include "obs/obs.h"
 #include "power/power_tree.h"
 #include "trace/repair.h"
@@ -625,6 +627,67 @@ TEST(GraphWhatIf, OutOfRangeValuesFailBeforeAnyOpRuns)
                             "replace-threshold=0.001"})
         EXPECT_THROW(pipeline::parseWhatIf(p, bad), util::FatalError)
             << bad;
+    EXPECT_EQ(p.graph.totalEvals(), 0u);
+}
+
+TEST(GraphWhatIf, MutatedSpecIsAcceptedOrRefusedCleanly)
+{
+    pipeline::PipelineSpec spec;
+    spec.dc = goldenSpec();
+    auto p = pipeline::buildPipeline(spec);
+    // Seed: one valid item per key, each mutated as a line and the
+    // lines joined back with commas.
+    const std::vector<std::string> seed = {
+        "max-swaps=8",          "placement-seed=9",
+        "top-services=3",       "clusters-per-child=2",
+        "placement-embedding=shape", "repair-policy=hold_last",
+        "fault-plan=7:mild",    "monitor-level=SB",
+        "remap-threshold=0.05", "replace-threshold=0.2"};
+
+    std::mt19937_64 rng(20261021);
+    const auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    const std::vector<std::string> numberEdits = {
+        "-", "+", ".", "e", "e999", "x", "nan", "0x", ":",
+        "99999999999999999999"};
+    const char *keys[] = {"max-swaps",     "placement-seed",
+                          "top-services",  "clusters-per-child",
+                          "placement-embedding", "repair-policy",
+                          "fault-plan",    "monitor-level",
+                          "remap-threshold", "replace-threshold",
+                          "bogus-key",     ""};
+    const char *values[] = {"0",     "-1",       "0.5",   "score",
+                            "none",  "interpolate", "DC", "rack",
+                            "7",     "7:bogus",  "",      "1e308"};
+    // Pair any key with any value.
+    const auto editItem = [&](std::vector<std::string> &,
+                              std::string &line) {
+        line = std::string(keys[pick(12)]) + "=" + values[pick(12)];
+    };
+
+    std::size_t accepted = 0;
+    std::size_t refused = 0;
+    for (int iter = 0; iter < 1000; ++iter) {
+        std::string text =
+            fuzz::mutateLines(seed, pick, numberEdits, editItem);
+        std::replace(text.begin(), text.end(), '\n', ',');
+        try {
+            pipeline::parseWhatIf(p, text);
+            ++accepted;
+        } catch (const util::FatalError &e) {
+            ++refused;
+            const std::string what = e.what();
+            EXPECT_NE(what.find("--what-if: "), std::string::npos) << what;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "unexpected exception: " << e.what() << "\n"
+                          << text;
+        }
+    }
+    // The mutations must exercise both outcomes, and parsing never
+    // runs an op.
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(refused, 0u);
     EXPECT_EQ(p.graph.totalEvals(), 0u);
 }
 

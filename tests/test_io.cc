@@ -5,7 +5,6 @@
  */
 
 #include <cmath>
-#include <functional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -13,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mutate_lines.h"
 #include "power/assignment_io.h"
 #include "trace/io.h"
 #include "util/error.h"
@@ -22,6 +22,7 @@ namespace {
 using namespace sosim;
 using sosim::trace::TimeSeries;
 using sosim::trace::TraceBundle;
+using sosim::fuzz::mutateLines;
 using sosim::util::FatalError;
 
 TraceBundle
@@ -160,55 +161,6 @@ splitLines(const std::string &text)
     while (std::getline(in, line))
         lines.push_back(line);
     return lines;
-}
-
-/**
- * One seeded mutation of a line-oriented input: one to three edits, each
- * a bit flip, a truncation, a duplicated or dropped line, one of
- * `digit_edits` inserted at a digit, or the format's own `format_edit`
- * of the picked line.  Returns the lines joined with newlines.
- */
-std::string
-mutateLines(
-    std::vector<std::string> lines,
-    const std::function<std::size_t(std::size_t)> &pick,
-    const std::vector<std::string> &digit_edits,
-    const std::function<void(std::vector<std::string> &, std::string &)>
-        &format_edit)
-{
-    for (std::size_t m = 1 + pick(3); m > 0; --m) {
-        std::string &line = lines[pick(lines.size())];
-        switch (pick(6)) {
-          case 0: // Flip one bit of one byte.
-            if (!line.empty())
-                line[pick(line.size())] ^= static_cast<char>(1U << pick(8));
-            break;
-          case 1: // Truncate.
-            line.resize(pick(line.size() + 1));
-            break;
-          case 2: // Duplicate a line.
-            lines.insert(lines.begin() + pick(lines.size()),
-                         std::string(line));
-            break;
-          case 3: // Drop a line.
-            if (lines.size() > 1)
-                lines.erase(lines.begin() + pick(lines.size()));
-            break;
-          case 4: { // A sign, point, exponent or junk at a digit.
-            const std::size_t at =
-                line.find_first_of("0123456789", pick(line.size() + 1));
-            if (at != std::string::npos)
-                line.insert(at, digit_edits[pick(digit_edits.size())]);
-            break;
-          }
-          default:
-            format_edit(lines, line);
-        }
-    }
-    std::string text;
-    for (const std::string &line : lines)
-        text += line + "\n";
-    return text;
 }
 
 TEST(TraceIo, MutatedCsvIsAcceptedOrRefusedCleanly)

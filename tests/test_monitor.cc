@@ -3,13 +3,30 @@
  * Tests for the continuous fragmentation monitor (section 3.6).
  */
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "baseline/oblivious.h"
+#include "cluster/shape_index.h"
 #include "core/monitor.h"
+#include "fault/fault_plan.h"
+#include "fault/inject.h"
+#include "obs/events.h"
+#include "obs/obs.h"
+#include "trace/arena.h"
+#include "trace/repair.h"
 #include "util/error.h"
+#include "util/parallel.h"
 #include "util/rng.h"
+#include "workload/catalog.h"
+#include "workload/generator.h"
 
 namespace {
 
@@ -183,6 +200,293 @@ TEST(Monitor, MovedMonitorKeepsObserving)
     EXPECT_EQ(got.rootPeak, expected.rootPeak);
     EXPECT_EQ(got.fragmentationRatio, expected.fragmentationRatio);
     EXPECT_EQ(moved.history().size(), 2u);
+}
+
+// ---------------------------------------------------------------------
+// measureWeek against the body it replaced: one repair path must give
+// every measurement field, and the same events, bit for bit.
+
+/**
+ * The former measureWeek body, kept as the oracle.  A clean week
+ * aggregated its own series; a week with a gap was copied into a
+ * TraceArena, rows below the floor zero-filled and the others repaired,
+ * and the drift embedding and the view aggregation read that arena.
+ */
+core::MonitorMeasurement
+measureWeekOracle(const power::PowerTree &tree,
+                  const MonitorConfig &config,
+                  const std::vector<TimeSeries> &itraces,
+                  const power::Assignment &assignment,
+                  const cluster::ShapeIndex *training)
+{
+    core::MonitorMeasurement m;
+    const bool want_drift = training != nullptr && !training->empty();
+    const auto driftOf = [&](const std::vector<const double *> &rows,
+                             std::size_t samples) {
+        return cluster::ShapeIndex::build(rows, samples,
+                                          training->buckets())
+            .meanDriftFrom(*training);
+    };
+
+    double valid_sum = 0.0;
+    bool any_gap = false;
+    std::vector<double> validity(itraces.size(), 1.0);
+    for (std::size_t i = 0; i < itraces.size(); ++i) {
+        validity[i] = trace::validFraction(itraces[i]);
+        valid_sum += validity[i];
+        any_gap = any_gap || validity[i] < 1.0;
+    }
+    m.validFraction = itraces.empty()
+                          ? 1.0
+                          : valid_sum /
+                                static_cast<double>(itraces.size());
+
+    std::vector<TimeSeries> node_traces;
+    if (any_gap) {
+        m.degradedData = true;
+        trace::TraceArena repaired =
+            trace::TraceArena::fromSeries(itraces);
+        for (std::size_t i = 0; i < repaired.size(); ++i) {
+            if (validity[i] >= 1.0)
+                continue;
+            double *row = repaired.mutableRow(i);
+            if (validity[i] < trace::kMinValidFraction) {
+                std::fill(row, row + repaired.samplesPerTrace(), 0.0);
+                ++m.excludedInstances;
+                SOSIM_EVENT(.kind = obs::EventKind::MonitorExclude,
+                            .a = i, .x = validity[i]);
+                continue;
+            }
+            // The row was repaired in place by repairSeries' span core;
+            // a round trip through a series computes the same fill.
+            TimeSeries series(
+                std::vector<double>(row, row + repaired.samplesPerTrace()),
+                repaired.intervalMinutes());
+            const auto r =
+                trace::repairSeries(series, core::kMonitorRepairPolicy);
+            std::copy(series.samples().begin(), series.samples().end(), row);
+            m.repairedSamples += r.samplesRepaired;
+            if (r.samplesRepaired > 0)
+                SOSIM_EVENT(.kind = obs::EventKind::FaultRepair,
+                            .a = i, .b = r.samplesRepaired);
+        }
+        if (want_drift) {
+            std::vector<const double *> rows(repaired.size());
+            for (trace::TraceId id = 0; id < repaired.size(); ++id)
+                rows[id] = repaired.row(id);
+            m.shapeDrift = driftOf(rows, repaired.samplesPerTrace());
+        }
+        std::vector<trace::TraceView> views;
+        views.reserve(repaired.size());
+        for (trace::TraceId id = 0; id < repaired.size(); ++id)
+            views.push_back(repaired.view(id));
+        node_traces = tree.aggregateTraces(views, assignment);
+    } else {
+        if (want_drift && !itraces.empty()) {
+            std::vector<const double *> rows(itraces.size());
+            for (std::size_t i = 0; i < itraces.size(); ++i)
+                rows[i] = itraces[i].samples().data();
+            m.shapeDrift =
+                driftOf(rows, itraces.front().samples().size());
+        }
+        node_traces = tree.aggregateTraces(itraces, assignment);
+    }
+    m.sumOfPeaks = tree.sumOfPeaks(node_traces, config.level);
+    m.rootPeak = node_traces[tree.root()].peak();
+    if (m.rootPeak <= 0.0) {
+        m.degradedData = true;
+        m.fragmentationRatio = 0.0;
+        return m;
+    }
+    m.fragmentationRatio = m.sumOfPeaks / m.rootPeak;
+    return m;
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+void
+expectSameMeasurement(const core::MonitorMeasurement &got,
+                      const core::MonitorMeasurement &want)
+{
+    EXPECT_TRUE(sameBits(got.sumOfPeaks, want.sumOfPeaks));
+    EXPECT_TRUE(sameBits(got.rootPeak, want.rootPeak));
+    EXPECT_TRUE(sameBits(got.fragmentationRatio, want.fragmentationRatio));
+    EXPECT_EQ(got.degradedData, want.degradedData);
+    EXPECT_TRUE(sameBits(got.validFraction, want.validFraction));
+    EXPECT_EQ(got.repairedSamples, want.repairedSamples);
+    EXPECT_EQ(got.excludedInstances, want.excludedInstances);
+    EXPECT_TRUE(sameBits(got.shapeDrift, want.shapeDrift));
+}
+
+/** The repair and exclude events one call records, in order. */
+using RepairEvent = std::tuple<obs::EventKind, std::uint64_t,
+                               std::uint64_t, double>;
+
+template <typename F>
+std::vector<RepairEvent>
+recordedRepairEvents(F &&measure)
+{
+    auto &rec = obs::EventRecorder::instance();
+    rec.reset();
+    rec.setEnabled(true);
+    measure();
+    rec.setEnabled(false);
+    std::vector<RepairEvent> out;
+    for (const obs::Event &e : rec.collect(true).events)
+        if (e.kind == obs::EventKind::FaultRepair ||
+            e.kind == obs::EventKind::MonitorExclude)
+            out.emplace_back(e.kind, e.a, e.b, e.x);
+    rec.reset();
+    return out;
+}
+
+/** A generated population, its tree, placement and training index. */
+struct OracleFixture {
+    power::PowerTree tree;
+    power::Assignment assignment;
+    std::vector<TimeSeries> training;
+    cluster::ShapeIndex index;
+    std::vector<TimeSeries> week;
+};
+
+OracleFixture
+oracleFixture()
+{
+    workload::DatacenterSpec spec;
+    spec.name = "monitor-oracle";
+    spec.topology = {1, 2, 2, 2, 2};
+    spec.intervalMinutes = 60;
+    spec.weeks = 2;
+    spec.seed = 26;
+    spec.services.push_back({workload::webFrontend(), 24});
+    spec.services.push_back({workload::dbBackend(), 24});
+    spec.services.push_back({workload::hadoop(), 16});
+    const auto dc = workload::generate(spec);
+    power::PowerTree tree(spec.topology);
+    std::vector<std::size_t> service_of(dc.instanceCount());
+    for (std::size_t i = 0; i < service_of.size(); ++i)
+        service_of[i] = dc.serviceOf(i);
+    auto assignment = baseline::obliviousPlacement(tree, service_of);
+    auto training = dc.trainingTraces();
+    std::vector<const double *> rows(training.size());
+    for (std::size_t i = 0; i < training.size(); ++i)
+        rows[i] = training[i].samples().data();
+    auto index =
+        cluster::ShapeIndex::build(rows, training.front().size());
+    auto week = dc.testTraces();
+    return {std::move(tree), std::move(assignment), std::move(training),
+            std::move(index), std::move(week)};
+}
+
+/** The four kinds of week: clean, mild and harsh faults, and one where
+ *  every instance falls below the validity floor. */
+std::vector<std::pair<std::string, std::vector<TimeSeries>>>
+oracleWeeks(const std::vector<TimeSeries> &week)
+{
+    std::vector<std::pair<std::string, std::vector<TimeSeries>>> weeks;
+    weeks.emplace_back("clean", week);
+    const fault::TraceShape shape{week.size(), week.front().size()};
+    for (const char *profile : {"mild", "harsh"})
+        weeks.emplace_back(
+            profile, fault::injectedCopy(
+                         week, fault::FaultPlan::build(
+                                   11, fault::faultProfile(profile), shape))
+                         .traces);
+    auto floor = week;
+    for (auto &t : floor)
+        for (std::size_t s = 0; s < t.size() * 6 / 10; ++s)
+            t[s] = std::numeric_limits<double>::quiet_NaN();
+    weeks.emplace_back("below-floor", std::move(floor));
+    return weeks;
+}
+
+TEST(MonitorOracle, SinglePathMatchesFormerBodyBitForBit)
+{
+    const auto f = oracleFixture();
+    const MonitorConfig config;
+    for (const std::size_t threads : {1, 4}) {
+        util::setThreadCount(threads);
+        for (const auto &[name, week] : oracleWeeks(f.week)) {
+            SCOPED_TRACE(name + " week, " + std::to_string(threads) +
+                         " threads");
+            for (const cluster::ShapeIndex *training :
+                 {static_cast<const cluster::ShapeIndex *>(nullptr),
+                  &f.index}) {
+                core::MonitorMeasurement got, want;
+                const auto got_events = recordedRepairEvents([&] {
+                    got = core::measureWeek(f.tree, config, week,
+                                            f.assignment, training);
+                });
+                const auto want_events = recordedRepairEvents([&] {
+                    want = measureWeekOracle(f.tree, config, week,
+                                             f.assignment, training);
+                });
+                expectSameMeasurement(got, want);
+                EXPECT_EQ(got_events, want_events);
+            }
+        }
+    }
+    util::setThreadCount(0);
+}
+
+TEST(MonitorOracle, WeeksCoverEveryPath)
+{
+    // The oracle comparison is only as good as its weeks: one clean,
+    // two repaired with some instances excluded, one with no powered
+    // instance at all.
+    const auto f = oracleFixture();
+    const auto weeks = oracleWeeks(f.week);
+    const auto measure = [&](std::size_t w) {
+        return core::measureWeek(f.tree, {}, weeks[w].second,
+                                 f.assignment);
+    };
+    EXPECT_FALSE(measure(0).degradedData);
+    for (const std::size_t w : {1, 2}) {
+        const auto m = measure(w);
+        EXPECT_TRUE(m.degradedData) << weeks[w].first;
+        EXPECT_GT(m.repairedSamples, 0u) << weeks[w].first;
+        EXPECT_GT(m.fragmentationRatio, 0.0) << weeks[w].first;
+    }
+    EXPECT_GT(measure(2).excludedInstances, 0u);
+    const auto floor = measure(3);
+    EXPECT_EQ(floor.excludedInstances, f.week.size());
+    EXPECT_EQ(floor.fragmentationRatio, 0.0);
+}
+
+TEST(MonitorOracle, RepairedCopyIsTheRepairLayersCopy)
+{
+    const auto f = oracleFixture();
+    for (const auto &[name, week] : oracleWeeks(f.week)) {
+        SCOPED_TRACE(name + " week");
+        core::RepairedWeek repaired;
+        repaired.validity = {0.5}; // Stale content must not survive.
+        core::measureWeek(f.tree, {}, week, f.assignment, nullptr,
+                          &repaired);
+        if (name == "clean") {
+            // No gap, no copy: the caller acts on its own traces.
+            EXPECT_TRUE(repaired.traces.empty());
+            EXPECT_TRUE(repaired.validity.empty());
+            continue;
+        }
+        const auto want =
+            trace::repairedCopy(week, core::kMonitorRepairPolicy);
+        ASSERT_EQ(repaired.traces.size(), want.traces.size());
+        for (std::size_t i = 0; i < want.traces.size(); ++i) {
+            ASSERT_EQ(repaired.traces[i].size(), want.traces[i].size());
+            EXPECT_EQ(repaired.traces[i].intervalMinutes(),
+                      want.traces[i].intervalMinutes());
+            EXPECT_EQ(std::memcmp(repaired.traces[i].samples().data(),
+                                  want.traces[i].samples().data(),
+                                  want.traces[i].size() * sizeof(double)),
+                      0)
+                << "instance " << i;
+        }
+        EXPECT_EQ(repaired.validity, want.summary.validBefore);
+    }
 }
 
 } // namespace

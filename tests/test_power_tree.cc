@@ -4,13 +4,18 @@
  * trace computation, slack metrics, and the breaker model.
  */
 
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "power/breaker.h"
 #include "power/level.h"
 #include "power/metrics.h"
 #include "power/power_tree.h"
+#include "trace/arena.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -156,6 +161,52 @@ TEST(PowerTree, AggregateTracesSumBottomUp)
             for (const auto c : n.children)
                 child_sum += node_traces[c][t];
             EXPECT_DOUBLE_EQ(node_traces[id][t], child_sum);
+        }
+    }
+}
+
+TEST(PowerTree, AggregateTracesOverViewsMatchesRackSumsBitForBit)
+{
+    // The series overload views its series and runs the one view loop;
+    // both must equal the sum the former series loop computed with
+    // TimeSeries::+= (instances into racks in index order, then a
+    // reverse id sweep), for views of owned series and of arena rows.
+    const PowerTree tree(tinySpec());
+    const auto &racks = tree.racks();
+    sosim::util::Rng rng(26);
+    std::vector<TimeSeries> traces;
+    Assignment assignment;
+    for (std::size_t i = 0; i < 40; ++i) {
+        std::vector<double> samples(37);
+        for (double &v : samples)
+            v = rng.uniform(0.0, 3.0);
+        traces.emplace_back(std::move(samples), 15);
+        assignment.push_back(racks[rng.uniformInt(
+            0, static_cast<std::int64_t>(racks.size()) - 1)]);
+    }
+
+    std::vector<TimeSeries> want(tree.nodeCount(),
+                                 TimeSeries::zeros(37, 15));
+    for (std::size_t i = 0; i < traces.size(); ++i)
+        want[assignment[i]] += traces[i];
+    for (NodeId id = tree.nodeCount(); id-- > 1;)
+        want[tree.node(id).parent] += want[id];
+
+    const auto arena = sosim::trace::TraceArena::fromSeries(traces);
+    std::vector<sosim::trace::TraceView> arena_views;
+    for (std::size_t i = 0; i < arena.size(); ++i)
+        arena_views.push_back(arena.view(i));
+    for (const auto &got : {tree.aggregateTraces(traces, assignment),
+                            tree.aggregateTraces(arena_views, assignment)}) {
+        ASSERT_EQ(got.size(), want.size());
+        for (NodeId id = 0; id < want.size(); ++id) {
+            ASSERT_EQ(got[id].size(), 37u);
+            EXPECT_EQ(got[id].intervalMinutes(), 15);
+            EXPECT_EQ(std::memcmp(got[id].samples().data(),
+                                  want[id].samples().data(),
+                                  37 * sizeof(double)),
+                      0)
+                << "node " << id;
         }
     }
 }

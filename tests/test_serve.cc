@@ -26,6 +26,7 @@
 #include "serve/checkpoint.h"
 #include "serve/ring.h"
 #include "serve/service.h"
+#include "obs/events.h"
 #include "obs/obs.h"
 #include "power/power_tree.h"
 #include "util/error.h"
@@ -547,6 +548,63 @@ TEST(ServeService, ShortEpochsJudgeAnUnfilledWindowAsDegraded)
     // Once the window is full the epochs measure normally.
     EXPECT_FALSE(results.back().observation.degradedData);
     EXPECT_GT(results.back().observation.fragmentationRatio, 0.0);
+}
+
+TEST(ServeService, ActingDegradedEpochRepairsOnce)
+{
+    // Epoch 1 (ticks 0-11) is clean and in phase, so it fills the
+    // baseline window at the lowest ratio any placement can show.
+    // Epoch 2 (ticks 12-23) splits the instances into two opposite
+    // phases, which fragments the RPPs, and has gaps: instance 2 misses
+    // 3 of its 12 ticks (repaired, included), instance 3 misses 8
+    // (below the floor, excluded).  A zero remap threshold stays zero
+    // when widened, so the degraded epoch acts: it refines on the
+    // monitor's repaired copy and journals each repair once.
+    power::PowerTree tree(tinyTopology());
+    const auto service_of = tinyServices();
+    auto initial = baseline::obliviousPlacement(tree, service_of);
+    auto config = tinyConfig("");
+    config.epochTicks = 12;
+    serve::Service svc(tree, service_of, initial, 60, config);
+
+    auto &rec = obs::EventRecorder::instance();
+    rec.reset();
+    rec.setEnabled(true);
+    std::vector<serve::EpochResult> results;
+    for (std::uint64_t t = 0; t <= 24; ++t) {
+        svc.advanceTo(t);
+        for (std::size_t i = 0; i < kInstances; ++i) {
+            if ((i == 2 && t >= 12 && t < 15) ||
+                (i == 3 && t >= 12 && t < 20))
+                continue;
+            const double shift = t >= 12 && i % 2 == 1 ? 3.14159 : 0.0;
+            svc.ingest({t, i, 1.0 + 0.5 * std::sin(double(t) * 0.5 +
+                                                    shift)});
+        }
+        for (auto &r : svc.processReadyEpochs())
+            results.push_back(r);
+    }
+    rec.setEnabled(false);
+    const auto events = rec.collect(true).events;
+    rec.reset();
+
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_FALSE(results[0].observation.degradedData);
+    const auto &acted = results[1].observation;
+    EXPECT_TRUE(acted.degradedData);
+    EXPECT_EQ(acted.action, core::MonitorAction::Remap);
+    EXPECT_EQ(acted.excludedInstances, 1u);
+    EXPECT_EQ(acted.repairedSamples, 3u);
+
+    std::map<std::uint64_t, std::size_t> repairs, excludes;
+    for (const obs::Event &e : events) {
+        if (e.kind == obs::EventKind::FaultRepair)
+            ++repairs[e.a];
+        if (e.kind == obs::EventKind::MonitorExclude)
+            ++excludes[e.a];
+    }
+    EXPECT_EQ(repairs, (std::map<std::uint64_t, std::size_t>{{2, 1}}));
+    EXPECT_EQ(excludes, (std::map<std::uint64_t, std::size_t>{{3, 1}}));
 }
 
 /** Run the full scenario unbroken and return the final digest. */
