@@ -663,7 +663,8 @@ TEST(GraphWhatIf, MutatedSpecIsAcceptedOrRefusedCleanly)
     // Pair any key with any value.
     const auto editItem = [&](std::vector<std::string> &,
                               std::string &line) {
-        line = std::string(keys[pick(12)]) + "=" + values[pick(12)];
+        const std::string key = keys[pick(12)];
+        line = key + "=" + values[pick(12)];
     };
 
     std::size_t accepted = 0;
