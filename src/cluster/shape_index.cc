@@ -19,17 +19,6 @@ ShapeIndex::build(const std::vector<const double *> &rows,
     return index;
 }
 
-ShapeIndex
-ShapeIndex::fromPoints(std::vector<Point> points, std::size_t samples,
-                       std::size_t buckets)
-{
-    ShapeIndex index;
-    index.samples_ = samples;
-    index.buckets_ = buckets;
-    index.points_ = std::move(points);
-    return index;
-}
-
 const Point &
 ShapeIndex::point(std::size_t i) const
 {

@@ -7,13 +7,12 @@
  *
  * Several consumers embed every instance's trace as a small normalized
  * shape vector (see shapePoints): the remap pruner clusters the shapes
- * to skip synchronous swap partners, fleet-scale placement can cluster
- * them directly instead of paying the |B|-kernel-pass score-vector
- * embedding, and the fragmentation monitor compares a week's shapes
- * against the training shapes to quantify workload drift.  Before the
- * ShapeIndex each of those call sites recomputed the embedding from the
- * raw traces on every call; now the index is built once per trace
- * population and passed around by const reference.
+ * to skip synchronous swap partners, and the fragmentation monitor
+ * compares a week's shapes against the training shapes to quantify
+ * workload drift.  The index is built once per trace population and
+ * passed around by const reference, so neither consumer re-embeds the
+ * raw traces.  (Placement does not read it: it clusters the paper's
+ * asynchrony-score vectors, see core::placementEmbedding.)
  *
  * Determinism: build() delegates to shapePoints, which fans rows out
  * over util::parallelFor with per-slot writes — bit-identical points
@@ -55,13 +54,6 @@ class ShapeIndex
     static ShapeIndex build(const std::vector<const double *> &rows,
                             std::size_t samples,
                             std::size_t buckets = kDefaultShapeBuckets);
-
-    /**
-     * Wrap an already-computed embedding (tests, or callers that
-     * produced the points through shapePoints themselves).
-     */
-    static ShapeIndex fromPoints(std::vector<Point> points,
-                                 std::size_t samples, std::size_t buckets);
 
     /** Number of embedded instances. */
     std::size_t size() const { return points_.size(); }

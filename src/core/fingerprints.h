@@ -13,10 +13,11 @@
  * helper here hashes exactly the fields an op can observe and nothing
  * else.  Config fingerprints are deliberately *partial* where the
  * pipeline splits one struct across ops: fingerprintEmbedConfig covers
- * the fields the embedding reads (topServices, scoring, kernels) while
- * fingerprintDistributeConfig covers the recursive-distribution fields,
- * so a what-if that only changes the clustering seed leaves the embed
- * node's signature — and its cached output — intact.
+ * the fields the score-vector embedding reads (topServices, scoring,
+ * kernels) while fingerprintDistributeConfig covers the
+ * recursive-distribution fields, so a what-if that only changes the
+ * clustering seed leaves the embed node's signature — and its cached
+ * output — intact.
  *
  * All helpers are pure, deterministic and platform-independent for a
  * fixed input (word-wise FNV-1a over integer bit patterns; doubles are
@@ -80,7 +81,12 @@ fingerprintServices(const std::vector<std::size_t> &service_of)
     return h;
 }
 
-/** The PlacementConfig fields the embedding stage observes. */
+/**
+ * The PlacementConfig fields the embedding stage observes.  The former
+ * embedding selector is hashed as the constant 0 (the score-vector
+ * embedding, now the only one), so the fingerprint keeps its value and
+ * checkpoints written by earlier builds still restore.
+ */
 inline std::uint64_t
 fingerprintEmbedConfig(const PlacementConfig &c)
 {
@@ -88,7 +94,7 @@ fingerprintEmbedConfig(const PlacementConfig &c)
     h = util::hashCombine(h, c.topServices);
     h = util::hashCombine(h, static_cast<std::uint64_t>(c.scoring));
     h = util::hashCombine(h, static_cast<std::uint64_t>(c.kernels));
-    h = util::hashCombine(h, static_cast<std::uint64_t>(c.embedding));
+    h = util::hashCombine(h, 0); // Score-vector embedding.
     return h;
 }
 

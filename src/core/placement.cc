@@ -22,34 +22,13 @@ struct DistributeTask {
     std::uint64_t seed = 0;
 };
 
-/** Shape-embed a population of uniform-length traces (kShape path). */
-std::vector<cluster::Point>
-shapeEmbed(const std::vector<trace::TimeSeries> &traces,
-           const cluster::ShapeIndex *shapes)
-{
-    if (shapes != nullptr && shapes->size() == traces.size())
-        return shapes->points();
-    const std::size_t samples = traces.front().samples().size();
-    std::vector<const double *> rows;
-    rows.reserve(traces.size());
-    for (const auto &t : traces) {
-        SOSIM_REQUIRE(t.samples().size() == samples,
-                      "placement: kShape requires uniform trace length");
-        rows.push_back(t.samples().data());
-    }
-    return cluster::ShapeIndex::build(rows, samples).points();
-}
-
 } // namespace
 
 std::vector<cluster::Point>
 placementEmbedding(const PlacementConfig &config,
                    const std::vector<trace::TimeSeries> &itraces,
-                   const std::vector<std::size_t> &service_of,
-                   const cluster::ShapeIndex *shapes)
+                   const std::vector<std::size_t> &service_of)
 {
-    if (config.embedding == PlacementEmbedding::kShape)
-        return shapeEmbed(itraces, shapes);
     const auto straces =
         extractServiceTraces(itraces, service_of, config.topServices);
     return embedPopulation(itraces, straces.straces, config.scoring,
@@ -68,8 +47,7 @@ PlacementEngine::PlacementEngine(const power::PowerTree &tree,
 
 power::Assignment
 PlacementEngine::place(const std::vector<trace::TimeSeries> &itraces,
-                       const std::vector<std::size_t> &service_of,
-                       const cluster::ShapeIndex *shapes) const
+                       const std::vector<std::size_t> &service_of) const
 {
     SOSIM_SPAN("placement.place");
     SOSIM_REQUIRE(!itraces.empty(), "PlacementEngine::place: no instances");
@@ -77,7 +55,7 @@ PlacementEngine::place(const std::vector<trace::TimeSeries> &itraces,
                   "PlacementEngine::place: service_of size mismatch");
 
     return placeWithEmbedding(
-        placementEmbedding(config_, itraces, service_of, shapes));
+        placementEmbedding(config_, itraces, service_of));
 }
 
 power::Assignment

@@ -18,29 +18,12 @@
 #include <vector>
 
 #include "cluster/kmeans.h"
-#include "cluster/shape_index.h"
 #include "core/asynchrony.h"
 #include "power/power_tree.h"
 #include "trace/kernels.h"
 #include "trace/time_series.h"
 
 namespace sosim::core {
-
-/**
- * Which per-instance embedding the placement clusters.
- *
- * kScoreVector is the paper's I-to-S asynchrony-score embedding
- * (core::embedPopulation): one kernel pass per (instance, S-trace)
- * pair, |B| dimensions.  kShape reuses the 16-bucket normalized
- * diurnal-shape embedding the remap pruner and the monitor already
- * compute (cluster::ShapeIndex) — a single pass per instance, so
- * fleet-scale placements skip the dominant embedding cost and the
- * index built once per population serves all three consumers.  The
- * two embeddings cluster differently, so switching modes changes the
- * derived placement (kScoreVector remains the default and the golden
- * pipeline behavior).
- */
-enum class PlacementEmbedding { kScoreVector, kShape };
 
 /** Parameters of the placement framework. */
 struct PlacementConfig {
@@ -71,29 +54,19 @@ struct PlacementConfig {
      * the scores are the same.  Ignored for kReference scoring.
      */
     trace::KernelMode kernels = trace::KernelMode::kStrict;
-    /**
-     * Embedding clustered by the recursive distribution (see
-     * PlacementEmbedding).  kScoreVector (default) preserves the
-     * paper's formulation bit for bit; kShape trades it for the shared
-     * one-pass shape embedding at fleet populations.
-     */
-    PlacementEmbedding embedding = PlacementEmbedding::kScoreVector;
 };
 
 /**
- * The population embedding the recursive distribution clusters, chosen
- * by config.embedding — the one place that choice is made
- * (PlacementEngine::place, placeSubtree and the pipeline's place.embed
- * node all call this).  kShape forwards `shapes`' points when the index
- * covers exactly this population and shape-embeds locally otherwise;
- * kScoreVector extracts the top config.topServices S-traces and scores
- * every instance against them (core::embedPopulation).
+ * The population embedding the recursive distribution clusters: the
+ * top config.topServices S-traces are extracted and every instance is
+ * scored against them (core::embedPopulation).  The one place that
+ * embedding is computed — PlacementEngine::place, placeSubtree and the
+ * pipeline's place.embed node all call this.
  */
 std::vector<cluster::Point>
 placementEmbedding(const PlacementConfig &config,
                    const std::vector<trace::TimeSeries> &itraces,
-                   const std::vector<std::size_t> &service_of,
-                   const cluster::ShapeIndex *shapes = nullptr);
+                   const std::vector<std::size_t> &service_of);
 
 /**
  * Derives workload-aware placements of service instances onto the racks
@@ -114,19 +87,11 @@ class PlacementEngine
      *
      * @param itraces    Averaged (training) I-trace of every instance.
      * @param service_of Service id of each instance.
-     * @param shapes     Optional prebuilt shape index over `itraces`
-     *                   (one point per instance, population order).
-     *                   Read only when config().embedding == kShape;
-     *                   when absent the index is built locally.  A
-     *                   caller that already built the index for remap
-     *                   pruning or the monitor passes it here to skip
-     *                   the re-embed.
      * @return Rack assignment of every instance.
      */
     power::Assignment
     place(const std::vector<trace::TimeSeries> &itraces,
-          const std::vector<std::size_t> &service_of,
-          const cluster::ShapeIndex *shapes = nullptr) const;
+          const std::vector<std::size_t> &service_of) const;
 
     /**
      * The recursive-distribution half of place(): derive a full

@@ -190,10 +190,10 @@ buildPipeline(const PipelineSpec &spec)
             return graph::Value::of(baseline::obliviousPlacement(
                 *tree, ins[0].as<std::vector<std::size_t>>()));
         });
-    // One shape-embedding build for the whole pipeline: the kShape
-    // embedding path, remap pruning, and every week's drift diagnostic
-    // all read this node's cached output, so the population is
-    // shape-embedded once however many what-ifs re-enter the graph.
+    // One shape-embedding build for the whole pipeline: remap pruning
+    // and every week's drift diagnostic read this node's cached output,
+    // so the population is shape-embedded once however many what-ifs
+    // re-enter the graph.
     p.shapeIndexOp = g.op(
         "cluster.shape_index", {p.repairTrainingOp}, 0,
         [](const Ins &ins) {
@@ -208,18 +208,14 @@ buildPipeline(const PipelineSpec &spec)
             return graph::Value::of(
                 cluster::ShapeIndex::build(rows, samples));
         });
-    // With kShape the embed body forwards the shared index's points;
-    // kScoreVector never reads them.
     p.embedOp = g.op(
         "place.embed",
-        {p.repairTrainingOp, p.serviceOfIn, p.embedConfigIn,
-         p.shapeIndexOp},
-        0, [](const Ins &ins) {
+        {p.repairTrainingOp, p.serviceOfIn, p.embedConfigIn}, 0,
+        [](const Ins &ins) {
             return graph::Value::of(core::placementEmbedding(
                 ins[2].as<core::PlacementConfig>(),
                 ins[0].as<trace::RepairedTraces>().traces,
-                ins[1].as<std::vector<std::size_t>>(),
-                &ins[3].as<cluster::ShapeIndex>()));
+                ins[1].as<std::vector<std::size_t>>()));
         });
     p.placeOp = g.op(
         "place.distribute", {p.embedOp, p.distributeConfigIn}, tree_fp,
@@ -389,19 +385,6 @@ parseWhatIf(const Pipeline &p, const std::string &text)
             placement.clustersPerChild =
                 util::parseNumber<std::size_t>(value, tag);
             distribute_changed = true;
-            placement_key = key;
-        } else if (key == "placement-embedding") {
-            if (value == "score") {
-                placement.embedding =
-                    core::PlacementEmbedding::kScoreVector;
-            } else if (value == "shape") {
-                placement.embedding = core::PlacementEmbedding::kShape;
-            } else {
-                SOSIM_REQUIRE(false, "--what-if: placement-embedding "
-                                     "must be score|shape, got '" +
-                                         value + "'");
-            }
-            embed_changed = true;
             placement_key = key;
         } else if (key == "repair-policy") {
             const auto policy = util::withTag(

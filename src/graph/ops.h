@@ -176,12 +176,12 @@ PipelineResult runPipeline(Pipeline &p,
  * comma-separated KEY=VALUE pairs — into one overlay that shadows each
  * touched config or plan input of `p` with a modified copy of the base
  * value; compose the results with Overlay::merged().  Keys: max-swaps,
- * placement-seed, top-services, clusters-per-child, placement-embedding
- * (score|shape), repair-policy (none|hold_last|interpolate), fault-plan
- * (SEED[:PROFILE]), monitor-level (SUITE|MSB|SB|RPP|RACK),
- * remap-threshold, replace-threshold.  Fatal on an unknown key, a
- * malformed pair, or a value the placement, remap or monitor engine
- * rejects — before any op executes.
+ * placement-seed, top-services, clusters-per-child, repair-policy
+ * (none|hold_last|interpolate), fault-plan (SEED[:PROFILE]),
+ * monitor-level (SUITE|MSB|SB|RPP|RACK), remap-threshold,
+ * replace-threshold.  Fatal on an unknown key, a malformed pair, or a
+ * value the placement, remap or monitor engine rejects — before any op
+ * executes.
  */
 graph::Overlay parseWhatIf(const Pipeline &p, const std::string &text);
 

@@ -85,25 +85,6 @@ EventRecorder::setEnabled(bool on)
     enabled_.store(on, std::memory_order_relaxed);
 }
 
-std::size_t
-EventRecorder::capacity() const
-{
-    return capacity_.load(std::memory_order_relaxed);
-}
-
-void
-EventRecorder::setCapacity(std::size_t per_shard)
-{
-    capacity_.store(per_shard == 0 ? 1 : per_shard,
-                    std::memory_order_relaxed);
-    for (auto &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.ring.clear();
-        shard.ring.shrink_to_fit();
-        shard.head = 0;
-    }
-}
-
 std::uint64_t
 EventRecorder::nextSeqLocal() noexcept
 {
@@ -155,18 +136,17 @@ EventRecorder::store(Event e, std::uint64_t steady_nanos) noexcept
 #endif
     }
 
-    const std::size_t cap = capacity();
     Shard &shard = shards_[threadShard()];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.ring.size() < cap) {
+    if (shard.ring.size() < kCapacity) {
         // Grow lazily toward capacity; idle shards stay empty.
         shard.ring.push_back(e);
-        shard.head = shard.ring.size() % cap;
+        shard.head = shard.ring.size() % kCapacity;
     } else {
         // Full: overwrite the oldest buffered event and count the drop.
         ++shard.dropped;
         shard.ring[shard.head] = e;
-        shard.head = (shard.head + 1) % cap;
+        shard.head = (shard.head + 1) % kCapacity;
     }
     ++shard.recorded;
     return e.seq;
@@ -210,13 +190,12 @@ EventSnapshot
 EventRecorder::collect(bool clear)
 {
     EventSnapshot out;
-    const std::size_t cap = capacity();
     for (auto &shard : shards_) {
         std::lock_guard<std::mutex> lock(shard.mutex);
         const std::size_t n = shard.ring.size();
         // Oldest-first: once the ring has wrapped, the oldest event
         // sits at head; before that the ring is in append order.
-        const std::size_t start = n < cap ? 0 : shard.head;
+        const std::size_t start = n < kCapacity ? 0 : shard.head;
         for (std::size_t i = 0; i < n; ++i)
             out.events.push_back(shard.ring[(start + i) % n]);
         out.dropped += shard.dropped;

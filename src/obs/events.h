@@ -19,7 +19,7 @@
  *     threadShard(), so concurrent parallelFor workers almost never
  *     contend (each shard's mutex is effectively thread-private until
  *     more than kShards threads exist).
- *   - Bounded memory: each shard holds at most capacity() events; when
+ *   - Bounded memory: each shard holds at most kCapacity events; when
  *     full, the oldest event in that shard is overwritten and a drop
  *     counter increments.  Nothing ever blocks on a full buffer.
  *   - Idle by default: recording starts only when a sink is requested
@@ -183,8 +183,13 @@ struct EventData {
 class EventRecorder
 {
   public:
-    /** Default ring capacity per shard (events, not bytes). */
-    static constexpr std::size_t kDefaultCapacity = 4096;
+    /**
+     * Ring capacity per shard (events, not bytes).  A full report emits
+     * tens of thousands of decisions, so the rings hold 65536 each;
+     * memory stays bounded because shards grow lazily and only when
+     * written to.
+     */
+    static constexpr std::size_t kCapacity = std::size_t{1} << 16U;
 
     static EventRecorder &instance();
 
@@ -200,10 +205,6 @@ class EventRecorder
      * kept (drain() or reset() to discard).
      */
     void setEnabled(bool on);
-
-    /** Per-shard ring capacity; setCapacity drops buffered events. */
-    std::size_t capacity() const;
-    void setCapacity(std::size_t per_shard);
 
     /** record()'s default timestamp: stamp the event when it is stored. */
     static constexpr std::uint64_t kStampNow = ~std::uint64_t{0};
@@ -276,7 +277,6 @@ class EventRecorder
     /** Bumped by reset() to invalidate per-thread seq blocks. */
     std::atomic<std::uint64_t> seqGeneration_{0};
     std::atomic<bool> enabled_{false};
-    std::atomic<std::size_t> capacity_{kDefaultCapacity};
     std::chrono::steady_clock::time_point steadyEpoch_{};
     /** TSC reading and cycles→ns factor calibrated by setEnabled(true)
      *  on x86-64 (events.cc); unused elsewhere. */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "obs/obs.h"
 #include "util/error.h"
@@ -138,11 +139,17 @@ GeneratedDatacenter::trainingTraces() const
     const int train_weeks = std::max(1, spec_.weeks - 1);
     std::vector<trace::TimeSeries> out;
     out.reserve(instances_.size());
+    // trace::averageWeeks's arithmetic, summed in place: zeros, each
+    // training week added in order, one scale — bit-identical to it
+    // without copying the weeks.
     for (const auto &inst : instances_) {
-        std::vector<trace::TimeSeries> weeks(
-            inst.weeklyPower.begin(),
-            inst.weeklyPower.begin() + train_weeks);
-        out.push_back(trace::averageWeeks(weeks));
+        const auto &first = inst.weeklyPower.front();
+        auto avg = trace::TimeSeries::zeros(first.size(),
+                                            first.intervalMinutes());
+        for (int w = 0; w < train_weeks; ++w)
+            avg += inst.weeklyPower[w];
+        avg *= 1.0 / static_cast<double>(train_weeks);
+        out.push_back(std::move(avg));
     }
     return out;
 }

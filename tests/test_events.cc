@@ -52,7 +52,6 @@ class RecorderGuard
     {
         auto &rec = obs::EventRecorder::instance();
         rec.setEnabled(false);
-        rec.setCapacity(obs::EventRecorder::kDefaultCapacity);
         rec.reset();
         obs::setFakeTime("");
     }
@@ -95,19 +94,20 @@ TEST(Recorder, RingWrapEvictsOldestAndCountsDrops)
 {
     RecorderGuard guard;
     auto &rec = obs::EventRecorder::instance();
-    rec.setCapacity(4);
+    constexpr std::size_t kCap = obs::EventRecorder::kCapacity;
     rec.setEnabled(true);
-    // Single-threaded: all ten land in one shard's 4-slot ring.
-    for (std::uint64_t i = 0; i < 10; ++i)
+    // Single-threaded: every event lands in one shard's ring, six past
+    // its capacity.
+    for (std::uint64_t i = 0; i < kCap + 6; ++i)
         rec.record({.kind = obs::EventKind::FaultInject, .a = i});
     rec.setEnabled(false);
 
-    EXPECT_EQ(rec.recorded(), 10u);
+    EXPECT_EQ(rec.recorded(), kCap + 6);
     EXPECT_EQ(rec.dropped(), 6u);
     const auto events = rec.collect().events;
-    ASSERT_EQ(events.size(), 4u);
-    // The survivors are the newest four, still in sequence order.
-    for (std::size_t i = 0; i < 4; ++i) {
+    ASSERT_EQ(events.size(), kCap);
+    // The survivors are the newest kCap, still in sequence order.
+    for (std::size_t i = 0; i < kCap; ++i) {
         EXPECT_EQ(events[i].seq, 7u + i);
         EXPECT_EQ(events[i].a, 6u + i);
     }
@@ -341,28 +341,30 @@ TEST(Journal, HeaderTotalsAreTheSnapshots)
     RecorderGuard guard;
     obs::setFakeTime("2026-01-01T00:00:00Z");
     auto &rec = obs::EventRecorder::instance();
-    rec.setCapacity(4);
+    constexpr std::size_t kCap = obs::EventRecorder::kCapacity;
     rec.setEnabled(true);
-    // Single-threaded: all ten land in one shard's 4-slot ring.
-    for (std::uint64_t i = 0; i < 10; ++i)
+    // Single-threaded: every event lands in one shard's ring, six past
+    // its capacity.
+    for (std::uint64_t i = 0; i < kCap + 6; ++i)
         rec.record({.kind = obs::EventKind::FaultInject, .a = i});
     const obs::EventSnapshot snapshot = rec.collect();
-    EXPECT_EQ(snapshot.events.size(), 4u);
+    EXPECT_EQ(snapshot.events.size(), kCap);
     EXPECT_EQ(snapshot.dropped, 6u);
-    EXPECT_EQ(snapshot.recorded, 10u);
+    EXPECT_EQ(snapshot.recorded, kCap + 6);
 
     // Recording goes on after the snapshot was taken.
     for (std::uint64_t i = 0; i < 5; ++i)
         rec.record({.kind = obs::EventKind::FaultInject, .a = i});
     rec.setEnabled(false);
-    ASSERT_EQ(rec.recorded(), 15u);
+    ASSERT_EQ(rec.recorded(), kCap + 11);
 
     std::ostringstream out;
     obs::writeEventJournal(out, snapshot, "unit");
     const std::string header = out.str().substr(0, out.str().find('\n'));
-    EXPECT_NE(header.find(R"("dropped": 6, "recorded": 10, "events": 4)"),
-              std::string::npos)
-        << header;
+    const std::string totals = "\"dropped\": 6, \"recorded\": " +
+                               std::to_string(kCap + 6) +
+                               ", \"events\": " + std::to_string(kCap);
+    EXPECT_NE(header.find(totals), std::string::npos) << header;
 }
 
 TEST(Journal, SpanEventsSurviveSpanTreeReset)
@@ -929,7 +931,6 @@ TEST(Explain, GoldenDecisionHistoryIsReproducible)
         obs::setFakeTime("2026-01-01T00:00:00Z");
         obs::SpanTracer::instance().reset();
         rec.reset();
-        rec.setCapacity(1U << 16U);
         rec.setEnabled(true);
 
         auto p = pipeline::buildPipeline(faultedDc1Spec());
@@ -1047,7 +1048,6 @@ TEST(Explain, NodeQueryFindsGraphEvents)
     RecorderGuard guard;
     obs::setFakeTime("2026-01-01T00:00:00Z");
     auto &rec = obs::EventRecorder::instance();
-    rec.setCapacity(1U << 16U);
     rec.setEnabled(true);
 
     workload::PresetOptions options;

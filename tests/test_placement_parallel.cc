@@ -6,13 +6,12 @@
  * tasks of each power-tree level fan out over util::parallelFor, one
  * index per task, each writing only its own children slot; a serial
  * concatenation in frontier order rebuilds the next frontier in exactly
- * the old depth-first child order (src/core/placement.cc).  These tests pin the
- * serial==parallel contract end to end: the full derived assignment
- * must be bit-identical across thread counts, kernel modes, both
- * embeddings, and on clean as well as faulted-then-repaired
- * populations.  This is the gate CI runs at SOSIM_THREADS 1 and 4 in
- * the default, ASan and TSan jobs (mirroring the remap-determinism
- * gate).
+ * the old depth-first child order (src/core/placement.cc).  These tests
+ * pin the serial==parallel contract end to end: the full derived
+ * assignment must be bit-identical across thread counts, kernel modes,
+ * and on clean as well as faulted-then-repaired populations.  This is
+ * the gate CI runs at SOSIM_THREADS 1 and 4 in the default, ASan and
+ * TSan jobs (mirroring the remap-determinism gate).
  */
 
 #include <cstddef>
@@ -20,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/shape_index.h"
 #include "core/placement.h"
 #include "fault/fault_plan.h"
 #include "fault/inject.h"
@@ -103,19 +101,17 @@ runPlace(const Fixture &f, const core::PlacementConfig &config,
 
 class PlacementParallel
     : public ::testing::TestWithParam<
-          std::tuple<trace::KernelMode, core::PlacementEmbedding,
-                     bool /* faulted */>>
+          std::tuple<trace::KernelMode, bool /* faulted */>>
 {
 };
 
 TEST_P(PlacementParallel, PlanIsInvariantAcrossThreadCounts)
 {
-    const auto [mode, embedding, faulted] = GetParam();
+    const auto [mode, faulted] = GetParam();
     const Fixture f = makeFixture(faulted);
 
     core::PlacementConfig config;
     config.kernels = mode;
-    config.embedding = embedding;
 
     const power::Assignment reference = runPlace(f, config, 1);
     ASSERT_EQ(reference.size(), f.traces.size());
@@ -134,37 +130,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(trace::KernelMode::kStrict,
                           trace::KernelMode::kBlocked),
-        ::testing::Values(core::PlacementEmbedding::kScoreVector,
-                          core::PlacementEmbedding::kShape),
         ::testing::Values(false, true)));
-
-TEST(PlacementParallelIndex, SharedShapeIndexNeverChangesThePlan)
-{
-    // A prebuilt ShapeIndex handed to place() must yield the same
-    // assignment as the locally-built embedding, at every thread count.
-    const Fixture f = makeFixture(false);
-    core::PlacementConfig config;
-    config.embedding = core::PlacementEmbedding::kShape;
-    const core::PlacementEngine engine(f.tree, config);
-
-    std::vector<const double *> rows(f.traces.size());
-    for (std::size_t i = 0; i < f.traces.size(); ++i)
-        rows[i] = f.traces[i].samples().data();
-    const auto index =
-        cluster::ShapeIndex::build(rows, f.traces.front().size());
-
-    power::Assignment reference;
-    {
-        ScopedThreads scoped(1);
-        reference = engine.place(f.traces, f.serviceOf);
-    }
-    for (const std::size_t threads :
-         {std::size_t(1), std::size_t(2), std::size_t(8)}) {
-        ScopedThreads scoped(threads);
-        EXPECT_EQ(engine.place(f.traces, f.serviceOf, &index), reference)
-            << "threads=" << threads;
-    }
-}
 
 TEST(PlacementParallelSubtree, SubtreeReplaceIsThreadCountInvariant)
 {

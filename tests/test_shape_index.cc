@@ -3,13 +3,13 @@
  * Tests for cluster::ShapeIndex, the shared store of diurnal-shape
  * embeddings (src/cluster/shape_index.{h,cc}).
  *
- * The index replaced three independent call sites that each recomputed
+ * The index replaced the call sites that each recomputed
  * cluster::shapePoints from raw traces: the remap pruner's candidate
- * index, fleet-scale placement's kShape embedding, and the monitor's
- * drift diagnostic.  These tests pin (a) that build() is exactly
- * shapePoints — so handing a prebuilt index to any consumer is
- * bit-identical to letting it re-embed — (b) that the points are stable
- * across calls and thread counts, and (c) the drift metric's contract.
+ * index and the monitor's drift diagnostic.  These tests pin (a) that
+ * build() is exactly shapePoints — so handing a prebuilt index to any
+ * consumer is bit-identical to letting it re-embed — (b) that the
+ * points are stable across calls and thread counts, and (c) the drift
+ * metric's contract.
  */
 
 #include <cstddef>
@@ -21,7 +21,6 @@
 #include "cluster/candidate_index.h"
 #include "cluster/shape_index.h"
 #include "core/monitor.h"
-#include "core/placement.h"
 #include "core/remap.h"
 #include "baseline/oblivious.h"
 #include "power/power_tree.h"
@@ -87,6 +86,7 @@ TEST(ShapeIndex, BuildMatchesShapePointsExactly)
     EXPECT_EQ(index.samples(), samples);
     EXPECT_EQ(index.buckets(), cluster::kDefaultShapeBuckets);
     EXPECT_EQ(index.dimensions(), direct.front().size());
+    EXPECT_EQ(index.points(), direct);
     for (std::size_t i = 0; i < direct.size(); ++i) {
         ASSERT_EQ(index.point(i).size(), direct[i].size());
         for (std::size_t d = 0; d < direct[i].size(); ++d)
@@ -95,21 +95,6 @@ TEST(ShapeIndex, BuildMatchesShapePointsExactly)
             EXPECT_EQ(index.point(i)[d], direct[i][d])
                 << "point " << i << " dim " << d;
     }
-}
-
-TEST(ShapeIndex, FromPointsEqualsBuild)
-{
-    const auto dc = makeDc();
-    const auto traces = dc.trainingTraces();
-    const auto rows = rowsOf(traces);
-    const std::size_t samples = traces.front().size();
-
-    const auto built = cluster::ShapeIndex::build(rows, samples);
-    const auto wrapped = cluster::ShapeIndex::fromPoints(
-        cluster::shapePoints(rows, samples, cluster::kDefaultShapeBuckets),
-        samples, cluster::kDefaultShapeBuckets);
-
-    EXPECT_EQ(built.points(), wrapped.points());
 }
 
 TEST(ShapeIndex, EmptyIndexIsEmpty)
@@ -226,33 +211,6 @@ TEST(ShapeIndex, RemapPruneParityWithAndWithoutSharedIndex)
     auto mismatched = start;
     remapper.refine(mismatched, traces, nullptr, &wrong);
     EXPECT_EQ(mismatched, with);
-}
-
-TEST(ShapeIndex, PlacementShapeEmbeddingParityWithAndWithoutIndex)
-{
-    const auto dc = makeDc();
-    const auto traces = dc.trainingTraces();
-    std::vector<std::size_t> service_of(dc.instanceCount());
-    for (std::size_t i = 0; i < dc.instanceCount(); ++i)
-        service_of[i] = dc.serviceOf(i);
-    power::PowerTree tree(power::TopologySpec{1, 2, 2, 2, 2});
-
-    core::PlacementConfig config;
-    config.embedding = core::PlacementEmbedding::kShape;
-    const core::PlacementEngine engine(tree, config);
-
-    const auto without = engine.place(traces, service_of);
-    const auto index = cluster::ShapeIndex::build(
-        rowsOf(traces), traces.front().size());
-    const auto with = engine.place(traces, service_of, &index);
-    EXPECT_EQ(without, with);
-
-    // The shape embedding is a different clustering input than the
-    // score vectors, so the two modes must be allowed to disagree —
-    // but both are valid assignments of every instance.
-    const core::PlacementEngine score_engine(tree, {});
-    const auto score = score_engine.place(traces, service_of);
-    EXPECT_EQ(score.size(), with.size());
 }
 
 TEST(ShapeIndex, MonitorDriftParityWithDirectComputation)

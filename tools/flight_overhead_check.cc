@@ -144,9 +144,6 @@ main(int argc, char **argv)
     }
 
     auto &rec = obs::EventRecorder::instance();
-    // Same ring size the CLI uses when a sink is requested, so the
-    // measurement covers the exact configuration users run.
-    rec.setCapacity(1U << 16U);
 
     // One untimed warm-up settles allocator and page-cache state before
     // either side is measured.

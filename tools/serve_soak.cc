@@ -336,10 +336,8 @@ main(int argc, char **argv)
     }
     CHECK(opt.ticks > opt.window + 2, "--ticks too small for --window");
 
-    if (!opt.flightRecord.empty()) {
-        obs::EventRecorder::instance().setCapacity(1U << 16U);
+    if (!opt.flightRecord.empty())
         obs::EventRecorder::instance().setEnabled(true);
-    }
     const std::string ckpt_root =
         opt.checkpointDir.empty()
             ? (std::filesystem::temp_directory_path() /

@@ -528,9 +528,8 @@ usage()
         "what-if: report builds the pipeline as an op graph; --what-if\n"
         "re-evaluates it under an overlay, recomputing only the cone\n"
         "the change can observe.  Keys: max-swaps, placement-seed,\n"
-        "top-services, clusters-per-child, placement-embedding,\n"
-        "repair-policy, fault-plan, monitor-level, remap-threshold,\n"
-        "replace-threshold.\n"
+        "top-services, clusters-per-child, repair-policy, fault-plan,\n"
+        "monitor-level, remap-threshold, replace-threshold.\n"
         "\n"
         "fault injection: --fault-plan 7:harsh degrades the generated\n"
         "traces with a deterministic fault schedule (profiles: none,\n"
@@ -614,13 +613,8 @@ main(int argc, char **argv)
                       "--metrics-format must be json or prom");
         // Recording must be live before the command runs; it is off by
         // default so instrumented sites stay one-load-and-branch cheap.
-        // A full report emits tens of thousands of decisions, so widen
-        // the per-shard rings well past the library default (memory is
-        // still bounded: shards grow lazily and only when written to).
-        if (args.has("flight-record") || args.has("chrome-trace")) {
-            obs::EventRecorder::instance().setCapacity(1U << 16U);
+        if (args.has("flight-record") || args.has("chrome-trace"))
             obs::EventRecorder::instance().setEnabled(true);
-        }
         int rc = -1;
         if (command == "generate") {
             args.rejectUnknown(command, {"dc", "scale", "interval",
