@@ -86,7 +86,6 @@ TEST(ShapeIndex, BuildMatchesShapePointsExactly)
     EXPECT_EQ(index.samples(), samples);
     EXPECT_EQ(index.buckets(), cluster::kDefaultShapeBuckets);
     EXPECT_EQ(index.dimensions(), direct.front().size());
-    EXPECT_EQ(index.points(), direct);
     for (std::size_t i = 0; i < direct.size(); ++i) {
         ASSERT_EQ(index.point(i).size(), direct[i].size());
         for (std::size_t d = 0; d < direct[i].size(); ++d)
@@ -95,6 +94,20 @@ TEST(ShapeIndex, BuildMatchesShapePointsExactly)
             EXPECT_EQ(index.point(i)[d], direct[i][d])
                 << "point " << i << " dim " << d;
     }
+}
+
+TEST(ShapeIndex, FromPointsEqualsBuild)
+{
+    const auto dc = makeDc();
+    const auto traces = dc.trainingTraces();
+    const auto rows = rowsOf(traces);
+    const std::size_t samples = traces.front().size();
+
+    // build() wraps exactly the points shapePoints computes, as a whole.
+    const auto built = cluster::ShapeIndex::build(rows, samples);
+    EXPECT_EQ(built.points(),
+              cluster::shapePoints(rows, samples,
+                                   cluster::kDefaultShapeBuckets));
 }
 
 TEST(ShapeIndex, EmptyIndexIsEmpty)
