@@ -207,8 +207,6 @@ FragmentationMonitor::ingest(const MonitorMeasurement &m,
                 .c = obs.excludedInstances, .d = obs.repairedSamples,
                 .x = obs.fragmentationRatio, .y = obs.validFraction,
                 .z = widen);
-
-    history_.push_back(obs);
     return obs;
 }
 

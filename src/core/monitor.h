@@ -212,7 +212,7 @@ class FragmentationMonitor
     /**
      * Judge a measurement against the baseline window and record it:
      * threshold widening for degraded data, action selection, window
-     * update, counters, history.  This is the stateful half of
+     * update, counters.  This is the stateful half of
      * observeWeek; pipeline drivers that computed their measurements
      * through a graph (core::measureWeek in monitor.measure.week.*)
      * feed them in here, in week order.
@@ -236,9 +236,7 @@ class FragmentationMonitor
      * week counter — for serve-layer checkpoints (DESIGN.md section
      * 14).  restoreBaselineState() is the exact inverse: a monitor
      * restored from a checkpoint judges subsequent measurements
-     * identically to one that ingested the same weeks live.  History
-     * is not part of the state; a restored monitor's history restarts
-     * empty.
+     * identically to one that ingested the same weeks live.
      */
     struct BaselineState {
         std::vector<double> window;
@@ -248,19 +246,12 @@ class FragmentationMonitor
     BaselineState baselineState() const;
     void restoreBaselineState(const BaselineState &state);
 
-    /** All observations so far, oldest first. */
-    const std::vector<MonitorObservation> &history() const
-    {
-        return history_;
-    }
-
     const MonitorConfig &config() const { return config_; }
 
   private:
     const power::PowerTree &tree_;
     MonitorConfig config_;
     std::deque<double> window_;
-    std::vector<MonitorObservation> history_;
     std::size_t weekCounter_ = 0;
 };
 

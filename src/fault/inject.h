@@ -65,9 +65,9 @@ injectTraceFaults(std::vector<trace::TimeSeries> &traces,
 /**
  * Functional form of injectTraceFaults: degrade the population taken by
  * value and return (degraded traces, report) as one result.  This is
- * the body of the pipeline's fault.inject.* nodes — a pure function of
- * (traces, plan), so the op graph caches its output under the node's
- * signature.
+ * the body of the pipeline's fault.inject.week.* nodes — a pure
+ * function of (traces, plan), so the op graph caches its output under
+ * the node's signature.
  */
 InjectedTraces
 injectedCopy(std::vector<trace::TimeSeries> traces, const FaultPlan &plan);

@@ -77,11 +77,11 @@ buildPipeline(const PipelineSpec &spec)
     for (std::size_t i = 0; i < dc.instanceCount(); ++i)
         service_of[i] = dc.serviceOf(i);
 
-    // An unfaulted pipeline still carries inject/repair nodes, fed by
-    // an empty "none" plan: injection schedules nothing and repair
-    // finds nothing to fill, so both are value-level no-ops and the
-    // graph shape does not depend on the fault switch.  The empty plan
-    // is built for the wildcard shape {0, 0}, which composes with a
+    // An unfaulted pipeline still carries the degrade and inject nodes,
+    // fed by an empty "none" plan: injection schedules nothing and
+    // repair finds nothing to fill, so both are value-level no-ops and
+    // the graph shape does not depend on the fault switch.  The empty
+    // plan is built for the wildcard shape {0, 0}, which composes with a
     // population of any shape — input edits and what-if overlays may
     // resample or resize the trace populations freely.
     const fault::FaultPlan plan =
@@ -151,27 +151,29 @@ buildPipeline(const PipelineSpec &spec)
             ins[0].as<std::vector<trace::TimeSeries>>(),
             ins[1].as<fault::FaultPlan>()));
     };
-    const auto repair_body = [](const Ins &ins) {
-        return graph::Value::of(trace::repairedCopy(
-            ins[0].as<fault::InjectedTraces>().traces,
-            ins[1].as<trace::RepairPolicy>()));
+    // Injection and repair share one copy of the population, each
+    // degrading it in place: the legacy call chain, in one op.
+    const auto degrade_body = [](const Ins &ins) {
+        DegradedTraces out;
+        out.traces = ins[0].as<std::vector<trace::TimeSeries>>();
+        out.faults = fault::injectTraceFaults(
+            out.traces, ins[1].as<fault::FaultPlan>());
+        out.repair = trace::repairAll(out.traces,
+                                      ins[2].as<trace::RepairPolicy>());
+        return graph::Value::of(std::move(out));
     };
 
-    p.injectTrainingOp = g.op("fault.inject.training",
-                              {p.trainingIn, p.planIn}, 0, inject_body);
-    p.repairTrainingOp =
-        g.op("trace.repair.training",
-             {p.injectTrainingOp, p.repairPolicyIn}, 0, repair_body);
-    p.injectTestOp =
-        g.op("fault.inject.test", {p.testIn, p.planIn}, 0, inject_body);
-    p.repairTestOp = g.op("trace.repair.test",
-                          {p.injectTestOp, p.repairPolicyIn}, 0,
-                          repair_body);
+    p.degradeTrainingOp =
+        g.op("fault.degrade.training",
+             {p.trainingIn, p.planIn, p.repairPolicyIn}, 0, degrade_body);
+    p.degradeTestOp =
+        g.op("fault.degrade.test", {p.testIn, p.planIn, p.repairPolicyIn},
+             0, degrade_body);
     p.statsOp = g.op(
-        "trace.stats.training", {p.repairTrainingOp}, 0,
+        "trace.stats.training", {p.degradeTrainingOp}, 0,
         [](const Ins &ins) {
             PopulationStats out;
-            for (const auto &ts : ins[0].as<trace::RepairedTraces>().traces) {
+            for (const auto &ts : ins[0].as<DegradedTraces>().traces) {
                 const auto s = trace::computeStats(trace::TraceView(ts));
                 out.perTrace.push_back(s);
                 out.totalMeanPower += s.mean;
@@ -180,10 +182,10 @@ buildPipeline(const PipelineSpec &spec)
             return graph::Value::of(std::move(out));
         });
     p.scoreOp = g.op(
-        "score.asynchrony.training", {p.repairTrainingOp}, 0,
+        "score.asynchrony.training", {p.degradeTrainingOp}, 0,
         [](const Ins &ins) {
             return graph::Value::of(core::asynchronyScore(
-                ins[0].as<trace::RepairedTraces>().traces));
+                ins[0].as<DegradedTraces>().traces));
         });
     p.obliviousOp = g.op(
         "place.oblivious", {p.serviceOfIn}, tree_fp, [tree](const Ins &ins) {
@@ -195,10 +197,10 @@ buildPipeline(const PipelineSpec &spec)
     // so the population is shape-embedded once however many what-ifs
     // re-enter the graph.
     p.shapeIndexOp = g.op(
-        "cluster.shape_index", {p.repairTrainingOp}, 0,
+        "cluster.shape_index", {p.degradeTrainingOp}, 0,
         [](const Ins &ins) {
             const auto &population =
-                ins[0].as<trace::RepairedTraces>().traces;
+                ins[0].as<DegradedTraces>().traces;
             std::vector<const double *> rows;
             rows.reserve(population.size());
             for (const auto &ts : population)
@@ -210,11 +212,11 @@ buildPipeline(const PipelineSpec &spec)
         });
     p.embedOp = g.op(
         "place.embed",
-        {p.repairTrainingOp, p.serviceOfIn, p.embedConfigIn}, 0,
+        {p.degradeTrainingOp, p.serviceOfIn, p.embedConfigIn}, 0,
         [](const Ins &ins) {
             return graph::Value::of(core::placementEmbedding(
                 ins[2].as<core::PlacementConfig>(),
-                ins[0].as<trace::RepairedTraces>().traces,
+                ins[0].as<DegradedTraces>().traces,
                 ins[1].as<std::vector<std::size_t>>()));
         });
     p.placeOp = g.op(
@@ -232,35 +234,33 @@ buildPipeline(const PipelineSpec &spec)
     // re-embed.
     p.remapOp = g.op(
         "remap.refine",
-        {p.placeOp, p.repairTrainingOp, p.remapConfigIn, p.shapeIndexOp},
+        {p.placeOp, p.degradeTrainingOp, p.remapConfigIn, p.shapeIndexOp},
         tree_fp, [tree](const Ins &ins) {
-            const auto &training = ins[1].as<trace::RepairedTraces>();
+            const auto &training = ins[1].as<DegradedTraces>();
             const auto &cfg = ins[2].as<core::RemapConfig>();
             RemapResult out;
             out.assignment = ins[0].as<power::Assignment>();
             out.swaps = core::Remapper(*tree, cfg).refine(
                 out.assignment, training.traces,
-                &training.summary.validBefore,
+                &training.repair.validBefore,
                 &ins[3].as<cluster::ShapeIndex>());
             return graph::Value::of(std::move(out));
         });
-    p.tripsOp = g.op(
-        "fault.trips.test", {p.repairTestOp, p.remapOp, p.planIn}, tree_fp,
-        [tree](const Ins &ins) {
-            fault::InjectedTraces out;
-            out.traces = ins[0].as<trace::RepairedTraces>().traces;
-            out.report = fault::injectBreakerTrips(
-                out.traces, *tree, ins[1].as<RemapResult>().assignment,
-                ins[2].as<fault::FaultPlan>());
-            return graph::Value::of(std::move(out));
-        });
+    // Breaker trips black out racks under the refined placement.  They
+    // degrade a scratch copy of the test week that lives only as long
+    // as the comparison reading it.
     p.compareOp = g.op(
-        "compare.headroom", {p.tripsOp, p.obliviousOp, p.remapOp}, tree_fp,
+        "compare.headroom",
+        {p.degradeTestOp, p.obliviousOp, p.remapOp, p.planIn}, tree_fp,
         [tree](const Ins &ins) {
-            return graph::Value::of(core::comparePlacements(
-                *tree, ins[0].as<fault::InjectedTraces>().traces,
-                ins[1].as<power::Assignment>(),
-                ins[2].as<RemapResult>().assignment));
+            const auto &optimized = ins[2].as<RemapResult>().assignment;
+            auto test = ins[0].as<DegradedTraces>().traces;
+            HeadroomResult out;
+            out.trips = fault::injectBreakerTrips(
+                test, *tree, optimized, ins[3].as<fault::FaultPlan>());
+            out.comparison = core::comparePlacements(
+                *tree, test, ins[1].as<power::Assignment>(), optimized);
+            return graph::Value::of(std::move(out));
         });
     // measureWeek is the pure half of one week's observation; runPipeline
     // makes the stateful threshold judgment.  The training index enables
@@ -299,10 +299,12 @@ runPipeline(Pipeline &p, const graph::Overlay &overlay)
 
     PipelineResult r;
     r.plan = ev(p.planIn).as<fault::FaultPlan>();
-    r.trainingFaults =
-        ev(p.injectTrainingOp).as<fault::InjectedTraces>().report;
-    r.trainingRepair =
-        ev(p.repairTrainingOp).as<trace::RepairedTraces>().summary;
+    {
+        const auto degraded = ev(p.degradeTrainingOp);
+        const auto &training = degraded.as<DegradedTraces>();
+        r.trainingFaults = training.faults;
+        r.trainingRepair = training.repair;
+    }
     r.oblivious = ev(p.obliviousOp).as<power::Assignment>();
     {
         const auto remapped = ev(p.remapOp);
@@ -310,8 +312,12 @@ runPipeline(Pipeline &p, const graph::Overlay &overlay)
         r.optimized = result.assignment;
         r.swaps = result.swaps;
     }
-    r.tripFaults = ev(p.tripsOp).as<fault::InjectedTraces>().report;
-    r.comparison = ev(p.compareOp).as<core::HeadroomReport>();
+    {
+        const auto compared = ev(p.compareOp);
+        const auto &headroom = compared.as<HeadroomResult>();
+        r.tripFaults = headroom.trips;
+        r.comparison = headroom.comparison;
+    }
     r.trainingStats = ev(p.statsOp).as<PopulationStats>();
     r.trainingScore = ev(p.scoreOp).as<double>();
 

@@ -7,8 +7,8 @@
  *
  * graph/graph.h is domain-agnostic; buildPipeline() binds the library's
  * stages to it.  It assembles the full report pipeline (the exact
- * sequence of `sosim report`: generate -> inject -> repair -> oblivious
- * baseline -> embed -> distribute -> remap -> breaker trips -> compare
+ * sequence of `sosim report`: generate -> inject + repair -> oblivious
+ * baseline -> embed -> distribute -> remap -> breaker trips + compare
  * -> weekly monitoring) as one persistent OpGraph and registers each
  * stage body with OpGraph::op: a pure function from upstream Values to
  * one bare output payload, which the graph names by the node's
@@ -60,10 +60,23 @@ struct PopulationStats {
     double peakOfPeaks = 0.0;
 };
 
+/** Output of fault.degrade.*: a population injected, then repaired. */
+struct DegradedTraces {
+    std::vector<trace::TimeSeries> traces;
+    fault::InjectionReport faults;
+    trace::RepairSummary repair;
+};
+
 /** Output of remap.refine: the refined assignment plus its swaps. */
 struct RemapResult {
     power::Assignment assignment;
     std::vector<core::SwapRecord> swaps;
+};
+
+/** Output of compare.headroom: the comparison under breaker trips. */
+struct HeadroomResult {
+    core::HeadroomReport comparison;
+    fault::InjectionReport trips;
 };
 
 /** Tolerant assignment accessor: power::Assignment or RemapResult. */
@@ -115,10 +128,8 @@ struct Pipeline {
     std::vector<graph::Handle> weekIns;
 
     // Ops.
-    graph::Handle injectTrainingOp;
-    graph::Handle repairTrainingOp;
-    graph::Handle injectTestOp;
-    graph::Handle repairTestOp;
+    graph::Handle degradeTrainingOp;
+    graph::Handle degradeTestOp;
     graph::Handle statsOp;
     graph::Handle scoreOp;
     graph::Handle obliviousOp;
@@ -126,7 +137,6 @@ struct Pipeline {
     graph::Handle embedOp;
     graph::Handle placeOp;
     graph::Handle remapOp;
-    graph::Handle tripsOp;
     graph::Handle compareOp;
     std::vector<graph::Handle> weekInjectOps;
     std::vector<graph::Handle> weekMeasureOps;
@@ -154,7 +164,7 @@ struct PipelineResult {
 /**
  * Generate the datacenter and assemble the report pipeline.  With
  * spec.faulted == false the fault plan input is the empty "none"
- * profile, which makes the inject and repair nodes value-level no-ops —
+ * profile, which makes the degrade and inject nodes value-level no-ops —
  * the pipeline shape is identical either way.
  */
 Pipeline buildPipeline(const PipelineSpec &spec);

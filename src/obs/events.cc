@@ -10,20 +10,6 @@ namespace {
 
 thread_local ThreadContext t_context;
 
-#if defined(__x86_64__)
-/**
- * Raw cycle counter for per-event timestamps.  steady_clock::now() is
- * ~33ns on this class of hardware and dominates record(); the invariant
- * TSC reads in ~19ns and setEnabled() calibrates a cycles→ns factor
- * against steady_clock, so exported times stay on the steady timeline.
- */
-inline std::uint64_t
-tscNow() noexcept
-{
-    return __builtin_ia32_rdtsc();
-}
-#endif
-
 Event
 fromData(const EventData &d)
 {
@@ -61,26 +47,6 @@ EventRecorder::setEnabled(bool on)
     if (on) {
         steadyEpoch_ = std::chrono::steady_clock::now();
         wallEpoch_ = utcTimestamp();
-#if defined(__x86_64__)
-        // Calibrate the TSC against steady_clock over ~1ms.  The
-        // invariant TSC's rate is constant, so a one-shot ratio holds
-        // for the life of the recording; 0.1% error over a minutes-long
-        // run is far below what a timeline viewer can show.
-        tscEpoch_ = tscNow();
-        const auto c0 = steadyEpoch_;
-        auto c1 = c0;
-        do {
-            c1 = std::chrono::steady_clock::now();
-        } while (c1 - c0 < std::chrono::milliseconds(1));
-        const std::uint64_t ticks = tscNow() - tscEpoch_;
-        const auto ns =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(c1 -
-                                                                 c0)
-                .count();
-        nsPerTick_ = ticks == 0 ? 0.0
-                                : static_cast<double>(ns) /
-                                      static_cast<double>(ticks);
-#endif
     }
     enabled_.store(on, std::memory_order_relaxed);
 }
@@ -125,15 +91,10 @@ EventRecorder::store(Event e, std::uint64_t steady_nanos) noexcept
     } else if (steady_nanos != kStampNow) {
         e.steadyNanos = steady_nanos;
     } else {
-#if defined(__x86_64__)
-        e.steadyNanos = static_cast<std::uint64_t>(
-            static_cast<double>(tscNow() - tscEpoch_) * nsPerTick_);
-#else
         e.steadyNanos = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - steadyEpoch_)
                 .count());
-#endif
     }
 
     Shard &shard = shards_[threadShard()];

@@ -278,10 +278,6 @@ class EventRecorder
     std::atomic<std::uint64_t> seqGeneration_{0};
     std::atomic<bool> enabled_{false};
     std::chrono::steady_clock::time_point steadyEpoch_{};
-    /** TSC reading and cycles→ns factor calibrated by setEnabled(true)
-     *  on x86-64 (events.cc); unused elsewhere. */
-    std::uint64_t tscEpoch_ = 0;
-    double nsPerTick_ = 0.0;
     std::string wallEpoch_;
     mutable std::mutex labelMutex_;
     std::vector<std::string> labels_;

@@ -1,6 +1,7 @@
 #include "service.h"
 
 #include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "core/fingerprints.h"
@@ -211,19 +212,36 @@ Service::restoreLatest()
         !r.u64(queue_count))
         return false;
     const std::size_t cells = ring_.instances() * ring_.window();
+    // The monitor keeps at most baselineWindowWeeks healthy ratios (each
+    // finite and > 0), one per week it counted, and counts one week per
+    // processed epoch.
     if (assign.size() != serviceOf_.size() ||
-        queue_count > config_.maxEpochQueue)
+        queue_count > config_.maxEpochQueue ||
+        baseline_window.size() > config_.monitor.baselineWindowWeeks ||
+        week_counter < baseline_window.size() || week_counter > committed)
         return false;
+    for (const double ratio : baseline_window)
+        if (!std::isfinite(ratio) || ratio <= 0.0)
+            return false;
     for (const std::uint64_t node : assign)
         if (node >= tree_.nodeCount() ||
             tree_.node(node).level != power::Level::Rack)
             return false;
+    // Queued epochs rise strictly above the committed one, and advanceTo
+    // takes each snapshot at the tick before its boundary, behind the
+    // frontier: lastTick == epoch * epochTicks - 1, checked without
+    // overflow.
+    const std::uint64_t epoch_ticks = config_.epochTicks;
     std::deque<EpochSnapshot> queue;
     for (std::uint64_t i = 0; i < queue_count; ++i) {
         EpochSnapshot snap;
         std::vector<double> flat;
         if (!r.u64(snap.epoch) || !r.u64(snap.lastTick) ||
-            !r.f64Vector(flat) || flat.size() != cells)
+            !r.f64Vector(flat) || flat.size() != cells ||
+            snap.epoch <= (queue.empty() ? committed : queue.back().epoch) ||
+            snap.lastTick >= frontier ||
+            snap.lastTick / epoch_ticks + 1 != snap.epoch ||
+            snap.lastTick % epoch_ticks != epoch_ticks - 1)
             return false;
         snap.traces.reserve(ring_.instances());
         for (std::size_t inst = 0; inst < ring_.instances(); ++inst) {

@@ -40,8 +40,9 @@
  * after which the driver replays the deterministic feed from
  * ring().frontier() + 1.  A payload whose fields disagree with each
  * other or with the tree (mis-sized vectors, fill ticks that do not
- * match their slots, assignment entries that are not racks) is refused
- * before anything is mutated.
+ * match their slots, assignment entries that are not racks, a baseline
+ * window the monitor could not hold, queued epochs out of order or off
+ * their boundary tick) is refused before anything is mutated.
  */
 
 #include <cstddef>

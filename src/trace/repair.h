@@ -118,10 +118,7 @@ RepairSummary repairAll(std::vector<TimeSeries> &traces,
 
 /**
  * Functional form of repairAll: repair the population taken by value
- * and return (repaired traces, summary) as one result.  This is the
- * body of the pipeline's trace.repair.* nodes — a pure function of
- * (traces, policy), so the op graph caches its output under the node's
- * signature.
+ * and return (repaired traces, summary) as one result.
  */
 RepairedTraces repairedCopy(std::vector<TimeSeries> traces,
                             RepairPolicy policy);

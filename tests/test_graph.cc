@@ -421,9 +421,9 @@ TEST(GraphWhatIf, WarmMonitorLevelRerunIsFivefoldCheaper)
     spec.dc = goldenSpec();
     auto p = pipeline::buildPipeline(spec);
     const auto cold = pipeline::runPipeline(p);
-    // 13 fixed ops (including the shared cluster.shape_index) plus an
+    // 10 fixed ops (including the shared cluster.shape_index) plus an
     // inject + measure pair per evaluated week.
-    EXPECT_EQ(cold.opsExecuted, 13u + 2u * p.weekIns.size());
+    EXPECT_EQ(cold.opsExecuted, 10u + 2u * p.weekIns.size());
 
     const auto reg_miss1 =
         obs::registry().counter("graph.op.cache_miss").value();
@@ -486,7 +486,7 @@ TEST(GraphWhatIf, SeedWhatIfKeepsTheEmbeddingCached)
     EXPECT_EQ(p.graph.evalCount(p.embedOp), embed_evals)
         << "embedding must stay cached across a seed-only what-if";
     EXPECT_GT(warm.opsExecuted, 0u);
-    EXPECT_LT(warm.opsExecuted, 13u + 2u * p.weekIns.size());
+    EXPECT_LT(warm.opsExecuted, 10u + 2u * p.weekIns.size());
 }
 
 TEST(GraphWhatIf, ParseComposesKeysAndRejectsUnknownOnes)
@@ -569,9 +569,8 @@ allOps(const pipeline::Pipeline &p)
 {
     std::set<std::string> ops;
     for (const auto h :
-         {p.injectTrainingOp, p.repairTrainingOp, p.injectTestOp,
-          p.repairTestOp, p.statsOp, p.scoreOp, p.obliviousOp,
-          p.shapeIndexOp, p.embedOp, p.placeOp, p.remapOp, p.tripsOp,
+         {p.degradeTrainingOp, p.degradeTestOp, p.statsOp, p.scoreOp,
+          p.obliviousOp, p.shapeIndexOp, p.embedOp, p.placeOp, p.remapOp,
           p.compareOp})
         ops.insert(p.graph.name(h));
     for (std::size_t w = 0; w < p.weekIns.size(); ++w) {
@@ -588,7 +587,7 @@ TEST(GraphWhatIf, FaultPlanWhatIfExecutesAllButTheObliviousBaseline)
     auto p = pipeline::buildPipeline(spec);
     // A cold run executes every op once.
     EXPECT_EQ(executedOps(p), allOps(p));
-    EXPECT_EQ(allOps(p).size(), 13u + 2u * p.weekIns.size());
+    EXPECT_EQ(allOps(p).size(), 10u + 2u * p.weekIns.size());
 
     auto expected = allOps(p);
     expected.erase("place.oblivious");
@@ -603,11 +602,31 @@ TEST(GraphWhatIf, MaxSwapsWhatIfExecutesTheRemapCone)
     auto p = pipeline::buildPipeline(spec);
     pipeline::runPipeline(p);
 
-    std::set<std::string> expected = {"remap.refine", "fault.trips.test",
-                                      "compare.headroom"};
+    std::set<std::string> expected = {"remap.refine", "compare.headroom"};
     for (const auto h : p.weekMeasureOps)
         expected.insert(p.graph.name(h));
     const auto overlay = pipeline::parseWhatIf(p, "max-swaps=32");
+    EXPECT_EQ(executedOps(p, overlay), expected);
+}
+
+TEST(GraphWhatIf, RepairPolicyWhatIfExecutesTheDegradeCone)
+{
+    pipeline::PipelineSpec spec;
+    spec.dc = goldenSpec();
+    auto p = pipeline::buildPipeline(spec);
+    pipeline::runPipeline(p);
+
+    // Repair runs inside fault.degrade.*, so a policy edit re-runs
+    // injection too, and every op downstream of the degraded training
+    // and test populations.  The oblivious baseline and the week
+    // injections read neither.
+    auto expected = allOps(p);
+    expected.erase("place.oblivious");
+    for (const auto h : p.weekInjectOps)
+        expected.erase(p.graph.name(h));
+    EXPECT_TRUE(expected.count("fault.degrade.training"));
+    EXPECT_TRUE(expected.count("fault.degrade.test"));
+    const auto overlay = pipeline::parseWhatIf(p, "repair-policy=hold_last");
     EXPECT_EQ(executedOps(p, overlay), expected);
 }
 
@@ -796,16 +815,17 @@ TEST(GraphFuzz, EditsAndOverlayStacksMatchColdRebuild)
             }
             stack = stack.merged(pipeline::parseWhatIf(warm_p, what_if));
         }
-        const auto inject_evals =
-            warm_p.graph.evalCount(warm_p.injectTestOp);
+        const auto degrade_evals =
+            warm_p.graph.evalCount(warm_p.degradeTestOp);
         const auto warm_wi = pipeline::runPipeline(warm_p, stack);
         const auto cold_wi = pipeline::runPipeline(cold_p, stack);
         EXPECT_EQ(resultDigest(warm_wi), resultDigest(cold_wi))
             << "round " << round << ": overlay stack diverged";
-        // No overlay in the stack shadows the test traces or the plan,
-        // so the test-week inject op is outside every stacked cone.
-        EXPECT_EQ(warm_p.graph.evalCount(warm_p.injectTestOp),
-                  inject_evals)
+        // No overlay in the stack shadows the test traces, the plan or
+        // the repair policy, so the test-week degrade op is outside
+        // every stacked cone.
+        EXPECT_EQ(warm_p.graph.evalCount(warm_p.degradeTestOp),
+                  degrade_evals)
             << "untouched cone re-executed under an overlay stack";
 
         // Overlay evaluation must not disturb the base memo: an empty

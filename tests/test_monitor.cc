@@ -97,12 +97,14 @@ TEST(Monitor, StableWeeksStayQuiet)
     power::PowerTree tree(tinyTopology());
     FragmentationMonitor monitor(tree);
     power::Assignment assignment{tree.racks()[0], tree.racks()[1]};
+    std::size_t observed = 0;
     for (int w = 0; w < 6; ++w) {
         const auto obs =
             monitor.observeWeek(weekTraces(0.0), assignment);
         EXPECT_EQ(obs.action, MonitorAction::None) << "week " << w;
+        EXPECT_EQ(obs.week, observed++);
     }
-    EXPECT_EQ(monitor.history().size(), 6u);
+    EXPECT_EQ(observed, 6u);
 }
 
 TEST(Monitor, DriftTriggersRemapThenReplace)
@@ -199,7 +201,8 @@ TEST(Monitor, MovedMonitorKeepsObserving)
     EXPECT_EQ(got.sumOfPeaks, expected.sumOfPeaks);
     EXPECT_EQ(got.rootPeak, expected.rootPeak);
     EXPECT_EQ(got.fragmentationRatio, expected.fragmentationRatio);
-    EXPECT_EQ(moved.history().size(), 2u);
+    // The moved monitor carried the source's one observation along.
+    EXPECT_EQ(got.week, 1u);
 }
 
 // ---------------------------------------------------------------------

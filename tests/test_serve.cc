@@ -676,6 +676,100 @@ TEST(ServeService, RestoreRefusesMalformedPayload)
     EXPECT_EQ(svc.digest(), good.digest);
 }
 
+TEST(ServeService, RestoreRefusesImpossibleMonitorStateAndQueue)
+{
+    const std::string dir = freshDir("impossible");
+    power::PowerTree tree(tinyTopology());
+    const auto service_of = tinyServices();
+    auto initial = baseline::obliviousPlacement(tree, service_of);
+    serve::Service svc(tree, service_of, initial, 60, tinyConfig(dir));
+    drive(svc, 0, 20);
+    // Two boundaries (24, 30) queue up unprocessed, so the checkpoint
+    // committed after epoch 4 still holds epoch 5 in its queue.
+    for (std::uint64_t t = 21; t <= 30; ++t) {
+        svc.advanceTo(t);
+        for (std::size_t i = 0; i < kInstances; ++i)
+            svc.ingest({t, i, feedWatts(i, t)});
+    }
+    ASSERT_EQ(svc.queueDepth(), 2u);
+    svc.processReadyEpochs();
+    const auto slot = serve::readCheckpointFile(
+        serve::checkpointSlotPath(dir, 0), svc.shapeFingerprint(), nullptr);
+    ASSERT_TRUE(slot.has_value());
+    ServePayload good;
+    ASSERT_TRUE(parsePayload(slot->payload, good));
+    ASSERT_EQ(good.committed, 4u);
+    ASSERT_EQ(good.queue.size(), 1u);
+    ASSERT_EQ(good.queue[0].epoch, 5u);
+    ASSERT_EQ(good.queue[0].lastTick, 29u);
+    ASSERT_EQ(good.baselineWindow.size(), 2u);
+    ASSERT_GE(good.weekCounter, 2u);
+
+    // Run the live service past the fixture so a restore that wrote
+    // anything before refusing would show.
+    drive(svc, 31, 40);
+    ASSERT_NE(svc.ring().frontier(), good.frontier);
+    ASSERT_NE(svc.committedEpoch(), good.committed);
+    const std::uint64_t frontier = svc.ring().frontier();
+    const std::uint64_t committed = svc.committedEpoch();
+    const std::uint64_t digest = svc.digest();
+    const power::Assignment assignment = svc.assignment();
+    std::uint64_t epoch = 100; // newer than anything drive() committed
+    const auto commit = [&](const ServePayload &p) {
+        ASSERT_TRUE(serve::writeCheckpointFile(
+            dir, svc.shapeFingerprint(), ++epoch, writePayload(p),
+            nullptr));
+    };
+    const auto expectRefused = [&](const ServePayload &bad,
+                                   const char *what) {
+        commit(bad);
+        EXPECT_FALSE(svc.restoreLatest()) << what;
+        EXPECT_EQ(svc.ring().frontier(), frontier) << what;
+        EXPECT_EQ(svc.committedEpoch(), committed) << what;
+        EXPECT_EQ(svc.digest(), digest) << what;
+        EXPECT_EQ(svc.assignment(), assignment) << what;
+    };
+
+    ServePayload bad = good;
+    bad.baselineWindow.assign(50, kNaN);
+    expectRefused(bad, "50 NaN ratios");
+
+    bad = good;
+    bad.baselineWindow[1] = kNaN;
+    expectRefused(bad, "a NaN ratio inside the window's length");
+
+    bad = good;
+    bad.baselineWindow[0] = 0.0;
+    expectRefused(bad, "a zero ratio");
+
+    bad = good;
+    bad.baselineWindow.push_back(good.baselineWindow[0]);
+    expectRefused(bad, "a window longer than baselineWindowWeeks");
+
+    bad = good;
+    bad.weekCounter = 0;
+    expectRefused(bad, "week counter 0 beside a two-ratio window");
+
+    bad = good;
+    bad.weekCounter = ~std::uint64_t{0};
+    expectRefused(bad, "more weeks counted than epochs committed");
+
+    bad = good;
+    bad.queue[0].lastTick += 1;
+    expectRefused(bad, "snapshot lastTick off by one");
+
+    bad = good;
+    bad.queue[0].epoch = good.committed;
+    bad.queue[0].lastTick = good.committed * svc.config().epochTicks - 1;
+    expectRefused(bad, "queued epoch not above the committed one");
+
+    // The unmodified payload restores, queue included.
+    commit(good);
+    ASSERT_TRUE(svc.restoreLatest());
+    EXPECT_EQ(svc.committedEpoch(), good.committed);
+    EXPECT_EQ(svc.queueDepth(), 1u);
+}
+
 TEST(ServeService, IngestCountersPublishedOnce)
 {
     const std::vector<IngestStatus> rejections = {
