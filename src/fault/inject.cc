@@ -170,6 +170,21 @@ injectedCopy(std::vector<trace::TimeSeries> traces, const FaultPlan &plan)
     return out;
 }
 
+bool
+checkBreakerTrips(const std::vector<trace::TimeSeries> &traces,
+                  const power::Assignment &assignment, const FaultPlan &plan)
+{
+    requireShape(traces, plan,
+                 "injectBreakerTrips: traces do not match the plan shape");
+    SOSIM_REQUIRE(assignment.size() == traces.size(),
+                  "injectBreakerTrips: assignment does not cover the "
+                  "trace population");
+    const auto &events = plan.powerEvents();
+    return std::any_of(events.begin(), events.end(), [](const auto &e) {
+        return e.kind == PowerEventKind::BreakerTrip;
+    });
+}
+
 InjectionReport
 injectBreakerTrips(std::vector<trace::TimeSeries> &traces,
                    const power::PowerTree &tree,
@@ -177,11 +192,7 @@ injectBreakerTrips(std::vector<trace::TimeSeries> &traces,
                    const FaultPlan &plan)
 {
     SOSIM_SPAN("fault.inject_breaker_trips");
-    requireShape(traces, plan,
-                 "injectBreakerTrips: traces do not match the plan shape");
-    SOSIM_REQUIRE(assignment.size() == traces.size(),
-                  "injectBreakerTrips: assignment does not cover the "
-                  "trace population");
+    checkBreakerTrips(traces, assignment, plan);
     InjectionReport report;
     // Trips target racks that actually serve load: resolving the
     // ordinal over occupied racks only keeps sparse topologies (few

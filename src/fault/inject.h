@@ -88,6 +88,18 @@ injectBreakerTrips(std::vector<trace::TimeSeries> &traces,
                    const FaultPlan &plan);
 
 /**
+ * The checks injectBreakerTrips makes before it touches a trace, with
+ * the same errors: the population matches the plan's shape and the
+ * assignment covers it.  Returns whether the plan schedules a breaker
+ * trip at all; when it does not, injectBreakerTrips leaves the traces
+ * as they are and returns an empty report, so a caller can skip the
+ * copy it would degrade.
+ */
+bool checkBreakerTrips(const std::vector<trace::TimeSeries> &traces,
+                       const power::Assignment &assignment,
+                       const FaultPlan &plan);
+
+/**
  * Apply the plan's derating events to the budgets of one tree level:
  * each event multiplies the budget of node (ordinal % level nodes) by
  * its factor.  Nodes with no provisioned budget (0) are skipped — there

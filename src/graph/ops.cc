@@ -13,6 +13,7 @@
 #include "trace/kernels.h"
 #include "util/error.h"
 #include "util/hash.h"
+#include "util/parallel.h"
 #include "util/parse.h"
 
 namespace sosim::pipeline {
@@ -94,15 +95,31 @@ buildPipeline(const PipelineSpec &spec)
 
     p.tree = std::make_shared<const power::PowerTree>(spec.dc.topology);
 
+    // The input populations (training, test and every week) are
+    // fingerprinted side by side, each into its own slot.
+    std::vector<std::vector<trace::TimeSeries>> weeks(
+        static_cast<std::size_t>(spec.dc.weeks));
+    for (std::size_t w = 0; w < weeks.size(); ++w) {
+        weeks[w].reserve(dc.instanceCount());
+        for (std::size_t i = 0; i < dc.instanceCount(); ++i)
+            weeks[w].push_back(dc.weekTrace(i, static_cast<int>(w)));
+    }
+    std::vector<const std::vector<trace::TimeSeries> *> populations = {
+        &training, &test};
+    for (const auto &week : weeks)
+        populations.push_back(&week);
+    std::vector<std::uint64_t> population_fps(populations.size());
+    util::parallelFor(populations.size(), [&](std::size_t k) {
+        population_fps[k] = core::fingerprintTraces(*populations[k]);
+    });
+
     auto &g = p.graph;
     {
-        const auto training_fp = core::fingerprintTraces(training);
-        p.trainingIn =
-            g.input("training",
-                    graph::Value::of(std::move(training), training_fp));
-        const auto test_fp = core::fingerprintTraces(test);
-        p.testIn =
-            g.input("test", graph::Value::of(std::move(test), test_fp));
+        p.trainingIn = g.input(
+            "training",
+            graph::Value::of(std::move(training), population_fps[0]));
+        p.testIn = g.input(
+            "test", graph::Value::of(std::move(test), population_fps[1]));
         const auto services_fp = core::fingerprintServices(service_of);
         p.serviceOfIn = g.input(
             "service_of",
@@ -129,16 +146,10 @@ buildPipeline(const PipelineSpec &spec)
         graph::Value::of(
             spec.monitor,
             core::fingerprintMonitorMeasureConfig(spec.monitor)));
-    for (int w = 0; w < spec.dc.weeks; ++w) {
-        std::vector<trace::TimeSeries> week;
-        week.reserve(dc.instanceCount());
-        for (std::size_t i = 0; i < dc.instanceCount(); ++i)
-            week.push_back(dc.weekTrace(i, w));
-        const auto week_fp = core::fingerprintTraces(week);
-        p.weekIns.push_back(
-            g.input("week." + std::to_string(w),
-                    graph::Value::of(std::move(week), week_fp)));
-    }
+    for (std::size_t w = 0; w < weeks.size(); ++w)
+        p.weekIns.push_back(g.input(
+            "week." + std::to_string(w),
+            graph::Value::of(std::move(weeks[w]), population_fps[2 + w])));
 
     using Ins = std::vector<graph::Value>;
     // Stage bodies that read the power tree share it with the Pipeline
@@ -248,18 +259,27 @@ buildPipeline(const PipelineSpec &spec)
         });
     // Breaker trips black out racks under the refined placement.  They
     // degrade a scratch copy of the test week that lives only as long
-    // as the comparison reading it.
+    // as the comparison reading it; a plan without trips compares on
+    // the degraded test week itself, with an empty trip report.
     p.compareOp = g.op(
         "compare.headroom",
         {p.degradeTestOp, p.obliviousOp, p.remapOp, p.planIn}, tree_fp,
         [tree](const Ins &ins) {
+            const auto &degraded = ins[0].as<DegradedTraces>().traces;
+            const auto &oblivious = ins[1].as<power::Assignment>();
             const auto &optimized = ins[2].as<RemapResult>().assignment;
-            auto test = ins[0].as<DegradedTraces>().traces;
+            const auto &plan = ins[3].as<fault::FaultPlan>();
             HeadroomResult out;
-            out.trips = fault::injectBreakerTrips(
-                test, *tree, optimized, ins[3].as<fault::FaultPlan>());
-            out.comparison = core::comparePlacements(
-                *tree, test, ins[1].as<power::Assignment>(), optimized);
+            if (!fault::checkBreakerTrips(degraded, optimized, plan)) {
+                out.comparison = core::comparePlacements(
+                    *tree, degraded, oblivious, optimized);
+                return graph::Value::of(std::move(out));
+            }
+            auto test = degraded;
+            out.trips =
+                fault::injectBreakerTrips(test, *tree, optimized, plan);
+            out.comparison =
+                core::comparePlacements(*tree, test, oblivious, optimized);
             return graph::Value::of(std::move(out));
         });
     // measureWeek is the pure half of one week's observation; runPipeline

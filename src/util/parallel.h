@@ -12,7 +12,7 @@
  * reduction in this library happens serially, in index order, after the
  * fan-out returns.  With that discipline, parallel and serial runs are
  * bit-identical — tests/test_parallel.cc pins this for the scoring,
- * k-means, placement and remap paths.
+ * k-means, placement, remap and trace-generation paths.
  *
  * The pool is created on first use.  Thread count resolution order:
  * setThreadCount() override > SOSIM_THREADS environment variable >

@@ -50,11 +50,17 @@ Rng::zipf(std::size_t n, double s)
 Rng
 Rng::fork()
 {
+    return Rng(forkSeed());
+}
+
+std::uint64_t
+Rng::forkSeed()
+{
     // Draw two words so sibling forks are decorrelated even when the
     // parent engine state advances by a single step between forks.
     const std::uint64_t a = engine_();
     const std::uint64_t b = engine_();
-    return Rng(a ^ (b << 1) ^ 0x9e37'79b9'7f4a'7c15ULL);
+    return a ^ (b << 1) ^ 0x9e37'79b9'7f4a'7c15ULL;
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double s)

@@ -64,6 +64,13 @@ class Rng
     /** Derive an independent child generator (for per-instance streams). */
     Rng fork();
 
+    /**
+     * The seed fork() would build its child from, drawn the same way:
+     * Rng(forkSeed()) equals fork().  Lets a caller take a run of forks
+     * serially as 8-byte seeds and build each child where it is used.
+     */
+    std::uint64_t forkSeed();
+
     /** Access the underlying engine (for std distributions). */
     std::mt19937_64 &engine() { return engine_; }
 

@@ -1,11 +1,13 @@
 #include "generator.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <utility>
 
 #include "obs/obs.h"
 #include "util/error.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace sosim::workload {
@@ -239,13 +241,24 @@ generate(const DatacenterSpec &spec)
         }
     }
 
-    // Instances.
-    std::vector<InstanceInfo> instances;
-    instances.reserve(static_cast<std::size_t>(spec.totalInstances()));
-    for (std::size_t s = 0; s < num_services; ++s) {
-        const auto &dep = spec.services[s];
+    // Instances, in two phases.  The serial phase makes every draw of
+    // the service streams, in service order: the Zipf shuffle, then one
+    // fork per instance, kept as the fork's 8-byte seed rather than a
+    // live engine.  It also allocates every row on this thread, so the
+    // samples do not land in the workers' malloc arenas.  The parallel
+    // phase rebuilds each instance's stream from its seed and writes
+    // only that instance's slot and rows, so the output does not depend
+    // on the thread count.
+    for (const auto &dep : spec.services)
         SOSIM_REQUIRE(dep.instanceCount >= 0,
                       "generate: negative instance count");
+    const std::size_t instance_count =
+        static_cast<std::size_t>(spec.totalInstances());
+    std::vector<InstanceInfo> instances(instance_count);
+    std::vector<std::uint64_t> seeds(instance_count);
+    std::size_t next = 0;
+    for (std::size_t s = 0; s < num_services; ++s) {
+        const auto &dep = spec.services[s];
         const std::size_t n = static_cast<std::size_t>(dep.instanceCount);
         if (n == 0)
             continue;
@@ -272,77 +285,83 @@ generate(const DatacenterSpec &spec)
                 p /= mean;
         }
 
-        for (std::size_t i = 0; i < n; ++i) {
-            util::Rng rng = service_rng.fork();
-            InstanceInfo info;
+        for (std::size_t i = 0; i < n; ++i, ++next) {
+            seeds[next] = service_rng.forkSeed();
+            auto &info = instances[next];
             info.serviceIndex = s;
             info.popularity = popularity[i];
-            info.amplitude = std::max(
-                0.2, 1.0 + rng.normal(0.0, profile.amplitudeJitterFrac));
-            info.phaseHours = rng.normal(0.0, profile.phaseJitterHours);
-
-            for (int w = 0; w < spec.weeks; ++w) {
-                // Per-instance daily bump table: the bump only depends on
-                // the time of day, so evaluate one day and reuse it.
-                std::vector<double> bump_table(samples_per_day);
-                for (std::size_t t = 0; t < samples_per_day; ++t) {
-                    const int minute =
-                        static_cast<int>(t) * spec.intervalMinutes;
-                    const double hour =
-                        static_cast<double>(minute) / 60.0;
-                    bump_table[t] =
-                        bumpAt(profile, hour,
-                               info.phaseHours + week_phase[s][w]);
-                }
-
-                // Burst schedule for the week: multiplicative pulses.
-                std::vector<double> burst(samples_per_week, 1.0);
-                if (profile.burstsPerDay > 0.0) {
-                    for (int day = 0; day < 7; ++day) {
-                        if (!rng.chance(profile.burstsPerDay))
-                            continue;
-                        const std::size_t start =
-                            static_cast<std::size_t>(day) *
-                                samples_per_day +
-                            static_cast<std::size_t>(rng.uniformInt(
-                                0, (std::int64_t)samples_per_day - 1));
-                        const std::size_t len = std::max<std::size_t>(
-                            1, static_cast<std::size_t>(
-                                   profile.burstMinutes /
-                                   spec.intervalMinutes));
-                        for (std::size_t t = start;
-                             t < std::min(start + len, samples_per_week);
-                             ++t) {
-                            burst[t] = profile.burstMagnitude;
-                        }
-                    }
-                }
-
-                std::vector<double> samples(samples_per_week);
-                const double gain =
-                    info.popularity * info.amplitude * week_scale[s][w];
-                for (std::size_t t = 0; t < samples_per_week; ++t) {
-                    const int day = static_cast<int>(t / samples_per_day);
-                    const double activity = std::clamp(
-                        (profile.baseActivity +
-                         (1.0 - profile.baseActivity) *
-                             bump_table[t % samples_per_day] *
-                             dayOfWeekFactor(profile, day)) *
-                            burst[t] * gain,
-                        0.0, 1.2);
-                    double p = profile.maxPowerWatts *
-                               (profile.idleFraction +
-                                (1.0 - profile.idleFraction) * activity);
-                    p += rng.normal(0.0, profile.noiseStd);
-                    samples[t] = std::clamp(p, 0.0,
-                                            profile.maxPowerWatts * 1.1);
-                }
-                info.weeklyPower.emplace_back(std::move(samples),
-                                              spec.intervalMinutes);
-            }
-            instances.push_back(std::move(info));
+            info.weeklyPower.reserve(static_cast<std::size_t>(spec.weeks));
+            for (int w = 0; w < spec.weeks; ++w)
+                info.weeklyPower.push_back(trace::TimeSeries::zeros(
+                    samples_per_week, spec.intervalMinutes));
         }
     }
+
+    util::parallelFor(instance_count, [&](std::size_t i) {
+        auto &info = instances[i];
+        const std::size_t s = info.serviceIndex;
+        const auto &profile = spec.services[s].profile;
+        util::Rng rng(seeds[i]);
+        info.amplitude = std::max(
+            0.2, 1.0 + rng.normal(0.0, profile.amplitudeJitterFrac));
+        info.phaseHours = rng.normal(0.0, profile.phaseJitterHours);
+
+        // dayOfWeekFactor calls std::sin; the week has seven values.
+        std::array<double, 7> day_factor{};
+        for (int day = 0; day < 7; ++day)
+            day_factor[day] = dayOfWeekFactor(profile, day);
+        std::vector<double> bump_table(samples_per_day);
+        std::vector<double> burst(samples_per_week);
+        for (int w = 0; w < spec.weeks; ++w) {
+            // Per-instance daily bump table: the bump only depends on
+            // the time of day, so evaluate one day and reuse it.
+            for (std::size_t t = 0; t < samples_per_day; ++t) {
+                const int minute = static_cast<int>(t) * spec.intervalMinutes;
+                const double hour = static_cast<double>(minute) / 60.0;
+                bump_table[t] = bumpAt(profile, hour,
+                                       info.phaseHours + week_phase[s][w]);
+            }
+
+            // Burst schedule for the week: multiplicative pulses.
+            std::fill(burst.begin(), burst.end(), 1.0);
+            if (profile.burstsPerDay > 0.0) {
+                for (int day = 0; day < 7; ++day) {
+                    if (!rng.chance(profile.burstsPerDay))
+                        continue;
+                    const std::size_t start =
+                        static_cast<std::size_t>(day) * samples_per_day +
+                        static_cast<std::size_t>(rng.uniformInt(
+                            0, (std::int64_t)samples_per_day - 1));
+                    const std::size_t len = std::max<std::size_t>(
+                        1, static_cast<std::size_t>(profile.burstMinutes /
+                                                    spec.intervalMinutes));
+                    for (std::size_t t = start;
+                         t < std::min(start + len, samples_per_week); ++t) {
+                        burst[t] = profile.burstMagnitude;
+                    }
+                }
+            }
+
+            double *samples = info.weeklyPower[w].data();
+            const double gain =
+                info.popularity * info.amplitude * week_scale[s][w];
+            for (std::size_t t = 0; t < samples_per_week; ++t) {
+                const double activity = std::clamp(
+                    (profile.baseActivity +
+                     (1.0 - profile.baseActivity) *
+                         bump_table[t % samples_per_day] *
+                         day_factor[t / samples_per_day]) *
+                        burst[t] * gain,
+                    0.0, 1.2);
+                double p = profile.maxPowerWatts *
+                           (profile.idleFraction +
+                            (1.0 - profile.idleFraction) * activity);
+                p += rng.normal(0.0, profile.noiseStd);
+                samples[t] =
+                    std::clamp(p, 0.0, profile.maxPowerWatts * 1.1);
+            }
+        }
+    });
 
     return GeneratedDatacenter(spec, std::move(instances),
                                std::move(service_activity));

@@ -127,7 +127,9 @@ class GeneratedDatacenter
 
 /**
  * Generate a datacenter from a specification.  Deterministic: equal specs
- * (including seed) produce identical traces.
+ * (including seed) produce identical traces, and the output does not
+ * depend on the thread count — instances are filled in parallel, each
+ * from a seed forked serially in instance order.
  */
 GeneratedDatacenter generate(const DatacenterSpec &spec);
 

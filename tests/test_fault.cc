@@ -298,6 +298,31 @@ TEST(Inject, BreakerTripBlacksOutTheOccupiedRack)
             EXPECT_EQ(t[event.atSample + s], 0.0);
 }
 
+TEST(Inject, CheckBreakerTripsReportsTripsAndRefusesWhatInjectionRefuses)
+{
+    fault::FaultProfile trips;
+    trips.breakerTrips = 1;
+    const auto tripping = fault::FaultPlan::build(3, trips, {3, 40});
+    // Derating is a power event too, but not a trip.
+    fault::FaultProfile derate_only;
+    derate_only.deratedNodes = 1;
+    const auto quiet = fault::FaultPlan::build(3, derate_only, {3, 40});
+    ASSERT_FALSE(quiet.powerEvents().empty());
+    const std::vector<TimeSeries> traces(3, TimeSeries::constant(40, 1.0));
+    const power::Assignment assignment(3, 0);
+    EXPECT_TRUE(fault::checkBreakerTrips(traces, assignment, tripping));
+    EXPECT_FALSE(fault::checkBreakerTrips(traces, assignment, quiet));
+
+    // A quiet plan still validates the population it is applied to.
+    const std::vector<TimeSeries> wrong_len(3,
+                                            TimeSeries::constant(39, 1.0));
+    EXPECT_THROW(fault::checkBreakerTrips(wrong_len, assignment, quiet),
+                 FatalError);
+    EXPECT_THROW(fault::checkBreakerTrips(traces, power::Assignment(2, 0),
+                                          quiet),
+                 FatalError);
+}
+
 TEST(Inject, DeratingScalesProvisionedBudgetsOnly)
 {
     power::TopologySpec topo;

@@ -3,8 +3,8 @@
  * Tests for util::parallelFor and the library's determinism contract:
  * for a fixed seed, the parallel code paths (scoreVectors rows, k-means
  * restarts and assignment loops, placement recursion, remap candidate
- * evaluation) must produce results bit-identical to a serial run, for
- * any thread count.
+ * evaluation, trace generation) must produce results bit-identical to a
+ * serial run, for any thread count.
  */
 
 #include <atomic>
@@ -18,6 +18,7 @@
 
 #include "baseline/oblivious.h"
 #include "core/asynchrony.h"
+#include "core/fingerprints.h"
 #include "core/placement.h"
 #include "core/remap.h"
 #include "cluster/kmeans.h"
@@ -26,6 +27,7 @@
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "workload/catalog.h"
+#include "workload/dc_presets.h"
 #include "workload/generator.h"
 
 namespace {
@@ -310,6 +312,76 @@ TEST(ParallelDeterminism, RemapSwapsIdenticalAcrossThreadCounts)
     const auto [parallel_assign, parallel_swaps] = run(4);
     EXPECT_EQ(serial_assign, parallel_assign);
     EXPECT_EQ(serial_swaps, parallel_swaps);
+}
+
+/** Everything generate() draws, flattened for exact comparison. */
+struct GeneratedSummary {
+    std::vector<std::uint64_t> weekFingerprints;
+    std::vector<std::size_t> serviceIndex;
+    std::vector<double> popularity;
+    std::vector<double> amplitude;
+    std::vector<double> phaseHours;
+    std::vector<std::vector<double>> activity;
+
+    bool operator==(const GeneratedSummary &) const = default;
+};
+
+GeneratedSummary
+generateAt(const workload::DatacenterSpec &spec, std::size_t threads)
+{
+    ScopedThreads guard(threads);
+    const auto dc = workload::generate(spec);
+    GeneratedSummary out;
+    for (int w = 0; w < spec.weeks; ++w) {
+        std::vector<trace::TimeSeries> week;
+        for (std::size_t i = 0; i < dc.instanceCount(); ++i)
+            week.push_back(dc.weekTrace(i, w));
+        out.weekFingerprints.push_back(core::fingerprintTraces(week));
+        for (std::size_t s = 0; s < dc.serviceCount(); ++s)
+            out.activity.push_back(dc.serviceActivity(s, w).samples());
+    }
+    for (std::size_t i = 0; i < dc.instanceCount(); ++i) {
+        const auto &info = dc.instance(i);
+        out.serviceIndex.push_back(info.serviceIndex);
+        out.popularity.push_back(info.popularity);
+        out.amplitude.push_back(info.amplitude);
+        out.phaseHours.push_back(info.phaseHours);
+    }
+    return out;
+}
+
+TEST(ParallelDeterminism, GeneratedDatacenterBitIdenticalAcrossThreadCounts)
+{
+    workload::PresetOptions options;
+    options.intervalMinutes = 60;
+    options.scale = 0.05;
+    const auto dc3 = workload::buildDc3Spec(options);
+
+    // Edge cases of the serial fork phase: a service with no instances
+    // between two that have some, one without Zipf popularity (no
+    // shuffle draws) and one without bursts (no burst draws).
+    workload::DatacenterSpec mixed;
+    mixed.name = "par-gen";
+    mixed.intervalMinutes = 30;
+    mixed.weeks = 2;
+    mixed.seed = 29;
+    auto flat = workload::webFrontend();
+    flat.popularityZipf = 0.0;
+    auto steady = workload::hadoop();
+    steady.burstsPerDay = 0.0;
+    mixed.services.push_back({workload::dbBackend(), 9});
+    mixed.services.push_back({workload::webFrontend(), 0});
+    mixed.services.push_back({flat, 7});
+    mixed.services.push_back({steady, 5});
+
+    for (const auto &spec : {dc3, mixed}) {
+        const auto serial = generateAt(spec, 1);
+        ASSERT_EQ(serial.serviceIndex.size(),
+                  static_cast<std::size_t>(spec.totalInstances()));
+        for (const std::size_t threads : {std::size_t(2), std::size_t(4)})
+            EXPECT_TRUE(generateAt(spec, threads) == serial)
+                << spec.name << " at " << threads << " threads";
+    }
 }
 
 } // namespace
