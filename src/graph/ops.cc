@@ -68,10 +68,9 @@ buildPipeline(const PipelineSpec &spec)
     Pipeline p;
     p.spec = spec;
 
-    const auto dc = workload::generate(spec.dc);
+    auto dc = workload::generate(spec.dc);
     p.instanceCount = dc.instanceCount();
     auto training = dc.trainingTraces();
-    auto test = dc.testTraces();
     SOSIM_REQUIRE(!training.empty(), "buildPipeline: no instances");
     p.shape = {dc.instanceCount(), training.front().size()};
     std::vector<std::size_t> service_of(dc.instanceCount());
@@ -95,31 +94,31 @@ buildPipeline(const PipelineSpec &spec)
 
     p.tree = std::make_shared<const power::PowerTree>(spec.dc.topology);
 
-    // The input populations (training, test and every week) are
+    // The generated weeks are adopted, not copied, and each is boxed
+    // once: the "test" input is the last week's Value, one payload under
+    // two names.  The input populations (training and every week) are
     // fingerprinted side by side, each into its own slot.
-    std::vector<std::vector<trace::TimeSeries>> weeks(
-        static_cast<std::size_t>(spec.dc.weeks));
-    for (std::size_t w = 0; w < weeks.size(); ++w) {
-        weeks[w].reserve(dc.instanceCount());
-        for (std::size_t i = 0; i < dc.instanceCount(); ++i)
-            weeks[w].push_back(dc.weekTrace(i, static_cast<int>(w)));
-    }
+    auto weeks = std::move(dc).takeWeeks();
     std::vector<const std::vector<trace::TimeSeries> *> populations = {
-        &training, &test};
+        &training};
     for (const auto &week : weeks)
         populations.push_back(&week);
     std::vector<std::uint64_t> population_fps(populations.size());
     util::parallelFor(populations.size(), [&](std::size_t k) {
         population_fps[k] = core::fingerprintTraces(*populations[k]);
     });
+    std::vector<graph::Value> week_values;
+    week_values.reserve(weeks.size());
+    for (std::size_t w = 0; w < weeks.size(); ++w)
+        week_values.push_back(
+            graph::Value::of(std::move(weeks[w]), population_fps[1 + w]));
 
     auto &g = p.graph;
     {
         p.trainingIn = g.input(
             "training",
             graph::Value::of(std::move(training), population_fps[0]));
-        p.testIn = g.input(
-            "test", graph::Value::of(std::move(test), population_fps[1]));
+        p.testIn = g.input("test", week_values.back());
         const auto services_fp = core::fingerprintServices(service_of);
         p.serviceOfIn = g.input(
             "service_of",
@@ -146,10 +145,9 @@ buildPipeline(const PipelineSpec &spec)
         graph::Value::of(
             spec.monitor,
             core::fingerprintMonitorMeasureConfig(spec.monitor)));
-    for (std::size_t w = 0; w < weeks.size(); ++w)
-        p.weekIns.push_back(g.input(
-            "week." + std::to_string(w),
-            graph::Value::of(std::move(weeks[w]), population_fps[2 + w])));
+    for (std::size_t w = 0; w < week_values.size(); ++w)
+        p.weekIns.push_back(
+            g.input("week." + std::to_string(w), std::move(week_values[w])));
 
     using Ins = std::vector<graph::Value>;
     // Stage bodies that read the power tree share it with the Pipeline

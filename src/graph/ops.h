@@ -117,6 +117,7 @@ struct Pipeline {
 
     // Inputs.
     graph::Handle trainingIn;
+    /** Boxes the same payload as weekIns.back() until an edit. */
     graph::Handle testIn;
     graph::Handle serviceOfIn;
     graph::Handle planIn;

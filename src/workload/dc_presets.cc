@@ -1,6 +1,7 @@
 #include "dc_presets.h"
 
 #include <cmath>
+#include <limits>
 
 #include "util/error.h"
 #include "workload/catalog.h"
@@ -9,12 +10,7 @@ namespace sosim::workload {
 
 namespace {
 
-/** Scale an instance count, keeping at least one instance. */
-int
-scaled(int count, double scale)
-{
-    return std::max(1, static_cast<int>(std::lround(count * scale)));
-}
+constexpr double kMaxCount = std::numeric_limits<int>::max();
 
 DatacenterSpec
 baseSpec(const std::string &name, const PresetOptions &options)
@@ -26,13 +22,41 @@ baseSpec(const std::string &name, const PresetOptions &options)
     spec.seed = options.seed;
     // 4 suites x 2 MSB x 2 SB x 4 RPP x 4 racks = 256 racks.
     spec.topology = power::TopologySpec{};
+    SOSIM_REQUIRE(std::isfinite(options.scale) && options.scale > 0.0,
+                  name + " preset: scale must be finite and above 0");
     return spec;
 }
 
+/** Add a service with its count scaled and rounded; the floor of one
+ *  instance is applied by floored() once every service is added. */
 void
 add(DatacenterSpec &spec, ServiceProfile profile, int count, double scale)
 {
-    spec.services.push_back({std::move(profile), scaled(count, scale)});
+    const double scaled = std::round(count * scale);
+    SOSIM_REQUIRE(scaled <= kMaxCount,
+                  spec.name + " preset: service '" + profile.name +
+                      "' would have more instances than fit in an int");
+    spec.services.push_back(
+        {std::move(profile), static_cast<int>(scaled)});
+}
+
+/** Keep at least one instance of every service.  A scale that rounds
+ *  every service to none is refused, since the floor alone would then
+ *  set the counts; so is one whose total does not fit in an int. */
+DatacenterSpec
+floored(DatacenterSpec spec)
+{
+    bool any = false;
+    for (auto &dep : spec.services) {
+        any = any || dep.instanceCount > 0;
+        dep.instanceCount = std::max(1, dep.instanceCount);
+    }
+    SOSIM_REQUIRE(any, spec.name + " preset: scale rounds every service to "
+                                   "zero instances");
+    SOSIM_REQUIRE(spec.totalInstances() <= std::numeric_limits<int>::max(),
+                  spec.name + " preset: the instance total would not fit "
+                              "in an int");
+    return spec;
 }
 
 /** Dampen instance-level heterogeneity (for DC1). */
@@ -78,7 +102,7 @@ buildDc1Spec(const PresetOptions &options)
     add(spec, homogenized(batch_pool), 128, s);
     add(spec, homogenized(photoStorage()), 160, s);
     add(spec, homogenized(mobileDev()), 144, s);
-    return spec;
+    return floored(std::move(spec));
 }
 
 DatacenterSpec
@@ -99,7 +123,7 @@ buildDc2Spec(const PresetOptions &options)
     add(spec, searchIndex(), 64, s);
     add(spec, search(), 96, s);
     add(spec, dbSecondary(), 64, s);
-    return spec;
+    return floored(std::move(spec));
 }
 
 DatacenterSpec
@@ -120,7 +144,7 @@ buildDc3Spec(const PresetOptions &options)
     add(spec, dbSecondary(), 128, s);
     add(spec, genericLc("service A", 17.0), 32, s);
     add(spec, labServer(), 48, s);
-    return spec;
+    return floored(std::move(spec));
 }
 
 std::vector<DatacenterSpec>

@@ -26,7 +26,12 @@ namespace sosim::workload {
 struct PresetOptions {
     /** Trace resolution; 5 minutes bounds bench memory (DESIGN.md §6). */
     int intervalMinutes = 5;
-    /** Multiplier on every service's instance count. */
+    /**
+     * Multiplier on every service's instance count, rounded, with a
+     * floor of one instance.  The DC presets refuse a scale that is not
+     * finite and above 0, rounds every service to zero, or gives a
+     * count or total that does not fit in an int.
+     */
     double scale = 1.0;
     /** Weeks of trace (last week is held out for evaluation). */
     int weeks = 3;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <utility>
 
 #include "obs/obs.h"
@@ -76,10 +78,10 @@ activityAt(const ServiceProfile &profile, int minute_of_week,
     return std::clamp(activity, 0.0, 1.0);
 }
 
-int
+std::int64_t
 DatacenterSpec::totalInstances() const
 {
-    int total = 0;
+    std::int64_t total = 0;
     for (const auto &dep : services)
         total += dep.instanceCount;
     return total;
@@ -87,10 +89,29 @@ DatacenterSpec::totalInstances() const
 
 GeneratedDatacenter::GeneratedDatacenter(
     DatacenterSpec spec, std::vector<InstanceInfo> instances,
+    std::vector<std::vector<trace::TimeSeries>> weeks,
     std::vector<std::vector<trace::TimeSeries>> service_activity)
     : spec_(std::move(spec)), instances_(std::move(instances)),
+      weeks_(std::move(weeks)),
       serviceActivity_(std::move(service_activity))
 {
+}
+
+const std::vector<std::vector<trace::TimeSeries>> &
+GeneratedDatacenter::weeks(const char *tag) const
+{
+    SOSIM_REQUIRE(!weeks_.empty(),
+                  std::string("GeneratedDatacenter::") + tag +
+                      ": the weeks were moved out (takeWeeks)");
+    return weeks_;
+}
+
+std::vector<std::vector<trace::TimeSeries>>
+GeneratedDatacenter::takeWeeks() &&
+{
+    auto out = std::move(weeks_);
+    weeks_.clear();
+    return out;
 }
 
 const InstanceInfo &
@@ -138,42 +159,40 @@ GeneratedDatacenter::instancesOfClass(ServiceClass klass) const
 std::vector<trace::TimeSeries>
 GeneratedDatacenter::trainingTraces() const
 {
+    const auto &store = weeks("trainingTraces");
     const int train_weeks = std::max(1, spec_.weeks - 1);
     std::vector<trace::TimeSeries> out;
     out.reserve(instances_.size());
     // trace::averageWeeks's arithmetic, summed in place: zeros, each
     // training week added in order, one scale — bit-identical to it
     // without copying the weeks.
-    for (const auto &inst : instances_) {
-        const auto &first = inst.weeklyPower.front();
+    for (std::size_t i = 0; i < instances_.size(); ++i) {
+        const auto &first = store.front()[i];
         auto avg = trace::TimeSeries::zeros(first.size(),
                                             first.intervalMinutes());
         for (int w = 0; w < train_weeks; ++w)
-            avg += inst.weeklyPower[w];
+            avg += store[w][i];
         avg *= 1.0 / static_cast<double>(train_weeks);
         out.push_back(std::move(avg));
     }
     return out;
 }
 
-std::vector<trace::TimeSeries>
+const std::vector<trace::TimeSeries> &
 GeneratedDatacenter::testTraces() const
 {
-    std::vector<trace::TimeSeries> out;
-    out.reserve(instances_.size());
-    for (const auto &inst : instances_)
-        out.push_back(inst.weeklyPower.back());
-    return out;
+    return weeks("testTraces").back();
 }
 
 const trace::TimeSeries &
 GeneratedDatacenter::weekTrace(std::size_t i, int week) const
 {
-    const auto &inst = instance(i);
-    SOSIM_REQUIRE(week >= 0 &&
-                      week < static_cast<int>(inst.weeklyPower.size()),
+    const auto &store = weeks("weekTrace");
+    SOSIM_REQUIRE(i < instances_.size(),
+                  "GeneratedDatacenter::weekTrace: index out of range");
+    SOSIM_REQUIRE(week >= 0 && week < static_cast<int>(store.size()),
                   "GeneratedDatacenter::weekTrace: week out of range");
-    return inst.weeklyPower[week];
+    return store[week][i];
 }
 
 const trace::TimeSeries &
@@ -197,6 +216,14 @@ generate(const DatacenterSpec &spec)
     SOSIM_REQUIRE(spec.intervalMinutes >= 1 &&
                       trace::kMinutesPerDay % spec.intervalMinutes == 0,
                   "generate: interval must divide a day evenly");
+    for (const auto &dep : spec.services)
+        SOSIM_REQUIRE(dep.instanceCount >= 0,
+                      "generate: negative instance count");
+    const std::int64_t total = spec.totalInstances();
+    SOSIM_REQUIRE(total <= std::numeric_limits<int>::max(),
+                  "generate: " + std::to_string(total) +
+                      " instances do not fit in an int");
+    const auto instance_count = static_cast<std::size_t>(total);
     const std::size_t samples_per_week = static_cast<std::size_t>(
         trace::kMinutesPerWeek / spec.intervalMinutes);
     const std::size_t samples_per_day = static_cast<std::size_t>(
@@ -244,18 +271,21 @@ generate(const DatacenterSpec &spec)
     // Instances, in two phases.  The serial phase makes every draw of
     // the service streams, in service order: the Zipf shuffle, then one
     // fork per instance, kept as the fork's 8-byte seed rather than a
-    // live engine.  It also allocates every row on this thread, so the
-    // samples do not land in the workers' malloc arenas.  The parallel
-    // phase rebuilds each instance's stream from its seed and writes
-    // only that instance's slot and rows, so the output does not depend
-    // on the thread count.
-    for (const auto &dep : spec.services)
-        SOSIM_REQUIRE(dep.instanceCount >= 0,
-                      "generate: negative instance count");
-    const std::size_t instance_count =
-        static_cast<std::size_t>(spec.totalInstances());
+    // live engine.  It also allocates every row of the week-major store
+    // on this thread, so the samples do not land in the workers' malloc
+    // arenas.  The parallel phase rebuilds each instance's stream from
+    // its seed and writes only that instance's slot and rows, so the
+    // output does not depend on the thread count.
     std::vector<InstanceInfo> instances(instance_count);
     std::vector<std::uint64_t> seeds(instance_count);
+    std::vector<std::vector<trace::TimeSeries>> weeks(
+        static_cast<std::size_t>(spec.weeks));
+    for (auto &week : weeks) {
+        week.reserve(instance_count);
+        for (std::size_t i = 0; i < instance_count; ++i)
+            week.push_back(trace::TimeSeries::zeros(samples_per_week,
+                                                    spec.intervalMinutes));
+    }
     std::size_t next = 0;
     for (std::size_t s = 0; s < num_services; ++s) {
         const auto &dep = spec.services[s];
@@ -290,10 +320,6 @@ generate(const DatacenterSpec &spec)
             auto &info = instances[next];
             info.serviceIndex = s;
             info.popularity = popularity[i];
-            info.weeklyPower.reserve(static_cast<std::size_t>(spec.weeks));
-            for (int w = 0; w < spec.weeks; ++w)
-                info.weeklyPower.push_back(trace::TimeSeries::zeros(
-                    samples_per_week, spec.intervalMinutes));
         }
     }
 
@@ -342,7 +368,7 @@ generate(const DatacenterSpec &spec)
                 }
             }
 
-            double *samples = info.weeklyPower[w].data();
+            double *samples = weeks[w][i].data();
             const double gain =
                 info.popularity * info.amplitude * week_scale[s][w];
             for (std::size_t t = 0; t < samples_per_week; ++t) {
@@ -363,7 +389,7 @@ generate(const DatacenterSpec &spec)
         }
     });
 
-    return GeneratedDatacenter(spec, std::move(instances),
+    return GeneratedDatacenter(spec, std::move(instances), std::move(weeks),
                                std::move(service_activity));
 }
 

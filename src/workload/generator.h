@@ -8,7 +8,8 @@
  * The generator is the repo's substitute for production power telemetry
  * (see DESIGN.md section 2): given a DatacenterSpec it produces, for every
  * service instance, `weeks` weekly power traces plus per-service activity
- * curves, all as a pure function of the spec's seed.
+ * curves, all as a pure function of the spec's seed.  The traces are
+ * stored once, week-major, which is the layout every consumer reads.
  */
 
 #include <cstdint>
@@ -49,8 +50,8 @@ struct DatacenterSpec {
      */
     double weeklyGrowth = 0.0;
 
-    /** Total instances across all services. */
-    int totalInstances() const;
+    /** Total instances across all services, summed in 64 bits. */
+    std::int64_t totalInstances() const;
 };
 
 /** Per-instance generation output. */
@@ -63,21 +64,23 @@ struct InstanceInfo {
     double amplitude = 1.0;
     /** Phase shift in hours relative to the service activity curve. */
     double phaseHours = 0.0;
-    /** One power trace per generated week. */
-    std::vector<trace::TimeSeries> weeklyPower;
 };
 
 /**
- * A fully generated datacenter: instances with weekly power traces and
- * per-service nominal activity curves.
+ * A fully generated datacenter: per-instance metadata, one week-major
+ * store of power traces and per-service nominal activity curves.
+ *
+ * The week accessors (trainingTraces, testTraces, weekTrace) read the
+ * store; once takeWeeks() has moved it out, or the datacenter itself
+ * has been moved from, they refuse with a FatalError.
  */
 class GeneratedDatacenter
 {
   public:
-    GeneratedDatacenter(DatacenterSpec spec,
-                        std::vector<InstanceInfo> instances,
-                        std::vector<std::vector<trace::TimeSeries>>
-                            service_activity);
+    GeneratedDatacenter(
+        DatacenterSpec spec, std::vector<InstanceInfo> instances,
+        std::vector<std::vector<trace::TimeSeries>> weeks,
+        std::vector<std::vector<trace::TimeSeries>> service_activity);
 
     const DatacenterSpec &spec() const { return spec_; }
 
@@ -101,15 +104,27 @@ class GeneratedDatacenter
     /**
      * The paper's averaged I-traces (Eq. 4): the element-wise mean of all
      * weeks except the last.  These are the training inputs for placement
-     * and policy learning.
+     * and policy learning.  Computed on each call, in
+     * trace::averageWeeks's arithmetic.
      */
     std::vector<trace::TimeSeries> trainingTraces() const;
 
-    /** The held-out final week of every instance (evaluation inputs). */
-    std::vector<trace::TimeSeries> testTraces() const;
+    /**
+     * The held-out final week of every instance (evaluation inputs): the
+     * store's last week itself, not a copy.  Bind it by reference only
+     * on a datacenter that outlives the reference.
+     */
+    const std::vector<trace::TimeSeries> &testTraces() const;
 
     /** Power trace of one instance for one week. */
     const trace::TimeSeries &weekTrace(std::size_t i, int week) const;
+
+    /**
+     * Move the trace store out: element [w][i] is instance i's trace in
+     * week w.  Metadata and service activity stay readable; the week
+     * accessors refuse afterwards.
+     */
+    std::vector<std::vector<trace::TimeSeries>> takeWeeks() &&;
 
     /**
      * Nominal (jitter-free, popularity-1) activity curve of service s in
@@ -119,8 +134,14 @@ class GeneratedDatacenter
     const trace::TimeSeries &serviceActivity(std::size_t s, int week) const;
 
   private:
+    /** The trace store; `tag` names the refusing accessor once taken. */
+    const std::vector<std::vector<trace::TimeSeries>> &
+    weeks(const char *tag) const;
+
     DatacenterSpec spec_;
     std::vector<InstanceInfo> instances_;
+    /** weeks_[w][i]: instance i's trace in week w; empty once taken. */
+    std::vector<std::vector<trace::TimeSeries>> weeks_;
     /** service_activity_[s][w]: activity of service s in week w. */
     std::vector<std::vector<trace::TimeSeries>> serviceActivity_;
 };
@@ -129,7 +150,8 @@ class GeneratedDatacenter
  * Generate a datacenter from a specification.  Deterministic: equal specs
  * (including seed) produce identical traces, and the output does not
  * depend on the thread count — instances are filled in parallel, each
- * from a seed forked serially in instance order.
+ * from a seed forked serially in instance order.  Refuses a spec whose
+ * instance total does not fit in an int before allocating anything.
  */
 GeneratedDatacenter generate(const DatacenterSpec &spec);
 

@@ -315,6 +315,30 @@ TEST(GraphParity, PipelineReproducesTheCommittedGoldenDigest)
     EXPECT_EQ(resultDigest(r2), kGoldenPipelineDigest);
 }
 
+TEST(GraphParity, TestInputSharesTheLastWeeksPayload)
+{
+    // buildPipeline adopts the generated weeks and boxes each once: the
+    // "test" input is week.{W-1}'s payload, with the same fingerprint a
+    // separately generated copy of the week has.
+    using Population = std::vector<trace::TimeSeries>;
+    pipeline::PipelineSpec spec;
+    spec.dc = goldenSpec();
+    auto p = pipeline::buildPipeline(spec);
+    auto &g = p.graph;
+    ASSERT_EQ(p.weekIns.size(), static_cast<std::size_t>(spec.dc.weeks));
+    const auto &test = g.eval(p.testIn);
+    const auto &last = g.eval(p.weekIns.back());
+    EXPECT_EQ(&test.as<Population>(), &last.as<Population>());
+    EXPECT_EQ(test.fingerprint(), last.fingerprint());
+
+    const auto dc = workload::generate(spec.dc);
+    EXPECT_EQ(test.fingerprint(),
+              core::fingerprintTraces(dc.testTraces()));
+    for (std::size_t w = 0; w + 1 < p.weekIns.size(); ++w)
+        EXPECT_NE(&g.eval(p.weekIns[w]).as<Population>(),
+                  &last.as<Population>());
+}
+
 TEST(GraphParity, FaultedPipelineMatchesTheLegacyCallChain)
 {
     const auto dcspec = goldenSpec();

@@ -5,7 +5,11 @@
  */
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -23,6 +27,22 @@ using sosim::trace::TimeSeries;
 using sosim::trace::kMinutesPerDay;
 using sosim::trace::kMinutesPerWeek;
 using sosim::util::FatalError;
+
+/** Run `body`, which must raise a FatalError whose message contains
+ *  `tag`. */
+template <typename F>
+void
+expectFatalTagged(F &&body, const std::string &tag)
+{
+    try {
+        body();
+        ADD_FAILURE() << "no FatalError; expected one tagged '" << tag
+                      << "'";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(tag), std::string::npos)
+            << e.what();
+    }
+}
 
 DatacenterSpec
 tinySpec(int interval = 30)
@@ -191,9 +211,9 @@ TEST(Generator, ProducesRequestedShape)
     const std::size_t samples =
         static_cast<std::size_t>(kMinutesPerWeek / spec.intervalMinutes);
     for (std::size_t i = 0; i < dc.instanceCount(); ++i) {
-        const auto &inst = dc.instance(i);
-        ASSERT_EQ(inst.weeklyPower.size(), 3u);
-        for (const auto &week : inst.weeklyPower) {
+        EXPECT_THROW(dc.weekTrace(i, 3), FatalError);
+        for (int w = 0; w < 3; ++w) {
+            const auto &week = dc.weekTrace(i, w);
             EXPECT_EQ(week.size(), samples);
             EXPECT_EQ(week.intervalMinutes(), spec.intervalMinutes);
         }
@@ -205,7 +225,8 @@ TEST(Generator, PowerWithinPhysicalBounds)
     const auto dc = generate(tinySpec());
     for (std::size_t i = 0; i < dc.instanceCount(); ++i) {
         const auto &profile = dc.serviceProfile(dc.serviceOf(i));
-        for (const auto &week : dc.instance(i).weeklyPower) {
+        for (int w = 0; w < 3; ++w) {
+            const auto &week = dc.weekTrace(i, w);
             EXPECT_GE(week.valley(), 0.0);
             EXPECT_LE(week.peak(), profile.maxPowerWatts * 1.1 + 1e-9);
             // A server never idles below a sizable fraction of its idle
@@ -288,6 +309,55 @@ TEST(Generator, TestTracesAreTheLastWeek)
     const auto test = dc.testTraces();
     for (std::size_t t = 0; t < test[0].size(); t += 31)
         EXPECT_DOUBLE_EQ(test[5][t], dc.weekTrace(5, 2)[t]);
+}
+
+TEST(Generator, TestTracesAreTheStoredLastWeekNotACopy)
+{
+    const auto dc = generate(tinySpec());
+    const auto &test = dc.testTraces();
+    ASSERT_EQ(test.size(), dc.instanceCount());
+    for (std::size_t i = 0; i < dc.instanceCount(); ++i)
+        EXPECT_EQ(&test[i], &dc.weekTrace(i, 2));
+}
+
+TEST(Generator, TakenWeeksLeaveTheWeekAccessorsRefusing)
+{
+    auto dc = generate(tinySpec());
+    const double *test_rows = dc.testTraces().front().samples().data();
+    auto weeks = std::move(dc).takeWeeks();
+    ASSERT_EQ(weeks.size(), 3u);
+    for (const auto &week : weeks)
+        EXPECT_EQ(week.size(), 24u);
+    // The rows moved; none was copied.
+    EXPECT_EQ(weeks.back().front().samples().data(), test_rows);
+    expectFatalTagged([&] { (void)dc.testTraces(); }, "testTraces");
+    expectFatalTagged([&] { (void)dc.weekTrace(0, 0); }, "weekTrace");
+    expectFatalTagged([&] { (void)dc.trainingTraces(); },
+                      "trainingTraces");
+    // Metadata and service activity stay readable.
+    EXPECT_EQ(dc.instanceCount(), 24u);
+    EXPECT_EQ(dc.serviceOf(0), 0u);
+    EXPECT_GE(dc.serviceActivity(0, 2).valley(), 0.0);
+
+    // A datacenter moved from as a whole refuses the same way.
+    auto source = generate(tinySpec());
+    const auto target = std::move(source);
+    EXPECT_EQ(target.weekTrace(3, 1).size(), weeks[1][3].size());
+    expectFatalTagged([&] { (void)source.testTraces(); }, "testTraces");
+}
+
+TEST(Generator, RefusesTotalsPastIntMax)
+{
+    // Two services of INT_MAX instances each: the 64-bit total is
+    // refused before generate allocates anything.
+    auto spec = tinySpec();
+    spec.services.resize(2);
+    spec.services[0].instanceCount = std::numeric_limits<int>::max();
+    spec.services[1].instanceCount = std::numeric_limits<int>::max();
+    EXPECT_EQ(spec.totalInstances(),
+              2 * static_cast<std::int64_t>(
+                      std::numeric_limits<int>::max()));
+    expectFatalTagged([&] { generate(spec); }, "generate:");
 }
 
 TEST(Generator, ServiceActivityInUnitRange)
@@ -394,6 +464,28 @@ TEST(Presets, ScaleKeepsServicesNonEmpty)
     for (const auto &spec : buildAllDcSpecs(options))
         for (const auto &dep : spec.services)
             EXPECT_GE(dep.instanceCount, 1);
+}
+
+TEST(Presets, RefuseScalesThatAreNotFinitePositiveOrFitInAnInt)
+{
+    const double kRefused[] = {-5.0,
+                               0.0,
+                               1e-9,
+                               1e7,
+                               1.5e6,
+                               std::nan(""),
+                               std::numeric_limits<double>::infinity()};
+    for (const double scale : kRefused) {
+        PresetOptions options;
+        options.scale = scale;
+        expectFatalTagged([&] { buildDc1Spec(options); }, "DC1 preset:");
+        expectFatalTagged([&] { buildDc2Spec(options); }, "DC2 preset:");
+        expectFatalTagged([&] { buildDc3Spec(options); }, "DC3 preset:");
+    }
+    // The largest scale whose DC3 total still fits in an int builds.
+    PresetOptions options;
+    options.scale = 1e6;
+    EXPECT_EQ(buildDc3Spec(options).totalInstances(), 1536000000);
 }
 
 /** Property sweep: generation respects every supported interval. */

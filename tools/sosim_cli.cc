@@ -197,18 +197,22 @@ cmdGenerate(const Args &args)
 {
     const auto spec = presetFromArgs(args);
     const std::string out = args.require("out");
-    const auto dc = workload::generate(spec);
-    const bool test_week = args.get("week", "training") == "test";
+    const std::string week = args.get("week", "training");
+    SOSIM_REQUIRE(week == "training" || week == "test",
+                  "--week must be training or test, got '" + week + "'");
+    const bool test_week = week == "test";
+    auto dc = workload::generate(spec);
 
     trace::TraceBundle bundle;
-    const auto traces =
-        test_week ? dc.testTraces() : dc.trainingTraces();
-    for (std::size_t i = 0; i < dc.instanceCount(); ++i) {
+    for (std::size_t i = 0; i < dc.instanceCount(); ++i)
         bundle.names.push_back(
             dc.serviceProfile(dc.serviceOf(i)).name + "@" +
             std::to_string(i));
-        bundle.traces.push_back(traces[i]);
-    }
+    // The bundle adopts the rows: the test week moves out of the store.
+    if (test_week)
+        bundle.traces = std::move(std::move(dc).takeWeeks().back());
+    else
+        bundle.traces = dc.trainingTraces();
     // CSV names must be comma/newline free; catalog names are.
     trace::writeCsvFile(out, bundle);
     std::cout << "wrote " << bundle.traces.size() << " "
