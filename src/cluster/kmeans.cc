@@ -217,6 +217,7 @@ clusterSizes(const std::vector<std::size_t> &assignment, std::size_t k)
 void
 equalizeClusterSizes(const std::vector<Point> &points, KMeansResult &result)
 {
+    SOSIM_SPAN("cluster.equalize");
     const std::size_t n = points.size();
     const std::size_t k = result.centroids.size();
     SOSIM_REQUIRE(!points.empty(),

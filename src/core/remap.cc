@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <utility>
 
 #include "cluster/candidate_index.h"
 #include "cluster/shape_index.h"
@@ -135,103 +136,81 @@ struct ScanSlot {
     std::uint64_t pruned = 0;
 };
 
-} // namespace
-
-Remapper::Remapper(const power::PowerTree &tree, RemapConfig config)
-    : tree_(tree), config_(config)
-{
-    SOSIM_REQUIRE(config.maxSwaps >= 0, "Remapper: maxSwaps must be >= 0");
-    SOSIM_REQUIRE(config.pruneKeepFraction > 0.0 &&
-                      config.pruneKeepFraction <= 1.0,
-                  "Remapper: pruneKeepFraction must be in (0, 1]");
-}
-
-std::vector<double>
-Remapper::rackScores(const power::Assignment &assignment,
-                     const std::vector<trace::TimeSeries> &itraces) const
-{
-    SOSIM_REQUIRE(assignment.size() == itraces.size(),
-                  "Remapper::rackScores: size mismatch");
-    std::vector<double> scores(tree_.nodeCount(), 0.0);
-    const auto per_rack = tree_.instancesPerRack(assignment);
-    for (const auto rack : tree_.racks()) {
-        const auto &members = per_rack[rack];
-        if (members.empty())
-            continue;
-        std::vector<const trace::TimeSeries *> traces;
-        traces.reserve(members.size());
-        for (const auto i : members)
-            traces.push_back(&itraces[i]);
-        scores[rack] = asynchronyScore(traces);
+/**
+ * Everything the search carries from one round to the next: what a
+ * resume must restore to go on exactly where the search stopped.  The
+ * instance rows are not part of it; they live in their own arena, a
+ * copy of the population (TraceId == instance index).
+ */
+struct SearchState {
+    explicit SearchState(trace::TraceArena rack_rows)
+        : rows(std::move(rack_rows))
+    {
     }
-    return scores;
-}
 
-std::vector<SwapRecord>
-Remapper::refine(power::Assignment &assignment,
-                 const std::vector<trace::TimeSeries> &itraces,
-                 const std::vector<double> *validity,
-                 const cluster::ShapeIndex *shapes) const
+    /**
+     * One running-sum aggregate row per rack, in racks() order, then
+     * the kCandidatesPerRound candidate scratch rows.
+     */
+    trace::TraceArena rows;
+    std::vector<trace::TraceId> scratch;
+    std::vector<RackState> racks;
+    /** Peak of every instance row, scanned once per population. */
+    std::vector<double> peaks;
+    bool prune = false;
+    cluster::CandidatePairIndex pruneIndex;
+    /** Racks tried since the last accepted swap. */
+    std::vector<power::NodeId> tried;
+    std::size_t round = 0;
+    /** Set when a round found every rack tried: the search is over. */
+    bool exhausted = false;
+};
+
+/**
+ * Build the cold search state of `assignment` over the instance rows in
+ * `arena`: instance peaks, every rack's members and running-sum
+ * aggregate, the scratch rows and, when pruning, the candidate index.
+ */
+SearchState
+startSearch(const power::PowerTree &tree, const RemapConfig &config,
+            const power::Assignment &assignment,
+            const std::vector<trace::TimeSeries> &itraces,
+            const cluster::ShapeIndex *shapes,
+            const trace::TraceArena &arena)
 {
-    SOSIM_SPAN("remap.refine");
-    SOSIM_EVENT_SCOPE(.kind = obs::EventKind::Scope,
-                      .label = "remap.refine");
-    SOSIM_REQUIRE(assignment.size() == itraces.size(),
-                  "Remapper::refine: size mismatch");
-    SOSIM_REQUIRE(validity == nullptr ||
-                      validity->size() == itraces.size(),
-                  "Remapper::refine: validity vector size mismatch");
-    if (itraces.empty())
-        return {};
-
-    // Degraded-data filter: instances whose telemetry is mostly
-    // fabricated stay where they are (they still weigh on their rack's
-    // aggregate — the power is real even if the trace shape is not).
-    const auto swappable = [&](std::size_t instance) {
-        return validity == nullptr ||
-               (*validity)[instance] >= trace::kMinValidFraction;
-    };
-    std::size_t excluded = 0;
-    if (validity != nullptr)
-        for (const double v : *validity)
-            if (v < trace::kMinValidFraction)
-                ++excluded;
-    SOSIM_COUNT_ADD("remap.instances_excluded", excluded);
-
-    // Every trace, every rack running sum, and the per-candidate scratch
-    // rows live in one SoA arena: the whole swap scan walks contiguous
-    // 64-byte-aligned rows instead of chasing per-series allocations.
-    // Row ids: [0, N) instance traces (TraceId == instance index), then
-    // one aggregate row per rack, in racks() order, then the candidate
-    // scratch rows.
-    const auto rack_ids = tree_.racks();
-    trace::TraceArena arena = trace::TraceArena::fromSeries(
-        itraces, rack_ids.size() + kCandidatesPerRound);
+    const auto rack_ids = tree.racks();
+    SearchState s(trace::TraceArena(rack_ids.size() + kCandidatesPerRound,
+                                    arena.samplesPerTrace(),
+                                    arena.intervalMinutes()));
     // Every instance peak is read many times below (rack peak sums,
     // member scores, every pair of the swap scan): scan each row once.
-    std::vector<double> peaks(itraces.size());
+    s.peaks.resize(itraces.size());
     util::parallelFor(itraces.size(), [&](std::size_t id) {
-        peaks[id] = trace::peakOf(arena.view(id));
+        s.peaks[id] = trace::peakOf(arena.view(id));
     });
 
     // Build per-rack state once; aggregates are maintained incrementally
     // after every accepted swap rather than rebuilt.  Rows are claimed
     // serially; the fills fan out per rack, each writing only its own
     // row and state.
-    std::vector<RackState> racks(tree_.nodeCount());
-    const auto per_rack = tree_.instancesPerRack(assignment);
+    s.racks.resize(tree.nodeCount());
+    const auto per_rack = tree.instancesPerRack(assignment);
     for (const auto rack : rack_ids) {
-        racks[rack].members = per_rack[rack];
-        racks[rack].aggRow = arena.addZeros();
+        s.racks[rack].members = per_rack[rack];
+        s.racks[rack].aggRow = s.rows.addZeros();
     }
+    // Scratch rows for the per-candidate "aggregate minus leaver" diffs.
+    s.scratch.resize(kCandidatesPerRound);
+    for (auto &row : s.scratch)
+        row = s.rows.addZeros();
     util::parallelFor(rack_ids.size(), [&](std::size_t r) {
-        auto &state = racks[rack_ids[r]];
+        auto &state = s.racks[rack_ids[r]];
         if (state.members.empty())
             return;
-        double *agg = arena.mutableRow(state.aggRow);
+        double *agg = s.rows.mutableRow(state.aggRow);
         for (const auto i : state.members) {
             state.aggPeak = trace::accumulatePeakRow(agg, arena.view(i));
-            state.peakSum += peaks[i];
+            state.peakSum += s.peaks[i];
         }
     });
 
@@ -239,10 +218,8 @@ Remapper::refine(power::Assignment &assignment,
     // diurnal shape, cluster once, and let the scan skip partners from
     // clusters too synchronous with the candidate's before any kernel
     // pass runs.
-    const bool prune =
-        config_.prune == PruneMode::kCluster && itraces.size() >= 2;
-    cluster::CandidatePairIndex prune_index;
-    if (prune) {
+    s.prune = config.prune == PruneMode::kCluster && itraces.size() >= 2;
+    if (s.prune) {
         SOSIM_SPAN("remap.prune_index");
         // A caller-supplied ShapeIndex (built once per population and
         // shared with placement and the monitor) skips the re-embed; a
@@ -262,16 +239,39 @@ Remapper::refine(power::Assignment &assignment,
                 cluster::kDefaultShapeBuckets);
             points = &local_points;
         }
-        prune_index = cluster::CandidatePairIndex::build(
-            *points, config_.pruneKeepFraction);
-        SOSIM_GAUGE_SET("remap.prune_clusters",
-                        prune_index.clusterCount());
+        s.pruneIndex = cluster::CandidatePairIndex::build(
+            *points, config.pruneKeepFraction);
+        SOSIM_GAUGE_SET("remap.prune_clusters", s.pruneIndex.clusterCount());
     }
+    return s;
+}
 
-    // Scratch rows for the per-candidate "aggregate minus leaver" diffs.
-    std::vector<trace::TraceId> scratch(kCandidatesPerRound);
-    for (auto &row : scratch)
-        row = arena.addZeros();
+/**
+ * Run rounds until `swaps` holds config.maxSwaps swaps or every rack is
+ * tried, applying each accepted swap to `assignment` and to `s`.
+ * `arena` holds the instance rows.
+ */
+void
+runRounds(const power::PowerTree &tree, const RemapConfig &config,
+          const trace::TraceArena &arena, SearchState &s,
+          power::Assignment &assignment, std::vector<SwapRecord> &swaps,
+          const std::vector<double> *validity)
+{
+    const auto rack_ids = tree.racks();
+    auto &rows = s.rows;
+    const auto &scratch = s.scratch;
+    auto &racks = s.racks;
+    const auto &peaks = s.peaks;
+    const bool prune = s.prune;
+    const auto &prune_index = s.pruneIndex;
+
+    // Degraded-data filter: instances whose telemetry is mostly
+    // fabricated stay where they are (they still weigh on their rack's
+    // aggregate — the power is real even if the trace shape is not).
+    const auto swappable = [&](std::size_t instance) {
+        return validity == nullptr ||
+               (*validity)[instance] >= trace::kMinValidFraction;
+    };
 
     // Differential score of `candidate` joining `rack` after `out`
     // leaves, served from the hoisted others-row/peak: the numerator
@@ -306,7 +306,7 @@ Remapper::refine(power::Assignment &assignment,
         const std::size_t count = rack.members.size();
         rack.scoreBefore.assign(count, 2.0);
         rack.othersPeak.assign(count, 0.0);
-        const trace::TraceView agg = arena.view(rack.aggRow);
+        const trace::TraceView agg = rows.view(rack.aggRow);
         const std::size_t others = count - 1;
         util::parallelFor(count, [&](std::size_t m) {
             const std::size_t i = rack.members[m];
@@ -326,17 +326,15 @@ Remapper::refine(power::Assignment &assignment,
         rack.cacheValid = true;
     };
 
-    std::vector<SwapRecord> swaps;
-    std::vector<power::NodeId> tried;
+    auto &tried = s.tried;
     // Per-(candidate, rack) scan slots and reject tallies, reused across
     // rounds.
     std::vector<ScanSlot> slots;
     std::vector<RejectTally> tally;
-    std::size_t round = 0;
-    while (static_cast<int>(swaps.size()) < config_.maxSwaps) {
+    while (!s.exhausted && static_cast<int>(swaps.size()) < config.maxSwaps) {
         SOSIM_SPAN("remap.round");
         SOSIM_COUNT("remap.rounds");
-        ++round;
+        const std::size_t round = ++s.round;
         // 1. Most fragmented rack not yet exhausted this pass.
         power::NodeId worst_rack = power::kNoNode;
         double worst_score = std::numeric_limits<double>::max();
@@ -351,8 +349,10 @@ Remapper::refine(power::Assignment &assignment,
                 worst_rack = rack;
             }
         }
-        if (worst_rack == power::kNoNode)
-            break; // Every rack tried without an accepted swap.
+        if (worst_rack == power::kNoNode) {
+            s.exhausted = true; // Every rack tried without a swap.
+            break;
+        }
 
         auto &rack_a = racks[worst_rack];
         // The round's accept/reject events chain under this scope (and
@@ -393,7 +393,7 @@ Remapper::refine(power::Assignment &assignment,
         std::vector<double> cand_others_peak(candidates, 0.0);
         util::parallelFor(candidates, [&](std::size_t c) {
             cand_others_peak[c] = trace::diffPeakRow(
-                arena.mutableRow(scratch[c]), arena.view(rack_a.aggRow),
+                rows.mutableRow(scratch[c]), rows.view(rack_a.aggRow),
                 arena.view(scored[c].second));
         });
 
@@ -422,10 +422,10 @@ Remapper::refine(power::Assignment &assignment,
             const double score_a_before = scored[c].first;
             const trace::TraceView inst_a_row = arena.view(inst_a);
             const double inst_a_peak = peaks[inst_a];
-            const trace::TraceView others_a_row = arena.view(scratch[c]);
+            const trace::TraceView others_a_row = rows.view(scratch[c]);
             const std::size_t cluster_a =
                 prune ? prune_index.clusterOf(inst_a) : 0;
-            const trace::TraceView agg_b = arena.view(rack_b.aggRow);
+            const trace::TraceView agg_b = rows.view(rack_b.aggRow);
             const std::size_t others_b = rack_b.members.size() - 1;
             const double scale_b =
                 others_b == 0 ? 0.0 : 1.0 / static_cast<double>(others_b);
@@ -576,11 +576,11 @@ Remapper::refine(power::Assignment &assignment,
             rack_b.members[slot.posB] = best.instanceA;
 
             rack_a.aggPeak = trace::subAddPeakRow(
-                arena.mutableRow(rack_a.aggRow), arena.view(best.instanceB),
+                rows.mutableRow(rack_a.aggRow), arena.view(best.instanceB),
                 arena.view(best.instanceA));
             rack_a.peakSum += peaks[best.instanceB] - peaks[best.instanceA];
             rack_b.aggPeak = trace::subAddPeakRow(
-                arena.mutableRow(rack_b.aggRow), arena.view(best.instanceA),
+                rows.mutableRow(rack_b.aggRow), arena.view(best.instanceA),
                 arena.view(best.instanceB));
             rack_b.peakSum += peaks[best.instanceA] - peaks[best.instanceB];
             rack_a.cacheValid = false;
@@ -601,7 +601,170 @@ Remapper::refine(power::Assignment &assignment,
             tried.push_back(worst_rack);
         }
     }
+}
+
+} // namespace
+
+/** The end-of-search state behind RemapState. */
+class RemapState
+{
+  public:
+    RemapConfig config;
+    SearchState search;
+};
+
+namespace {
+
+/** refine()'s cold search; with `kept` set, also keeps its end state. */
+std::vector<SwapRecord>
+refineCold(const power::PowerTree &tree, const RemapConfig &config,
+           power::Assignment &assignment,
+           const std::vector<trace::TimeSeries> &itraces,
+           const std::vector<double> *validity,
+           const cluster::ShapeIndex *shapes,
+           std::shared_ptr<const RemapState> *kept)
+{
+    SOSIM_SPAN("remap.refine");
+    SOSIM_EVENT_SCOPE(.kind = obs::EventKind::Scope,
+                      .label = "remap.refine");
+    SOSIM_REQUIRE(assignment.size() == itraces.size(),
+                  "Remapper::refine: size mismatch");
+    SOSIM_REQUIRE(validity == nullptr ||
+                      validity->size() == itraces.size(),
+                  "Remapper::refine: validity vector size mismatch");
+    if (itraces.empty())
+        return {}; // Nothing to keep: extend() refines an empty one cold.
+
+    std::size_t excluded = 0;
+    if (validity != nullptr)
+        for (const double v : *validity)
+            if (v < trace::kMinValidFraction)
+                ++excluded;
+    SOSIM_COUNT_ADD("remap.instances_excluded", excluded);
+
+    // Every trace lives in one SoA arena, and every rack running sum
+    // and candidate scratch row in a second one: the whole swap scan
+    // walks contiguous 64-byte-aligned rows instead of chasing
+    // per-series allocations.
+    const auto arena = trace::TraceArena::fromSeries(itraces);
+    SearchState s =
+        startSearch(tree, config, assignment, itraces, shapes, arena);
+    std::vector<SwapRecord> swaps;
+    runRounds(tree, config, arena, s, assignment, swaps, validity);
+    if (kept != nullptr)
+        *kept = std::make_shared<const RemapState>(
+            RemapState{config, std::move(s)});
     return swaps;
+}
+
+} // namespace
+
+Remapper::Remapper(const power::PowerTree &tree, RemapConfig config)
+    : tree_(tree), config_(config)
+{
+    SOSIM_REQUIRE(config.maxSwaps >= 0, "Remapper: maxSwaps must be >= 0");
+    SOSIM_REQUIRE(config.pruneKeepFraction > 0.0 &&
+                      config.pruneKeepFraction <= 1.0,
+                  "Remapper: pruneKeepFraction must be in (0, 1]");
+}
+
+std::vector<double>
+Remapper::rackScores(const power::Assignment &assignment,
+                     const std::vector<trace::TimeSeries> &itraces) const
+{
+    SOSIM_REQUIRE(assignment.size() == itraces.size(),
+                  "Remapper::rackScores: size mismatch");
+    std::vector<double> scores(tree_.nodeCount(), 0.0);
+    const auto per_rack = tree_.instancesPerRack(assignment);
+    for (const auto rack : tree_.racks()) {
+        const auto &members = per_rack[rack];
+        if (members.empty())
+            continue;
+        std::vector<const trace::TimeSeries *> traces;
+        traces.reserve(members.size());
+        for (const auto i : members)
+            traces.push_back(&itraces[i]);
+        scores[rack] = asynchronyScore(traces);
+    }
+    return scores;
+}
+
+std::vector<SwapRecord>
+Remapper::refine(power::Assignment &assignment,
+                 const std::vector<trace::TimeSeries> &itraces,
+                 const std::vector<double> *validity,
+                 const cluster::ShapeIndex *shapes) const
+{
+    return refineCold(tree_, config_, assignment, itraces, validity, shapes,
+                      nullptr);
+}
+
+RemapRun
+Remapper::search(const power::Assignment &start,
+                 const std::vector<trace::TimeSeries> &itraces,
+                 const std::vector<double> *validity,
+                 const cluster::ShapeIndex *shapes) const
+{
+    RemapRun run;
+    run.assignment = start;
+    run.swaps = refineCold(tree_, config_, run.assignment, itraces, validity,
+                           shapes, &run.state);
+    return run;
+}
+
+RemapRun
+Remapper::extend(const RemapRun &base, const power::Assignment &start,
+                 const std::vector<trace::TimeSeries> &itraces,
+                 const std::vector<double> *validity,
+                 const cluster::ShapeIndex *shapes) const
+{
+    RemapRun out;
+    out.assignment = start;
+    const RemapState *kept = base.state.get();
+    if (kept == nullptr || kept->config.prune != config_.prune ||
+        kept->config.pruneKeepFraction != config_.pruneKeepFraction) {
+        out.swaps = refine(out.assignment, itraces, validity, shapes);
+        return out;
+    }
+    SOSIM_REQUIRE(start.size() == itraces.size() &&
+                      kept->search.peaks.size() == itraces.size(),
+                  "Remapper::extend: base describes another population");
+    SOSIM_REQUIRE(validity == nullptr ||
+                      validity->size() == itraces.size(),
+                  "Remapper::extend: validity vector size mismatch");
+    SOSIM_COUNT("remap.resumed");
+
+    // A budget the base run reached (or stopped short of, every rack
+    // tried) is a prefix of its swaps: a cold run stops at that swap.
+    const auto budget = static_cast<std::size_t>(config_.maxSwaps);
+    if (budget <= base.swaps.size() || kept->search.exhausted) {
+        const std::size_t k = std::min(budget, base.swaps.size());
+        out.swaps.assign(base.swaps.begin(), base.swaps.begin() + k);
+        for (const auto &swap : out.swaps) {
+            out.assignment[swap.instanceA] = swap.rackB;
+            out.assignment[swap.instanceB] = swap.rackA;
+        }
+        SOSIM_COUNT_ADD("remap.swaps_reused", k);
+        return out;
+    }
+
+    // A larger budget goes on from a copy of the kept state: the rounds
+    // a cold run would make next, on bit-identical aggregates and
+    // caches.  The aggregate rows are copied, not re-summed from the
+    // members: a re-sum rounds differently from the running sums.
+    SOSIM_SPAN("remap.refine");
+    SOSIM_EVENT_SCOPE(.kind = obs::EventKind::Scope,
+                      .label = "remap.refine");
+    SOSIM_COUNT_ADD("remap.swaps_reused", base.swaps.size());
+    out.assignment = base.assignment;
+    out.swaps = base.swaps;
+    const auto arena = trace::TraceArena::fromSeries(itraces);
+    SOSIM_REQUIRE(kept->search.rows.samplesPerTrace() ==
+                      arena.samplesPerTrace(),
+                  "Remapper::extend: base state has another trace shape");
+    SearchState s = kept->search;
+    runRounds(tree_, config_, arena, s, out.assignment, out.swaps, validity);
+    return out;
 }
 
 } // namespace sosim::core

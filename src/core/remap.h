@@ -23,6 +23,7 @@
  */
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "power/power_tree.h"
@@ -83,6 +84,30 @@ struct SwapRecord {
     double scoreAtBAfter = 0.0;
 };
 
+/**
+ * Where one search stopped, kept so that a larger swap budget can go on
+ * from it (Remapper::extend).  Opaque and immutable: any number of
+ * resumes may start from one state.  It holds every rack's members in
+ * swap order, the running-sum aggregate rows with their peaks and peak
+ * sums, the per-member score caches, the instance peaks, the pruning
+ * index, the tried racks, the round counter and the config of the run
+ * — but no instance rows: a resume re-copies them from the population.
+ */
+class RemapState;
+
+/** A refinement together with the state its search stopped in. */
+struct RemapRun {
+    /** The refined assignment. */
+    power::Assignment assignment;
+    /** The accepted swaps, in order. */
+    std::vector<SwapRecord> swaps;
+    /**
+     * The end-of-search state; set by Remapper::search() only, and not
+     * for an empty population.
+     */
+    std::shared_ptr<const RemapState> state;
+};
+
 /** Swap-based incremental placement refinement. */
 class Remapper
 {
@@ -132,6 +157,37 @@ class Remapper
     {
         return refine(assignment, itraces, validity, shapes);
     }
+
+    /**
+     * refine() on a copy of `start`, keeping the end-of-search state for
+     * extend().  The assignment and swaps equal refine()'s bit for bit.
+     */
+    RemapRun search(const power::Assignment &start,
+                    const std::vector<trace::TimeSeries> &itraces,
+                    const std::vector<double> *validity = nullptr,
+                    const cluster::ShapeIndex *shapes = nullptr) const;
+
+    /**
+     * refine() on a copy of `start` under this remapper's config, taking
+     * what it can from `base`: a search() over the same start, itraces,
+     * validity and shapes.  Bit-identical to refine() in every case.
+     *
+     * The search is a deterministic greedy loop and maxSwaps only
+     * decides when it stops, so when base's config differs from this
+     * one at most in maxSwaps:
+     *   - a budget at most base's swap count takes base's first
+     *     maxSwaps swaps, applied in order to `start` (equal budgets
+     *     pass base through);
+     *   - a larger budget returns base when base stopped early because
+     *     every rack was tried, and otherwise resumes base's state and
+     *     runs only the new rounds.
+     * Any other config difference, or a base without state, refines
+     * cold.  The result keeps no state.
+     */
+    RemapRun extend(const RemapRun &base, const power::Assignment &start,
+                    const std::vector<trace::TimeSeries> &itraces,
+                    const std::vector<double> *validity = nullptr,
+                    const cluster::ShapeIndex *shapes = nullptr) const;
 
     /**
      * Asynchrony score of each rack under an assignment (1-member racks

@@ -56,8 +56,8 @@ assignmentOf(const graph::Value &v)
 {
     if (v.is<power::Assignment>())
         return v.as<power::Assignment>();
-    if (v.is<RemapResult>())
-        return v.as<RemapResult>().assignment;
+    if (v.is<core::RemapRun>())
+        return v.as<core::RemapRun>().assignment;
     SOSIM_REQUIRE(false, "pipeline: value does not carry an assignment");
 }
 
@@ -65,6 +65,9 @@ Pipeline
 buildPipeline(const PipelineSpec &spec)
 {
     SOSIM_SPAN("pipeline.build");
+    SOSIM_REQUIRE(spec.dc.weeks >= 2,
+                  "buildPipeline: need at least two weeks (the last one "
+                  "is held out for evaluation)");
     Pipeline p;
     p.spec = spec;
 
@@ -138,6 +141,10 @@ buildPipeline(const PipelineSpec &spec)
             core::fingerprintDistributeConfig(spec.placement)));
     p.remapConfigIn = g.input(
         "remap.config",
+        graph::Value::of(spec.remap,
+                         core::fingerprintRemapConfig(spec.remap)));
+    p.remapBaseConfigIn = g.input(
+        "remap.base_config",
         graph::Value::of(spec.remap,
                          core::fingerprintRemapConfig(spec.remap)));
     p.monitorConfigIn = g.input(
@@ -240,20 +247,34 @@ buildPipeline(const PipelineSpec &spec)
     // faulted path does; an all-valid population gates nothing, so the
     // clean path is bit-identical to refining without a validity vector.
     // The shared index feeds the kCluster pruner so it skips its own
-    // re-embed.
-    p.remapOp = g.op(
-        "remap.refine",
-        {p.placeOp, p.degradeTrainingOp, p.remapConfigIn, p.shapeIndexOp},
+    // re-embed.  remap.base runs the spec's own budget and keeps the
+    // state its search stopped in; no what-if shadows its config, so a
+    // max-swaps what-if finds it in the base pin and remap.refine goes
+    // on from it (Remapper::extend: pass-through, prefix or resume).
+    p.remapBaseOp = g.op(
+        "remap.base",
+        {p.placeOp, p.degradeTrainingOp, p.remapBaseConfigIn,
+         p.shapeIndexOp},
         tree_fp, [tree](const Ins &ins) {
             const auto &training = ins[1].as<DegradedTraces>();
-            const auto &cfg = ins[2].as<core::RemapConfig>();
-            RemapResult out;
-            out.assignment = ins[0].as<power::Assignment>();
-            out.swaps = core::Remapper(*tree, cfg).refine(
-                out.assignment, training.traces,
-                &training.repair.validBefore,
-                &ins[3].as<cluster::ShapeIndex>());
-            return graph::Value::of(std::move(out));
+            return graph::Value::of(
+                core::Remapper(*tree, ins[2].as<core::RemapConfig>())
+                    .search(ins[0].as<power::Assignment>(), training.traces,
+                            &training.repair.validBefore,
+                            &ins[3].as<cluster::ShapeIndex>()));
+        });
+    p.remapOp = g.op(
+        "remap.refine",
+        {p.placeOp, p.degradeTrainingOp, p.remapConfigIn, p.shapeIndexOp,
+         p.remapBaseOp},
+        tree_fp, [tree](const Ins &ins) {
+            const auto &training = ins[1].as<DegradedTraces>();
+            return graph::Value::of(
+                core::Remapper(*tree, ins[2].as<core::RemapConfig>())
+                    .extend(ins[4].as<core::RemapRun>(),
+                            ins[0].as<power::Assignment>(), training.traces,
+                            &training.repair.validBefore,
+                            &ins[3].as<cluster::ShapeIndex>()));
         });
     // Breaker trips black out racks under the refined placement.  They
     // degrade a scratch copy of the test week that lives only as long
@@ -265,7 +286,7 @@ buildPipeline(const PipelineSpec &spec)
         [tree](const Ins &ins) {
             const auto &degraded = ins[0].as<DegradedTraces>().traces;
             const auto &oblivious = ins[1].as<power::Assignment>();
-            const auto &optimized = ins[2].as<RemapResult>().assignment;
+            const auto &optimized = ins[2].as<core::RemapRun>().assignment;
             const auto &plan = ins[3].as<fault::FaultPlan>();
             HeadroomResult out;
             if (!fault::checkBreakerTrips(degraded, optimized, plan)) {
@@ -288,7 +309,7 @@ buildPipeline(const PipelineSpec &spec)
         return graph::Value::of(core::measureWeek(
             *tree, ins[2].as<core::MonitorConfig>(),
             ins[0].as<fault::InjectedTraces>().traces,
-            ins[1].as<RemapResult>().assignment,
+            ins[1].as<core::RemapRun>().assignment,
             &ins[3].as<cluster::ShapeIndex>()));
     };
     for (std::size_t w = 0; w < p.weekIns.size(); ++w) {
@@ -326,7 +347,7 @@ runPipeline(Pipeline &p, const graph::Overlay &overlay)
     r.oblivious = ev(p.obliviousOp).as<power::Assignment>();
     {
         const auto remapped = ev(p.remapOp);
-        const auto &result = remapped.as<RemapResult>();
+        const auto &result = remapped.as<core::RemapRun>();
         r.optimized = result.assignment;
         r.swaps = result.swaps;
     }

@@ -67,19 +67,13 @@ struct DegradedTraces {
     trace::RepairSummary repair;
 };
 
-/** Output of remap.refine: the refined assignment plus its swaps. */
-struct RemapResult {
-    power::Assignment assignment;
-    std::vector<core::SwapRecord> swaps;
-};
-
 /** Output of compare.headroom: the comparison under breaker trips. */
 struct HeadroomResult {
     core::HeadroomReport comparison;
     fault::InjectionReport trips;
 };
 
-/** Tolerant assignment accessor: power::Assignment or RemapResult. */
+/** Tolerant assignment accessor: power::Assignment or core::RemapRun. */
 const power::Assignment &assignmentOf(const graph::Value &v);
 
 // ---------------------------------------------------------------------
@@ -125,6 +119,8 @@ struct Pipeline {
     graph::Handle embedConfigIn;
     graph::Handle distributeConfigIn;
     graph::Handle remapConfigIn;
+    /** spec.remap under another name; no what-if shadows it. */
+    graph::Handle remapBaseConfigIn;
     graph::Handle monitorConfigIn;
     std::vector<graph::Handle> weekIns;
 
@@ -137,6 +133,9 @@ struct Pipeline {
     graph::Handle shapeIndexOp;
     graph::Handle embedOp;
     graph::Handle placeOp;
+    /** remap.base: the spec's own refinement, with its end state. */
+    graph::Handle remapBaseOp;
+    /** remap.refine: the (possibly overlaid) config's refinement. */
     graph::Handle remapOp;
     graph::Handle compareOp;
     std::vector<graph::Handle> weekInjectOps;
@@ -163,10 +162,11 @@ struct PipelineResult {
 };
 
 /**
- * Generate the datacenter and assemble the report pipeline.  With
- * spec.faulted == false the fault plan input is the empty "none"
- * profile, which makes the degrade and inject nodes value-level no-ops —
- * the pipeline shape is identical either way.
+ * Generate the datacenter and assemble the report pipeline.  The spec
+ * needs at least two weeks, so that the test week is held out of the
+ * training average.  With spec.faulted == false the fault plan input is
+ * the empty "none" profile, which makes the degrade and inject nodes
+ * value-level no-ops — the pipeline shape is identical either way.
  */
 Pipeline buildPipeline(const PipelineSpec &spec);
 

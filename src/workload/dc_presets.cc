@@ -12,6 +12,15 @@ namespace {
 
 constexpr double kMaxCount = std::numeric_limits<int>::max();
 
+/** The last week is held out for evaluation, so one week is too few. */
+void
+requireHeldOutWeek(const std::string &name, const PresetOptions &options)
+{
+    SOSIM_REQUIRE(options.weeks >= 2,
+                  name + " preset: need at least two weeks (the last one "
+                         "is held out for evaluation)");
+}
+
 DatacenterSpec
 baseSpec(const std::string &name, const PresetOptions &options)
 {
@@ -24,6 +33,7 @@ baseSpec(const std::string &name, const PresetOptions &options)
     spec.topology = power::TopologySpec{};
     SOSIM_REQUIRE(std::isfinite(options.scale) && options.scale > 0.0,
                   name + " preset: scale must be finite and above 0");
+    requireHeldOutWeek(name, options);
     return spec;
 }
 
@@ -162,6 +172,7 @@ buildFleetSpec(int population, const PresetOptions &options)
                   "multiple of 256");
     DatacenterSpec spec;
     spec.name = "fleet" + std::to_string(population);
+    requireHeldOutWeek(spec.name, options);
     spec.intervalMinutes = options.intervalMinutes;
     spec.weeks = options.weeks;
     spec.seed = options.seed + 7;

@@ -33,7 +33,10 @@ struct PresetOptions {
      * count or total that does not fit in an int.
      */
     double scale = 1.0;
-    /** Weeks of trace (last week is held out for evaluation). */
+    /**
+     * Weeks of trace (last week is held out for evaluation).  The
+     * presets refuse fewer than two.
+     */
     int weeks = 3;
     /** Master seed. */
     std::uint64_t seed = 2018;

@@ -315,6 +315,21 @@ TEST(GraphParity, PipelineReproducesTheCommittedGoldenDigest)
     EXPECT_EQ(resultDigest(r2), kGoldenPipelineDigest);
 }
 
+TEST(GraphParity, RefusesASpecWithoutAHeldOutWeek)
+{
+    pipeline::PipelineSpec spec;
+    spec.dc = goldenSpec();
+    spec.dc.weeks = 1;
+    try {
+        pipeline::buildPipeline(spec);
+        FAIL() << "a one-week pipeline was built";
+    } catch (const util::FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("buildPipeline:"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(GraphParity, TestInputSharesTheLastWeeksPayload)
 {
     // buildPipeline adopts the generated weeks and boxes each once: the
@@ -445,9 +460,10 @@ TEST(GraphWhatIf, WarmMonitorLevelRerunIsFivefoldCheaper)
     spec.dc = goldenSpec();
     auto p = pipeline::buildPipeline(spec);
     const auto cold = pipeline::runPipeline(p);
-    // 10 fixed ops (including the shared cluster.shape_index) plus an
-    // inject + measure pair per evaluated week.
-    EXPECT_EQ(cold.opsExecuted, 10u + 2u * p.weekIns.size());
+    // 11 fixed ops (including the shared cluster.shape_index and the
+    // remap.base search) plus an inject + measure pair per evaluated
+    // week.
+    EXPECT_EQ(cold.opsExecuted, 11u + 2u * p.weekIns.size());
 
     const auto reg_miss1 =
         obs::registry().counter("graph.op.cache_miss").value();
@@ -510,7 +526,7 @@ TEST(GraphWhatIf, SeedWhatIfKeepsTheEmbeddingCached)
     EXPECT_EQ(p.graph.evalCount(p.embedOp), embed_evals)
         << "embedding must stay cached across a seed-only what-if";
     EXPECT_GT(warm.opsExecuted, 0u);
-    EXPECT_LT(warm.opsExecuted, 10u + 2u * p.weekIns.size());
+    EXPECT_LT(warm.opsExecuted, 11u + 2u * p.weekIns.size());
 }
 
 TEST(GraphWhatIf, ParseComposesKeysAndRejectsUnknownOnes)
@@ -594,8 +610,8 @@ allOps(const pipeline::Pipeline &p)
     std::set<std::string> ops;
     for (const auto h :
          {p.degradeTrainingOp, p.degradeTestOp, p.statsOp, p.scoreOp,
-          p.obliviousOp, p.shapeIndexOp, p.embedOp, p.placeOp, p.remapOp,
-          p.compareOp})
+          p.obliviousOp, p.shapeIndexOp, p.embedOp, p.placeOp,
+          p.remapBaseOp, p.remapOp, p.compareOp})
         ops.insert(p.graph.name(h));
     for (std::size_t w = 0; w < p.weekIns.size(); ++w) {
         ops.insert(p.graph.name(p.weekInjectOps[w]));
@@ -611,7 +627,7 @@ TEST(GraphWhatIf, FaultPlanWhatIfExecutesAllButTheObliviousBaseline)
     auto p = pipeline::buildPipeline(spec);
     // A cold run executes every op once.
     EXPECT_EQ(executedOps(p), allOps(p));
-    EXPECT_EQ(allOps(p).size(), 10u + 2u * p.weekIns.size());
+    EXPECT_EQ(allOps(p).size(), 11u + 2u * p.weekIns.size());
 
     auto expected = allOps(p);
     expected.erase("place.oblivious");
@@ -631,6 +647,49 @@ TEST(GraphWhatIf, MaxSwapsWhatIfExecutesTheRemapCone)
         expected.insert(p.graph.name(h));
     const auto overlay = pipeline::parseWhatIf(p, "max-swaps=32");
     EXPECT_EQ(executedOps(p, overlay), expected);
+}
+
+TEST(GraphWhatIf, MaxSwapsWhatIfMatchesAPipelineBuiltAtThatBudget)
+{
+    pipeline::PipelineSpec spec;
+    spec.dc = goldenSpec();
+    spec.remap.maxSwaps = 4;
+    auto p = pipeline::buildPipeline(spec);
+    const auto base = pipeline::runPipeline(p);
+    ASSERT_EQ(base.swaps.size(), 4u);
+
+    // Smaller budgets take a prefix of remap.base's swaps, larger ones
+    // resume its search; both equal a cold refine at that budget.
+    for (const int budget : {0, 2, 12}) {
+        auto cold_spec = spec;
+        cold_spec.remap.maxSwaps = budget;
+        auto cold_p = pipeline::buildPipeline(cold_spec);
+        const auto cold = pipeline::runPipeline(cold_p);
+
+        const auto resumed0 =
+            obs::registry().counter("remap.resumed").value();
+        const auto reused0 =
+            obs::registry().counter("remap.swaps_reused").value();
+        const auto warm = pipeline::runPipeline(
+            p, pipeline::parseWhatIf(
+                   p, "max-swaps=" + std::to_string(budget)));
+        EXPECT_EQ(resultDigest(warm), resultDigest(cold))
+            << "budget " << budget;
+        ASSERT_EQ(warm.swaps.size(), cold.swaps.size());
+        for (std::size_t k = 0; k < warm.swaps.size(); ++k) {
+            EXPECT_EQ(warm.swaps[k].instanceA, cold.swaps[k].instanceA);
+            EXPECT_EQ(warm.swaps[k].scoreAtAAfter,
+                      cold.swaps[k].scoreAtAAfter);
+            EXPECT_EQ(warm.swaps[k].scoreAtBAfter,
+                      cold.swaps[k].scoreAtBAfter);
+        }
+        EXPECT_EQ(obs::registry().counter("remap.resumed").value() -
+                      resumed0,
+                  1u);
+        EXPECT_EQ(obs::registry().counter("remap.swaps_reused").value() -
+                      reused0,
+                  static_cast<std::uint64_t>(std::min(budget, 4)));
+    }
 }
 
 TEST(GraphWhatIf, RepairPolicyWhatIfExecutesTheDegradeCone)
@@ -770,7 +829,7 @@ TEST(GraphFuzz, EditsAndOverlayStacksMatchColdRebuild)
 {
     pipeline::PipelineSpec spec;
     spec.dc = goldenSpec();
-    spec.dc.weeks = 1; // keep the fuzz rounds cheap
+    spec.dc.weeks = 2; // the fewest buildPipeline accepts
     auto warm_p = pipeline::buildPipeline(spec);
     pipeline::runPipeline(warm_p);
 

@@ -11,9 +11,15 @@
  * one-thread run — where parallelFor runs the same body inline, in
  * index order — at every thread count and pruning mode, on clean and
  * on faulted-then-repaired populations.
+ *
+ * The RemapResume suite holds Remapper::extend to the same bar: a
+ * prefix, pass-through or resume of a kept search must equal a cold
+ * refine() at the target budget, bit for bit.
  */
 
 #include <cstddef>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,8 +28,10 @@
 #include "core/remap.h"
 #include "fault/fault_plan.h"
 #include "fault/inject.h"
+#include "obs/obs.h"
 #include "power/power_tree.h"
 #include "trace/repair.h"
+#include "util/error.h"
 #include "util/parallel.h"
 #include "workload/catalog.h"
 #include "workload/generator.h"
@@ -51,31 +59,38 @@ struct Fixture {
     power::Assignment start;
 };
 
+/**
+ * The fixture population.  The small one (8 racks, 32 instances) is a
+ * search that stops by itself: every rack is tried before a 1000-swap
+ * budget runs out, with or without pruning and faults, where the large
+ * one keeps finding swaps.
+ */
 workload::DatacenterSpec
-fixtureSpec()
+fixtureSpec(bool small)
 {
     workload::DatacenterSpec spec;
     spec.name = "remap-par";
-    // 2 suites x 2 MSB x 2 SB x 2 RPP x 2 racks = 32 racks: enough
-    // (candidate, rack) pairs to split into several chunks per lane.
-    spec.topology.suites = 2;
-    spec.topology.msbsPerSuite = 2;
+    // Large: 2 suites x 2 MSB x 2 SB x 2 RPP x 2 racks = 32 racks,
+    // enough (candidate, rack) pairs to split into several chunks per
+    // lane.
+    spec.topology.suites = small ? 1 : 2;
+    spec.topology.msbsPerSuite = small ? 1 : 2;
     spec.topology.sbsPerMsb = 2;
     spec.topology.rppsPerSb = 2;
     spec.topology.racksPerRpp = 2;
     spec.intervalMinutes = 60;
     spec.weeks = 2;
     spec.seed = 29;
-    spec.services.push_back({workload::webFrontend(), 48});
-    spec.services.push_back({workload::dbBackend(), 48});
-    spec.services.push_back({workload::hadoop(), 32});
+    spec.services.push_back({workload::webFrontend(), small ? 12 : 48});
+    spec.services.push_back({workload::dbBackend(), small ? 12 : 48});
+    spec.services.push_back({workload::hadoop(), small ? 8 : 32});
     return spec;
 }
 
 Fixture
-makeFixture(bool faulted)
+makeFixture(bool faulted, bool small = false)
 {
-    const auto spec = fixtureSpec();
+    const auto spec = fixtureSpec(small);
     auto dc = workload::generate(spec);
     auto traces = dc.trainingTraces();
     std::vector<double> validity;
@@ -178,5 +193,165 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(core::PruneMode::kOff,
                           core::PruneMode::kCluster),
         ::testing::Values(false, true)));
+
+// ---------------------------------------------------------------------
+// Resuming a kept search equals a cold refine at the target budget.
+
+core::RemapConfig
+budgetConfig(core::PruneMode prune, int max_swaps)
+{
+    core::RemapConfig config;
+    config.maxSwaps = max_swaps;
+    config.prune = prune;
+    config.pruneKeepFraction = 0.5;
+    return config;
+}
+
+const std::vector<double> *
+validityOf(const Fixture &f)
+{
+    return f.validity.empty() ? nullptr : &f.validity;
+}
+
+core::RemapRun
+searchBase(const Fixture &f, const core::RemapConfig &config)
+{
+    return core::Remapper(f.tree, config)
+        .search(f.start, f.traces, validityOf(f));
+}
+
+Outcome
+extendBase(const Fixture &f, const core::RemapRun &base,
+           const core::RemapConfig &config)
+{
+    auto run = core::Remapper(f.tree, config)
+                   .extend(base, f.start, f.traces, validityOf(f));
+    EXPECT_EQ(run.state, nullptr) << "extend keeps no state";
+    return {std::move(run.assignment), std::move(run.swaps)};
+}
+
+std::uint64_t
+counterValue(const char *name)
+{
+    return obs::registry().counter(name).value();
+}
+
+class RemapResume
+    : public ::testing::TestWithParam<
+          std::tuple<core::PruneMode, bool /* faulted */,
+                     std::size_t /* threads */>>
+{
+};
+
+TEST_P(RemapResume, EveryBudgetMatchesAColdRefine)
+{
+    const auto [prune, faulted, threads] = GetParam();
+    const Fixture f = makeFixture(faulted);
+    ScopedThreads scoped(threads);
+
+    const auto base = searchBase(f, budgetConfig(prune, 16));
+    ASSERT_NE(base.state, nullptr);
+    expectIdentical(runRefine(f, budgetConfig(prune, 16), threads),
+                    {base.assignment, base.swaps}, "search vs refine");
+    ASSERT_EQ(base.swaps.size(), 16u)
+        << "the base stopped early; the resume case would be vacuous";
+
+    for (const int budget : {0, 8, 16, 32}) {
+        const auto config = budgetConfig(prune, budget);
+        const Outcome cold = runRefine(f, config, threads);
+        const auto resumed0 = counterValue("remap.resumed");
+        const auto reused0 = counterValue("remap.swaps_reused");
+        const Outcome warm = extendBase(f, base, config);
+        expectIdentical(cold, warm, "budget=" + std::to_string(budget));
+        EXPECT_EQ(counterValue("remap.resumed") - resumed0, 1u);
+        EXPECT_EQ(counterValue("remap.swaps_reused") - reused0,
+                  std::min<std::size_t>(budget, 16));
+    }
+    EXPECT_GT(runRefine(f, budgetConfig(prune, 32), threads).swaps.size(),
+              16u)
+        << "the 32-swap budget found no new swap; the resume ran no "
+           "accepting round";
+}
+
+TEST_P(RemapResume, ABaseThatTriedEveryRackStopsAtOnce)
+{
+    const auto [prune, faulted, threads] = GetParam();
+    const Fixture f = makeFixture(faulted, /*small=*/true);
+    ScopedThreads scoped(threads);
+
+    // A budget the search cannot reach: it stops once every rack is
+    // tried, and a larger budget can add nothing.
+    const auto base = searchBase(f, budgetConfig(prune, 1000));
+    ASSERT_LT(base.swaps.size(), 1000u);
+    const auto rounds0 = counterValue("remap.rounds");
+    const Outcome warm = extendBase(f, base, budgetConfig(prune, 2000));
+    EXPECT_EQ(counterValue("remap.rounds"), rounds0)
+        << "a resume of an exhausted search ran a round";
+    expectIdentical(runRefine(f, budgetConfig(prune, 2000), threads), warm,
+                    "budget=2000");
+    expectIdentical({base.assignment, base.swaps}, warm, "pass-through");
+
+    const auto half = static_cast<int>(base.swaps.size() / 2);
+    expectIdentical(runRefine(f, budgetConfig(prune, half), threads),
+                    extendBase(f, base, budgetConfig(prune, half)),
+                    "prefix of an exhausted base");
+}
+
+TEST_P(RemapResume, ResumedRoundsAreTheOnlyOnesEvaluated)
+{
+    const auto [prune, faulted, threads] = GetParam();
+    const Fixture f = makeFixture(faulted);
+    ScopedThreads scoped(threads);
+
+    const auto base = searchBase(f, budgetConfig(prune, 16));
+    const auto pairs0 = counterValue("remap.pairs_evaluated");
+    runRefine(f, budgetConfig(prune, 32), threads);
+    const auto cold_pairs = counterValue("remap.pairs_evaluated") - pairs0;
+    const auto pairs1 = counterValue("remap.pairs_evaluated");
+    extendBase(f, base, budgetConfig(prune, 32));
+    const auto warm_pairs = counterValue("remap.pairs_evaluated") - pairs1;
+    const auto pairs2 = counterValue("remap.pairs_evaluated");
+    runRefine(f, budgetConfig(prune, 16), threads);
+    const auto base_pairs = counterValue("remap.pairs_evaluated") - pairs2;
+    EXPECT_EQ(warm_pairs + base_pairs, cold_pairs);
+}
+
+TEST(RemapResume, AnotherSearchConfigRefinesCold)
+{
+    const Fixture f = makeFixture(false);
+    const auto base = searchBase(f, budgetConfig(core::PruneMode::kOff, 8));
+    for (const auto prune :
+         {core::PruneMode::kCluster, core::PruneMode::kOff}) {
+        auto config = budgetConfig(prune, 24);
+        if (prune == core::PruneMode::kOff)
+            config.pruneKeepFraction = 0.25;
+        const auto resumed0 = counterValue("remap.resumed");
+        expectIdentical(runRefine(f, config, 1),
+                        extendBase(f, base, config), "other config");
+        EXPECT_EQ(counterValue("remap.resumed"), resumed0);
+    }
+}
+
+TEST(RemapResume, RefusesABaseOfAnotherPopulation)
+{
+    const Fixture f = makeFixture(false);
+    const auto base = searchBase(f, budgetConfig(core::PruneMode::kOff, 4));
+    auto traces = f.traces;
+    traces.pop_back();
+    auto start = f.start;
+    start.pop_back();
+    EXPECT_THROW(core::Remapper(f.tree,
+                                budgetConfig(core::PruneMode::kOff, 8))
+                     .extend(base, start, traces),
+                 util::FatalError);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, RemapResume,
+    ::testing::Combine(
+        ::testing::Values(core::PruneMode::kOff,
+                          core::PruneMode::kCluster),
+        ::testing::Values(false, true),
+        ::testing::Values(std::size_t(1), std::size_t(4))));
 
 } // namespace

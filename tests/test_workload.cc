@@ -488,6 +488,27 @@ TEST(Presets, RefuseScalesThatAreNotFinitePositiveOrFitInAnInt)
     EXPECT_EQ(buildDc3Spec(options).totalInstances(), 1536000000);
 }
 
+TEST(Presets, RefuseFewerThanTwoWeeks)
+{
+    // The last week is held out for evaluation: with one week the
+    // training average would be the test week itself.
+    for (const int weeks : {1, 0, -3}) {
+        PresetOptions options;
+        options.scale = 0.1;
+        options.weeks = weeks;
+        expectFatalTagged([&] { buildDc1Spec(options); }, "DC1 preset:");
+        expectFatalTagged([&] { buildDc2Spec(options); }, "DC2 preset:");
+        expectFatalTagged([&] { buildDc3Spec(options); }, "DC3 preset:");
+        expectFatalTagged([&] { buildFleetSpec(1024, options); },
+                          "fleet1024 preset:");
+    }
+    PresetOptions options;
+    options.scale = 0.1;
+    options.weeks = 2;
+    EXPECT_EQ(buildDc1Spec(options).weeks, 2);
+    EXPECT_EQ(buildFleetSpec(1024, options).weeks, 2);
+}
+
 /** Property sweep: generation respects every supported interval. */
 class GeneratorInterval : public ::testing::TestWithParam<int>
 {
