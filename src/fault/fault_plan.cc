@@ -47,7 +47,6 @@ faultProfile(const std::string &name)
         p.clockSkewRate = 0.03;
         p.traceLossRate = 0.02;
         p.breakerTrips = 1;
-        p.deratedNodes = 1;
         return p;
     }
     SOSIM_REQUIRE(false, "unknown fault profile '" + name +
@@ -117,25 +116,15 @@ FaultPlan::build(std::uint64_t seed, const FaultProfile &profile,
             plan.losses_.push_back(TraceLoss{i});
     }
 
-    // Power events.
+    // Power events: breaker trips, drawn last.
     for (int e = 0; e < profile.breakerTrips; ++e) {
         PowerEvent ev;
-        ev.kind = PowerEventKind::BreakerTrip;
         ev.nodeOrdinal = static_cast<std::size_t>(
             rng.uniformInt(0, std::numeric_limits<std::int64_t>::max()));
         ev.atSample = static_cast<std::size_t>(rng.uniformInt(0, len - 1));
         ev.durationSamples =
             std::min(drawLength(rng, kMeanTripSamples),
                      shape.samplesPerTrace - ev.atSample);
-        plan.events_.push_back(ev);
-    }
-    for (int e = 0; e < profile.deratedNodes; ++e) {
-        PowerEvent ev;
-        ev.kind = PowerEventKind::Derate;
-        ev.nodeOrdinal = static_cast<std::size_t>(
-            rng.uniformInt(0, std::numeric_limits<std::int64_t>::max()));
-        ev.atSample = static_cast<std::size_t>(rng.uniformInt(0, len - 1));
-        ev.factor = kDerateFactor;
         plan.events_.push_back(ev);
     }
     return plan;
@@ -175,12 +164,15 @@ FaultPlan::fingerprint() const
     }
     for (const auto &l : losses_)
         h = util::mixWord(h, l.instance);
+    // 0 and doubleBits(1.0) stand where an event's kind (BreakerTrip)
+    // and derate factor were hashed, so a trip plan keeps the
+    // fingerprint it had when events had a kind.
     for (const auto &e : events_) {
-        h = util::mixWord(h, static_cast<std::uint64_t>(e.kind));
+        h = util::mixWord(h, 0);
         h = util::mixWord(h, e.nodeOrdinal);
         h = util::mixWord(h, e.atSample);
         h = util::mixWord(h, e.durationSamples);
-        h = util::mixWord(h, util::doubleBits(e.factor));
+        h = util::mixWord(h, util::doubleBits(1.0));
     }
     return h;
 }

@@ -17,12 +17,12 @@
  *   - stuck-at sensors: a window where the meter repeats one reading,
  *   - clock skew: an instance's trace rotated by a few samples,
  *   - whole-instance trace loss: the collection plane lost the host,
- *   - power events: breaker trips and node derating at a timestep.
+ *   - power events: breaker trips at a timestep.
  *
  * A FaultProfile sets how often each fault happens; how long a gap, a
- * stuck window or a trip lasts, how far a clock skews and how deep a
- * derating cuts are fixed constants (kMeanGapSamples and friends
- * below), since every preset uses the same shapes.
+ * stuck window or a trip lasts and how far a clock skews are fixed
+ * constants (kMeanGapSamples and friends below), since every preset
+ * uses the same shapes.
  *
  * The plan only schedules; src/fault/inject.h applies it to traces and
  * power trees, and src/trace/repair.h is the recovery side.  Keeping
@@ -46,8 +46,6 @@ inline constexpr double kMeanStuckSamples = 24.0;
 inline constexpr int kMaxSkewSamples = 3;
 /** Mean blackout duration of a breaker trip, in samples. */
 inline constexpr double kMeanTripSamples = 12.0;
-/** Budget multiplier applied by a derating event. */
-inline constexpr double kDerateFactor = 0.85;
 
 /** Fault intensity knobs; preset instances come from faultProfile(). */
 struct FaultProfile {
@@ -63,8 +61,6 @@ struct FaultProfile {
     double traceLossRate = 0.0;
     /** Number of breaker-trip events scheduled on the power tree. */
     int breakerTrips = 0;
-    /** Number of node-derating events scheduled on the power tree. */
-    int deratedNodes = 0;
 };
 
 /**
@@ -72,7 +68,7 @@ struct FaultProfile {
  *   - "none":  no faults (useful as an ablation baseline),
  *   - "mild":  ~1% sample loss, occasional stuck sensor, no power events,
  *   - "harsh": ~5% sample loss, stuck sensors, skew, one lost trace per
- *              ~50 instances, one breaker trip and one derated node.
+ *              ~50 instances and one breaker trip.
  * Fatal on an unknown name.
  */
 FaultProfile faultProfile(const std::string &name);
@@ -103,30 +99,20 @@ struct TraceLoss {
     std::size_t instance = 0;
 };
 
-/** What a power event does to its node. */
-enum class PowerEventKind {
-    /** The node's breaker opens: its subtree blacks out for a while. */
-    BreakerTrip,
-    /** The node's budget is derated by `factor` (maintenance, thermal). */
-    Derate,
-};
-
 /**
- * A scheduled power-tree event.  The plan does not know the tree, so the
- * target is an ordinal that injectors resolve modulo the relevant node
- * list (racks for trips, any budgeted level for derating) — the same
- * plan therefore applies meaningfully to any topology.
+ * A scheduled breaker trip: the target rack's breaker opens and its
+ * subtree blacks out for a while.  The plan does not know the tree, so
+ * the target is an ordinal that injectBreakerTrips resolves modulo the
+ * occupied racks — the same plan therefore applies meaningfully to any
+ * topology.
  */
 struct PowerEvent {
-    PowerEventKind kind = PowerEventKind::BreakerTrip;
-    /** Resolved as nodeOrdinal % candidate_nodes.size() by injectors. */
+    /** Resolved as nodeOrdinal % occupied_racks.size() by the injector. */
     std::size_t nodeOrdinal = 0;
-    /** Timestep (sample index) at which the event fires. */
+    /** Timestep (sample index) at which the trip fires. */
     std::size_t atSample = 0;
-    /** Blackout duration in samples (BreakerTrip only). */
+    /** Blackout duration in samples. */
     std::size_t durationSamples = 0;
-    /** Budget multiplier (Derate only). */
-    double factor = 1.0;
 };
 
 /** Shape of the trace population a plan is built for. */

@@ -38,8 +38,7 @@ injectTraceFaults(std::vector<trace::TimeSeries> &traces,
                   const FaultPlan &plan)
 {
     SOSIM_SPAN("fault.inject_traces");
-    requireShape(traces, plan,
-                 "injectTraceFaults: traces do not match the plan shape");
+    checkTraceFaults(traces, plan);
     InjectionReport report;
     const std::size_t n = plan.shape().samplesPerTrace;
     const auto row = [&](std::size_t i) { return traces[i].data(); };
@@ -171,6 +170,16 @@ injectedCopy(std::vector<trace::TimeSeries> traces, const FaultPlan &plan)
 }
 
 bool
+checkTraceFaults(const std::vector<trace::TimeSeries> &traces,
+                 const FaultPlan &plan)
+{
+    requireShape(traces, plan,
+                 "injectTraceFaults: traces do not match the plan shape");
+    return !plan.gaps().empty() || !plan.stuckSensors().empty() ||
+           !plan.clockSkews().empty() || !plan.traceLosses().empty();
+}
+
+bool
 checkBreakerTrips(const std::vector<trace::TimeSeries> &traces,
                   const power::Assignment &assignment, const FaultPlan &plan)
 {
@@ -179,10 +188,7 @@ checkBreakerTrips(const std::vector<trace::TimeSeries> &traces,
     SOSIM_REQUIRE(assignment.size() == traces.size(),
                   "injectBreakerTrips: assignment does not cover the "
                   "trace population");
-    const auto &events = plan.powerEvents();
-    return std::any_of(events.begin(), events.end(), [](const auto &e) {
-        return e.kind == PowerEventKind::BreakerTrip;
-    });
+    return !plan.powerEvents().empty();
 }
 
 InjectionReport
@@ -209,8 +215,6 @@ injectBreakerTrips(std::vector<trace::TimeSeries> &traces,
         obs::EventRecorder::instance().enabled() ? plan.fingerprint() : 0;
     std::vector<bool> hit(traces.size(), false);
     for (const auto &event : plan.powerEvents()) {
-        if (event.kind != PowerEventKind::BreakerTrip)
-            continue;
         const power::NodeId rack =
             occupied[event.nodeOrdinal % occupied.size()];
         SOSIM_EVENT(.kind = obs::EventKind::FaultInject,
@@ -236,36 +240,6 @@ injectBreakerTrips(std::vector<trace::TimeSeries> &traces,
     SOSIM_COUNT_ADD("fault.instances_blacked_out",
                     report.instancesBlackedOut);
     return report;
-}
-
-std::vector<power::NodeId>
-applyDerating(power::PowerTree &tree, const FaultPlan &plan,
-              power::Level level)
-{
-    std::vector<power::NodeId> derated;
-    const auto &nodes = tree.nodesAtLevel(level);
-    if (nodes.empty())
-        return derated;
-    // Hashed once, not per derate — see injectTraceFaults.
-    const std::uint64_t plan_fp =
-        obs::EventRecorder::instance().enabled() ? plan.fingerprint() : 0;
-    for (const auto &event : plan.powerEvents()) {
-        if (event.kind != PowerEventKind::Derate)
-            continue;
-        const power::NodeId id = nodes[event.nodeOrdinal % nodes.size()];
-        const double budget = tree.node(id).budgetWatts;
-        if (budget <= 0.0)
-            continue; // Nothing provisioned, nothing to derate.
-        tree.setBudget(id, budget * event.factor);
-        derated.push_back(id);
-        SOSIM_EVENT(.kind = obs::EventKind::FaultInject,
-                    .code = static_cast<std::uint32_t>(
-                        obs::FaultEventCode::Derate),
-                    .a = id, .d = plan_fp,
-                    .x = event.factor);
-    }
-    SOSIM_COUNT_ADD("fault.nodes_derated", derated.size());
-    return derated;
 }
 
 } // namespace sosim::fault

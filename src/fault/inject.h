@@ -43,8 +43,6 @@ struct InjectionReport {
     std::size_t blackoutSamples = 0;
     /** Instances hit by at least one blackout. */
     std::size_t instancesBlackedOut = 0;
-    /** Nodes whose budget was derated. */
-    std::size_t nodesDerated = 0;
 };
 
 /** A degraded trace population plus the report of what was done to it. */
@@ -64,10 +62,10 @@ injectTraceFaults(std::vector<trace::TimeSeries> &traces,
 
 /**
  * Functional form of injectTraceFaults: degrade the population taken by
- * value and return (degraded traces, report) as one result.  This is
- * the body of the pipeline's fault.inject.week.* nodes — a pure
- * function of (traces, plan), so the op graph caches its output under
- * the node's signature.
+ * value and return (degraded traces, report) as one result.  For
+ * callers that own a population and want its degraded copy in one
+ * expression: the CLI's serve path, the serve soak tool, the fault
+ * ablation bench and perfbench.
  */
 InjectedTraces
 injectedCopy(std::vector<trace::TimeSeries> traces, const FaultPlan &plan);
@@ -88,6 +86,15 @@ injectBreakerTrips(std::vector<trace::TimeSeries> &traces,
                    const FaultPlan &plan);
 
 /**
+ * The shape check injectTraceFaults makes, with its error.  Returns
+ * whether the plan schedules a gap, stuck sensor, skew or trace loss;
+ * when it does not, injectTraceFaults changes nothing, so a caller can
+ * skip the copy it would degrade.
+ */
+bool checkTraceFaults(const std::vector<trace::TimeSeries> &traces,
+                      const FaultPlan &plan);
+
+/**
  * The checks injectBreakerTrips makes before it touches a trace, with
  * the same errors: the population matches the plan's shape and the
  * assignment covers it.  Returns whether the plan schedules a breaker
@@ -98,17 +105,6 @@ injectBreakerTrips(std::vector<trace::TimeSeries> &traces,
 bool checkBreakerTrips(const std::vector<trace::TimeSeries> &traces,
                        const power::Assignment &assignment,
                        const FaultPlan &plan);
-
-/**
- * Apply the plan's derating events to the budgets of one tree level:
- * each event multiplies the budget of node (ordinal % level nodes) by
- * its factor.  Nodes with no provisioned budget (0) are skipped — there
- * is nothing to derate.  Returns the derated node ids (possibly with
- * repeats if two events land on one node).
- */
-std::vector<power::NodeId>
-applyDerating(power::PowerTree &tree, const FaultPlan &plan,
-              power::Level level = power::Level::Rpp);
 
 } // namespace sosim::fault
 

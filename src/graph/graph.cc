@@ -64,7 +64,8 @@ OpGraph::eval(Handle h)
 {
     SOSIM_REQUIRE(h.valid() && h.id < nodes_.size(),
                   "OpGraph::eval: invalid handle");
-    return evalNode(h.id, nullptr);
+    Memo memo(nodes_.size());
+    return evalNode(h.id, nullptr, memo);
 }
 
 Value
@@ -78,7 +79,8 @@ OpGraph::eval(Handle h, const Overlay &overlay)
         SOSIM_REQUIRE(nodes_[id].fn == nullptr,
                       "OpGraph::eval: overlay must shadow input nodes");
     }
-    return evalNode(h.id, overlay.empty() ? nullptr : &overlay);
+    Memo memo(nodes_.size());
+    return evalNode(h.id, overlay.empty() ? nullptr : &overlay, memo);
 }
 
 Handle
@@ -168,8 +170,10 @@ OpGraph::execute(Node &n, std::uint64_t sig, const std::vector<Value> &ins)
 }
 
 const Value &
-OpGraph::evalNode(std::size_t id, const Overlay *overlay)
+OpGraph::evalNode(std::size_t id, const Overlay *overlay, Memo &memo)
 {
+    if (memo[id] != nullptr)
+        return *memo[id];
     Node &n = nodes_[id];
     if (n.fn == nullptr) {
         if (overlay != nullptr) {
@@ -186,7 +190,7 @@ OpGraph::evalNode(std::size_t id, const Overlay *overlay)
     std::uint64_t sig =
         util::hashCombine(util::fingerprintString(n.name), n.configFp);
     for (const std::size_t in : n.inputs) {
-        ins.push_back(evalNode(in, overlay));
+        ins.push_back(evalNode(in, overlay, memo));
         sig = util::hashCombine(sig, ins.back().fingerprint());
     }
     const Value *out = !n.lastValue.empty() && n.lastSig == sig
@@ -200,13 +204,15 @@ OpGraph::evalNode(std::size_t id, const Overlay *overlay)
     } else {
         out = &execute(n, sig, ins);
     }
-    if (overlay != nullptr)
-        return *out;
-    if (out != &n.lastValue) {
+    // The memo keeps a pointer into this node's pin or cache, which only
+    // this node's own evaluation writes, and that runs once per eval.
+    if (overlay == nullptr && out != &n.lastValue) {
         n.lastSig = sig;
         n.lastValue = *out;
+        out = &n.lastValue;
     }
-    return n.lastValue;
+    memo[id] = out;
+    return *out;
 }
 
 } // namespace sosim::graph

@@ -22,8 +22,9 @@
  * that happen to produce equal payloads from different inputs therefore
  * have different identities, and their consumers re-execute.
  *
- * Every evaluation walks the node's ancestor cone, re-hashes each op's
- * signature, and answers from two layers before executing:
+ * Every evaluation walks the node's ancestor cone once (a node reached
+ * along a second path is answered from a per-evaluation memo), re-hashes
+ * each op's signature, and answers from two layers before executing:
  *
  *   - base pin: the last (signature, value) produced by an evaluation
  *     without an overlay.  Only such evaluations write it, so no number
@@ -115,6 +116,13 @@ class Value
         return *static_cast<const T *>(box_.get());
     }
 
+    /** as<T>(), sharing ownership of the boxed payload. */
+    template <typename T>
+    std::shared_ptr<const T> share() const
+    {
+        return std::shared_ptr<const T>(box_, &as<T>());
+    }
+
     /** True when the payload is exactly a T. */
     template <typename T>
     bool is() const
@@ -155,7 +163,7 @@ struct Handle {
  * A shadow map over a graph's *input* nodes: evaluating under an overlay
  * substitutes the shadowed Values without touching the base graph.
  * Overlays compose — `a.merged(b)` applies b's entries on top of a's —
- * so a sweep can stack "derate rack 7" on "re-place with seed 9".
+ * so a sweep can stack "repair with hold_last" on "re-place with seed 9".
  */
 class Overlay
 {
@@ -286,8 +294,12 @@ class OpGraph
         std::size_t evalCount = 0;
     };
 
+    // One evaluation's answers, by node id (null: not visited yet).
+    using Memo = std::vector<const Value *>;
+
     const Node &node(Handle h) const;
-    const Value &evalNode(std::size_t id, const Overlay *overlay);
+    const Value &evalNode(std::size_t id, const Overlay *overlay,
+                          Memo &memo);
     const Value &execute(Node &n, std::uint64_t sig,
                          const std::vector<Value> &ins);
     const Value *cacheLookup(Node &n, std::uint64_t sig);

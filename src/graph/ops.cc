@@ -34,6 +34,16 @@ planValue(const fault::FaultPlan &plan)
     return graph::Value::of(plan, plan.fingerprint());
 }
 
+/** True when every sample of every row is finite. */
+bool
+fullyValid(const std::vector<trace::TimeSeries> &traces)
+{
+    for (const auto &ts : traces)
+        if (trace::countValid(trace::TraceView(ts)) != ts.size())
+            return false;
+    return true;
+}
+
 power::Level
 levelFromName(const std::string &name, const std::string &tag)
 {
@@ -81,12 +91,12 @@ buildPipeline(const PipelineSpec &spec)
         service_of[i] = dc.serviceOf(i);
 
     // An unfaulted pipeline still carries the degrade and inject nodes,
-    // fed by an empty "none" plan: injection schedules nothing and
-    // repair finds nothing to fill, so both are value-level no-ops and
-    // the graph shape does not depend on the fault switch.  The empty
-    // plan is built for the wildcard shape {0, 0}, which composes with a
-    // population of any shape — input edits and what-if overlays may
-    // resample or resize the trace populations freely.
+    // fed by an empty "none" plan: it schedules no trace fault, so both
+    // pass their populations through uncopied and the graph shape does
+    // not depend on the fault switch.  The empty plan is built for the
+    // wildcard shape {0, 0}, which composes with a population of any
+    // shape — input edits and what-if overlays may resample or resize
+    // the trace populations freely.
     const fault::FaultPlan plan =
         spec.faulted
             ? fault::FaultPlan::build(spec.faultSeed,
@@ -162,20 +172,35 @@ buildPipeline(const PipelineSpec &spec)
     const auto tree = p.tree;
     const auto tree_fp = core::fingerprintTree(*tree);
 
+    // With no trace fault scheduled, a week inject op passes its input
+    // through, and so does a degrade op whose rows are all valid.
+    // Otherwise injection and repair share one copy, each degrading it
+    // in place: the legacy call chain, in one op.
     const auto inject_body = [](const Ins &ins) {
-        return graph::Value::of(fault::injectedCopy(
-            ins[0].as<std::vector<trace::TimeSeries>>(),
-            ins[1].as<fault::FaultPlan>()));
+        const auto &week = ins[0].as<std::vector<trace::TimeSeries>>();
+        const auto &plan = ins[1].as<fault::FaultPlan>();
+        if (!fault::checkTraceFaults(week, plan))
+            return ins[0];
+        auto traces = week;
+        fault::injectTraceFaults(traces, plan);
+        return graph::Value::of(std::move(traces));
     };
-    // Injection and repair share one copy of the population, each
-    // degrading it in place: the legacy call chain, in one op.
     const auto degrade_body = [](const Ins &ins) {
+        const auto &population = ins[0].as<std::vector<trace::TimeSeries>>();
+        const auto &plan = ins[1].as<fault::FaultPlan>();
         DegradedTraces out;
-        out.traces = ins[0].as<std::vector<trace::TimeSeries>>();
-        out.faults = fault::injectTraceFaults(
-            out.traces, ins[1].as<fault::FaultPlan>());
-        out.repair = trace::repairAll(out.traces,
-                                      ins[2].as<trace::RepairPolicy>());
+        if (!fault::checkTraceFaults(population, plan) &&
+            fullyValid(population)) {
+            out.traces = ins[0].share<std::vector<trace::TimeSeries>>();
+            out.repair.validBefore.assign(population.size(), 1.0);
+            return graph::Value::of(std::move(out));
+        }
+        auto traces = population;
+        out.faults = fault::injectTraceFaults(traces, plan);
+        out.repair =
+            trace::repairAll(traces, ins[2].as<trace::RepairPolicy>());
+        out.traces = std::make_shared<const std::vector<trace::TimeSeries>>(
+            std::move(traces));
         return graph::Value::of(std::move(out));
     };
 
@@ -189,7 +214,7 @@ buildPipeline(const PipelineSpec &spec)
         "trace.stats.training", {p.degradeTrainingOp}, 0,
         [](const Ins &ins) {
             PopulationStats out;
-            for (const auto &ts : ins[0].as<DegradedTraces>().traces) {
+            for (const auto &ts : *ins[0].as<DegradedTraces>().traces) {
                 const auto s = trace::computeStats(trace::TraceView(ts));
                 out.perTrace.push_back(s);
                 out.totalMeanPower += s.mean;
@@ -201,7 +226,7 @@ buildPipeline(const PipelineSpec &spec)
         "score.asynchrony.training", {p.degradeTrainingOp}, 0,
         [](const Ins &ins) {
             return graph::Value::of(core::asynchronyScore(
-                ins[0].as<DegradedTraces>().traces));
+                *ins[0].as<DegradedTraces>().traces));
         });
     p.obliviousOp = g.op(
         "place.oblivious", {p.serviceOfIn}, tree_fp, [tree](const Ins &ins) {
@@ -216,7 +241,7 @@ buildPipeline(const PipelineSpec &spec)
         "cluster.shape_index", {p.degradeTrainingOp}, 0,
         [](const Ins &ins) {
             const auto &population =
-                ins[0].as<DegradedTraces>().traces;
+                *ins[0].as<DegradedTraces>().traces;
             std::vector<const double *> rows;
             rows.reserve(population.size());
             for (const auto &ts : population)
@@ -232,7 +257,7 @@ buildPipeline(const PipelineSpec &spec)
         [](const Ins &ins) {
             return graph::Value::of(core::placementEmbedding(
                 ins[2].as<core::PlacementConfig>(),
-                ins[0].as<DegradedTraces>().traces,
+                *ins[0].as<DegradedTraces>().traces,
                 ins[1].as<std::vector<std::size_t>>()));
         });
     p.placeOp = g.op(
@@ -259,7 +284,7 @@ buildPipeline(const PipelineSpec &spec)
             const auto &training = ins[1].as<DegradedTraces>();
             return graph::Value::of(
                 core::Remapper(*tree, ins[2].as<core::RemapConfig>())
-                    .search(ins[0].as<power::Assignment>(), training.traces,
+                    .search(ins[0].as<power::Assignment>(), *training.traces,
                             &training.repair.validBefore,
                             &ins[3].as<cluster::ShapeIndex>()));
         });
@@ -272,7 +297,7 @@ buildPipeline(const PipelineSpec &spec)
             return graph::Value::of(
                 core::Remapper(*tree, ins[2].as<core::RemapConfig>())
                     .extend(ins[4].as<core::RemapRun>(),
-                            ins[0].as<power::Assignment>(), training.traces,
+                            ins[0].as<power::Assignment>(), *training.traces,
                             &training.repair.validBefore,
                             &ins[3].as<cluster::ShapeIndex>()));
         });
@@ -284,7 +309,7 @@ buildPipeline(const PipelineSpec &spec)
         "compare.headroom",
         {p.degradeTestOp, p.obliviousOp, p.remapOp, p.planIn}, tree_fp,
         [tree](const Ins &ins) {
-            const auto &degraded = ins[0].as<DegradedTraces>().traces;
+            const auto &degraded = *ins[0].as<DegradedTraces>().traces;
             const auto &oblivious = ins[1].as<power::Assignment>();
             const auto &optimized = ins[2].as<core::RemapRun>().assignment;
             const auto &plan = ins[3].as<fault::FaultPlan>();
@@ -308,7 +333,7 @@ buildPipeline(const PipelineSpec &spec)
     const auto measure_body = [tree](const Ins &ins) {
         return graph::Value::of(core::measureWeek(
             *tree, ins[2].as<core::MonitorConfig>(),
-            ins[0].as<fault::InjectedTraces>().traces,
+            ins[0].as<std::vector<trace::TimeSeries>>(),
             ins[1].as<core::RemapRun>().assignment,
             &ins[3].as<cluster::ShapeIndex>()));
     };

@@ -19,7 +19,8 @@
  * returns every artifact the report prints.  Strict-mode guarantee:
  * with an empty overlay the results are bit-identical to the legacy call
  * chain (the golden-digest ctest pins this), because each op body IS the
- * legacy function.
+ * legacy function — or, for a fault stage whose plan schedules no trace
+ * fault, the input population itself, passed through uncopied.
  *
  * Config splitting: the placement config is exposed as two inputs,
  * fingerprinted by the fields each stage observes
@@ -60,9 +61,10 @@ struct PopulationStats {
     double peakOfPeaks = 0.0;
 };
 
-/** Output of fault.degrade.*: a population injected, then repaired. */
+/** Output of fault.degrade.*: a population injected, then repaired, or
+ *  the input's own payload when there was nothing to inject or repair. */
 struct DegradedTraces {
-    std::vector<trace::TimeSeries> traces;
+    std::shared_ptr<const std::vector<trace::TimeSeries>> traces;
     fault::InjectionReport faults;
     trace::RepairSummary repair;
 };
@@ -165,8 +167,10 @@ struct PipelineResult {
  * Generate the datacenter and assemble the report pipeline.  The spec
  * needs at least two weeks, so that the test week is held out of the
  * training average.  With spec.faulted == false the fault plan input is
- * the empty "none" profile, which makes the degrade and inject nodes
- * value-level no-ops — the pipeline shape is identical either way.
+ * the empty "none" profile, so the degrade and inject nodes pass their
+ * populations through without copying them (a degrade node copies and
+ * repairs a population that has a gap) — the pipeline shape is
+ * identical either way.
  */
 Pipeline buildPipeline(const PipelineSpec &spec);
 

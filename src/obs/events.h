@@ -117,7 +117,6 @@ enum class FaultEventCode : std::uint32_t {
     Gap = 3,
     TraceLoss = 4,
     BreakerTrip = 5,
-    Derate = 6,
 };
 
 /**

@@ -86,7 +86,6 @@ constexpr Named<FaultEventCode> kFaultNames[] = {
     {FaultEventCode::Gap, "gap"},
     {FaultEventCode::TraceLoss, "trace_loss"},
     {FaultEventCode::BreakerTrip, "breaker_trip"},
-    {FaultEventCode::Derate, "derate"},
 };
 
 /** The journal name of an enum value ("unknown" when out of range). */
@@ -184,9 +183,6 @@ writeArgs(JsonWriter &json, const Event &e)
           case FaultEventCode::BreakerTrip:
             json.member("rack", e.a).member("at_sample", e.b);
             json.member("duration", e.c);
-            break;
-          case FaultEventCode::Derate:
-            json.member("node", e.a).member("factor", e.x);
             break;
         }
         nonzero("plan", e.d);

@@ -450,8 +450,8 @@ constexpr const char *kHostileLabel = "say \"hi\" \\ then\nnext";
 
 /**
  * A hand-made journal covering the whole schema: every EventKind (plus
- * one out-of-range kind), every RejectReason (plus an unknown code),
- * every FaultEventCode, scope and graph-eval events with zero and
+ * one out-of-range kind), every RejectReason and every FaultEventCode
+ * (each plus an unknown code), scope and graph-eval events with zero and
  * non-zero optional slots, NaN and infinities, a hostile label, and
  * parent links through a scope, a graph op, a monitor week, an unknown
  * kind and an evicted event.  Built by hand, not recorded, so seqs,
@@ -519,8 +519,8 @@ pinnedSchemaEvents()
     add({.parent = 16, .a = 2, .b = 100, .c = 6,
          .code = code(obs::FaultEventCode::BreakerTrip),
          .kind = K::FaultInject});
-    add({.parent = 16, .a = 1, .x = 0.9,
-         .code = code(obs::FaultEventCode::Derate), .kind = K::FaultInject});
+    // An unknown fault code is journaled by name only.
+    add({.parent = 16, .a = 1, .x = 0.9, .code = 6, .kind = K::FaultInject});
     add({.parent = 28, .a = 7, .b = 33, .kind = K::FaultRepair});
     add({.a = 7, .b = 12, .x = -inf, .kind = K::IngestReject},
         "rejected_stale");
@@ -608,7 +608,7 @@ TEST(Journal, GoldenBytesPinTheWholeSchema)
 {"seq": 19, "parent": 16, "thread": 0, "t_ns": 23446, "kind": "fault_inject", "args": {"fault": "gap", "instance": 3, "gaps": 4, "samples": 9}}
 {"seq": 20, "parent": 16, "thread": 0, "t_ns": 24680, "kind": "fault_inject", "args": {"fault": "trace_loss", "instance": 7}}
 {"seq": 21, "parent": 16, "thread": 0, "t_ns": 25914, "kind": "fault_inject", "args": {"fault": "breaker_trip", "rack": 2, "at_sample": 100, "duration": 6}}
-{"seq": 22, "parent": 16, "thread": 0, "t_ns": 27148, "kind": "fault_inject", "args": {"fault": "derate", "node": 1, "factor": 0.9}}
+{"seq": 22, "parent": 16, "thread": 0, "t_ns": 27148, "kind": "fault_inject", "args": {"fault": "unknown"}}
 {"seq": 23, "parent": 28, "thread": 0, "t_ns": 28382, "kind": "fault_repair", "args": {"instance": 7, "samples": 33}}
 {"seq": 24, "parent": 0, "thread": 0, "t_ns": 29616, "kind": "ingest_reject", "args": {"reason": "rejected_stale", "instance": 7, "tick": 12, "watts": null}}
 {"seq": 25, "parent": 0, "thread": 0, "t_ns": 30850, "kind": "epoch_commit", "args": {"epoch": 3, "frontier": 36, "action": 1, "swaps": 2, "fragmentation_ratio": null, "degraded": 1}}
@@ -644,7 +644,7 @@ TEST(Journal, GoldenBytesPinTheWholeSchema)
 {"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 23.446, "name": "fault_inject", "cat": "decision", "args": {"seq": 19, "parent": 16, "fault": "gap", "instance": 3, "gaps": 4, "samples": 9}},
 {"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 24.680, "name": "fault_inject", "cat": "decision", "args": {"seq": 20, "parent": 16, "fault": "trace_loss", "instance": 7}},
 {"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 25.914, "name": "fault_inject", "cat": "decision", "args": {"seq": 21, "parent": 16, "fault": "breaker_trip", "rack": 2, "at_sample": 100, "duration": 6}},
-{"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 27.148, "name": "fault_inject", "cat": "decision", "args": {"seq": 22, "parent": 16, "fault": "derate", "node": 1, "factor": 0.9}},
+{"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 27.148, "name": "fault_inject", "cat": "decision", "args": {"seq": 22, "parent": 16, "fault": "unknown"}},
 {"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 28.382, "name": "fault_repair", "cat": "decision", "args": {"seq": 23, "parent": 28, "instance": 7, "samples": 33}},
 {"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 29.616, "name": "ingest_reject", "cat": "decision", "args": {"seq": 24, "parent": 0, "reason": "rejected_stale", "instance": 7, "tick": 12, "watts": null}},
 {"ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 30.850, "name": "epoch_commit", "cat": "decision", "args": {"seq": 25, "parent": 0, "epoch": 3, "frontier": 36, "action": 1, "swaps": 2, "fragmentation_ratio": null, "degraded": 1}},

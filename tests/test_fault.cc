@@ -93,7 +93,7 @@ TEST(FaultPlan, QuotaRoughlyMatchesLossRate)
         static_cast<double>(plan.scheduledGapSamples());
     EXPECT_GE(scheduled / total, 0.05);
     EXPECT_LE(scheduled / total, 0.06); // Quota + at most one extra gap.
-    EXPECT_EQ(plan.powerEvents().size(), 2u); // One trip + one derate.
+    EXPECT_EQ(plan.powerEvents().size(), 1u); // One breaker trip.
 }
 
 TEST(FaultPlan, NoneProfileSchedulesNothing)
@@ -303,11 +303,11 @@ TEST(Inject, CheckBreakerTripsReportsTripsAndRefusesWhatInjectionRefuses)
     fault::FaultProfile trips;
     trips.breakerTrips = 1;
     const auto tripping = fault::FaultPlan::build(3, trips, {3, 40});
-    // Derating is a power event too, but not a trip.
-    fault::FaultProfile derate_only;
-    derate_only.deratedNodes = 1;
-    const auto quiet = fault::FaultPlan::build(3, derate_only, {3, 40});
-    ASSERT_FALSE(quiet.powerEvents().empty());
+    // A mild plan schedules trace faults but no power event.
+    const auto quiet =
+        fault::FaultPlan::build(3, fault::faultProfile("mild"), {3, 40});
+    ASSERT_TRUE(quiet.powerEvents().empty());
+    ASSERT_FALSE(quiet.gaps().empty());
     const std::vector<TimeSeries> traces(3, TimeSeries::constant(40, 1.0));
     const power::Assignment assignment(3, 0);
     EXPECT_TRUE(fault::checkBreakerTrips(traces, assignment, tripping));
@@ -321,35 +321,20 @@ TEST(Inject, CheckBreakerTripsReportsTripsAndRefusesWhatInjectionRefuses)
     EXPECT_THROW(fault::checkBreakerTrips(traces, power::Assignment(2, 0),
                                           quiet),
                  FatalError);
-}
 
-TEST(Inject, DeratingScalesProvisionedBudgetsOnly)
-{
-    power::TopologySpec topo;
-    topo.suites = 1;
-    topo.msbsPerSuite = 1;
-    topo.sbsPerMsb = 1;
-    topo.rppsPerSb = 2;
-    topo.racksPerRpp = 2;
-    power::PowerTree tree(topo);
-    for (const auto id : tree.nodesAtLevel(power::Level::Rpp))
-        tree.setBudget(id, 100.0);
-
-    fault::FaultProfile profile;
-    profile.deratedNodes = 2;
-    const auto plan = fault::FaultPlan::build(4, profile, {1, 10});
-    for (const auto &event : plan.powerEvents())
-        EXPECT_EQ(event.factor, fault::kDerateFactor);
-    const auto derated =
-        fault::applyDerating(tree, plan, power::Level::Rpp);
-    EXPECT_EQ(derated.size(), 2u);
-    for (const auto id : derated)
-        EXPECT_LE(tree.node(id).budgetWatts,
-                  100.0 * fault::kDerateFactor + 1e-12);
-
-    // Unprovisioned levels are untouched (budget 0 means "unset").
-    power::PowerTree bare(topo);
-    EXPECT_TRUE(fault::applyDerating(bare, plan).empty());
+    // checkTraceFaults is the same check for injectTraceFaults: trips
+    // are not trace faults, a mild plan's gaps are, and the wildcard
+    // plan schedules nothing and fits a population of any shape.
+    const auto wildcard = fault::FaultPlan::build(
+        0, fault::faultProfile("none"), fault::TraceShape{});
+    EXPECT_FALSE(fault::checkTraceFaults(traces, tripping));
+    EXPECT_TRUE(fault::checkTraceFaults(traces, quiet));
+    EXPECT_FALSE(fault::checkTraceFaults(traces, wildcard));
+    EXPECT_FALSE(fault::checkTraceFaults(wrong_len, wildcard));
+    EXPECT_THROW(fault::checkTraceFaults(wrong_len, quiet), FatalError);
+    EXPECT_THROW(fault::checkTraceFaults(wrong_len, tripping), FatalError);
+    auto copy = wrong_len;
+    EXPECT_THROW(fault::injectTraceFaults(copy, tripping), FatalError);
 }
 
 // ---------------------------------------------------------------------
@@ -695,7 +680,7 @@ TEST(FaultPipeline, SurvivesHarshProfileEndToEnd)
     for (std::size_t i = 0; i < dc.instanceCount(); ++i)
         service_of[i] = dc.serviceOf(i);
 
-    // Harsh profile: 5% sample loss + one breaker trip + one derate.
+    // Harsh profile: 5% sample loss + one breaker trip.
     const auto plan = fault::FaultPlan::build(
         7, fault::faultProfile("harsh"),
         {dc.instanceCount(), training.front().size()});

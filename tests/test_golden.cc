@@ -54,7 +54,12 @@ using namespace sosim;
 // procedure.
 
 constexpr std::uint64_t kGoldenPipelineDigest = 0xe61fda27aed13ed4;
-constexpr std::uint64_t kGoldenFaultFingerprint = 0xb2672a1be3790ec1;
+constexpr std::uint64_t kGoldenFaultFingerprint = 0x62ee6ba5940444ad;
+// A plan whose only events are breaker trips (seed 7, shape {120, 336},
+// breakerTrips = 1).  FaultPlan::fingerprint hashes constants where a
+// power event's kind and derate factor used to be, so this value is the
+// one such plans had while events carried both.  Same update procedure.
+constexpr std::uint64_t kGoldenTripPlanFingerprint = 0xe5b906fe780503ef;
 // Fleet-scale remap digest (population 4096, parallel cluster-pruned
 // swap scan; see fleetDigest below).  Same update procedure as above.
 constexpr std::uint64_t kGoldenFleetDigest = 0x98e83503b0275f74;
@@ -283,6 +288,19 @@ TEST(Golden, FaultPlanFingerprintMatchesCommittedValue)
     EXPECT_EQ(plan.fingerprint(), kGoldenFaultFingerprint)
         << "FaultPlan schedule changed. If intentional, update "
            "kGoldenFaultFingerprint in tests/test_golden.cc to 0x"
+        << std::hex << plan.fingerprint()
+        << " and explain the scheduling change in the commit message.";
+}
+
+TEST(Golden, TripPlanFingerprintMatchesCommittedValue)
+{
+    fault::FaultProfile trips;
+    trips.breakerTrips = 1;
+    const auto plan = fault::FaultPlan::build(7, trips, {120, 336});
+    ASSERT_EQ(plan.powerEvents().size(), 1u);
+    EXPECT_EQ(plan.fingerprint(), kGoldenTripPlanFingerprint)
+        << "Trip-only FaultPlan fingerprint changed. If intentional, "
+           "update kGoldenTripPlanFingerprint in tests/test_golden.cc to 0x"
         << std::hex << plan.fingerprint()
         << " and explain the scheduling change in the commit message.";
 }

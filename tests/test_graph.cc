@@ -9,11 +9,14 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <random>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -352,6 +355,99 @@ TEST(GraphParity, TestInputSharesTheLastWeeksPayload)
     for (std::size_t w = 0; w + 1 < p.weekIns.size(); ++w)
         EXPECT_NE(&g.eval(p.weekIns[w]).as<Population>(),
                   &last.as<Population>());
+}
+
+TEST(GraphParity, CleanFaultStagesPassTheirInputsThrough)
+{
+    // A plan that schedules no trace fault copies no population: each
+    // fault.degrade.* op holds its fully valid input's payload, and each
+    // fault.inject.week.W op returns week.W's payload.
+    using Population = std::vector<trace::TimeSeries>;
+    pipeline::PipelineSpec spec;
+    spec.dc = goldenSpec();
+    auto p = pipeline::buildPipeline(spec);
+    auto &g = p.graph;
+    pipeline::runPipeline(p);
+    const auto &training =
+        g.eval(p.degradeTrainingOp).as<pipeline::DegradedTraces>();
+    EXPECT_EQ(training.traces.get(), &g.eval(p.trainingIn).as<Population>());
+    EXPECT_EQ(g.eval(p.degradeTestOp)
+                  .as<pipeline::DegradedTraces>()
+                  .traces.get(),
+              &g.eval(p.testIn).as<Population>());
+    ASSERT_EQ(p.weekInjectOps.size(), p.weekIns.size());
+    for (std::size_t w = 0; w < p.weekIns.size(); ++w)
+        EXPECT_EQ(&g.eval(p.weekInjectOps[w]).as<Population>(),
+                  &g.eval(p.weekIns[w]).as<Population>());
+    // What repairing a clean population would report.
+    EXPECT_EQ(training.repair.validBefore,
+              std::vector<double>(p.instanceCount, 1.0));
+    EXPECT_EQ(training.repair.samplesRepaired, 0u);
+    EXPECT_EQ(training.repair.tracesDegraded, 0u);
+    EXPECT_EQ(training.faults.samplesDropped, 0u);
+
+    // A gap in the input is repaired on a copy, even under a clean plan.
+    auto gapped = g.eval(p.trainingIn).as<Population>();
+    gapped[3][5] = std::numeric_limits<double>::quiet_NaN();
+    const auto fp = core::fingerprintTraces(gapped);
+    g.setInput(p.trainingIn, graph::Value::of(std::move(gapped), fp));
+    const auto &repaired =
+        g.eval(p.degradeTrainingOp).as<pipeline::DegradedTraces>();
+    const auto &input = g.eval(p.trainingIn).as<Population>();
+    EXPECT_NE(repaired.traces.get(), &input);
+    EXPECT_EQ(repaired.repair.samplesRepaired, 1u);
+    EXPECT_TRUE(std::isnan(input[3][5]));
+    EXPECT_FALSE(std::isnan((*repaired.traces)[3][5]));
+}
+
+TEST(GraphParity, FaultStagesNeverWriteTheirInputs)
+{
+    // Pass-through shares input payloads with op outputs, so no stage
+    // may write a population in place.  A faulted plan degrades copies,
+    // and clean, harsh and repair-policy=none runs leave every input's
+    // bytes and fingerprint as they were.
+    using Population = std::vector<trace::TimeSeries>;
+    pipeline::PipelineSpec spec;
+    spec.dc = goldenSpec();
+    auto p = pipeline::buildPipeline(spec);
+    auto &g = p.graph;
+    std::vector<graph::Handle> inputs = {p.trainingIn, p.testIn};
+    inputs.insert(inputs.end(), p.weekIns.begin(), p.weekIns.end());
+    std::vector<Population> bytes;
+    std::vector<std::uint64_t> fps;
+    for (const auto h : inputs) {
+        bytes.push_back(g.eval(h).as<Population>());
+        fps.push_back(g.eval(h).fingerprint());
+    }
+    const auto unchanged = [&](const char *run) {
+        SCOPED_TRACE(run);
+        for (std::size_t k = 0; k < inputs.size(); ++k) {
+            const auto &value = g.eval(inputs[k]);
+            const auto &population = value.as<Population>();
+            EXPECT_EQ(value.fingerprint(), fps[k]);
+            EXPECT_EQ(core::fingerprintTraces(population), fps[k]);
+            ASSERT_EQ(population.size(), bytes[k].size());
+            for (std::size_t i = 0; i < population.size(); ++i)
+                EXPECT_EQ(population[i].samples(), bytes[k][i].samples());
+        }
+    };
+
+    pipeline::runPipeline(p);
+    unchanged("clean");
+    const auto harsh = pipeline::parseWhatIf(p, "fault-plan=7:harsh");
+    pipeline::runPipeline(p, harsh);
+    unchanged("harsh");
+    const std::pair<graph::Handle, graph::Handle> degrades[] = {
+        {p.degradeTrainingOp, p.trainingIn}, {p.degradeTestOp, p.testIn}};
+    for (const auto &[op, in] : degrades)
+        EXPECT_NE(
+            g.eval(op, harsh).as<pipeline::DegradedTraces>().traces.get(),
+            &g.eval(in).as<Population>());
+    for (std::size_t w = 0; w < p.weekIns.size(); ++w)
+        EXPECT_NE(&g.eval(p.weekInjectOps[w], harsh).as<Population>(),
+                  &g.eval(p.weekIns[w]).as<Population>());
+    pipeline::runPipeline(p, pipeline::parseWhatIf(p, "repair-policy=none"));
+    unchanged("repair-policy=none");
 }
 
 TEST(GraphParity, FaultedPipelineMatchesTheLegacyCallChain)
