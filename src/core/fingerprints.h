@@ -155,7 +155,7 @@ fingerprintMonitorMeasureConfig(const MonitorConfig &c)
     return h;
 }
 
-/** Fingerprint of a power tree: topology plus every node's budget. */
+/** Fingerprint of a power tree: topology, and 0.0 where budgets were. */
 inline std::uint64_t
 fingerprintTree(const power::PowerTree &tree)
 {
@@ -165,7 +165,7 @@ fingerprintTree(const power::PowerTree &tree)
         const auto &n = tree.node(id);
         h = util::hashCombine(h, static_cast<std::uint64_t>(n.parent));
         h = util::hashCombine(h, static_cast<std::uint64_t>(n.level));
-        h = util::hashCombine(h, util::doubleBits(n.budgetWatts));
+        h = util::hashCombine(h, util::doubleBits(0.0));
     }
     return h;
 }

@@ -37,11 +37,15 @@ FragmentationMonitor::FragmentationMonitor(const power::PowerTree &tree,
                   "invariant; watch a lower level");
 }
 
+namespace {
+
+/** The one measureWeek body.  `owned`, when supplied, is the week
+ *  `itraces` names, and its gapped rows are repaired in place. */
 MonitorMeasurement
-measureWeek(const power::PowerTree &tree, const MonitorConfig &config,
-            const std::vector<trace::TimeSeries> &itraces,
-            const power::Assignment &assignment,
-            const cluster::ShapeIndex *training, RepairedWeek *repaired)
+measure(const power::PowerTree &tree, const MonitorConfig &config,
+        const std::vector<trace::TimeSeries> &itraces, OwnedWeek *owned,
+        const power::Assignment &assignment,
+        const cluster::ShapeIndex *training)
 {
     MonitorMeasurement m;
 
@@ -58,16 +62,17 @@ measureWeek(const power::PowerTree &tree, const MonitorConfig &config,
                           : valid_sum /
                                 static_cast<double>(itraces.size());
 
-    // A week with a gap is copied once (the caller's traces are never
-    // mutated) and every gapped row is repaired in place, those below
-    // the floor too, so the copy is trace::repairedCopy's.
+    // A borrowed week with a gap is copied once, an owned one not, and
+    // every gapped row is repaired in place, those below the floor too,
+    // so the rows become trace::repairedCopy's.
     std::vector<trace::TimeSeries> copy;
-    if (m.degradedData)
+    if (m.degradedData && owned == nullptr)
         copy = itraces;
-    for (std::size_t i = 0; i < copy.size(); ++i) {
+    auto &gapped = owned != nullptr ? owned->traces : copy;
+    for (std::size_t i = 0; m.degradedData && i < gapped.size(); ++i) {
         if (validity[i] >= 1.0)
             continue;
-        const auto r = trace::repairSeries(copy[i], kMonitorRepairPolicy);
+        const auto r = trace::repairSeries(gapped[i], kMonitorRepairPolicy);
         if (validity[i] < trace::kMinValidFraction) {
             ++m.excludedInstances;
             SOSIM_EVENT(.kind = obs::EventKind::MonitorExclude,
@@ -85,7 +90,7 @@ measureWeek(const power::PowerTree &tree, const MonitorConfig &config,
     // zero row for an instance below the floor — mostly fabricated, it
     // contributes nothing rather than a guess.  aggregateTraces refuses
     // a misaligned week before it reads a row.
-    const auto &week = m.degradedData ? copy : itraces;
+    const auto &week = m.degradedData ? gapped : itraces;
     std::vector<trace::TraceView> rows(week.begin(), week.end());
     const std::vector<double> zeros(
         m.excludedInstances > 0 ? week.front().size() : 0, 0.0);
@@ -106,10 +111,10 @@ measureWeek(const power::PowerTree &tree, const MonitorConfig &config,
         m.shapeDrift = week_index.meanDriftFrom(*training);
     }
 
-    if (repaired != nullptr) {
+    if (owned != nullptr) {
         if (!m.degradedData)
             validity.clear();
-        *repaired = {std::move(copy), std::move(validity)};
+        owned->validBefore = std::move(validity);
     }
 
     m.sumOfPeaks = tree.sumOfPeaks(node_traces, config.level);
@@ -126,6 +131,25 @@ measureWeek(const power::PowerTree &tree, const MonitorConfig &config,
     }
     m.fragmentationRatio = m.sumOfPeaks / m.rootPeak;
     return m;
+}
+
+} // namespace
+
+MonitorMeasurement
+measureWeek(const power::PowerTree &tree, const MonitorConfig &config,
+            const std::vector<trace::TimeSeries> &itraces,
+            const power::Assignment &assignment,
+            const cluster::ShapeIndex *training)
+{
+    return measure(tree, config, itraces, nullptr, assignment, training);
+}
+
+MonitorMeasurement
+measureWeek(const power::PowerTree &tree, const MonitorConfig &config,
+            OwnedWeek &week, const power::Assignment &assignment,
+            const cluster::ShapeIndex *training)
+{
+    return measure(tree, config, week.traces, &week, assignment, training);
 }
 
 MonitorObservation

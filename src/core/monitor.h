@@ -47,11 +47,8 @@ enum class MonitorAction {
 /** Printable action name. */
 std::string monitorActionName(MonitorAction action);
 
-/**
- * Gap-repair policy applied (to a copy) when a week's
- * telemetry contains NaN samples; the caller's traces are never
- * mutated.
- */
+/** Gap-repair policy applied to a week whose telemetry has NaN samples:
+ *  to a copy of a borrowed week, in place in an OwnedWeek. */
 inline constexpr trace::RepairPolicy kMonitorRepairPolicy =
     trace::RepairPolicy::Interpolate;
 
@@ -136,13 +133,11 @@ struct MonitorObservation : MonitorMeasurement {
     double evalSeconds = 0.0;
 };
 
-/** measureWeek's copy of a week with gaps: `traces` equals
- *  trace::repairedCopy(itraces, kMonitorRepairPolicy).traces and
- *  `validity` its summary.validBefore, so callers that act on the week
- *  need not repair it again. */
-struct RepairedWeek {
+/** A week of I-traces handed over to measureWeek's owning form. */
+struct OwnedWeek {
     std::vector<trace::TimeSeries> traces;
-    std::vector<double> validity;
+    /** Set by measureWeek: pre-repair validity, or empty if no gap. */
+    std::vector<double> validBefore;
 };
 
 /**
@@ -158,18 +153,25 @@ struct RepairedWeek {
  * training population — the same index placement and remap pruning
  * consume), the measurement also reports the week's mean shape drift
  * from it (MonitorMeasurement::shapeDrift); degraded weeks embed their
- * repaired copy so sensor gaps do not masquerade as workload drift.
+ * repaired rows so sensor gaps do not masquerade as workload drift.
  * The drift is a diagnostic and never changes the computed ratio.
- *
- * When `repaired` is supplied, it receives the repaired copy if the
- * week had a gap, and is left empty if it had none (no copy is made).
  */
 MonitorMeasurement
 measureWeek(const power::PowerTree &tree, const MonitorConfig &config,
             const std::vector<trace::TimeSeries> &itraces,
             const power::Assignment &assignment,
-            const cluster::ShapeIndex *training = nullptr,
-            RepairedWeek *repaired = nullptr);
+            const cluster::ShapeIndex *training = nullptr);
+
+/**
+ * The owning form: the same measurement and no copy.  Each gapped row of
+ * `week.traces` is repaired in place, so the rows become
+ * trace::repairedCopy(rows, kMonitorRepairPolicy).traces, and the
+ * validity is left in `week.validBefore`; a clean week stays as it was.
+ */
+MonitorMeasurement
+measureWeek(const power::PowerTree &tree, const MonitorConfig &config,
+            OwnedWeek &week, const power::Assignment &assignment,
+            const cluster::ShapeIndex *training = nullptr);
 
 /**
  * Tracks placement quality over successive weeks of telemetry.
@@ -192,12 +194,9 @@ class FragmentationMonitor
      * window; an observation whose ratio exceeds the baseline by the
      * configured thresholds triggers Remap / Replace.
      *
-     * Degraded telemetry (NaN samples) is handled gracefully: the week
-     * is repaired into a copy under kMonitorRepairPolicy,
-     * instances below trace::kMinValidFraction are excluded, the
-     * observation is flagged degradedData, and the action thresholds
-     * are widened by kDegradedThresholdFactor so the monitor does not
-     * recommend churn based on fabricated samples.
+     * Degraded telemetry (NaN samples) is repaired, thinned and flagged
+     * as measureWeek describes, and judged against thresholds widened
+     * by kDegradedThresholdFactor.
      *
      * Equivalent to ingest(measureWeek(tree, config(), itraces,
      * assignment), seconds spent measuring).

@@ -90,13 +90,12 @@ buildPipeline(const PipelineSpec &spec)
     for (std::size_t i = 0; i < dc.instanceCount(); ++i)
         service_of[i] = dc.serviceOf(i);
 
-    // An unfaulted pipeline still carries the degrade and inject nodes,
-    // fed by an empty "none" plan: it schedules no trace fault, so both
-    // pass their populations through uncopied and the graph shape does
-    // not depend on the fault switch.  The empty plan is built for the
-    // wildcard shape {0, 0}, which composes with a population of any
-    // shape — input edits and what-if overlays may resample or resize
-    // the trace populations freely.
+    // An unfaulted pipeline feeds the degrade and week measure nodes an
+    // empty "none" plan: it schedules no trace fault, so they read their
+    // populations uncopied, and the graph shape does not depend on the
+    // fault switch.  Built for the wildcard shape {0, 0}, the plan
+    // composes with a population of any shape, so input edits and
+    // what-if overlays may resample or resize the populations freely.
     const fault::FaultPlan plan =
         spec.faulted
             ? fault::FaultPlan::build(spec.faultSeed,
@@ -153,10 +152,6 @@ buildPipeline(const PipelineSpec &spec)
         "remap.config",
         graph::Value::of(spec.remap,
                          core::fingerprintRemapConfig(spec.remap)));
-    p.remapBaseConfigIn = g.input(
-        "remap.base_config",
-        graph::Value::of(spec.remap,
-                         core::fingerprintRemapConfig(spec.remap)));
     p.monitorConfigIn = g.input(
         "monitor.config",
         graph::Value::of(
@@ -172,19 +167,9 @@ buildPipeline(const PipelineSpec &spec)
     const auto tree = p.tree;
     const auto tree_fp = core::fingerprintTree(*tree);
 
-    // With no trace fault scheduled, a week inject op passes its input
-    // through, and so does a degrade op whose rows are all valid.
-    // Otherwise injection and repair share one copy, each degrading it
-    // in place: the legacy call chain, in one op.
-    const auto inject_body = [](const Ins &ins) {
-        const auto &week = ins[0].as<std::vector<trace::TimeSeries>>();
-        const auto &plan = ins[1].as<fault::FaultPlan>();
-        if (!fault::checkTraceFaults(week, plan))
-            return ins[0];
-        auto traces = week;
-        fault::injectTraceFaults(traces, plan);
-        return graph::Value::of(std::move(traces));
-    };
+    // With no trace fault scheduled, a degrade op whose rows are all
+    // valid passes its input through; otherwise injection and repair
+    // share one copy, each degrading it in place.
     const auto degrade_body = [](const Ins &ins) {
         const auto &population = ins[0].as<std::vector<trace::TimeSeries>>();
         const auto &plan = ins[1].as<fault::FaultPlan>();
@@ -273,20 +258,20 @@ buildPipeline(const PipelineSpec &spec)
     // clean path is bit-identical to refining without a validity vector.
     // The shared index feeds the kCluster pruner so it skips its own
     // re-embed.  remap.base runs the spec's own budget and keeps the
-    // state its search stopped in; no what-if shadows its config, so a
-    // max-swaps what-if finds it in the base pin and remap.refine goes
-    // on from it (Remapper::extend: pass-through, prefix or resume).
+    // state its search stopped in.  It closes over spec.remap, which no
+    // overlay can reach, so a max-swaps what-if finds it in the base pin
+    // and remap.refine goes on from it (Remapper::extend: pass-through,
+    // prefix or resume).
     p.remapBaseOp = g.op(
-        "remap.base",
-        {p.placeOp, p.degradeTrainingOp, p.remapBaseConfigIn,
-         p.shapeIndexOp},
-        tree_fp, [tree](const Ins &ins) {
+        "remap.base", {p.placeOp, p.degradeTrainingOp, p.shapeIndexOp},
+        util::hashCombine(tree_fp, core::fingerprintRemapConfig(spec.remap)),
+        [tree, remap = spec.remap](const Ins &ins) {
             const auto &training = ins[1].as<DegradedTraces>();
             return graph::Value::of(
-                core::Remapper(*tree, ins[2].as<core::RemapConfig>())
-                    .search(ins[0].as<power::Assignment>(), *training.traces,
-                            &training.repair.validBefore,
-                            &ins[3].as<cluster::ShapeIndex>()));
+                core::Remapper(*tree, remap).search(
+                    ins[0].as<power::Assignment>(), *training.traces,
+                    &training.repair.validBefore,
+                    &ins[2].as<cluster::ShapeIndex>()));
         });
     p.remapOp = g.op(
         "remap.refine",
@@ -329,25 +314,29 @@ buildPipeline(const PipelineSpec &spec)
     // measureWeek is the pure half of one week's observation; runPipeline
     // makes the stateful threshold judgment.  The training index enables
     // the shape-drift diagnostic, which annotates but never steers the
-    // recommended action.
+    // recommended action.  A week the plan faults is copied once, and
+    // the owning form repairs the injected copy; no op caches it.
     const auto measure_body = [tree](const Ins &ins) {
-        return graph::Value::of(core::measureWeek(
-            *tree, ins[2].as<core::MonitorConfig>(),
-            ins[0].as<std::vector<trace::TimeSeries>>(),
-            ins[1].as<core::RemapRun>().assignment,
-            &ins[3].as<cluster::ShapeIndex>()));
+        const auto &week = ins[0].as<std::vector<trace::TimeSeries>>();
+        const auto &plan = ins[1].as<fault::FaultPlan>();
+        const auto measure = [&](auto &rows) {
+            return graph::Value::of(core::measureWeek(
+                *tree, ins[3].as<core::MonitorConfig>(), rows,
+                ins[2].as<core::RemapRun>().assignment,
+                &ins[4].as<cluster::ShapeIndex>()));
+        };
+        if (!fault::checkTraceFaults(week, plan))
+            return measure(week);
+        core::OwnedWeek faulted{week, {}};
+        fault::injectTraceFaults(faulted.traces, plan);
+        return measure(faulted);
     };
-    for (std::size_t w = 0; w < p.weekIns.size(); ++w) {
-        const auto week = std::to_string(w);
-        p.weekInjectOps.push_back(g.op("fault.inject.week." + week,
-                                       {p.weekIns[w], p.planIn}, 0,
-                                       inject_body));
-        p.weekMeasureOps.push_back(
-            g.op("monitor.measure.week." + week,
-                 {p.weekInjectOps[w], p.remapOp, p.monitorConfigIn,
-                  p.shapeIndexOp},
-                 tree_fp, measure_body));
-    }
+    for (std::size_t w = 0; w < p.weekIns.size(); ++w)
+        p.weekMeasureOps.push_back(g.op(
+            "monitor.measure.week." + std::to_string(w),
+            {p.weekIns[w], p.planIn, p.remapOp, p.monitorConfigIn,
+             p.shapeIndexOp},
+            tree_fp, measure_body));
     return p;
 }
 

@@ -121,8 +121,6 @@ struct Pipeline {
     graph::Handle embedConfigIn;
     graph::Handle distributeConfigIn;
     graph::Handle remapConfigIn;
-    /** spec.remap under another name; no what-if shadows it. */
-    graph::Handle remapBaseConfigIn;
     graph::Handle monitorConfigIn;
     std::vector<graph::Handle> weekIns;
 
@@ -140,7 +138,6 @@ struct Pipeline {
     /** remap.refine: the (possibly overlaid) config's refinement. */
     graph::Handle remapOp;
     graph::Handle compareOp;
-    std::vector<graph::Handle> weekInjectOps;
     std::vector<graph::Handle> weekMeasureOps;
 };
 
@@ -167,10 +164,10 @@ struct PipelineResult {
  * Generate the datacenter and assemble the report pipeline.  The spec
  * needs at least two weeks, so that the test week is held out of the
  * training average.  With spec.faulted == false the fault plan input is
- * the empty "none" profile, so the degrade and inject nodes pass their
- * populations through without copying them (a degrade node copies and
- * repairs a population that has a gap) — the pipeline shape is
- * identical either way.
+ * the empty "none" profile, so the degrade nodes pass their populations
+ * through without copying them (a degrade node copies and repairs a
+ * population that has a gap) and the week measurements read their weeks
+ * in place — the pipeline shape is identical either way.
  */
 Pipeline buildPipeline(const PipelineSpec &spec);
 

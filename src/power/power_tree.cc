@@ -90,15 +90,6 @@ PowerTree::racksUnder(NodeId id) const
     return out;
 }
 
-void
-PowerTree::setBudget(NodeId id, double watts)
-{
-    SOSIM_REQUIRE(id < nodes_.size(),
-                  "PowerTree::setBudget: id out of range");
-    SOSIM_REQUIRE(watts >= 0.0, "PowerTree::setBudget: negative budget");
-    nodes_[id].budgetWatts = watts;
-}
-
 std::vector<trace::TimeSeries>
 PowerTree::aggregateTraces(
     const std::vector<trace::TimeSeries> &instance_traces,

@@ -5,10 +5,11 @@
  * @file
  * The multi-level power delivery tree.
  *
- * The tree itself is immutable once built; service-instance placements are
- * represented externally as an Assignment (instance index -> rack node id)
- * so that alternative placements over the same infrastructure can be
- * compared side by side, which is exactly what the paper's evaluation does.
+ * The tree is fully immutable once built: no node carries mutable state.
+ * Service-instance placements are represented externally as an
+ * Assignment (instance index -> rack node id) so that alternative
+ * placements over the same infrastructure can be compared side by side,
+ * which is exactly what the paper's evaluation does.
  */
 
 #include <cstddef>
@@ -39,8 +40,6 @@ struct PowerNode {
     Level level = Level::Datacenter;
     NodeId parent = kNoNode;
     std::vector<NodeId> children;
-    /** Provisioned power budget in (normalized) watts; 0 = unset. */
-    double budgetWatts = 0.0;
     /** Stable human-readable name, e.g. "dc0/suite1/msb0/sb1/rpp2/rack3". */
     std::string name;
 };
@@ -61,7 +60,7 @@ struct TopologySpec {
 };
 
 /**
- * An immutable power delivery tree built from a TopologySpec.
+ * A fully immutable power delivery tree built from a TopologySpec.
  *
  * Node 0 is always the datacenter root; children are contiguous and
  * ordered, so nodesAtLevel() returns stable, deterministic id lists.
@@ -95,9 +94,6 @@ class PowerTree
 
     /** All rack ids in the subtree rooted at `id`. */
     std::vector<NodeId> racksUnder(NodeId id) const;
-
-    /** Mutable budget setter (budgets are the only mutable node state). */
-    void setBudget(NodeId id, double watts);
 
     /**
      * Aggregate per-node power traces for a placement.

@@ -69,21 +69,20 @@ Service::processReadyEpochs()
     while (!queue_.empty()) {
         EpochSnapshot snap = std::move(queue_.front());
         queue_.pop_front();
-        results.push_back(processEpoch(snap));
+        results.push_back(processEpoch(std::move(snap)));
     }
     SOSIM_GAUGE_SET("serve.epoch.queue_depth", 0.0);
     return results;
 }
 
 EpochResult
-Service::processEpoch(const EpochSnapshot &snapshot)
+Service::processEpoch(EpochSnapshot snapshot)
 {
     SOSIM_SPAN("serve.process_epoch");
     const auto t0 = std::chrono::steady_clock::now();
-    core::RepairedWeek repaired;
+    core::OwnedWeek week{std::move(snapshot.traces), {}};
     const core::MonitorMeasurement m =
-        core::measureWeek(tree_, config_.monitor, snapshot.traces,
-                          assignment_, nullptr, &repaired);
+        core::measureWeek(tree_, config_.monitor, week, assignment_);
     const double eval_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)
@@ -96,21 +95,21 @@ Service::processEpoch(const EpochSnapshot &snapshot)
 
     // Unlike the batch pipeline (which only records recommendations),
     // the serving loop acts on them: a Remap refines the live
-    // assignment, a Replace re-derives it.  Both need gap-free traces,
-    // so a week with gaps is read from the monitor's repaired copy, its
-    // pre-repair validity gating swap candidacy; a clean week is read as
-    // is, ungated (an all-valid vector would gate nothing).
-    const bool gapped = !repaired.validity.empty();
-    const std::vector<trace::TimeSeries> &traces =
-        gapped ? repaired.traces : snapshot.traces;
+    // assignment, a Replace re-derives it.  Both need gap-free traces:
+    // the monitor repaired the snapshot's gapped rows in place, and
+    // their pre-repair validity gates swap candidacy; a clean week
+    // carries no validity and is refined ungated (an all-valid vector
+    // would gate nothing).
+    const std::vector<double> *validity =
+        week.validBefore.empty() ? nullptr : &week.validBefore;
     if (r.observation.action == core::MonitorAction::Remap) {
-        const auto swaps = remapper_.refine(
-            assignment_, traces, gapped ? &repaired.validity : nullptr);
+        const auto swaps =
+            remapper_.refine(assignment_, week.traces, validity);
         r.swaps = swaps.size();
         if (!swaps.empty())
             monitor_.placementUpdated();
     } else if (r.observation.action == core::MonitorAction::Replace) {
-        assignment_ = placer_.place(traces, serviceOf_);
+        assignment_ = placer_.place(week.traces, serviceOf_);
         monitor_.placementUpdated();
         r.replaced = true;
     }

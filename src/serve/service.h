@@ -25,8 +25,8 @@
  * drains the queue: each snapshot is measured with
  * core::measureWeek (whose degraded-data path handles the NaNs exactly
  * like the batch pipeline), judged by the FragmentationMonitor, and the
- * recommended action is executed on measureWeek's repaired copy with
- * per-instance validity gating — Remap refines the live assignment,
+ * recommended action is executed on the snapshot measureWeek repaired
+ * in place, with validity gating — Remap refines the live assignment,
  * Replace re-derives the placement.  A running FNV digest over every
  * processed epoch's observable outcome (ratio bits, action, degradation
  * tallies, swap count, assignment fingerprint) is the replay-equality
@@ -162,7 +162,7 @@ class Service
     bool restoreLatest();
 
   private:
-    EpochResult processEpoch(const EpochSnapshot &snapshot);
+    EpochResult processEpoch(EpochSnapshot snapshot);
     void writeCheckpoint();
     std::uint64_t computeShapeFingerprint() const;
 

@@ -2,6 +2,10 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
+#include <utility>
+
+#include <sys/mman.h>
 
 #include "util/error.h"
 
@@ -17,26 +21,61 @@ paddedStride(std::size_t samples)
     return (samples + unit - 1) / unit * unit;
 }
 
-double *
-allocateRows(std::size_t capacity, std::size_t stride)
-{
-    if (capacity == 0 || stride == 0)
-        return nullptr;
-    // aligned_alloc requires the size to be a multiple of the alignment;
-    // the stride already is, in doubles.
-    const std::size_t bytes = capacity * stride * sizeof(double);
-    void *p = std::aligned_alloc(TraceArena::kAlignBytes, bytes);
-    SOSIM_REQUIRE(p != nullptr, "TraceArena: allocation failed");
-    std::memset(p, 0, bytes);
-    return static_cast<double *>(p);
-}
+/**
+ * The last mapped buffer freed, kept resident for the next arena of its
+ * size: a population arena is rebuilt for every remap and scoring pass,
+ * and a fresh mapping pays a page fault per page on first touch.
+ */
+std::mutex g_spareMutex;
+std::pair<void *, std::size_t> g_spare{nullptr, 0};
 
 } // namespace
 
-void
-TraceArena::AlignedFree::operator()(double *p) const
+std::unique_ptr<double[], TraceArena::RowsFree>
+TraceArena::allocateRows(std::size_t capacity, std::size_t stride)
 {
-    std::free(p);
+    const std::size_t bytes = capacity * stride * sizeof(double);
+    if (bytes == 0)
+        return {nullptr, {}};
+    void *p = nullptr;
+    if (bytes >= kMapBytes) {
+        {
+            std::lock_guard<std::mutex> lock(g_spareMutex);
+            if (g_spare.second == bytes)
+                p = std::exchange(g_spare, {nullptr, 0}).first;
+        }
+        if (p != nullptr) {
+            std::memset(p, 0, bytes);
+        } else {
+            // Fresh anonymous pages are already zero, and page-aligned.
+            p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+            SOSIM_REQUIRE(p != MAP_FAILED, "TraceArena: mapping failed");
+        }
+    } else {
+        // aligned_alloc requires the size to be a multiple of the
+        // alignment; the stride already is, in doubles.
+        p = std::aligned_alloc(kAlignBytes, bytes);
+        SOSIM_REQUIRE(p != nullptr, "TraceArena: allocation failed");
+        std::memset(p, 0, bytes);
+    }
+    return {static_cast<double *>(p), {bytes}};
+}
+
+void
+TraceArena::RowsFree::operator()(double *p) const
+{
+    if (bytes < kMapBytes) {
+        std::free(p);
+        return;
+    }
+    std::pair<void *, std::size_t> evicted;
+    {
+        std::lock_guard<std::mutex> lock(g_spareMutex);
+        evicted = std::exchange(g_spare, {p, bytes});
+    }
+    if (evicted.first != nullptr)
+        ::munmap(evicted.first, evicted.second);
 }
 
 TraceArena::TraceArena(std::size_t capacity, std::size_t samples_per_trace,
@@ -49,7 +88,7 @@ TraceArena::TraceArena(std::size_t capacity, std::size_t samples_per_trace,
                   "TraceArena: samples_per_trace must be >= 1");
     SOSIM_REQUIRE(interval_minutes >= 1,
                   "TraceArena: interval_minutes must be >= 1");
-    data_.reset(allocateRows(capacity_, stride_));
+    data_ = allocateRows(capacity_, stride_);
 }
 
 TraceArena
@@ -71,7 +110,7 @@ TraceArena::TraceArena(const TraceArena &other)
       stride_(other.stride_), rows_(other.rows_),
       intervalMinutes_(other.intervalMinutes_)
 {
-    data_.reset(allocateRows(capacity_, stride_));
+    data_ = allocateRows(capacity_, stride_);
     if (data_ != nullptr)
         std::memcpy(data_.get(), other.data_.get(),
                     capacity_ * stride_ * sizeof(double));

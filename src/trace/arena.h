@@ -19,6 +19,10 @@
  *     repair degrade arena *copies* instead of re-allocating a scattered
  *     bundle).
  *
+ * A buffer of kMapBytes or more is mapped straight from the OS (the last
+ * one freed is kept for the next arena of its size), so a run's peak
+ * resident set does not depend on how thread timing split malloc's heap.
+ *
  * Rows are identified by a stable TraceId (the insertion index); the
  * TraceId -> row mapping never changes once a row is added, so long-lived
  * consumers (core::remap keeps per-rack running-sum rows here) can hold
@@ -27,7 +31,7 @@
  * keeps the value (core::Remapper::refine fills one vector of instance
  * peaks up front).
  *
- * Layout and ordering contract: DESIGN.md section 10.
+ * Layout, storage and ordering contract: DESIGN.md section 10.
  */
 
 #include <cstddef>
@@ -57,6 +61,10 @@ class TraceArena
     /** Doubles per alignment unit; rows are padded to a multiple. */
     static constexpr std::size_t kAlignDoubles =
         kAlignBytes / sizeof(double);
+    /** Buffers of at least this many bytes are mapped, not malloc'd:
+     *  population arenas, not the smaller per-rack ones a remap search
+     *  builds beside them (those share the one spare mapping badly). */
+    static constexpr std::size_t kMapBytes = std::size_t{8} << 20;
 
     /**
      * An empty arena with room for `capacity` rows of
@@ -126,13 +134,19 @@ class TraceArena
     }
 
   private:
-    struct AlignedFree {
+    /** Releases a buffer of `bytes` bytes the way it was obtained. */
+    struct RowsFree {
+        std::size_t bytes;
         void operator()(double *p) const;
     };
 
+    /** Zero-filled storage for `capacity` rows of `stride` doubles. */
+    static std::unique_ptr<double[], RowsFree>
+    allocateRows(std::size_t capacity, std::size_t stride);
+
     const double *rowPtr(TraceId id) const;
 
-    std::unique_ptr<double[], AlignedFree> data_;
+    std::unique_ptr<double[], RowsFree> data_;
     std::size_t capacity_ = 0;
     std::size_t samples_ = 0;
     std::size_t stride_ = 0;

@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "util/error.h"
+#include "util/parse.h"
 
 namespace sosim::util {
 
@@ -26,36 +28,23 @@ std::atomic<std::size_t> g_override{0};
 /** User override from setPoolWatchdogMillis(); 0 means "resolve". */
 std::atomic<std::size_t> g_watchdogOverride{0};
 
+/** `forced` if set, else variable `name` parsed whole as a count in
+ *  [1, max] (a FatalError naming it otherwise), else `automatic` if the
+ *  variable is unset or empty. */
 std::size_t
-resolveThreadCount()
+resolveCount(const std::atomic<std::size_t> &forced, const char *name,
+             std::size_t max, std::size_t automatic)
 {
-    const std::size_t forced = g_override.load(std::memory_order_relaxed);
-    if (forced > 0)
-        return forced;
-    if (const char *env = std::getenv("SOSIM_THREADS")) {
-        char *end = nullptr;
-        const long v = std::strtol(env, &end, 10);
-        if (end != env && v > 0)
-            return static_cast<std::size_t>(v);
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
-}
-
-std::size_t
-resolveWatchdogMillis()
-{
-    const std::size_t forced =
-        g_watchdogOverride.load(std::memory_order_relaxed);
-    if (forced > 0)
-        return forced;
-    if (const char *env = std::getenv("SOSIM_POOL_WATCHDOG_MS")) {
-        char *end = nullptr;
-        const long v = std::strtol(env, &end, 10);
-        if (end != env && v > 0)
-            return static_cast<std::size_t>(v);
-    }
-    return 120000;
+    if (const std::size_t n = forced.load(std::memory_order_relaxed))
+        return n;
+    const char *env = std::getenv(name);
+    if (env == nullptr || *env == '\0')
+        return automatic;
+    const auto v = parseNumber<std::size_t>(env, name);
+    SOSIM_REQUIRE(v >= 1, std::string(name) + ": '" + env + "' is below 1");
+    SOSIM_REQUIRE(v <= max, std::string(name) + ": '" + env +
+                                "' is above " + std::to_string(max));
+    return v;
 }
 
 /** Per-lane busy-time counter ("pool.worker.N.busy_nanos" / caller). */
@@ -327,12 +316,18 @@ pool(std::size_t want_workers)
 std::size_t
 threadCount()
 {
-    return resolveThreadCount();
+    // Asked once: hardware_concurrency() is a system call, and every
+    // parallelFor resolves the count.
+    static const unsigned hw = std::thread::hardware_concurrency();
+    return resolveCount(g_override, "SOSIM_THREADS", kMaxThreads,
+                        hw > 0 ? hw : 1);
 }
 
 void
 setThreadCount(std::size_t n)
 {
+    SOSIM_REQUIRE(n <= kMaxThreads, "setThreadCount: " + std::to_string(n) +
+                                        " is above kMaxThreads");
     g_override.store(n, std::memory_order_relaxed);
 }
 
@@ -355,6 +350,9 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &body,
             body(i);
         return;
     }
+    // Resolved before the pool starts, so a refused value starts no thread.
+    const std::size_t watchdog_ms = resolveCount(
+        g_watchdogOverride, "SOSIM_POOL_WATCHDOG_MS", ~std::size_t{0}, 120000);
 
     // Contiguous chunks claimed dynamically by the pool lanes (callers
     // plus background workers); each index is executed exactly once
@@ -392,7 +390,7 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &body,
 
     // The caller is one lane, so only workers-1 background threads needed.
     try {
-        pool(workers - 1).run(job, resolveWatchdogMillis());
+        pool(workers - 1).run(job, watchdog_ms);
     } catch (const PoolStuckError &stuck) {
         SOSIM_COUNT("pool.watchdog_fires");
         {

@@ -65,17 +65,21 @@ class ParallelForError : public std::runtime_error
     std::size_t end_;
 };
 
+/** Most worker threads a count may request. */
+inline constexpr std::size_t kMaxThreads = 1024;
+
 /**
  * Effective worker count used by parallelFor: the setThreadCount()
- * override if set, else SOSIM_THREADS from the environment, else
- * hardware concurrency (at least 1).
+ * override if set, else SOSIM_THREADS from the environment (parsed whole;
+ * set to anything but an integer in [1, kMaxThreads] is a FatalError
+ * naming it), else hardware concurrency (at least 1).
  */
 std::size_t threadCount();
 
 /**
- * Override the worker count (0 restores automatic resolution).  Resizes
- * the pool on the next parallelFor; not safe to call concurrently with
- * running parallelFor calls.
+ * Override the worker count (0 restores automatic resolution; above
+ * kMaxThreads is a FatalError).  Resizes the pool on the next
+ * parallelFor; not safe to call concurrently with parallelFor.
  */
 void setThreadCount(std::size_t n);
 
@@ -89,7 +93,8 @@ void setThreadCount(std::size_t n);
  * so long jobs never fire it as long as the pool keeps moving.
  *
  * Resolution order: this override (0 restores automatic resolution) >
- * the SOSIM_POOL_WATCHDOG_MS environment variable > 120000 (2 minutes).
+ * the SOSIM_POOL_WATCHDOG_MS environment variable (an integer >= 1;
+ * anything else set is a FatalError naming it) > 120000 (2 minutes).
  */
 void setPoolWatchdogMillis(std::size_t ms);
 

@@ -97,6 +97,48 @@ TEST(TraceArena, CopiesAreDeepAndZeroRowsAreZero)
     EXPECT_EQ(b.view(0)[0], 42.0);
 }
 
+TEST(TraceArena, MappedBuffersKeepTheArenaContract)
+{
+    // 600 rows of a 5-minute week (2016 samples) fill past kMapBytes,
+    // so the buffer is mapped: rows, padding and spare rows still read as the
+    // heap path's, copies and moves stay deep, and a freed buffer that
+    // the next arena of its size takes over reads as zeros again.
+    std::mt19937 rng(29);
+    std::vector<TimeSeries> bundle;
+    for (int i = 0; i < 600; ++i)
+        bundle.push_back(randomTrace(rng, 2016));
+    TraceArena a = TraceArena::fromSeries(bundle, 2);
+    ASSERT_GE(a.capacity() * a.rowStride() * sizeof(double),
+              TraceArena::kMapBytes);
+    for (std::size_t i = 0; i < bundle.size(); ++i) {
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a.row(i)) %
+                      TraceArena::kAlignBytes,
+                  0u);
+        EXPECT_EQ(std::vector<double>(a.view(i).begin(), a.view(i).end()),
+                  bundle[i].samples());
+        for (std::size_t s = a.samplesPerTrace(); s < a.rowStride(); ++s)
+            EXPECT_EQ(a.row(i)[s], 0.0);
+    }
+    const trace::TraceId scratch = a.addZeros();
+    for (std::size_t s = 0; s < a.samplesPerTrace(); ++s)
+        EXPECT_EQ(a.view(scratch)[s], 0.0);
+
+    TraceArena b = a;
+    b.mutableRow(599)[2015] = 42.0;
+    EXPECT_EQ(a.view(599)[2015], bundle[599][2015]);
+    TraceArena c = std::move(b);
+    EXPECT_EQ(c.view(599)[2015], 42.0);
+    c = a;
+    EXPECT_EQ(c.view(599)[2015], bundle[599][2015]);
+
+    c = TraceArena(a.capacity(), a.samplesPerTrace(), a.intervalMinutes());
+    for (std::size_t r = 0; r < c.capacity(); ++r) {
+        const trace::TraceId id = c.addZeros();
+        for (std::size_t s = 0; s < c.rowStride(); ++s)
+            ASSERT_EQ(c.row(id)[s], 0.0);
+    }
+}
+
 TEST(EarlyRejectKernels, DecisionsAndAcceptedValuesMatchFullScan)
 {
     std::mt19937 rng(37);

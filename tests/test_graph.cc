@@ -360,8 +360,8 @@ TEST(GraphParity, TestInputSharesTheLastWeeksPayload)
 TEST(GraphParity, CleanFaultStagesPassTheirInputsThrough)
 {
     // A plan that schedules no trace fault copies no population: each
-    // fault.degrade.* op holds its fully valid input's payload, and each
-    // fault.inject.week.W op returns week.W's payload.
+    // fault.degrade.* op holds its fully valid input's payload (and each
+    // week measurement reads week.W in place).
     using Population = std::vector<trace::TimeSeries>;
     pipeline::PipelineSpec spec;
     spec.dc = goldenSpec();
@@ -375,10 +375,6 @@ TEST(GraphParity, CleanFaultStagesPassTheirInputsThrough)
                   .as<pipeline::DegradedTraces>()
                   .traces.get(),
               &g.eval(p.testIn).as<Population>());
-    ASSERT_EQ(p.weekInjectOps.size(), p.weekIns.size());
-    for (std::size_t w = 0; w < p.weekIns.size(); ++w)
-        EXPECT_EQ(&g.eval(p.weekInjectOps[w]).as<Population>(),
-                  &g.eval(p.weekIns[w]).as<Population>());
     // What repairing a clean population would report.
     EXPECT_EQ(training.repair.validBefore,
               std::vector<double>(p.instanceCount, 1.0));
@@ -443,9 +439,6 @@ TEST(GraphParity, FaultStagesNeverWriteTheirInputs)
         EXPECT_NE(
             g.eval(op, harsh).as<pipeline::DegradedTraces>().traces.get(),
             &g.eval(in).as<Population>());
-    for (std::size_t w = 0; w < p.weekIns.size(); ++w)
-        EXPECT_NE(&g.eval(p.weekInjectOps[w], harsh).as<Population>(),
-                  &g.eval(p.weekIns[w]).as<Population>());
     pipeline::runPipeline(p, pipeline::parseWhatIf(p, "repair-policy=none"));
     unchanged("repair-policy=none");
 }
@@ -542,6 +535,53 @@ TEST(GraphParity, FaultedPipelineMatchesTheLegacyCallChain)
     EXPECT_GT(r.trainingScore, 0.0);
 }
 
+TEST(GraphParity, FaultedWeekMeasurementsMatchTheInjectedCopy)
+{
+    // Each monitor.measure.week.W injects into its own copy of the week
+    // and repairs that copy in place: under a harsh what-if its output
+    // equals the borrowing measureWeek of fault::injectedCopy's week,
+    // shape drift against the shared training index included.
+    pipeline::PipelineSpec spec;
+    spec.dc = goldenSpec();
+    auto p = pipeline::buildPipeline(spec);
+    auto &g = p.graph;
+    const auto harsh = pipeline::parseWhatIf(p, "fault-plan=7:harsh");
+    pipeline::runPipeline(p, harsh);
+    // Values are held by copy: each keeps its payload alive.
+    const auto plan_value = g.eval(p.planIn, harsh);
+    const auto remap_value = g.eval(p.remapOp, harsh);
+    const auto index_value = g.eval(p.shapeIndexOp, harsh);
+    const auto &plan = plan_value.as<fault::FaultPlan>();
+    const auto &assignment = remap_value.as<core::RemapRun>().assignment;
+    const auto &index = index_value.as<cluster::ShapeIndex>();
+    ASSERT_FALSE(index.empty());
+    bool drifted = false;
+    for (std::size_t w = 0; w < p.weekIns.size(); ++w) {
+        SCOPED_TRACE("week " + std::to_string(w));
+        const auto want = core::measureWeek(
+            *p.tree, spec.monitor,
+            fault::injectedCopy(
+                g.eval(p.weekIns[w]).as<std::vector<trace::TimeSeries>>(),
+                plan)
+                .traces,
+            assignment, &index);
+        const auto got_value = g.eval(p.weekMeasureOps[w], harsh);
+        const auto &got = got_value.as<core::MonitorMeasurement>();
+        EXPECT_TRUE(got.degradedData);
+        EXPECT_GT(got.repairedSamples, 0u);
+        EXPECT_EQ(got.sumOfPeaks, want.sumOfPeaks);
+        EXPECT_EQ(got.rootPeak, want.rootPeak);
+        EXPECT_EQ(got.fragmentationRatio, want.fragmentationRatio);
+        EXPECT_EQ(got.degradedData, want.degradedData);
+        EXPECT_EQ(got.validFraction, want.validFraction);
+        EXPECT_EQ(got.repairedSamples, want.repairedSamples);
+        EXPECT_EQ(got.excludedInstances, want.excludedInstances);
+        EXPECT_EQ(got.shapeDrift, want.shapeDrift);
+        drifted = drifted || got.shapeDrift != 0.0;
+    }
+    EXPECT_TRUE(drifted) << "no week exercised the drift diagnostic";
+}
+
 // ---------------------------------------------------------------------
 // Warm-cache what-if ablations: the acceptance bar is >= 5x fewer op
 // executions than the cold run, proven by both the pipeline's execution
@@ -557,9 +597,8 @@ TEST(GraphWhatIf, WarmMonitorLevelRerunIsFivefoldCheaper)
     auto p = pipeline::buildPipeline(spec);
     const auto cold = pipeline::runPipeline(p);
     // 11 fixed ops (including the shared cluster.shape_index and the
-    // remap.base search) plus an inject + measure pair per evaluated
-    // week.
-    EXPECT_EQ(cold.opsExecuted, 11u + 2u * p.weekIns.size());
+    // remap.base search) plus one measure op per evaluated week.
+    EXPECT_EQ(cold.opsExecuted, 11u + p.weekIns.size());
 
     const auto reg_miss1 =
         obs::registry().counter("graph.op.cache_miss").value();
@@ -622,7 +661,7 @@ TEST(GraphWhatIf, SeedWhatIfKeepsTheEmbeddingCached)
     EXPECT_EQ(p.graph.evalCount(p.embedOp), embed_evals)
         << "embedding must stay cached across a seed-only what-if";
     EXPECT_GT(warm.opsExecuted, 0u);
-    EXPECT_LT(warm.opsExecuted, 11u + 2u * p.weekIns.size());
+    EXPECT_LT(warm.opsExecuted, 11u + p.weekIns.size());
 }
 
 TEST(GraphWhatIf, ParseComposesKeysAndRejectsUnknownOnes)
@@ -709,10 +748,8 @@ allOps(const pipeline::Pipeline &p)
           p.obliviousOp, p.shapeIndexOp, p.embedOp, p.placeOp,
           p.remapBaseOp, p.remapOp, p.compareOp})
         ops.insert(p.graph.name(h));
-    for (std::size_t w = 0; w < p.weekIns.size(); ++w) {
-        ops.insert(p.graph.name(p.weekInjectOps[w]));
-        ops.insert(p.graph.name(p.weekMeasureOps[w]));
-    }
+    for (const auto h : p.weekMeasureOps)
+        ops.insert(p.graph.name(h));
     return ops;
 }
 
@@ -723,7 +760,7 @@ TEST(GraphWhatIf, FaultPlanWhatIfExecutesAllButTheObliviousBaseline)
     auto p = pipeline::buildPipeline(spec);
     // A cold run executes every op once.
     EXPECT_EQ(executedOps(p), allOps(p));
-    EXPECT_EQ(allOps(p).size(), 11u + 2u * p.weekIns.size());
+    EXPECT_EQ(allOps(p).size(), 11u + p.weekIns.size());
 
     auto expected = allOps(p);
     expected.erase("place.oblivious");
@@ -797,12 +834,9 @@ TEST(GraphWhatIf, RepairPolicyWhatIfExecutesTheDegradeCone)
 
     // Repair runs inside fault.degrade.*, so a policy edit re-runs
     // injection too, and every op downstream of the degraded training
-    // and test populations.  The oblivious baseline and the week
-    // injections read neither.
+    // and test populations.  Only the oblivious baseline reads neither.
     auto expected = allOps(p);
     expected.erase("place.oblivious");
-    for (const auto h : p.weekInjectOps)
-        expected.erase(p.graph.name(h));
     EXPECT_TRUE(expected.count("fault.degrade.training"));
     EXPECT_TRUE(expected.count("fault.degrade.test"));
     const auto overlay = pipeline::parseWhatIf(p, "repair-policy=hold_last");

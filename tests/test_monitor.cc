@@ -462,33 +462,50 @@ TEST(MonitorOracle, WeeksCoverEveryPath)
 
 TEST(MonitorOracle, RepairedCopyIsTheRepairLayersCopy)
 {
+    // The owning form repairs the week it is handed in place: it
+    // measures and records exactly what the borrowing form does, and
+    // leaves the rows trace::repairedCopy's and the validity its
+    // validBefore.  A clean week's rows stay as they were, with no
+    // validity.
     const auto f = oracleFixture();
+    const MonitorConfig config;
     for (const auto &[name, week] : oracleWeeks(f.week)) {
         SCOPED_TRACE(name + " week");
-        core::RepairedWeek repaired;
-        repaired.validity = {0.5}; // Stale content must not survive.
-        core::measureWeek(f.tree, {}, week, f.assignment, nullptr,
-                          &repaired);
-        if (name == "clean") {
-            // No gap, no copy: the caller acts on its own traces.
-            EXPECT_TRUE(repaired.traces.empty());
-            EXPECT_TRUE(repaired.validity.empty());
-            continue;
-        }
+        core::MonitorMeasurement borrowed, owned;
+        const auto borrowed_events = recordedRepairEvents([&] {
+            borrowed = core::measureWeek(f.tree, config, week, f.assignment,
+                                         &f.index);
+        });
+        core::OwnedWeek mine{week, {0.5}}; // Stale validity must go.
+        const double *first_row = mine.traces.front().samples().data();
+        const auto owned_events = recordedRepairEvents([&] {
+            owned = core::measureWeek(f.tree, config, mine, f.assignment,
+                                      &f.index);
+        });
+        expectSameMeasurement(owned, borrowed);
+        EXPECT_EQ(owned_events, borrowed_events);
+        EXPECT_EQ(mine.traces.front().samples().data(), first_row)
+            << "the rows were replaced, not repaired in place";
+
+        const bool clean = name == "clean";
         const auto want =
             trace::repairedCopy(week, core::kMonitorRepairPolicy);
-        ASSERT_EQ(repaired.traces.size(), want.traces.size());
-        for (std::size_t i = 0; i < want.traces.size(); ++i) {
-            ASSERT_EQ(repaired.traces[i].size(), want.traces[i].size());
-            EXPECT_EQ(repaired.traces[i].intervalMinutes(),
-                      want.traces[i].intervalMinutes());
-            EXPECT_EQ(std::memcmp(repaired.traces[i].samples().data(),
-                                  want.traces[i].samples().data(),
-                                  want.traces[i].size() * sizeof(double)),
+        const auto &want_rows = clean ? week : want.traces;
+        ASSERT_EQ(mine.traces.size(), want_rows.size());
+        for (std::size_t i = 0; i < want_rows.size(); ++i) {
+            ASSERT_EQ(mine.traces[i].size(), want_rows[i].size());
+            EXPECT_EQ(mine.traces[i].intervalMinutes(),
+                      want_rows[i].intervalMinutes());
+            EXPECT_EQ(std::memcmp(mine.traces[i].samples().data(),
+                                  want_rows[i].samples().data(),
+                                  want_rows[i].size() * sizeof(double)),
                       0)
                 << "instance " << i;
         }
-        EXPECT_EQ(repaired.validity, want.summary.validBefore);
+        if (clean)
+            EXPECT_TRUE(mine.validBefore.empty());
+        else
+            EXPECT_EQ(mine.validBefore, want.summary.validBefore);
     }
 }
 

@@ -10,7 +10,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,6 +27,7 @@
 #include "cluster/kmeans.h"
 #include "power/power_tree.h"
 #include "trace/kernels.h"
+#include "util/error.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "workload/catalog.h"
@@ -114,6 +118,89 @@ TEST(ParallelFor, ThreadCountResolution)
     EXPECT_EQ(util::threadCount(), 3u);
     util::setThreadCount(0);
     EXPECT_GE(util::threadCount(), 1u);
+}
+
+/** Set (or, for nullptr, unset) an environment variable for one scope;
+ *  the former value comes back when the scope ends. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        if (const char *old = std::getenv(name))
+            old_ = old;
+        if (value != nullptr)
+            ::setenv(name, value, 1);
+        else
+            ::unsetenv(name);
+    }
+    ~ScopedEnv()
+    {
+        if (old_)
+            ::setenv(name_, old_->c_str(), 1);
+        else
+            ::unsetenv(name_);
+    }
+    ScopedEnv(const ScopedEnv &) = delete;
+    ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+  private:
+    const char *name_;
+    std::optional<std::string> old_;
+};
+
+// These tests only resolve counts: none calls parallelFor, so no value
+// under test starts a thread.
+TEST(ParallelFor, ThreadsVariableIsParsedWhole)
+{
+    util::setThreadCount(0);
+    const std::size_t automatic = [] {
+        ScopedEnv env("SOSIM_THREADS", nullptr);
+        return util::threadCount();
+    }();
+    {
+        ScopedEnv env("SOSIM_THREADS", "");
+        EXPECT_EQ(util::threadCount(), automatic);
+    }
+    {
+        ScopedEnv env("SOSIM_THREADS", "3");
+        EXPECT_EQ(util::threadCount(), 3u);
+    }
+    {
+        ScopedEnv env("SOSIM_THREADS", "1024");
+        EXPECT_EQ(util::threadCount(), util::kMaxThreads);
+    }
+    for (const char *bad : {"4x", "abc", "-2", "0", " 4", "4 ", "+4", "1025",
+                            "100000", "99999999999999999999999"}) {
+        ScopedEnv env("SOSIM_THREADS", bad);
+        try {
+            util::threadCount();
+            ADD_FAILURE() << "SOSIM_THREADS='" << bad << "' was accepted";
+        } catch (const util::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "SOSIM_THREADS: '" + std::string(bad) + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // The override is not the environment: it wins over a bad variable.
+    ScopedEnv env("SOSIM_THREADS", "4x");
+    util::setThreadCount(2);
+    EXPECT_EQ(util::threadCount(), 2u);
+    util::setThreadCount(0);
+}
+
+TEST(ParallelFor, SetThreadCountRefusesAboveTheLimit)
+{
+    util::setThreadCount(util::kMaxThreads);
+    EXPECT_EQ(util::threadCount(), util::kMaxThreads);
+    util::setThreadCount(2);
+    EXPECT_THROW(util::setThreadCount(util::kMaxThreads + 1),
+                 util::FatalError);
+    EXPECT_THROW(util::setThreadCount(100000), util::FatalError);
+    // A refused count leaves the override as it was.
+    EXPECT_EQ(util::threadCount(), 2u);
+    util::setThreadCount(0);
 }
 
 // The state a stuck chunk touches after the watchdog abandons its job

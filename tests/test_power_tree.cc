@@ -123,15 +123,6 @@ TEST(PowerTree, RacksUnderSubtree)
     EXPECT_EQ(self.front(), rack);
 }
 
-TEST(PowerTree, SetBudgetValidates)
-{
-    PowerTree tree(tinySpec());
-    tree.setBudget(0, 100.0);
-    EXPECT_DOUBLE_EQ(tree.node(0).budgetWatts, 100.0);
-    EXPECT_THROW(tree.setBudget(0, -1.0), FatalError);
-    EXPECT_THROW(tree.setBudget(tree.nodeCount(), 1.0), FatalError);
-}
-
 TEST(PowerTree, AggregateTracesSumBottomUp)
 {
     const PowerTree tree(tinySpec());
