@@ -139,8 +139,8 @@ struct ScanSlot {
 /**
  * Everything the search carries from one round to the next: what a
  * resume must restore to go on exactly where the search stopped.  The
- * instance rows are not part of it; they live in their own arena, a
- * copy of the population (TraceId == instance index).
+ * instance rows are not part of it: the search reads them in place, from
+ * the caller's population.
  */
 struct SearchState {
     explicit SearchState(trace::TraceArena rack_rows)
@@ -167,26 +167,40 @@ struct SearchState {
 };
 
 /**
- * Build the cold search state of `assignment` over the instance rows in
- * `arena`: instance peaks, every rack's members and running-sum
- * aggregate, the scratch rows and, when pruning, the candidate index.
+ * Refuse a population whose rows differ in length or interval: the
+ * search reads them in place, and the prune fallback's embedding reads
+ * every row at the first row's length.
+ */
+void
+requireEquallyShaped(const std::vector<trace::TimeSeries> &itraces,
+                     const char *what)
+{
+    for (const auto &ts : itraces)
+        SOSIM_REQUIRE(trace::TraceView(ts).alignedWith(itraces.front()),
+                      std::string(what) + ": traces differ in shape");
+}
+
+/**
+ * Build the cold search state of `assignment` over the non-empty,
+ * equally shaped instance rows `itraces`: instance peaks, every rack's
+ * members and running-sum aggregate, the scratch rows and, when
+ * pruning, the candidate index.
  */
 SearchState
 startSearch(const power::PowerTree &tree, const RemapConfig &config,
             const power::Assignment &assignment,
             const std::vector<trace::TimeSeries> &itraces,
-            const cluster::ShapeIndex *shapes,
-            const trace::TraceArena &arena)
+            const cluster::ShapeIndex *shapes)
 {
     const auto rack_ids = tree.racks();
     SearchState s(trace::TraceArena(rack_ids.size() + kCandidatesPerRound,
-                                    arena.samplesPerTrace(),
-                                    arena.intervalMinutes()));
+                                    itraces.front().size(),
+                                    itraces.front().intervalMinutes()));
     // Every instance peak is read many times below (rack peak sums,
     // member scores, every pair of the swap scan): scan each row once.
     s.peaks.resize(itraces.size());
     util::parallelFor(itraces.size(), [&](std::size_t id) {
-        s.peaks[id] = trace::peakOf(arena.view(id));
+        s.peaks[id] = trace::peakOf(itraces[id]);
     });
 
     // Build per-rack state once; aggregates are maintained incrementally
@@ -209,7 +223,7 @@ startSearch(const power::PowerTree &tree, const RemapConfig &config,
             return;
         double *agg = s.rows.mutableRow(state.aggRow);
         for (const auto i : state.members) {
-            state.aggPeak = trace::accumulatePeakRow(agg, arena.view(i));
+            state.aggPeak = trace::accumulatePeakRow(agg, itraces[i]);
             state.peakSum += s.peaks[i];
         }
     });
@@ -232,10 +246,10 @@ startSearch(const power::PowerTree &tree, const RemapConfig &config,
             SOSIM_COUNT("remap.prune_index_reused");
         } else {
             std::vector<const double *> trace_rows(itraces.size());
-            for (trace::TraceId id = 0; id < itraces.size(); ++id)
-                trace_rows[id] = arena.row(id);
+            for (std::size_t i = 0; i < itraces.size(); ++i)
+                trace_rows[i] = itraces[i].samples().data();
             local_points = cluster::shapePoints(
-                trace_rows, arena.samplesPerTrace(),
+                trace_rows, itraces.front().size(),
                 cluster::kDefaultShapeBuckets);
             points = &local_points;
         }
@@ -249,11 +263,11 @@ startSearch(const power::PowerTree &tree, const RemapConfig &config,
 /**
  * Run rounds until `swaps` holds config.maxSwaps swaps or every rack is
  * tried, applying each accepted swap to `assignment` and to `s`.
- * `arena` holds the instance rows.
+ * `itraces` holds the instance rows `s` was started on.
  */
 void
 runRounds(const power::PowerTree &tree, const RemapConfig &config,
-          const trace::TraceArena &arena, SearchState &s,
+          const std::vector<trace::TimeSeries> &itraces, SearchState &s,
           power::Assignment &assignment, std::vector<SwapRecord> &swaps,
           const std::vector<double> *validity)
 {
@@ -312,7 +326,7 @@ runRounds(const power::PowerTree &tree, const RemapConfig &config,
             const std::size_t i = rack.members[m];
             if (others == 0)
                 return; // scoreBefore stays at the 2.0 convention.
-            const trace::TraceView member = arena.view(i);
+            const trace::TraceView member(itraces[i]);
             const double others_peak = trace::peakOfDiff(agg, member);
             rack.othersPeak[m] = others_peak;
             const double scale = 1.0 / static_cast<double>(others);
@@ -394,7 +408,7 @@ runRounds(const power::PowerTree &tree, const RemapConfig &config,
         util::parallelFor(candidates, [&](std::size_t c) {
             cand_others_peak[c] = trace::diffPeakRow(
                 rows.mutableRow(scratch[c]), rows.view(rack_a.aggRow),
-                arena.view(scored[c].second));
+                itraces[scored[c].second]);
         });
 
         // 3. Best improving swap across all other racks: one index per
@@ -420,7 +434,7 @@ runRounds(const power::PowerTree &tree, const RemapConfig &config,
                 return;
             const std::size_t inst_a = scored[c].second;
             const double score_a_before = scored[c].first;
-            const trace::TraceView inst_a_row = arena.view(inst_a);
+            const trace::TraceView inst_a_row(itraces[inst_a]);
             const double inst_a_peak = peaks[inst_a];
             const trace::TraceView others_a_row = rows.view(scratch[c]);
             const std::size_t cluster_a =
@@ -459,7 +473,7 @@ runRounds(const power::PowerTree &tree, const RemapConfig &config,
                 // evaluation entirely.  Pure reordering of the paper's
                 // accept test — the accepted set is unchanged.
                 const double score_a_after = diffScoreHoisted(
-                    arena.view(inst_b), peaks[inst_b], others_a_row,
+                    itraces[inst_b], peaks[inst_b], others_a_row,
                     cand_others_peak[c], others_a, score_a_before);
                 if (score_a_after <= score_a_before) {
                     if (recording)
@@ -477,7 +491,7 @@ runRounds(const power::PowerTree &tree, const RemapConfig &config,
                         inst_a_peak + scale_b * rack_b.othersPeak[pos_b];
                     const double aggregate_peak =
                         trace::peakOfAddScaledDiffEarlyReject(
-                            inst_a_row, agg_b, arena.view(inst_b), scale_b,
+                            inst_a_row, agg_b, itraces[inst_b], scale_b,
                             numerator, score_b_before);
                     score_b_after = aggregate_peak <= 0.0
                                         ? 0.0
@@ -576,12 +590,12 @@ runRounds(const power::PowerTree &tree, const RemapConfig &config,
             rack_b.members[slot.posB] = best.instanceA;
 
             rack_a.aggPeak = trace::subAddPeakRow(
-                rows.mutableRow(rack_a.aggRow), arena.view(best.instanceB),
-                arena.view(best.instanceA));
+                rows.mutableRow(rack_a.aggRow), itraces[best.instanceB],
+                itraces[best.instanceA]);
             rack_a.peakSum += peaks[best.instanceB] - peaks[best.instanceA];
             rack_b.aggPeak = trace::subAddPeakRow(
-                rows.mutableRow(rack_b.aggRow), arena.view(best.instanceA),
-                arena.view(best.instanceB));
+                rows.mutableRow(rack_b.aggRow), itraces[best.instanceA],
+                itraces[best.instanceB]);
             rack_b.peakSum += peaks[best.instanceA] - peaks[best.instanceB];
             rack_a.cacheValid = false;
             rack_b.cacheValid = false;
@@ -615,7 +629,10 @@ class RemapState
 
 namespace {
 
-/** refine()'s cold search; with `kept` set, also keeps its end state. */
+/**
+ * refine()'s cold search, reading the instance rows in place from
+ * `itraces`; with `kept` set, also keeps its end state.
+ */
 std::vector<SwapRecord>
 refineCold(const power::PowerTree &tree, const RemapConfig &config,
            power::Assignment &assignment,
@@ -634,6 +651,7 @@ refineCold(const power::PowerTree &tree, const RemapConfig &config,
                   "Remapper::refine: validity vector size mismatch");
     if (itraces.empty())
         return {}; // Nothing to keep: extend() refines an empty one cold.
+    requireEquallyShaped(itraces, "Remapper::refine");
 
     std::size_t excluded = 0;
     if (validity != nullptr)
@@ -642,15 +660,12 @@ refineCold(const power::PowerTree &tree, const RemapConfig &config,
                 ++excluded;
     SOSIM_COUNT_ADD("remap.instances_excluded", excluded);
 
-    // Every trace lives in one SoA arena, and every rack running sum
-    // and candidate scratch row in a second one: the whole swap scan
-    // walks contiguous 64-byte-aligned rows instead of chasing
-    // per-series allocations.
-    const auto arena = trace::TraceArena::fromSeries(itraces);
-    SearchState s =
-        startSearch(tree, config, assignment, itraces, shapes, arena);
+    // The instance rows are read in place, where the caller keeps them;
+    // only the rack running sums and candidate scratch rows, which the
+    // search writes, live in an arena of their own.
+    SearchState s = startSearch(tree, config, assignment, itraces, shapes);
     std::vector<SwapRecord> swaps;
-    runRounds(tree, config, arena, s, assignment, swaps, validity);
+    runRounds(tree, config, itraces, s, assignment, swaps, validity);
     if (kept != nullptr)
         *kept = std::make_shared<const RemapState>(
             RemapState{config, std::move(s)});
@@ -758,12 +773,12 @@ Remapper::extend(const RemapRun &base, const power::Assignment &start,
     SOSIM_COUNT_ADD("remap.swaps_reused", base.swaps.size());
     out.assignment = base.assignment;
     out.swaps = base.swaps;
-    const auto arena = trace::TraceArena::fromSeries(itraces);
-    SOSIM_REQUIRE(kept->search.rows.samplesPerTrace() ==
-                      arena.samplesPerTrace(),
+    SOSIM_REQUIRE(kept->search.rows.alignedWith(itraces.front()),
                   "Remapper::extend: base state has another trace shape");
+    requireEquallyShaped(itraces, "Remapper::extend");
     SearchState s = kept->search;
-    runRounds(tree_, config_, arena, s, out.assignment, out.swaps, validity);
+    runRounds(tree_, config_, itraces, s, out.assignment, out.swaps,
+              validity);
     return out;
 }
 

@@ -91,7 +91,8 @@ struct SwapRecord {
  * swap order, the running-sum aggregate rows with their peaks and peak
  * sums, the per-member score caches, the instance peaks, the pruning
  * index, the tried racks, the round counter and the config of the run
- * — but no instance rows: a resume re-copies them from the population.
+ * — but no instance rows: a resume reads them in place from the
+ * population it is given, as the search did.
  */
 class RemapState;
 
@@ -124,7 +125,9 @@ class Remapper
      * @param assignment Placement to refine; updated in place.
      * @param itraces    Current averaged I-traces of every instance;
      *                   must be gap-free (repair degraded telemetry with
-     *                   trace::repairAll first).
+     *                   trace::repairAll first) and equally shaped.  The
+     *                   search reads the rows in place, without copying
+     *                   the population.
      * @param validity   Optional per-instance valid fraction *before*
      *                   repair (e.g. RepairSummary::validBefore).  When
      *                   given, instances below trace::kMinValidFraction

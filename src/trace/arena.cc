@@ -2,10 +2,7 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <utility>
-
-#include <sys/mman.h>
 
 #include "util/error.h"
 
@@ -21,14 +18,6 @@ paddedStride(std::size_t samples)
     return (samples + unit - 1) / unit * unit;
 }
 
-/**
- * The last mapped buffer freed, kept resident for the next arena of its
- * size: a population arena is rebuilt for every remap and scoring pass,
- * and a fresh mapping pays a page fault per page on first touch.
- */
-std::mutex g_spareMutex;
-std::pair<void *, std::size_t> g_spare{nullptr, 0};
-
 } // namespace
 
 std::unique_ptr<double[], TraceArena::RowsFree>
@@ -36,46 +25,13 @@ TraceArena::allocateRows(std::size_t capacity, std::size_t stride)
 {
     const std::size_t bytes = capacity * stride * sizeof(double);
     if (bytes == 0)
-        return {nullptr, {}};
-    void *p = nullptr;
-    if (bytes >= kMapBytes) {
-        {
-            std::lock_guard<std::mutex> lock(g_spareMutex);
-            if (g_spare.second == bytes)
-                p = std::exchange(g_spare, {nullptr, 0}).first;
-        }
-        if (p != nullptr) {
-            std::memset(p, 0, bytes);
-        } else {
-            // Fresh anonymous pages are already zero, and page-aligned.
-            p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-            SOSIM_REQUIRE(p != MAP_FAILED, "TraceArena: mapping failed");
-        }
-    } else {
-        // aligned_alloc requires the size to be a multiple of the
-        // alignment; the stride already is, in doubles.
-        p = std::aligned_alloc(kAlignBytes, bytes);
-        SOSIM_REQUIRE(p != nullptr, "TraceArena: allocation failed");
-        std::memset(p, 0, bytes);
-    }
-    return {static_cast<double *>(p), {bytes}};
-}
-
-void
-TraceArena::RowsFree::operator()(double *p) const
-{
-    if (bytes < kMapBytes) {
-        std::free(p);
-        return;
-    }
-    std::pair<void *, std::size_t> evicted;
-    {
-        std::lock_guard<std::mutex> lock(g_spareMutex);
-        evicted = std::exchange(g_spare, {p, bytes});
-    }
-    if (evicted.first != nullptr)
-        ::munmap(evicted.first, evicted.second);
+        return nullptr;
+    // aligned_alloc requires the size to be a multiple of the alignment;
+    // the stride already is, in doubles.
+    void *p = std::aligned_alloc(kAlignBytes, bytes);
+    SOSIM_REQUIRE(p != nullptr, "TraceArena: allocation failed");
+    std::memset(p, 0, bytes);
+    return std::unique_ptr<double[], RowsFree>(static_cast<double *>(p));
 }
 
 TraceArena::TraceArena(std::size_t capacity, std::size_t samples_per_trace,

@@ -6,35 +6,30 @@
  * Structure-of-arrays trace storage: every trace of a population lives in
  * one contiguous, 64-byte-aligned buffer.
  *
- * A scattered std::vector<TimeSeries> puts each week of samples behind its
- * own heap allocation, so population-scale loops (scoring fan-outs, the
- * remap swap scan) chase a pointer per trace and the prefetcher restarts
- * at every row.  The arena lays the rows out back to back, padded to a
- * 64-byte multiple, so
+ * The arena is working storage for rows a computation writes: the
+ * remap search keeps its per-rack running sums and candidate scratch rows
+ * here, and the test-only blocked embedding (core::scoreVectorsBlocked)
+ * packs its operands.  Populations themselves stay where their owner
+ * keeps them, a std::vector<TimeSeries>, and are read in place through
+ * TraceView.  The rows lie back to back, padded to a 64-byte multiple, so
  *
  *   - TraceView over a row is an offset computation, not a pointer chase;
  *   - every row starts cache-line- (and AVX-512-) aligned, which is what
- *     the vector peak scans in trace/kernels.h want;
- *   - a whole population copies with one memcpy (fault injection and gap
- *     repair degrade arena *copies* instead of re-allocating a scattered
- *     bundle).
- *
- * A buffer of kMapBytes or more is mapped straight from the OS (the last
- * one freed is kept for the next arena of its size), so a run's peak
- * resident set does not depend on how thread timing split malloc's heap.
+ *     the vector peak scans in trace/kernels.h want, and per-row writers
+ *     on different threads never share a cache line;
+ *   - a whole arena copies with one memcpy (a remap resume copies the
+ *     kept running sums instead of re-summing them).
  *
  * Rows are identified by a stable TraceId (the insertion index); the
  * TraceId -> row mapping never changes once a row is added, so long-lived
  * consumers (core::remap keeps per-rack running-sum rows here) can hold
- * ids across mutations.  The arena holds samples only: a caller that
- * reads a row's peak more than once computes it with trace::peakOf and
- * keeps the value (core::Remapper::refine fills one vector of instance
- * peaks up front).
+ * ids across mutations.  The arena holds samples only.
  *
  * Layout, storage and ordering contract: DESIGN.md section 10.
  */
 
 #include <cstddef>
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -61,10 +56,6 @@ class TraceArena
     /** Doubles per alignment unit; rows are padded to a multiple. */
     static constexpr std::size_t kAlignDoubles =
         kAlignBytes / sizeof(double);
-    /** Buffers of at least this many bytes are mapped, not malloc'd:
-     *  population arenas, not the smaller per-rack ones a remap search
-     *  builds beside them (those share the one spare mapping badly). */
-    static constexpr std::size_t kMapBytes = std::size_t{8} << 20;
 
     /**
      * An empty arena with room for `capacity` rows of
@@ -134,10 +125,9 @@ class TraceArena
     }
 
   private:
-    /** Releases a buffer of `bytes` bytes the way it was obtained. */
+    /** Releases an aligned_alloc'd buffer. */
     struct RowsFree {
-        std::size_t bytes;
-        void operator()(double *p) const;
+        void operator()(double *p) const { std::free(p); }
     };
 
     /** Zero-filled storage for `capacity` rows of `stride` doubles. */

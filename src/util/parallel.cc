@@ -343,16 +343,24 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &body,
 {
     if (n == 0)
         return;
-    const std::size_t workers = threadCount();
-    if (workers <= 1 || n < options.minGrain || t_inWorker) {
+    // A call nested in a worker runs inline and reads no environment:
+    // the top-level call that started the worker resolved both values.
+    std::size_t workers = 1;
+    std::size_t watchdog_ms = 0;
+    if (!t_inWorker) {
+        // Resolved before the inline shortcut, so a refused value fails
+        // a run that never fans out too, and starts no thread.
+        watchdog_ms = resolveCount(g_watchdogOverride,
+                                   "SOSIM_POOL_WATCHDOG_MS", ~std::size_t{0},
+                                   120000);
+        workers = threadCount();
+    }
+    if (workers <= 1 || n < options.minGrain) {
         SOSIM_COUNT("pool.inline_runs");
         for (std::size_t i = 0; i < n; ++i)
             body(i);
         return;
     }
-    // Resolved before the pool starts, so a refused value starts no thread.
-    const std::size_t watchdog_ms = resolveCount(
-        g_watchdogOverride, "SOSIM_POOL_WATCHDOG_MS", ~std::size_t{0}, 120000);
 
     // Contiguous chunks claimed dynamically by the pool lanes (callers
     // plus background workers); each index is executed exactly once

@@ -94,7 +94,8 @@ void setThreadCount(std::size_t n);
  *
  * Resolution order: this override (0 restores automatic resolution) >
  * the SOSIM_POOL_WATCHDOG_MS environment variable (an integer >= 1;
- * anything else set is a FatalError naming it) > 120000 (2 minutes).
+ * anything else set is a FatalError naming it, raised by every
+ * parallelFor outside a pool worker, inline or not) > 120000 (2 minutes).
  */
 void setPoolWatchdogMillis(std::size_t ms);
 

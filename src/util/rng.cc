@@ -26,8 +26,14 @@ Rng::uniformInt(std::int64_t lo, std::int64_t hi)
 double
 Rng::normal(double mean, double stddev)
 {
-    std::normal_distribution<double> dist(mean, stddev);
-    return dist(engine_);
+    SOSIM_REQUIRE(std::isfinite(stddev) && stddev >= 0.0,
+                  "Rng::normal: stddev must be finite and non-negative");
+    // A unit deviate scaled as libstdc++ scales it, so the stream is the
+    // one normal_distribution(mean, stddev) draws; stddev == 0 (which
+    // that distribution refuses) returns the mean and consumes the same
+    // engine steps.
+    std::normal_distribution<double> dist;
+    return dist(engine_) * stddev + mean;
 }
 
 bool

@@ -30,7 +30,10 @@ class Rng
     /** Uniform integer in [lo, hi] inclusive. */
     std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
 
-    /** Normal deviate with the given mean and standard deviation. */
+    /**
+     * Normal deviate with the given mean and standard deviation.  A zero
+     * stddev returns the mean; a negative or non-finite one is fatal.
+     */
     double normal(double mean = 0.0, double stddev = 1.0);
 
     /** Bernoulli trial with probability p of returning true. */

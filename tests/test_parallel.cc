@@ -203,6 +203,34 @@ TEST(ParallelFor, SetThreadCountRefusesAboveTheLimit)
     util::setThreadCount(0);
 }
 
+TEST(ParallelFor, WatchdogVariableIsResolvedAtOneThread)
+{
+    // At one thread every call runs inline, so nothing starts a thread;
+    // a refused value fails the call all the same.
+    util::setThreadCount(1);
+    {
+        ScopedEnv env("SOSIM_POOL_WATCHDOG_MS", "0");
+        int ran = 0;
+        try {
+            util::parallelFor(4, [&](std::size_t) { ++ran; });
+            ADD_FAILURE() << "SOSIM_POOL_WATCHDOG_MS='0' was accepted";
+        } catch (const util::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "SOSIM_POOL_WATCHDOG_MS: '0' is below 1"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(ran, 0);
+    }
+    {
+        ScopedEnv env("SOSIM_POOL_WATCHDOG_MS", "250");
+        int ran = 0;
+        util::parallelFor(4, [&](std::size_t) { ++ran; });
+        EXPECT_EQ(ran, 4);
+    }
+    util::setThreadCount(0);
+}
+
 // The state a stuck chunk touches after the watchdog abandons its job
 // must outlive the submitting call, so it is static (the chunk's copy
 // of the body holds pointers to it, not to the test's stack frame).

@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -344,6 +345,46 @@ TEST(RemapResume, RefusesABaseOfAnotherPopulation)
                                 budgetConfig(core::PruneMode::kOff, 8))
                      .extend(base, start, traces),
                  util::FatalError);
+}
+
+TEST(RemapResume, RefusesAPopulationOfMixedShapes)
+{
+    // The search reads the rows in place, so it checks their shapes
+    // itself: one row a sample short is refused by name, cold or resumed,
+    // before any scan (the prune fallback embeds at the first row's
+    // length).
+    const Fixture f = makeFixture(false);
+    const auto base = searchBase(f, budgetConfig(core::PruneMode::kOff, 4));
+    auto traces = f.traces;
+    std::vector<double> shorter = traces.back().samples();
+    shorter.pop_back();
+    traces.back() =
+        trace::TimeSeries(std::move(shorter), traces.back().intervalMinutes());
+    for (const auto prune :
+         {core::PruneMode::kOff, core::PruneMode::kCluster}) {
+        const core::Remapper remapper(f.tree, budgetConfig(prune, 8));
+        auto assignment = f.start;
+        try {
+            remapper.refine(assignment, traces);
+            ADD_FAILURE() << "a mixed-shape population was refined";
+        } catch (const util::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "Remapper::refine: traces differ in shape"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    const core::Remapper remapper(f.tree,
+                                  budgetConfig(core::PruneMode::kOff, 8));
+    try {
+        remapper.extend(base, f.start, traces);
+        ADD_FAILURE() << "a mixed-shape population was resumed";
+    } catch (const util::FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "Remapper::extend: traces differ in shape"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,6 +5,7 @@
  */
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -99,6 +100,23 @@ TEST(Rng, NormalHasRequestedMoments)
     const double var = sum2 / n - mean * mean;
     EXPECT_NEAR(mean, 5.0, 0.1);
     EXPECT_NEAR(var, 4.0, 0.2);
+}
+
+TEST(Rng, ZeroStddevReturnsTheMeanAndKeepsTheStream)
+{
+    Rng zero(13);
+    Rng unit(13);
+    EXPECT_EQ(zero.normal(3.5, 0.0), 3.5);
+    unit.normal(3.5, 1.0);
+    // The zero-width draw advances the engine exactly as a unit one.
+    EXPECT_EQ(zero.normal(), unit.normal());
+    EXPECT_EQ(zero.uniform(), unit.uniform());
+
+    EXPECT_THROW(zero.normal(0.0, -1.0), FatalError);
+    EXPECT_THROW(zero.normal(0.0, std::numeric_limits<double>::infinity()),
+                 FatalError);
+    EXPECT_THROW(zero.normal(0.0, std::numeric_limits<double>::quiet_NaN()),
+                 FatalError);
 }
 
 TEST(Rng, ChanceEdgeCases)
